@@ -21,19 +21,12 @@ from .errors import (ConfigError, GtopError, Infeasible, InvalidInput,
                      VerificationFailure)
 from .functions import (Blockwise, Box, CompositeFunction, Congestion, Equality,
                         Linear, MarginalFunction, QuadraticDistance, SubgradientBand,
-                        Zero, inclusion_residual, solve_inclusion_bimarginal, stack_rows)
+                        Zero, inclusion_residual, stack_rows)
 from .model import (CHAIN, GENERAL, OD_CYCLE, SPECIES_HUB, DualPotentials,
                     EdgeKernel, GraphTopology, ProblemSpec, ScaledArray,
                     build_kernel, dual_objective, total_mass)
-from .projections import (ChainEngine, DenseEngine, HubEngine, ODEngine,
-                          chain_messages, chain_project_bimarginal,
-                          chain_project_marginal, hub_messages,
-                          hub_project_species, hub_project_species_time,
-                          hub_project_time, make_engine, od_messages,
-                          od_project_marginal, od_project_od,
-                          oracle_dense_tensor, oracle_project)
-from .solver import (Schedule, SolveReport, SolverConfig, residuals, solve,
-                     update_bimarginal, update_composite, update_marginal)
+from .projections import ChainEngine, DenseEngine, make_engine
+from .solver import Schedule, SolveReport, SolverConfig, residuals, solve
 from .builders import (FlowEdge, FlowNetwork, MFGSetup, build_congestion,
                        build_flow_cost_matrix, build_flow_problem,
                        build_mfg_chain_problem, build_mfg_cost_matrix,

@@ -313,13 +313,8 @@ def build_mfg_problem(setup):
     densities; later hub edges carry the per-species costs and the time
     nodes carry the shared costs on total densities.
     """
-    L = setup.n_species
     tc = setup.n_steps + 1
-    cost = build_mfg_cost_matrix(grid=None if setup.cost_matrix is not None else setup.grid,
-                                 matrix=setup.cost_matrix, scale=setup.cost_scale)
-    kernel = build_kernel(cost, setup.epsilon)
-    topo = GraphTopology.species_hub(tc, L)
-    kernels = {(j, j + 1): kernel for j in range(tc - 1)}
+    topo = GraphTopology.species_hub(tc, setup.n_species)
 
     start = np.stack([mu for mu in setup.initial_densities], axis=0)
     edge_functions = {(topo.hub, 0): Equality(start)}
@@ -328,6 +323,26 @@ def build_mfg_problem(setup):
         if fn is not None:
             edge_functions[(topo.hub, j)] = fn
 
+    return ProblemSpec(topo, _time_kernels(setup), _total_node_functions(setup),
+                       edge_functions, setup.epsilon)
+
+
+def _is_indicator(fn):
+    return isinstance(fn, (Equality, Box)) or fn.is_zero
+
+
+def _time_kernels(setup):
+    """The transport kernel on every edge between consecutive time nodes."""
+    cost = build_mfg_cost_matrix(grid=None if setup.cost_matrix is not None else setup.grid,
+                                 matrix=setup.cost_matrix, scale=setup.cost_scale)
+    kernel = build_kernel(cost, setup.epsilon)
+    return {(j, j + 1): kernel for j in range(setup.n_steps)}
+
+
+def _total_node_functions(setup):
+    """Costs on the total density per time node: running ones scaled by ``dt``
+    (indicators excepted), the terminal one as given."""
+    tc = setup.n_steps + 1
     node_functions = {}
     for j in range(1, tc - 1):
         fn = setup.total_running.get(j)
@@ -338,30 +353,13 @@ def build_mfg_problem(setup):
         node_functions[j] = scaled[0] if len(scaled) == 1 else CompositeFunction(scaled)
     if setup.total_terminal is not None:
         node_functions[tc - 1] = setup.total_terminal
-    return ProblemSpec(topo, kernels, node_functions, edge_functions, setup.epsilon)
-
-
-def _is_indicator(fn):
-    return isinstance(fn, (Equality, Box)) or fn.is_zero
+    return node_functions
 
 
 def build_mfg_chain_problem(setup):
     """Single-population variant on a plain path, with total costs only."""
-    tc = setup.n_steps + 1
-    cost = build_mfg_cost_matrix(grid=None if setup.cost_matrix is not None else setup.grid,
-                                 matrix=setup.cost_matrix, scale=setup.cost_scale)
-    kernel = build_kernel(cost, setup.epsilon)
-    topo = GraphTopology.chain(tc)
-    kernels = {(j, j + 1): kernel for j in range(tc - 1)}
     total0 = np.sum(np.stack(setup.initial_densities, axis=0), axis=0)
-    node_functions = {0: Equality(total0)}
-    for j in range(1, tc - 1):
-        fn = setup.total_running.get(j)
-        if fn is None:
-            continue
-        parts = fn.parts if isinstance(fn, CompositeFunction) else [fn]
-        scaled = [p if _is_indicator(p) else p.scaled(setup.dt) for p in parts]
-        node_functions[j] = scaled[0] if len(scaled) == 1 else CompositeFunction(scaled)
-    if setup.total_terminal is not None:
-        node_functions[tc - 1] = setup.total_terminal
-    return ProblemSpec(topo, kernels, node_functions, {}, setup.epsilon)
+    node_functions = _total_node_functions(setup)
+    node_functions[0] = Equality(total0)
+    return ProblemSpec(GraphTopology.chain(setup.n_steps + 1), _time_kernels(setup),
+                       node_functions, {}, setup.epsilon)

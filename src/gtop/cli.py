@@ -18,14 +18,6 @@ def _numpy():
     return np
 
 
-def _set_thread_env():
-    threads = os.environ.get("GTOP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
 class RunConfig:
     """Validated run description: one problem, solver knobs, output plan."""
 
@@ -469,7 +461,7 @@ def run(run_config):
                     fh.write("%d,%.17g,%.17g\n" % (i, d, r))
         if topo.kind == SPECIES_HUB:
             _write_matrix(os.path.join(run_config.out_dir, "species_masses.csv"),
-                          engine.species_marginal(pots).value())
+                          engine.marginal(topo.hub, pots).value())
 
     if run_config.emit["summary"]:
         with open(os.path.join(run_config.out_dir, "summary.json"), "w",
@@ -480,7 +472,6 @@ def run(run_config):
 
 
 def main(argv=None):
-    _set_thread_env()
     parser = argparse.ArgumentParser(prog="gtop",
                                      description="Structured transport-plan solvers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -514,12 +505,13 @@ def main(argv=None):
         if args.output is not None:
             run_config.out_dir = args.output
         if args.verify:
+            from .projections import DENSE_ENTRY_BUDGET
             run_config.solver_config.verify = True
             sizes = run_config.spec.node_sizes
             total = 1
             for s in sizes:
                 total *= s
-            if total <= 6 ** 6:
+            if total <= DENSE_ENTRY_BUDGET:
                 run_config.solver_config.oracle_check = True
         return run(run_config)
     return 2

@@ -104,11 +104,6 @@ class MarginalFunction:
         return None
 
 
-def solve_inclusion_bimarginal(fn, w_matrix, epsilon):
-    """Matrix variant of the coordinate update (flattened internally)."""
-    return fn.solve_inclusion(w_matrix, epsilon)
-
-
 def inclusion_residual(fn, u, w, epsilon):
     """Entrywise distance of ``u * w`` from the conjugate subdifferential."""
     p = (u.m * w.m).ravel()

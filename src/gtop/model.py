@@ -181,10 +181,6 @@ class GraphTopology:
             return ()
         return tuple((self.hub, j) for j in range(self.hub))
 
-    def path_edge(self, j):
-        """The edge between consecutive path nodes ``j`` and ``j+1``."""
-        return (j, j + 1)
-
     def _validate(self):
         n = self.node_count
         if n < 2:

@@ -1,15 +1,28 @@
 """Marginal and bimarginal projections of the structured plan.
 
-Each engine serves one graph family and computes projections by passing
-partial-product messages along the graph, never materializing the tensor.
-A dense reference engine does materialize it, for small instances, and is
-the ground truth every structured recursion is tested against.
+The three structured families are one recursion: a path of nodes
+0 .. T-1 whose messages carry one extra mode, the separator of a junction
+tree (Haasler, Ringh, Chen and Karlsson, arXiv 2004.06909).  The carried
+mode is
 
-Message conventions (path nodes numbered left to right):
+  - chain: nothing (a mode of size 1);
+  - od_cycle: the state of node 0.  The forward seed is the identity and the
+    chord, kernel times potential, is the carried factor of node T-1;
+  - species_hub: the species index, which is the hub node.  The hub
+    potential seeds the backward pass and each hub edge, kernel times
+    potential, is the carried factor of its time node.
+
+The engine computes projections by passing these messages along the path,
+never materializing the tensor.  A dense reference engine does materialize
+it, for small instances, and is the ground truth the path recursion is
+tested against.
+
+Message conventions (messages have shape ``(carried, n_j)``):
   - forward messages aggregate everything strictly left of a node,
   - backward messages aggregate everything strictly right of it,
-  - the potential of the node itself is always excluded, so the coordinate
-    update weights come straight from message products without any division.
+  - the potential and the carried factor of the node itself are always
+    excluded, so the coordinate update weights come straight from message
+    products without any division.
 """
 
 import numpy as np
@@ -17,35 +30,7 @@ import numpy as np
 from .errors import SizeBoundExceeded, TopologyMismatch
 from .model import (CHAIN, GENERAL, OD_CYCLE, SPECIES_HUB, ScaledArray, smul)
 
-_DENSE_ENTRY_BUDGET = 6 ** 6
-
-
-class ChainMessages:
-    """Forward/backward vectors for a path graph, one per node."""
-
-    def __init__(self, forward, backward):
-        self.forward = forward
-        self.backward = backward
-
-
-class ODMessages:
-    """Forward/backward matrices for a path with an endpoint chord."""
-
-    def __init__(self, forward, backward):
-        self.forward = forward
-        self.backward = backward
-
-
-class HubMessages:
-    """Forward/backward species-by-state matrices for a hub over a time path."""
-
-    def __init__(self, forward, backward):
-        self.forward = forward
-        self.backward = backward
-
-
-def _ones_vec(n):
-    return ScaledArray(np.ones(n), 0.0)
+DENSE_ENTRY_BUDGET = 6 ** 6
 
 
 class _EngineBase:
@@ -62,6 +47,36 @@ class _EngineBase:
         self._note(arr.renormalize())
         return arr
 
+
+class ChainEngine(_EngineBase):
+    """Forward/backward substitution along a path with one carried mode.
+
+    Serves the chain, od_cycle and species_hub topologies; ``T`` is the
+    number of path nodes and ``carried`` maps a path node to the edge whose
+    kernel and potential form its carried factor.
+    """
+
+    def __init__(self, spec, rescale_log=None):
+        topo = spec.topology
+        if topo.kind not in (CHAIN, OD_CYCLE, SPECIES_HUB):
+            raise TopologyMismatch("the path engine needs a chain, od_cycle or "
+                                   "species_hub topology, not %r" % (topo.kind,))
+        super().__init__(spec, rescale_log)
+        self.T = len(topo.time_nodes)
+        self.hub = topo.hub
+        n0 = spec.node_sizes[0]
+        if topo.kind == CHAIN:
+            seed = np.ones((1, n0))
+            self.carried = {}
+        elif topo.kind == OD_CYCLE:
+            seed = np.eye(n0)
+            self.carried = {self.T - 1: topo.chord}
+        else:
+            seed = np.ones((topo.species_count, n0))
+            self.carried = {j: (self.hub, j) for j in range(self.T)}
+        self.fwd = [ScaledArray(seed, 0.0)] + [None] * (self.T - 1)
+        self.bwd = [None] * self.T
+
     def _kernel_with_edge_factor(self, e, pots):
         """Kernel times any potential factor living on the same edge."""
         k = self.spec.kernels[e]
@@ -70,281 +85,99 @@ class _EngineBase:
             return k.m, k.log_scale
         return k.m * u_edge.m, k.log_scale + u_edge.log_scale
 
-    def refresh(self, pots):
-        self.rebuild_backward(pots)
-        self.reset_forward(pots)
-        for j in self._forward_range():
-            self.push_forward(j, pots)
+    def _times_carried(self, m, ls, j, pots):
+        """``(m, ls)`` times the carried factor of path node ``j``, if it has one."""
+        e = self.carried.get(j)
+        if e is None:
+            return m, ls
+        fm, fls = self._kernel_with_edge_factor(e, pots)
+        return m * fm, ls + fls
 
-    def mass(self, pots):
-        return self.marginal(self._mass_node(), pots).total()
-
-    def _mass_node(self):
-        return 0
-
-
-class ChainEngine(_EngineBase):
-    """Forward/backward substitution along a path graph."""
-
-    def __init__(self, spec, rescale_log=None):
-        if spec.topology.kind != CHAIN:
-            raise TopologyMismatch("chain engine needs a chain topology")
-        super().__init__(spec, rescale_log)
-        self.T = spec.topology.node_count
-        self.fwd = [None] * self.T
-        self.bwd = [None] * self.T
-
-    def _forward_range(self):
-        return range(self.T - 1)
-
-    def rebuild_backward(self, pots):
-        self.bwd[self.T - 1] = _ones_vec(self.spec.node_sizes[self.T - 1])
-        for j in range(self.T - 2, -1, -1):
-            km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
-            u = pots.node_value(j + 1)
-            nxt = self.bwd[j + 1]
-            self.bwd[j] = self._fin(km @ (u.m * nxt.m),
-                                    kls + u.log_scale + nxt.log_scale)
-
-    def reset_forward(self, pots):
-        self.fwd[0] = _ones_vec(self.spec.node_sizes[0])
-
-    def push_forward(self, j, pots):
-        km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
+    def _absorb(self, msg, j, pots):
+        """A message times the carried factor and the potential of node ``j``."""
+        m, ls = self._times_carried(msg.m, msg.log_scale, j, pots)
         u = pots.node_value(j)
-        cur = self.fwd[j]
-        self.fwd[j + 1] = self._fin(km.T @ (u.m * cur.m),
-                                    kls + u.log_scale + cur.log_scale)
+        return m * u.m, ls + u.log_scale
 
-    def w_node(self, j, pots):
-        return smul(self.fwd[j], self.bwd[j], note=self._note)
+    def _joint(self, j, pots):
+        """Carried mode by the state of path node ``j``: the plan summed over the rest."""
+        u = pots.node_value(j)
+        fwd, bwd = self.fwd[j], self.bwd[j]
+        return self._times_carried(u.m * fwd.m * bwd.m,
+                                   u.log_scale + fwd.log_scale + bwd.log_scale, j, pots)
 
-    def w_edge(self, e, pots):
+    def _carried_node(self, e):
+        """The path node whose carried factor edge ``e`` is, or None."""
+        return e[1] if self.carried.get(e[1]) == e else None
+
+    def _path_node(self, e):
         j = e[0]
         if e != (j, j + 1) or j + 1 >= self.T:
-            raise TopologyMismatch("chain bimarginals exist only for consecutive nodes")
+            raise TopologyMismatch("no path or carried edge %r in the %s engine"
+                                   % (e, self.spec.topology.kind))
+        return j
+
+    def refresh(self, pots):
+        self.rebuild_backward(pots)
+        for j in range(self.T - 1):
+            self.push_forward(j, pots)
+
+    def rebuild_backward(self, pots):
+        last = self.T - 1
+        if self.hub is None:
+            seed = ScaledArray(np.ones(self.fwd[0].shape[0]), 0.0)
+        else:
+            seed = pots.node_value(self.hub)
+        self.bwd[last] = self._fin(
+            np.broadcast_to(seed.m[:, None],
+                            (seed.m.size, self.spec.node_sizes[last])).copy(),
+            seed.log_scale)
+        for j in range(last - 1, -1, -1):
+            m, ls = self._absorb(self.bwd[j + 1], j + 1, pots)
+            km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
+            self.bwd[j] = self._fin(m @ km.T, ls + kls)
+
+    def push_forward(self, j, pots):
+        m, ls = self._absorb(self.fwd[j], j, pots)
+        km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
+        self.fwd[j + 1] = self._fin(m @ km, ls + kls)
+
+    def w_node(self, j, pots):
+        fwd, bwd = self.fwd[j], self.bwd[j]
+        m, ls = self._times_carried(fwd.m * bwd.m, fwd.log_scale + bwd.log_scale, j, pots)
+        return self._fin(m.sum(axis=0), ls)
+
+    def w_edge(self, e, pots):
+        j = self._carried_node(e)
+        if j is not None:
+            u = pots.node_value(j)
+            k = self.spec.kernels[e]
+            fwd, bwd = self.fwd[j], self.bwd[j]
+            return self._fin(fwd.m * bwd.m * u.m * k.m,
+                             fwd.log_scale + bwd.log_scale + u.log_scale + k.log_scale)
+        j = self._path_node(e)
+        left = self._fin(*self._absorb(self.fwd[j], j, pots))
+        right = self._fin(*self._absorb(self.bwd[j + 1], j + 1, pots))
         k = self.spec.kernels[e]
-        left = smul(pots.node_value(j), self.fwd[j], note=self._note)
-        right = smul(pots.node_value(j + 1), self.bwd[j + 1], note=self._note)
-        return self._fin(k.m * np.outer(left.m, right.m),
+        return self._fin(k.m * (left.m.T @ right.m),
                          k.log_scale + left.log_scale + right.log_scale)
 
     def marginal(self, j, pots):
-        return smul(pots.node_value(j), self.fwd[j], self.bwd[j], note=self._note)
+        if j == self.hub:
+            m, ls = self._joint(0, pots)
+            return self._fin(m.sum(axis=1), ls)
+        m, ls = self._joint(j, pots)
+        return self._fin(m.sum(axis=0), ls)
 
     def bimarginal(self, e, pots):
+        j = self._carried_node(e)
+        if j is not None:
+            return self._fin(*self._joint(j, pots))
         w = self.w_edge(e, pots)
         u_edge = pots.edge_value(e)
         if u_edge is None:
             return w
         return smul(w, u_edge, note=self._note)
-
-
-class ODEngine(_EngineBase):
-    """Path messages threaded through an endpoint-coupling chord."""
-
-    def __init__(self, spec, rescale_log=None):
-        if spec.topology.kind != OD_CYCLE:
-            raise TopologyMismatch("od engine needs an od_cycle topology")
-        super().__init__(spec, rescale_log)
-        self.T = spec.topology.node_count
-        self.chord = spec.topology.chord
-        # fwd[j] for j in 1..T-2 starts at node 0; bwd[j] for j in 0..T-2 ends at node T-1.
-        self.fwd = [None] * self.T
-        self.bwd = [None] * self.T
-
-    def _forward_range(self):
-        return range(1, self.T - 1)
-
-    def rebuild_backward(self, pots):
-        last = self.T - 2
-        km, kls = self._kernel_with_edge_factor((last, last + 1), pots)
-        self.bwd[last] = self._fin(km.copy(), kls)
-        for j in range(last - 1, -1, -1):
-            km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
-            u = pots.node_value(j + 1)
-            nxt = self.bwd[j + 1]
-            self.bwd[j] = self._fin(km @ (u.m[:, None] * nxt.m),
-                                    kls + u.log_scale + nxt.log_scale)
-
-    def reset_forward(self, pots):
-        km, kls = self._kernel_with_edge_factor((0, 1), pots)
-        self.fwd[1] = self._fin(km.copy(), kls)
-
-    def push_forward(self, j, pots):
-        km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
-        u = pots.node_value(j)
-        cur = self.fwd[j]
-        self.fwd[j + 1] = self._fin((cur.m * u.m[None, :]) @ km,
-                                    cur.log_scale + u.log_scale + kls)
-
-    def _chord_factor(self, pots):
-        u_chord = pots.edge_value(self.chord)
-        n0 = self.spec.node_sizes[0]
-        nT = self.spec.node_sizes[self.T - 1]
-        return u_chord if u_chord is not None else ScaledArray(np.ones((n0, nT)), 0.0)
-
-    def w_edge(self, e, pots):
-        if e != self.chord:
-            raise TopologyMismatch("the od engine carries an edge cost only on the chord")
-        u0 = pots.node_value(0)
-        uT = pots.node_value(self.T - 1)
-        b0 = self.bwd[0]
-        return self._fin(u0.m[:, None] * b0.m * uT.m[None, :],
-                         u0.log_scale + b0.log_scale + uT.log_scale)
-
-    def w_node(self, j, pots):
-        u0 = pots.node_value(0)
-        uT = pots.node_value(self.T - 1)
-        chord = self._chord_factor(pots)
-        if j == 0:
-            right = smul(chord, self.bwd[0], note=self._note)
-            return self._fin((right.m * uT.m[None, :]).sum(axis=1),
-                             right.log_scale + uT.log_scale)
-        if j == self.T - 1:
-            left = smul(chord, self.fwd[self.T - 1], note=self._note)
-            return self._fin((left.m * u0.m[:, None]).sum(axis=0),
-                             left.log_scale + u0.log_scale)
-        scaled_chord = self._fin(u0.m[:, None] * chord.m * uT.m[None, :],
-                                 u0.log_scale + chord.log_scale + uT.log_scale)
-        cross = self._fin(self.bwd[j].m @ scaled_chord.m.T,
-                          self.bwd[j].log_scale + scaled_chord.log_scale)
-        return self._fin((self.fwd[j].m.T * cross.m).sum(axis=1),
-                         self.fwd[j].log_scale + cross.log_scale)
-
-    def marginal(self, j, pots):
-        return smul(pots.node_value(j), self.w_node(j, pots), note=self._note)
-
-    def bimarginal(self, e, pots):
-        if e == self.chord:
-            return smul(self._chord_factor(pots), self.w_edge(e, pots), note=self._note)
-        j = e[0]
-        if e != (j, j + 1) or j + 1 >= self.T:
-            raise TopologyMismatch("unsupported bimarginal %r for the od engine" % (e,))
-        chord = self._chord_factor(pots)
-        # Endpoint potentials enter through the chord factor except when the
-        # endpoint is one of the two kept modes (then its own u term applies).
-        cm, cls = chord.m, chord.log_scale
-        if j != 0:
-            u0 = pots.node_value(0)
-            cm, cls = u0.m[:, None] * cm, cls + u0.log_scale
-        if j + 1 != self.T - 1:
-            uT = pots.node_value(self.T - 1)
-            cm, cls = cm * uT.m[None, :], cls + uT.log_scale
-        scaled_chord = self._fin(cm, cls)
-        if j == 0:
-            amat, als = np.eye(self.spec.node_sizes[0]), 0.0
-        else:
-            amat, als = self.fwd[j].m, self.fwd[j].log_scale
-        if j + 1 == self.T - 1:
-            bmat, bls = np.eye(self.spec.node_sizes[self.T - 1]), 0.0
-        else:
-            bmat, bls = self.bwd[j + 1].m, self.bwd[j + 1].log_scale
-        middle = self._fin(amat.T @ scaled_chord.m @ bmat.T,
-                           als + scaled_chord.log_scale + bls)
-        km, kls = self._kernel_with_edge_factor(e, pots)
-        uj = pots.node_value(j)
-        un = pots.node_value(j + 1)
-        return self._fin(uj.m[:, None] * km * middle.m * un.m[None, :],
-                         uj.log_scale + kls + middle.log_scale + un.log_scale)
-
-
-class HubEngine(_EngineBase):
-    """Species-resolved messages over the time path of a hub graph."""
-
-    def __init__(self, spec, rescale_log=None):
-        if spec.topology.kind != SPECIES_HUB:
-            raise TopologyMismatch("hub engine needs a species_hub topology")
-        super().__init__(spec, rescale_log)
-        self.hub = spec.topology.hub
-        self.tc = self.hub  # number of time nodes
-        self.L = spec.topology.species_count
-        self.fwd = [None] * self.tc
-        self.bwd = [None] * self.tc
-
-    def _forward_range(self):
-        return range(self.tc - 1)
-
-    def _hub_factor(self, j, pots):
-        u = pots.edge_value((self.hub, j))
-        if u is None:
-            return np.ones((self.L, self.spec.node_sizes[j])), 0.0
-        return u.m, u.log_scale
-
-    def rebuild_backward(self, pots):
-        # The hub node has no update of its own, but any potential set on it
-        # rides along in the backward seed so projections stay exact.
-        u_hub = pots.node_value(self.hub)
-        self.bwd[self.tc - 1] = self._fin(
-            np.broadcast_to(u_hub.m[:, None],
-                            (self.L, self.spec.node_sizes[self.tc - 1])).copy(),
-            u_hub.log_scale)
-        for j in range(self.tc - 2, -1, -1):
-            km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
-            hm, hls = self._hub_factor(j + 1, pots)
-            u = pots.node_value(j + 1)
-            nxt = self.bwd[j + 1]
-            self.bwd[j] = self._fin((nxt.m * hm * u.m[None, :]) @ km.T,
-                                    nxt.log_scale + hls + u.log_scale + kls)
-
-    def reset_forward(self, pots):
-        self.fwd[0] = ScaledArray(np.ones((self.L, self.spec.node_sizes[0])), 0.0)
-
-    def push_forward(self, j, pots):
-        km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
-        hm, hls = self._hub_factor(j, pots)
-        u = pots.node_value(j)
-        cur = self.fwd[j]
-        self.fwd[j + 1] = self._fin((cur.m * hm * u.m[None, :]) @ km,
-                                    cur.log_scale + hls + u.log_scale + kls)
-
-    def w_edge(self, e, pots):
-        if e not in self.spec.topology.hub_edges:
-            raise TopologyMismatch("the hub engine carries edge costs only on hub edges")
-        j = e[1]
-        u = pots.node_value(j)
-        return self._fin(self.fwd[j].m * self.bwd[j].m * u.m[None, :],
-                         self.fwd[j].log_scale + self.bwd[j].log_scale + u.log_scale)
-
-    def w_node(self, j, pots):
-        if j == self.hub:
-            raise TopologyMismatch("the hub node has no coordinate update of its own")
-        hm, hls = self._hub_factor(j, pots)
-        return self._fin((self.fwd[j].m * self.bwd[j].m * hm).sum(axis=0),
-                         self.fwd[j].log_scale + self.bwd[j].log_scale + hls)
-
-    def marginal(self, j, pots):
-        if j == self.hub:
-            return self.species_marginal(pots)
-        return smul(pots.node_value(j), self.w_node(j, pots), note=self._note)
-
-    def bimarginal(self, e, pots):
-        if e in self.spec.topology.hub_edges:
-            hm, hls = self._hub_factor(e[1], pots)
-            w = self.w_edge(e, pots)
-            return self._fin(hm * w.m, hls + w.log_scale)
-        j = e[0]
-        if e != (j, j + 1) or j + 1 >= self.tc:
-            raise TopologyMismatch("unsupported bimarginal %r for the hub engine" % (e,))
-        km, kls = self._kernel_with_edge_factor(e, pots)
-        hl, hlls = self._hub_factor(j, pots)
-        hr, hrls = self._hub_factor(j + 1, pots)
-        left = self.fwd[j]
-        right = self.bwd[j + 1]
-        uj = pots.node_value(j)
-        un = pots.node_value(j + 1)
-        middle = self._fin((left.m * hl).T @ (right.m * hr),
-                           left.log_scale + hlls + right.log_scale + hrls)
-        return self._fin(uj.m[:, None] * km * middle.m * un.m[None, :],
-                         uj.log_scale + kls + middle.log_scale + un.log_scale)
-
-    def species_marginal(self, pots):
-        """Mass per species; the row sums of any hub bimarginal."""
-        p = self.bimarginal((self.hub, 0), pots)
-        return self._fin(p.m.sum(axis=1), p.log_scale)
-
-    def _mass_node(self):
-        return 0
 
 
 class DenseEngine(_EngineBase):
@@ -356,20 +189,14 @@ class DenseEngine(_EngineBase):
         total = 1
         for n in self.sizes:
             total *= n
-        if total > _DENSE_ENTRY_BUDGET:
+        if total > DENSE_ENTRY_BUDGET:
             raise SizeBoundExceeded("dense reference limited to %d entries, instance has %d"
-                                    % (_DENSE_ENTRY_BUDGET, total))
-
-    def _forward_range(self):
-        return range(0)
+                                    % (DENSE_ENTRY_BUDGET, total))
 
     def rebuild_backward(self, pots):
         pass
 
-    def reset_forward(self, pots):
-        pass
-
-    def push_forward(self, j, pots):
+    def refresh(self, pots):
         pass
 
     def _axis_shape(self, axes):
@@ -432,70 +259,4 @@ class DenseEngine(_EngineBase):
 def make_engine(spec, rescale_log=None, dense=False):
     if dense or spec.topology.kind == GENERAL:
         return DenseEngine(spec, rescale_log)
-    if spec.topology.kind == CHAIN:
-        return ChainEngine(spec, rescale_log)
-    if spec.topology.kind == OD_CYCLE:
-        return ODEngine(spec, rescale_log)
-    if spec.topology.kind == SPECIES_HUB:
-        return HubEngine(spec, rescale_log)
-    raise TopologyMismatch("no engine for topology kind %r" % (spec.topology.kind,))
-
-
-def _fresh(engine, pots):
-    engine.refresh(pots)
-    return engine
-
-
-# Convenience wrappers computing from scratch, one call each.
-
-def chain_messages(pots, spec):
-    eng = _fresh(ChainEngine(spec), pots)
-    return ChainMessages(list(eng.fwd), list(eng.bwd))
-
-
-def chain_project_marginal(j, pots, spec):
-    return _fresh(ChainEngine(spec), pots).marginal(j, pots)
-
-
-def chain_project_bimarginal(j, pots, spec):
-    return _fresh(ChainEngine(spec), pots).bimarginal((j, j + 1), pots)
-
-
-def od_messages(pots, spec):
-    eng = _fresh(ODEngine(spec), pots)
-    return ODMessages(list(eng.fwd), list(eng.bwd))
-
-
-def od_project_marginal(j, pots, spec):
-    return _fresh(ODEngine(spec), pots).marginal(j, pots)
-
-
-def od_project_od(pots, spec):
-    eng = _fresh(ODEngine(spec), pots)
-    return eng.bimarginal(spec.topology.chord, pots)
-
-
-def hub_messages(pots, spec):
-    eng = _fresh(HubEngine(spec), pots)
-    return HubMessages(list(eng.fwd), list(eng.bwd))
-
-
-def hub_project_species_time(j, pots, spec):
-    eng = _fresh(HubEngine(spec), pots)
-    return eng.bimarginal((spec.topology.hub, j), pots)
-
-
-def hub_project_time(j, pots, spec):
-    return _fresh(HubEngine(spec), pots).marginal(j, pots)
-
-
-def hub_project_species(pots, spec):
-    return _fresh(HubEngine(spec), pots).species_marginal(pots)
-
-
-def oracle_dense_tensor(pots, spec):
-    return DenseEngine(spec).tensor(pots)
-
-
-def oracle_project(pots, spec, keep):
-    return DenseEngine(spec).project(pots, tuple(keep))
+    return ChainEngine(spec, rescale_log)

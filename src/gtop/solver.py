@@ -1,8 +1,8 @@
 """Cyclic exact maximization of the dual, one node or edge block at a time.
 
 Every update solves its block's stationarity inclusion exactly, so the dual
-objective never decreases.  Sweeps follow the message flow of the structured
-projectors: backward messages are prepared once, then each sweep walks the
+objective never decreases.  Sweeps follow the message flow of the path
+engine: backward messages are prepared once, then each sweep walks the
 path forward, updating blocks and pushing forward messages as it goes, and
 closes with a backward rebuild so end-of-sweep projections are current.
 """
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible, InvalidInput, VerificationFailure
-from .model import (CHAIN, GENERAL, OD_CYCLE, SPECIES_HUB, DualPotentials,
-                    RescaleLog, _parts, dual_objective, smul)
+from .model import GENERAL, DualPotentials, RescaleLog, _parts, dual_objective, smul
 from .projections import DenseEngine, make_engine
 
 
@@ -166,8 +165,6 @@ class _Verifier:
         if self.oracle is None:
             return
         for j in range(self.spec.topology.node_count):
-            if self.spec.topology.kind == SPECIES_HUB and j == self.spec.topology.hub:
-                continue
             a = engine.marginal(j, pots)
             b = self.oracle.marginal(j, pots)
             _assert_scaled_close(a, b, 1e-8, "marginal %d at sweep %d" % (j, sweep))
@@ -237,71 +234,29 @@ class _Updater:
             self._apply(factors, k, part, w, self.spec.epsilon, "edge %r" % (e,))
 
 
-class _ChainDriver:
+class _PathDriver:
+    """Sweeps the path of a chain, od_cycle or species_hub spec left to right.
+
+    At each path node it updates the carried edge, the node and the path
+    edge to the right, then pushes the forward message past the node; one
+    backward rebuild closes the sweep.
+    """
+
     def __init__(self, spec):
         self.spec = spec
-        self.T = spec.topology.node_count
-
-    def prepare(self, engine, pots):
-        engine.rebuild_backward(pots)
 
     def sweep(self, engine, pots, upd):
         spec = self.spec
-        engine.reset_forward(pots)
-        for j in range(self.T):
-            if not spec.node_fn(j).is_zero:
-                upd.node(j, engine.w_node(j, pots))
-            if j < self.T - 1:
-                e = (j, j + 1)
-                if not spec.edge_fn(e).is_zero:
-                    upd.edge(e, engine.w_edge(e, pots))
-                engine.push_forward(j, pots)
-        engine.rebuild_backward(pots)
-
-
-class _ODDriver:
-    def __init__(self, spec):
-        self.spec = spec
-        self.T = spec.topology.node_count
-        self.chord = spec.topology.chord
-
-    def prepare(self, engine, pots):
-        engine.rebuild_backward(pots)
-
-    def sweep(self, engine, pots, upd):
-        spec = self.spec
-        if not spec.edge_fn(self.chord).is_zero:
-            upd.edge(self.chord, engine.w_edge(self.chord, pots))
-        if not spec.node_fn(0).is_zero:
-            upd.node(0, engine.w_node(0, pots))
-        engine.reset_forward(pots)
-        for j in range(1, self.T - 1):
-            if not spec.node_fn(j).is_zero:
-                upd.node(j, engine.w_node(j, pots))
-            engine.push_forward(j, pots)
-        if not spec.node_fn(self.T - 1).is_zero:
-            upd.node(self.T - 1, engine.w_node(self.T - 1, pots))
-        engine.rebuild_backward(pots)
-
-
-class _HubDriver:
-    def __init__(self, spec):
-        self.spec = spec
-        self.hub = spec.topology.hub
-
-    def prepare(self, engine, pots):
-        engine.rebuild_backward(pots)
-
-    def sweep(self, engine, pots, upd):
-        spec = self.spec
-        engine.reset_forward(pots)
-        for j in range(self.hub):
-            e = (self.hub, j)
-            if not spec.edge_fn(e).is_zero:
+        for j in range(engine.T):
+            e = engine.carried.get(j)
+            if e is not None and not spec.edge_fn(e).is_zero:
                 upd.edge(e, engine.w_edge(e, pots))
             if not spec.node_fn(j).is_zero:
                 upd.node(j, engine.w_node(j, pots))
-            if j < self.hub - 1:
+            if j < engine.T - 1:
+                e = (j, j + 1)
+                if not spec.edge_fn(e).is_zero:
+                    upd.edge(e, engine.w_edge(e, pots))
                 engine.push_forward(j, pots)
         engine.rebuild_backward(pots)
 
@@ -311,9 +266,6 @@ class _DenseDriver:
         self.spec = spec
         self.schedule = schedule or Schedule.default_for(spec)
         self.schedule.validate(spec)
-
-    def prepare(self, engine, pots):
-        pass
 
     def sweep(self, engine, pots, upd):
         spec = self.spec
@@ -333,19 +285,12 @@ class _DenseDriver:
 
 
 def _driver_for(spec, schedule):
-    kind = spec.topology.kind
-    if kind == GENERAL:
+    if spec.topology.kind == GENERAL:
         return _DenseDriver(spec, schedule)
     if schedule is not None:
         raise InvalidInput("custom schedules are supported only on general topologies; "
                            "structured sweeps have a fixed order")
-    if kind == CHAIN:
-        return _ChainDriver(spec)
-    if kind == OD_CYCLE:
-        return _ODDriver(spec)
-    if kind == SPECIES_HUB:
-        return _HubDriver(spec)
-    raise InvalidInput("no solver for topology kind %r" % (kind,))
+    return _PathDriver(spec)
 
 
 def _sanity_checks(spec):
@@ -368,36 +313,6 @@ def _sanity_checks(spec):
                                  "%s has %.12g" % (ref_where, ref, where, m))
 
 
-def update_marginal(j, potentials, engine, fn, epsilon):
-    """One exact node update against freshly rebuilt projections."""
-    engine.refresh(potentials)
-    w = engine.w_node(j, potentials)
-    u = fn.solve_inclusion(w, epsilon)
-    potentials.nodes[j] = [u]
-    return u
-
-
-def update_bimarginal(e, potentials, engine, fn, epsilon):
-    """One exact edge update against freshly rebuilt projections."""
-    engine.refresh(potentials)
-    w = engine.w_edge(e, potentials)
-    u = fn.solve_inclusion(w, epsilon)
-    potentials.edges[e] = [u]
-    return u
-
-
-def update_composite(j, k, potentials, engine, composite, epsilon):
-    """One exact update of the k-th stacked cost on node ``j``."""
-    engine.refresh(potentials)
-    w = engine.w_node(j, potentials)
-    factors = potentials.nodes[j]
-    others = [factors[i] for i in range(len(factors)) if i != k]
-    w_eff = smul(w, *others) if others else w
-    u = composite.parts[k].solve_inclusion(w_eff, epsilon)
-    factors[k] = u
-    return u
-
-
 def solve(spec, config=None, schedule=None, initial=None):
     """Run the coordinate ascent to convergence.
 
@@ -416,7 +331,7 @@ def solve(spec, config=None, schedule=None, initial=None):
 
     report = SolveReport()
     t0 = time.perf_counter()
-    driver.prepare(engine, pots)
+    engine.rebuild_backward(pots)
     warned_divergence = False
     warned_dual = False
     sweep = 0

@@ -63,22 +63,29 @@ def random_chain_spec(rng, n_nodes=None, sizes=None, epsilon=1.0, with_edge_fn=F
 
 
 def random_od_spec(rng, n_nodes=None, n_states=None, epsilon=1.0):
+    """Random OD cycle; about half of the draws put a non-ones kernel on the chord."""
     n_nodes = n_nodes or int(rng.integers(3, 6))
     n = n_states or int(rng.integers(2, 6))
     topo = GraphTopology.od_cycle(n_nodes)
     kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 2.0, (n, n)), epsilon)
                for j in range(n_nodes - 1)}
+    if rng.uniform() < 0.5:
+        kernels[topo.chord] = build_kernel(rng.uniform(0.0, 2.0, (n, n)), epsilon)
     edge_fns = {topo.chord: Equality(rng.uniform(0.05, 1.0, (n, n)))}
     return ProblemSpec(topo, kernels, {}, edge_fns, epsilon)
 
 
 def random_hub_spec(rng, time_nodes=None, n_states=None, species=None, epsilon=1.0):
+    """Random species hub; each hub edge has a non-ones kernel with probability 1/2."""
     tc = time_nodes or int(rng.integers(2, 5))
     n = n_states or int(rng.integers(2, 6))
     L = species or int(rng.integers(1, 4))
     topo = GraphTopology.species_hub(tc, L)
     kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 2.0, (n, n)), epsilon)
                for j in range(tc - 1)}
+    for e in topo.hub_edges:
+        if rng.uniform() < 0.5:
+            kernels[e] = build_kernel(rng.uniform(0.0, 2.0, (L, n)), epsilon)
     edge_fns = {(topo.hub, 0): Equality(rng.uniform(0.05, 1.0, (L, n)))}
     return ProblemSpec(topo, kernels, {}, edge_fns, epsilon)
 

@@ -18,7 +18,7 @@ from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
                   build_mfg_chain_problem, build_mfg_problem, edge_utilization,
                   embed_od_matrix, grid_points, make_engine, solve)
 from gtop.projections import DenseEngine
-from gtop.solver import _ChainDriver, _Updater
+from gtop.solver import _PathDriver, _Updater
 
 from _support import (assert_maxnorm_close, random_chain_spec, random_hub_spec,
                       random_od_spec, random_potentials)
@@ -59,14 +59,8 @@ def test_criterion_1_oracle_projection_equivalence():
                 eng = make_engine(spec)
                 eng.refresh(pots)
                 den = DenseEngine(spec)
-                hub_node = (spec.topology.hub
-                            if spec.topology.kind == "species_hub" else None)
                 for j in range(spec.topology.node_count):
-                    if j == hub_node:
-                        got = eng.species_marginal(pots)
-                    else:
-                        got = eng.marginal(j, pots)
-                    assert_maxnorm_close(got, den.marginal(j, pots), 1e-10,
+                    assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-10,
                                          "trial %d %s marginal %d"
                                          % (trial, spec.topology.kind, j))
                 for e in spec.topology.edges:
@@ -200,8 +194,8 @@ def test_criterion_4_r_linear_convergence():
 
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        driver = _ChainDriver(spec)
-        driver.prepare(eng, pots)
+        driver = _PathDriver(spec)
+        eng.rebuild_backward(pots)
         errors = []
         for sweep in range(1, 201):
             driver.sweep(eng, pots, _Updater(spec, pots, None, sweep))

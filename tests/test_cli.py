@@ -271,7 +271,12 @@ class TestThreadCap:
                 "import gtop\n"
                 "print(os.environ.get('OMP_NUM_THREADS'),"
                 " os.environ.get('OPENBLAS_NUM_THREADS'))\n")
-        env = dict(os.environ, GTOP_THREADS="2")
+        import gtop
+        # the child must import the same gtop, also when only pytest's own
+        # pythonpath setting put it on sys.path
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gtop.__file__)))
+        env = dict(os.environ, GTOP_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         env.pop("OMP_NUM_THREADS", None)
         env.pop("OPENBLAS_NUM_THREADS", None)
         out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -205,23 +205,20 @@ class TestSolveInclusion:
         np.testing.assert_allclose(lv, [1500.0, 1500.0 + math.log(4.0)], rtol=0, atol=1e-9)
 
     def test_bimarginal_matrix_shapes(self):
-        from gtop import solve_inclusion_bimarginal
         target = np.array([[1.0, 0.0], [0.0, 1.0]])
         w = ScaledArray.from_values(np.ones((2, 2)))
-        u = solve_inclusion_bimarginal(Equality(target), w, 1.0)
+        u = Equality(target).solve_inclusion(w, 1.0)
         np.testing.assert_allclose(u.value(), target, atol=1e-15)
 
     def test_bimarginal_zero_gives_ones(self):
-        from gtop import solve_inclusion_bimarginal
         w = ScaledArray.from_values(np.full((2, 3), 0.7))
-        u = solve_inclusion_bimarginal(Zero(), w, 1.0)
+        u = Zero().solve_inclusion(w, 1.0)
         np.testing.assert_array_equal(u.value(), np.ones((2, 3)))
 
     def test_bimarginal_linear_is_kernel(self):
-        from gtop import solve_inclusion_bimarginal
         c = np.array([[0.0, 1.0], [2.0, 0.5]])
         w = ScaledArray.from_values(np.full((2, 2), 3.3))
-        u = solve_inclusion_bimarginal(Linear(c), w, 0.5)
+        u = Linear(c).solve_inclusion(w, 0.5)
         np.testing.assert_allclose(u.value(), np.exp(-c / 0.5), rtol=1e-14)
 
 

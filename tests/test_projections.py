@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from gtop import (DenseEngine, DualPotentials, Equality, GraphTopology,
+from gtop import (ChainEngine, DenseEngine, DualPotentials, Equality, GraphTopology,
                   ProblemSpec, ScaledArray, SizeBoundExceeded, TopologyMismatch,
-                  Zero, build_kernel, make_engine, oracle_dense_tensor,
-                  oracle_project)
-from gtop.projections import (chain_project_bimarginal, chain_project_marginal,
-                              hub_project_species, hub_project_species_time,
-                              hub_project_time, od_messages, od_project_marginal,
-                              od_project_od)
+                  Zero, build_kernel, make_engine)
 
-from _support import (assert_maxnorm_close, random_chain_spec, random_hub_spec,
-                      random_od_spec, random_potentials)
+from _support import (as_general, assert_maxnorm_close, random_chain_spec,
+                      random_hub_spec, random_od_spec, random_potentials)
+
+
+def refreshed(spec, pots):
+    eng = make_engine(spec)
+    eng.refresh(pots)
+    return eng
 
 
 def ones_chain(n_nodes, n, epsilon=1.0):
@@ -30,12 +31,11 @@ class TestDenseOracle:
         pots = DualPotentials.ones_for(spec)
         pots.nodes[0] = [ScaledArray.from_values([0.3, 0.7])]
         pots.nodes[1] = [ScaledArray.from_values([0.6, 0.4])]
-        t = oracle_dense_tensor(pots, spec)
+        den = DenseEngine(spec)
+        t = den.tensor(pots)
         np.testing.assert_allclose(t.value(), [[0.18, 0.12], [0.42, 0.28]], rtol=1e-14)
-        np.testing.assert_allclose(oracle_project(pots, spec, (0,)).value(), [0.3, 0.7],
-                                   rtol=1e-14)
-        np.testing.assert_allclose(oracle_project(pots, spec, (1,)).value(), [0.6, 0.4],
-                                   rtol=1e-14)
+        np.testing.assert_allclose(den.project(pots, (0,)).value(), [0.3, 0.7], rtol=1e-14)
+        np.testing.assert_allclose(den.project(pots, (1,)).value(), [0.6, 0.4], rtol=1e-14)
 
     def test_size_budget(self):
         topo = GraphTopology.chain(8)
@@ -60,20 +60,20 @@ class TestChainProjections:
     def test_constant_tensor_marginal(self):
         spec = ones_chain(3, 2)
         pots = DualPotentials.ones_for(spec)
-        np.testing.assert_allclose(chain_project_marginal(1, pots, spec).value(),
+        np.testing.assert_allclose(refreshed(spec, pots).marginal(1, pots).value(),
                                    [4.0, 4.0], rtol=1e-14)
 
     def test_constant_tensor_bimarginal(self):
         spec = ones_chain(3, 2)
         pots = DualPotentials.ones_for(spec)
-        np.testing.assert_allclose(chain_project_bimarginal(0, pots, spec).value(),
+        np.testing.assert_allclose(refreshed(spec, pots).bimarginal((0, 1), pots).value(),
                                    np.full((2, 2), 2.0), rtol=1e-14)
 
     def test_zero_potential_annihilates_bimarginal(self):
         spec = ones_chain(3, 2)
         pots = DualPotentials.ones_for(spec)
         pots.nodes[2] = [ScaledArray(np.zeros(2), 0.0)]
-        np.testing.assert_array_equal(chain_project_bimarginal(0, pots, spec).value(),
+        np.testing.assert_array_equal(refreshed(spec, pots).bimarginal((0, 1), pots).value(),
                                       np.zeros((2, 2)))
 
     def test_point_mass_matches_oracle(self):
@@ -81,9 +81,10 @@ class TestChainProjections:
         spec = random_chain_spec(rng, n_nodes=4, sizes=[3, 3, 3, 3])
         pots = random_potentials(spec, rng)
         pots.nodes[0] = [ScaledArray.from_values([1.0, 0.0, 0.0])]
+        eng = refreshed(spec, pots)
         den = DenseEngine(spec)
         for j in range(4):
-            assert_maxnorm_close(chain_project_marginal(j, pots, spec),
+            assert_maxnorm_close(eng.marginal(j, pots),
                                  den.marginal(j, pots), 1e-12, "point-mass marginal")
 
     def test_row_and_column_sums_match_marginals(self):
@@ -126,23 +127,34 @@ class TestODProjections:
                    (1, 2): build_kernel(np.zeros((n, n)), 1.0)}
         spec = ProblemSpec(topo, kernels, {}, {topo.chord: Equality(np.ones((n, n)))}, 1.0)
         pots = DualPotentials.ones_for(spec)
-        msgs = od_messages(pots, spec)
-        np.testing.assert_allclose(msgs.backward[0].value(), np.full((2, 2), 2.0), rtol=1e-14)
-        od = od_project_od(pots, spec)
+        eng = refreshed(spec, pots)
+        # carried mode: the node-0 state; the forward seed is the identity,
+        # the backward seed is all ones and the chord joins at the last node
+        np.testing.assert_array_equal(eng.fwd[0].value(), np.eye(n))
+        np.testing.assert_array_equal(eng.bwd[2].value(), np.ones((n, n)))
+        np.testing.assert_allclose(eng.bwd[0].value(), np.full((2, 2), 4.0), rtol=1e-14)
+        od = eng.bimarginal(topo.chord, pots)
         np.testing.assert_allclose(od.value(), np.full((2, 2), 2.0), rtol=1e-14)
         assert od.total() == pytest.approx(8.0)
-        np.testing.assert_allclose(od_project_marginal(1, pots, spec).value(), [4.0, 4.0],
-                                   rtol=1e-14)
+        np.testing.assert_allclose(eng.marginal(1, pots).value(), [4.0, 4.0], rtol=1e-14)
 
     def test_message_seeds_are_kernels(self):
         rng = np.random.default_rng(4)
         spec = random_od_spec(rng, n_nodes=5, n_states=3)
         pots = random_potentials(spec, rng)
-        msgs = od_messages(pots, spec)
-        k01 = spec.kernels[(0, 1)]
-        k34 = spec.kernels[(3, 4)]
-        np.testing.assert_allclose(msgs.forward[1].value(), k01.as_scaled().value(), rtol=1e-13)
-        np.testing.assert_allclose(msgs.backward[3].value(), k34.as_scaled().value(), rtol=1e-13)
+        eng = refreshed(spec, pots)
+        np.testing.assert_array_equal(eng.fwd[0].value(), np.eye(3))
+        np.testing.assert_array_equal(eng.bwd[4].value(), np.ones((3, 3)))
+        # one step from the seeds: the kernels, scaled by the node-0 potential
+        # on the left and by the chord factor and node-4 potential on the right
+        u0 = pots.node_value(0).value()
+        u4 = pots.node_value(4).value()
+        chord = spec.kernels[(0, 4)].as_scaled().value() * pots.edge_value((0, 4)).value()
+        k01 = spec.kernels[(0, 1)].as_scaled().value()
+        k34 = spec.kernels[(3, 4)].as_scaled().value()
+        np.testing.assert_allclose(eng.fwd[1].value(), u0[:, None] * k01, rtol=1e-13)
+        np.testing.assert_allclose(eng.bwd[3].value(), (chord * u4[None, :]) @ k34.T,
+                                   rtol=1e-13)
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(5)
@@ -179,9 +191,9 @@ class TestODProjections:
 
     def test_topology_guard(self):
         rng = np.random.default_rng(7)
-        spec = random_chain_spec(rng)
+        spec = as_general(random_chain_spec(rng))
         with pytest.raises(TopologyMismatch):
-            od_project_marginal(0, random_potentials(spec, rng), spec)
+            ChainEngine(spec)
 
 
 class TestHubProjections:
@@ -199,9 +211,11 @@ class TestHubProjections:
             u = np.exp(rng.uniform(-1, 1, n))
             hub_pots.nodes[j] = [ScaledArray.from_values(u)]
             chain_pots.nodes[j] = [ScaledArray.from_values(u)]
+        hub_eng = refreshed(hub_spec, hub_pots)
+        chain_eng = refreshed(chain_spec, chain_pots)
         for j in range(tc):
-            assert_maxnorm_close(hub_project_time(j, hub_pots, hub_spec),
-                                 chain_project_marginal(j, chain_pots, chain_spec),
+            assert_maxnorm_close(hub_eng.marginal(j, hub_pots),
+                                 chain_eng.marginal(j, chain_pots),
                                  1e-12, "hub vs chain marginal %d" % j)
 
     def test_matches_oracle_randomized(self):
@@ -213,33 +227,34 @@ class TestHubProjections:
             eng.refresh(pots)
             den = DenseEngine(spec)
             hub = spec.topology.hub
-            for j in range(hub):
+            for j in range(hub + 1):
                 assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-10,
-                                     "hub time marginal %d trial %d" % (j, trial))
+                                     "hub marginal %d trial %d" % (j, trial))
             for e in spec.topology.edges:
                 assert_maxnorm_close(eng.bimarginal(e, pots), den.bimarginal(e, pots), 1e-10,
                                      "hub bimarginal %r trial %d" % (e, trial))
-            assert_maxnorm_close(eng.species_marginal(pots), den.marginal(hub, pots), 1e-10,
-                                 "species marginal trial %d" % trial)
 
     def test_species_rows_sum_to_time_marginal(self):
         rng = np.random.default_rng(10)
         spec = random_hub_spec(rng, time_nodes=3, n_states=4, species=3)
         pots = random_potentials(spec, rng)
         hub = spec.topology.hub
+        eng = refreshed(spec, pots)
         for j in range(3):
-            p = hub_project_species_time(j, pots, spec)
+            p = eng.bimarginal((hub, j), pots)
             cols = ScaledArray(p.m.sum(axis=0), p.log_scale)
-            assert_maxnorm_close(cols, hub_project_time(j, pots, spec), 1e-12,
+            assert_maxnorm_close(cols, eng.marginal(j, pots), 1e-12,
                                  "species additivity %d" % j)
 
     def test_species_masses_consistent_across_times(self):
         rng = np.random.default_rng(11)
         spec = random_hub_spec(rng, time_nodes=4, n_states=3, species=2)
         pots = random_potentials(spec, rng)
-        ref = hub_project_species(pots, spec).value()
+        hub = spec.topology.hub
+        eng = refreshed(spec, pots)
+        ref = eng.marginal(hub, pots).value()
         for j in range(4):
-            p = hub_project_species_time(j, pots, spec)
+            p = eng.bimarginal((hub, j), pots)
             rows = ScaledArray(p.m.sum(axis=1), p.log_scale)
             assert_maxnorm_close(rows, ref, 1e-12, "species mass at %d" % j)
 

@@ -8,12 +8,11 @@ import pytest
 from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
                   GraphTopology, Infeasible, InvalidInput, Linear, ProblemSpec,
                   QuadraticDistance, Schedule, SolverConfig, Zero, build_kernel,
-                  dual_objective, inclusion_residual, make_engine, residuals,
-                  solve, update_bimarginal, update_composite, update_marginal)
+                  dual_objective, inclusion_residual, make_engine, residuals, solve)
 from gtop.model import _parts, smul
 from gtop.projections import DenseEngine
 
-from _support import assert_maxnorm_close, random_potentials
+from _support import as_general, assert_maxnorm_close, random_hub_spec, random_potentials
 
 
 def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
@@ -27,13 +26,19 @@ def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
                        epsilon)
 
 
+def update_node(j, pots, eng, spec):
+    """One exact node update against freshly rebuilt projections."""
+    eng.refresh(pots)
+    pots.nodes[j] = [spec.node_fn(j).solve_inclusion(eng.w_node(j, pots), spec.epsilon)]
+
+
 class TestSingleUpdates:
     def test_first_equality_update_matches_target(self):
         rng = np.random.default_rng(0)
         spec = two_node_spec(rng)
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        update_marginal(0, pots, eng, spec.node_fn(0), spec.epsilon)
+        update_node(0, pots, eng, spec)
         eng.refresh(pots)
         np.testing.assert_allclose(eng.marginal(0, pots).value(),
                                    spec.node_fn(0).target, rtol=1e-12)
@@ -48,8 +53,8 @@ class TestSingleUpdates:
                            {0: Equality(rng.uniform(0.2, 1.0, n)), 1: Box(0.0, cap)}, {}, 1.0)
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        update_marginal(0, pots, eng, spec.node_fn(0), spec.epsilon)
-        update_marginal(1, pots, eng, spec.node_fn(1), spec.epsilon)
+        update_node(0, pots, eng, spec)
+        update_node(1, pots, eng, spec)
         eng.refresh(pots)
         p = eng.marginal(1, pots).value()
         u = pots.nodes[1][0].value()
@@ -65,7 +70,7 @@ class TestSingleUpdates:
         d = dual_objective(pots, spec)
         for _ in range(6):
             for j in (0, 1):
-                update_marginal(j, pots, eng, spec.node_fn(j), spec.epsilon)
+                update_node(j, pots, eng, spec)
                 d2 = dual_objective(pots, spec)
                 assert d2 >= d - 1e-9 * max(1.0, abs(d))
                 d = d2
@@ -80,7 +85,9 @@ class TestSingleUpdates:
         spec = ProblemSpec(topo, kernels, {}, {topo.chord: Equality(R)}, 0.5)
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        update_bimarginal(topo.chord, pots, eng, spec.edge_fn(topo.chord), spec.epsilon)
+        eng.refresh(pots)
+        pots.edges[topo.chord] = [spec.edge_fn(topo.chord).solve_inclusion(
+            eng.w_edge(topo.chord, pots), spec.epsilon)]
         eng.refresh(pots)
         np.testing.assert_allclose(eng.bimarginal(topo.chord, pots).value(), R, rtol=1e-12)
 
@@ -165,6 +172,26 @@ class TestSolve:
         den = DenseEngine(dense_spec)
         for j in range(tc):
             assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-6,
+                                 "hub vs dense marginal %d" % j)
+
+    def test_hub_edge_kernel_matches_dense_solve(self):
+        rng = np.random.default_rng(40)
+        spec = random_hub_spec(rng, time_nodes=3, n_states=3, species=2, epsilon=0.7)
+        hub = spec.topology.hub
+        kernels = dict(spec.kernels)
+        kernels[(hub, 1)] = build_kernel(rng.uniform(0.0, 2.0, (2, 3)), spec.epsilon)
+        spec = ProblemSpec(spec.topology, kernels,
+                           {2: QuadraticDistance(0.8, rng.uniform(0.2, 0.6, 3))},
+                           spec.edge_functions, spec.epsilon)
+        pots, report = solve(spec, SolverConfig(potential_tol=1e-12))
+        dense_pots, dense_report = solve(as_general(spec), SolverConfig(potential_tol=1e-12))
+        assert report.termination == dense_report.termination == "converged"
+        assert report.dual_objective == pytest.approx(dense_report.dual_objective, rel=1e-9)
+        eng = make_engine(spec)
+        eng.refresh(pots)
+        den = DenseEngine(spec)
+        for j in range(hub + 1):
+            assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-8,
                                  "hub vs dense marginal %d" % j)
 
     def test_monotone_dual_trace(self):
@@ -267,7 +294,10 @@ class TestComposite:
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
         comp = spec.node_fn(1)
-        u = update_composite(1, 0, pots, eng, comp, spec.epsilon)
+        eng.refresh(pots)
+        w = eng.w_node(1, pots)
+        pots.nodes[1][0] = comp.parts[0].solve_inclusion(smul(w, pots.nodes[1][1]),
+                                                         spec.epsilon)
         eng.refresh(pots)
         w = eng.w_node(1, pots)
         res = inclusion_residual(comp.parts[0], pots.nodes[1][0],
@@ -441,9 +471,9 @@ class TestRLinearTrend:
         errors = []
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        from gtop.solver import _ChainDriver, _Updater
-        driver = _ChainDriver(spec)
-        driver.prepare(eng, pots)
+        from gtop.solver import _PathDriver, _Updater
+        driver = _PathDriver(spec)
+        eng.rebuild_backward(pots)
         for sweep in range(1, 61):
             driver.sweep(eng, pots, _Updater(spec, pots, None, sweep))
             errors.append(float(np.abs(DenseEngine(spec).tensor(pots).value()
