@@ -396,6 +396,17 @@ def _write_matrix(path, arr):
             fh.write("\n")
 
 
+def _json_finite(obj):
+    """``obj`` with every non-finite float spelled "inf", "-inf" or "nan" (strict JSON)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _json_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_finite(v) for v in obj]
+    return obj
+
+
 def run(run_config):
     """Solve the configured problem and write result files; returns exit status."""
     np = _numpy()
@@ -423,7 +434,7 @@ def run(run_config):
     }
     if failure is not None:
         summary["error"] = str(failure)
-    if report is not None and failure is None:
+    if report is not None:
         summary.update({
             "sweeps": report.sweeps,
             "feasible": report.feasible,
@@ -466,7 +477,7 @@ def run(run_config):
     if run_config.emit["summary"]:
         with open(os.path.join(run_config.out_dir, "summary.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(_json_finite(summary), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return 0 if failure is None else 1
 

@@ -8,6 +8,15 @@ solve the scalar stationarity condition
 
 entrywise for ``u >= 0`` given a nonnegative weight vector ``w``.  All solves
 run in log space so extreme weight magnitudes cost nothing in accuracy.
+
+Equality, box, linear and zero costs solve in closed form.  The distance and
+congestion updates solve ``exp(l + log w) = phi(l)`` in ``l = log u`` by a
+safeguarded Newton iteration: it starts at a closed-form point right of the
+root, keeps a closed-form bracket, and stops once no entry moves by more
+than a few ulps of ``max(|l|, 1)``.  For the quadratic distance and for
+congestion the iteration descends monotonically and needs a handful of
+evaluations; other distance exponents fall back to bisection inside the
+bracket whenever a Newton step would leave it.
 """
 
 import math
@@ -17,7 +26,9 @@ import numpy as np
 from .errors import Infeasible, InvalidInput, NumericalFailure
 from .model import ScaledArray
 
-_MAX_EXPANSIONS = 200
+_MAX_NEWTON_STEPS = 100
+# Newton stops once no entry moves by more than a few ulps of max(|l|, 1).
+_ULPS = 4.0 * np.finfo(float).eps
 
 
 class SubgradientBand:
@@ -49,22 +60,47 @@ def _log_u_to_scaled(log_u, shape):
     return ScaledArray(m.reshape(shape), peak)
 
 
-def _bisect_increasing(g, lo, hi, extra_iters=64):
-    """Root of an increasing function known to change sign on [lo, hi]."""
-    width = float(np.max(hi - lo)) if lo.size else 0.0
-    iters = extra_iters + max(0, int(math.log2(width)) + 2) if width > 0 else extra_iters
-    for _ in range(min(iters, 320)):
-        mid = 0.5 * (lo + hi)
-        low_side = g(mid) <= 0.0
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-    return 0.5 * (lo + hi)
+def _newton_log(phi, log_w, lo, hi, fn):
+    """Root in ``[lo, hi]`` of ``g(l) = exp(l + log_w) - phi(l)``, entrywise.
+
+    ``phi(l)`` returns the decreasing right-hand side and its derivative, so
+    ``g`` increases; the caller guarantees ``g(lo) <= 0 <= g(hi)``.  The
+    iteration starts at ``hi`` and takes the smaller of two Newton iterates:
+    one on ``g`` and one on ``h(l) = l + log_w - log phi(l)``, which stays
+    almost linear where the exponential dominates.  Where ``g`` is convex
+    (both forms are then convex), every iterate stays right of the root and
+    the descent is monotone.  Otherwise a step that leaves the bracket, or
+    starts from an infinite derivative, is replaced by bisection.  The
+    bracket shrinks with every evaluation of ``g``.
+    """
+    x = hi
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON_STEPS):
+            f, df = phi(x)
+            t = x + log_w
+            e = np.exp(t)
+            g = e - f
+            lo = np.where(g < 0, x, lo)
+            hi = np.where(g > 0, x, hi)
+            step = np.fmax(g / (e - df), (t - np.log(f)) * f / (f - df))
+            new = x - step
+            new = np.where((new >= lo) & (new <= hi) & (df > -np.inf), new, 0.5 * (lo + hi))
+            done = np.abs(new - x) <= _ULPS * np.maximum(np.abs(x), 1.0)
+            x = new
+            if done.all():
+                return x
+    raise NumericalFailure("%r: the update did not converge in %d Newton steps at %d of %d "
+                           "entries; log-weight range [%g, %g]"
+                           % (fn, _MAX_NEWTON_STEPS, int(np.count_nonzero(~done)), x.size,
+                              float(np.min(log_w)), float(np.max(log_w))))
 
 
 class MarginalFunction:
     """Base class; instances are immutable and shape-agnostic (flattened math)."""
 
     is_zero = False
+    # Hard constraints report a feasibility residual; soft costs never do.
+    hard = False
 
     def conjugate(self, s):
         raise NotImplementedError
@@ -107,8 +143,9 @@ class MarginalFunction:
 def inclusion_residual(fn, u, w, epsilon):
     """Entrywise distance of ``u * w`` from the conjugate subdifferential."""
     p = (u.m * w.m).ravel()
-    with np.errstate(over="ignore"):
-        p = p * np.exp(u.log_scale + w.log_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a zero entry stays zero even where the scale overflows (0 * inf)
+        p = np.where(p == 0.0, 0.0, p * np.exp(u.log_scale + w.log_scale))
     with np.errstate(divide="ignore"):
         s = -epsilon * u.log_value().ravel()
     return fn.conjugate_subgradient(s).distance(p)
@@ -147,6 +184,8 @@ class Zero(MarginalFunction):
 
 class Equality(MarginalFunction):
     """Hard equality with a fixed nonnegative target."""
+
+    hard = True
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
@@ -191,6 +230,8 @@ class Equality(MarginalFunction):
 
 class Box(MarginalFunction):
     """Elementwise bounds ``lower <= x <= upper`` (upper may be infinite)."""
+
+    hard = True
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -338,29 +379,43 @@ class QuadraticDistance(MarginalFunction):
         return SubgradientBand(g, g)
 
     def _solve_log(self, log_w, epsilon):
+        # u*w = y - sign(l) |eps*l|^r / a with r = q - 1; the right side
+        # vanishes at l_a, which is therefore the root wherever w = 0.
         y = np.broadcast_to(self.anchor.ravel(), log_w.shape)
-        q = self._dual_exponent()
-        a = (self.weight * self.exponent) ** (q - 1.0)
-
-        def g(ell):
-            with np.errstate(over="ignore"):
-                grow = np.exp(ell + log_w)
-            return grow - y + np.sign(ell) * np.abs(epsilon * ell) ** (q - 1.0) / a
-
-        lo = np.full(log_w.shape, -1.0)
-        hi = np.full(log_w.shape, 1.0)
-        for _ in range(_MAX_EXPANSIONS):
-            need_lo = g(lo) > 0
-            need_hi = g(hi) < 0
-            if not (need_lo.any() or need_hi.any()):
-                break
-            lo = np.where(need_lo, lo * 2.0, lo)
-            hi = np.where(need_hi, hi * 2.0, hi)
+        r = self._dual_exponent() - 1.0
+        a = (self.weight * self.exponent) ** r
+        out = np.sign(y) * (a * np.abs(y)) ** (1.0 / r) / epsilon
+        pos = ~np.isneginf(log_w)
+        if not pos.any():
+            return out
+        yp = y[pos]
+        lwp = log_w[pos]
+        # g(hi) >= 0: there u*w >= 0 >= the right side, or u*w = y while the
+        # right side is at most y (l >= 0), or u*w >= y >= the right side
+        # (l = 0 >= log y - log w).  g(lo) <= 0: u*w <= 1 <= the right side.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hi = np.minimum(out[pos], np.fmax(np.log(yp) - lwp, 0.0))
+        lo = np.minimum(-(a * (np.abs(yp) + 1.0)) ** (1.0 / r) / epsilon, -lwp)
+        c = epsilon / a
+        if r == 1.0:
+            def phi(ell):
+                return yp - c * ell, -c
         else:
-            raise NumericalFailure("could not bracket the distance update; weight=%g, "
-                                   "log-weight range [%g, %g]"
-                                   % (self.weight, float(np.min(log_w)), float(np.max(log_w))))
-        return _bisect_increasing(g, lo, hi)
+            def phi(ell):
+                s = np.abs(epsilon * ell)
+                return yp - np.sign(ell) * s ** r / a, -r * c * s ** (r - 1.0)
+
+            # phi is not smooth at l = 0, so 0 becomes an end of the bracket.
+            # On the side of 0 where the root lies, |phi(l) - y| alone
+            # outgrows |g(0)| beyond |l| = t, which closes the bracket there.
+            with np.errstate(over="ignore"):
+                g0 = np.exp(lwp) - yp
+                t = (a * np.abs(g0)) ** (1.0 / r) / epsilon
+            lo = np.where(g0 > 0, np.maximum(lo, -t), np.maximum(lo, 0.0))
+            hi = np.where(g0 > 0, np.minimum(hi, 0.0), np.minimum(hi, t))
+
+        out[pos] = _newton_log(phi, lwp, lo, hi, self)
+        return out
 
     def scaled(self, factor):
         return QuadraticDistance(self.weight * float(factor), self.anchor, self.exponent)
@@ -400,6 +455,7 @@ class Congestion(MarginalFunction):
         return SubgradientBand(slope, slope)
 
     def _solve_log(self, log_w, epsilon):
+        # u*w = b - sqrt(b / (-eps*l)) on l < -1/(eps*b); slack (u = 1) where w = 0.
         b = np.broadcast_to(self.capacity.ravel(), log_w.shape)
         out = np.zeros(log_w.shape)
         pos = ~np.isneginf(log_w)
@@ -407,25 +463,17 @@ class Congestion(MarginalFunction):
             return out
         bp = b[pos]
         lwp = log_w[pos]
-        hi = -1.0 / (epsilon * bp)
+        c = np.sqrt(bp / epsilon)
+        # g(hi) >= 0: the right side is at most 0 at -1/(eps*b) and below b
+        # everywhere.  g(lo) <= 0: u*w <= b/2 <= the right side.
+        hi = np.minimum(-1.0 / (epsilon * bp), np.log(bp) - lwp)
+        lo = np.minimum(-4.0 / (epsilon * bp), np.log(0.5 * bp) - lwp)
 
-        def g(ell):
-            with np.errstate(over="ignore"):
-                grow = np.exp(ell + lwp)
-            return grow - bp + np.sqrt(bp / (-epsilon * ell))
+        def phi(ell):
+            root = c / np.sqrt(-ell)
+            return bp - root, 0.5 * root / ell
 
-        gap = np.ones_like(hi)
-        lo = hi - gap
-        for _ in range(_MAX_EXPANSIONS):
-            need = g(lo) > 0
-            if not need.any():
-                break
-            gap = np.where(need, gap * 2.0, gap)
-            lo = hi - gap
-        else:
-            raise NumericalFailure("could not bracket the congestion update; capacity range "
-                                   "[%g, %g]" % (float(bp.min()), float(bp.max())))
-        out[pos] = _bisect_increasing(g, lo, hi)
+        out[pos] = _newton_log(phi, lwp, lo, hi, self)
         return out
 
     def scaled(self, factor):
@@ -461,6 +509,10 @@ class Blockwise(MarginalFunction):
     @property
     def is_zero(self):
         return all(fn.is_zero for _, fn in self.blocks)
+
+    @property
+    def hard(self):
+        return any(fn.hard for _, fn in self.blocks)
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()

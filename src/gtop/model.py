@@ -7,6 +7,7 @@ of many small kernel entries survive strong regularization.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -17,6 +18,10 @@ CHAIN = "chain"
 OD_CYCLE = "od_cycle"
 SPECIES_HUB = "species_hub"
 GENERAL = "general"
+
+# exp(-x) may round to zero only for x beyond this spread.
+_UNDERFLOW_SPREAD = -math.log(np.finfo(float).smallest_subnormal)
+
 
 class ScaledArray:
     """Nonnegative array stored as ``mantissa * exp(log_scale)``.
@@ -277,7 +282,9 @@ def build_kernel(cost, epsilon):
     """Exponentiate ``-cost/epsilon`` into an :class:`EdgeKernel`.
 
     Infinite costs map to exact zeros; the log scale is chosen so the largest
-    mantissa equals 1, which makes the stored matrix safe to multiply.
+    mantissa equals 1, which makes the stored matrix safe to multiply.  A
+    finite cost more than about 745 * epsilon above the smallest one
+    underflows to zero as well; a RuntimeWarning reports how many did.
     """
     cost = np.asarray(cost, dtype=float)
     if not (np.isscalar(epsilon) or np.ndim(epsilon) == 0) or not math.isfinite(float(epsilon)) \
@@ -291,9 +298,22 @@ def build_kernel(cost, epsilon):
     finite = np.isfinite(cost)
     if not finite.any():
         return EdgeKernel(np.zeros(cost.shape), 0.0)
-    cmin = float(cost[finite].min())
+    # One working copy of the finite costs becomes the kernel values in place.
+    vals = cost[finite]
+    cmin = float(vals.min())
+    spread = (float(vals.max()) - cmin) / epsilon
+    vals -= cmin
+    vals /= -epsilon
+    np.exp(vals, out=vals)
+    if spread > _UNDERFLOW_SPREAD:
+        lost = int(np.count_nonzero(vals == 0.0))
+        if lost:
+            warnings.warn("%d finite-cost kernel entries underflow to zero (forbidden "
+                          "transitions) at epsilon=%g: their cost exceeds the smallest by "
+                          "more than %.0f * epsilon" % (lost, epsilon, _UNDERFLOW_SPREAD),
+                          RuntimeWarning, stacklevel=2)
     m = np.zeros(cost.shape)
-    m[finite] = np.exp(-(cost[finite] - cmin) / epsilon)
+    m[finite] = vals
     return EdgeKernel(m, -cmin / epsilon)
 
 

@@ -100,38 +100,36 @@ class Schedule:
                                    % (k, kind, where))
 
 
-def _constraint_items(spec):
-    """(key, kind, where, part_index, fn) for every node/edge cost part."""
-    items = []
-    for j in range(spec.topology.node_count):
-        parts = _parts(spec.node_fn(j))
-        for k, part in enumerate(parts):
-            key = "node:%d" % j if len(parts) == 1 else "node:%d#%d" % (j, k)
-            items.append((key, "node", j, k, part))
-    for e in spec.functional_edges:
-        parts = _parts(spec.edge_fn(e))
-        for k, part in enumerate(parts):
-            key = "edge:%d-%d" % e if len(parts) == 1 else "edge:%d-%d#%d" % (e[0], e[1], k)
-            items.append((key, "edge", e, k, part))
-    return items
+def _cost_blocks(spec):
+    """(kind, where, key, parts) for every node and functional edge."""
+    blocks = [("node", j, "node:%d" % j, _parts(spec.node_fn(j)))
+              for j in range(spec.topology.node_count)]
+    blocks += [("edge", e, "edge:%d-%d" % e, _parts(spec.edge_fn(e)))
+               for e in spec.functional_edges]
+    return blocks
 
 
 def residual_map(potentials, spec, engine):
     """Feasibility residual per cost block, from current projections.
 
-    Equality and box blocks report their violation; every other block is a
-    soft cost and reports zero.
+    Hard blocks (equality, box) report their violation; soft costs report
+    zero without a projection.  A node or edge is projected at most once,
+    however many hard parts it stacks; stacked parts get keys ``key#k``.
     """
     out = {}
-    for key, kind, where, _k, part in _constraint_items(spec):
-        if part.is_zero:
-            continue
-        if kind == "node":
-            p = engine.marginal(where, potentials).value()
-        else:
-            p = engine.bimarginal(where, potentials).value()
-        r = part.feasibility_residual(p)
-        out[key] = 0.0 if r is None else r
+    for kind, where, key, parts in _cost_blocks(spec):
+        p = None
+        for k, part in enumerate(parts):
+            if part.is_zero:
+                continue
+            name = key if len(parts) == 1 else "%s#%d" % (key, k)
+            if not part.hard:
+                out[name] = 0.0
+                continue
+            if p is None:
+                project = engine.marginal if kind == "node" else engine.bimarginal
+                p = project(where, potentials).value()
+            out[name] = part.feasibility_residual(p)
     return out
 
 
@@ -319,7 +317,10 @@ def solve(spec, config=None, schedule=None, initial=None):
     Returns the final potentials together with a :class:`SolveReport`.
     Termination requires every hard constraint residual at or below the
     feasibility tolerance and the largest relative potential change of the
-    sweep at or below the potential tolerance.
+    sweep at or below the potential tolerance.  An :class:`Infeasible`
+    raised by an update carries the partial report as ``exc.report``: the
+    sweeps begun, the per-sweep history, and the residuals of the
+    potentials as they stood when the update failed.
     """
     config = config or SolverConfig()
     _sanity_checks(spec)
@@ -339,11 +340,13 @@ def solve(spec, config=None, schedule=None, initial=None):
         upd = _Updater(spec, pots, verifier if config.verify else None, sweep)
         try:
             driver.sweep(engine, pots, upd)
-        except Infeasible:
+        except Infeasible as exc:
             report.sweeps = sweep
+            report.residuals = residuals(pots, spec)
             report.wall_time_s = time.perf_counter() - t0
             report.rescale_events = rescale.events
             report.termination = "infeasible"
+            exc.report = report
             raise
         res = residual_map(pots, spec, engine)
         max_res = max(res.values(), default=0.0)

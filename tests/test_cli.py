@@ -19,6 +19,15 @@ def write_config(tmp_path, body, name="run.json"):
     return str(path)
 
 
+def read_strict_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity constants."""
+    def reject(name):
+        raise ValueError("non-standard JSON constant %s" % name)
+
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.read(), parse_constant=reject)
+
+
 def minimal_raw_config(out_dir):
     return {
         "problem": {
@@ -187,6 +196,40 @@ class TestRun:
         summary = json.load(open(os.path.join(str(tmp_path / "out"), "summary.json")))
         assert summary["termination"] == "error"
         assert "mass" in summary["error"]
+
+    def test_infeasible_update_keeps_partial_report(self, tmp_path):
+        # state 1 of node 1 is unreachable, so its equality target starves at sweep 1
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["kernels"][0]["cost"] = [[0.0, math.inf], [0.0, math.inf]]
+        body["problem"]["node_functions"]["0"]["target"] = [0.5, 0.5]
+        body["problem"]["node_functions"]["1"]["target"] = [0.5, 0.5]
+        cfg = parse_config(write_config(tmp_path, body))
+        assert run(cfg) == 1
+        summary = read_strict_json(os.path.join(str(tmp_path / "out"), "summary.json"))
+        assert summary["termination"] == "error"
+        assert "node 1" in summary["error"] and "sweep 1" in summary["error"]
+        assert summary["sweeps"] == 1
+        assert summary["feasible"] is False
+        assert summary["residuals"]["node:0"] == pytest.approx(0.0, abs=1e-15)
+        assert summary["residuals"]["node:1"] == pytest.approx(1.0, rel=1e-14)
+        assert summary["max_residual"] == pytest.approx(1.0, rel=1e-14)
+        assert summary["dual_objective"] == "-inf"  # no sweep completed
+
+    def test_nonfinite_dual_is_written_as_strict_json(self, tmp_path, monkeypatch):
+        import gtop.solver
+        real_solve = gtop.solver.solve
+
+        def solve_with_infinite_dual(spec, config=None, **kwargs):
+            pots, report = real_solve(spec, config, **kwargs)
+            report.dual_values[-1] = -math.inf
+            return pots, report
+
+        monkeypatch.setattr(gtop.solver, "solve", solve_with_infinite_dual)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", write_config(tmp_path, minimal_raw_config(out))]) == 0
+        summary = read_strict_json(os.path.join(out, "summary.json"))
+        assert summary["dual_objective"] == "-inf"
+        assert summary["termination"] == "converged"
 
 
 class TestMainEntry:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from gtop import (Blockwise, Box, CompositeFunction, Congestion, Equality,
-                  Infeasible, InvalidInput, Linear, QuadraticDistance, ScaledArray,
-                  Zero, inclusion_residual, stack_rows)
+                  Infeasible, InvalidInput, Linear, NumericalFailure, QuadraticDistance,
+                  ScaledArray, Zero, functions, inclusion_residual, stack_rows)
 
 
 def bisect_oracle(f, lo, hi, iters=200):
@@ -259,6 +259,98 @@ class TestInclusionResiduals:
                 grad = fn.conjugate_subgradient(s)
                 vals = us * w - 0.5 * (grad.lower + grad.upper)
                 assert np.all(np.diff(vals) >= -1e-9 * np.maximum(1, np.abs(vals[:-1])))
+
+
+def oracle_log_root(fn, log_w, epsilon):
+    """log u solving one entry's stationarity, by doubling a bracket and bisecting."""
+    def g(ell):
+        with np.errstate(over="ignore"):
+            grow = float(np.exp(ell + log_w))
+        return grow - float(fn.conjugate_subgradient(np.array([-epsilon * ell])).lower[0])
+
+    lo, hi = -1.0, 1.0
+    while g(lo) > 0:
+        lo *= 2.0
+    while g(hi) < 0:
+        hi *= 2.0
+    return bisect_oracle(g, lo, hi)
+
+
+def entry_residual(fn, ell, log_w, epsilon):
+    """inclusion_residual of one entry given in log space (beyond one mantissa's range)."""
+    u = ScaledArray(np.ones(1), ell)
+    w = ScaledArray(np.ones(1), log_w) if np.isfinite(log_w) else ScaledArray(np.zeros(1))
+    return float(inclusion_residual(fn, u, w, epsilon)[0])
+
+
+class TestNewtonUpdate:
+    """The Newton update against per-entry bisection across extreme inputs."""
+
+    N = 24
+
+    def _case(self, kind, rng):
+        n = self.N
+        if kind == "congestion":
+            cap = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+            return Congestion(cap), [Congestion(cap[i:i + 1]) for i in range(n)], cap
+        weight = float(np.exp(rng.uniform(-2.0, 2.0)))
+        third = n // 3
+        anchor = np.concatenate([-np.exp(rng.uniform(-4, 1, third)), np.zeros(third),
+                                 np.exp(rng.uniform(-4, 1, n - 2 * third))])
+        rng.shuffle(anchor)
+        return (QuadraticDistance(weight, anchor, kind),
+                [QuadraticDistance(weight, anchor[i:i + 1], kind) for i in range(n)],
+                np.abs(anchor))
+
+    @pytest.mark.parametrize("eps", [1e-3, 1.0])
+    @pytest.mark.parametrize("kind", [1.5, 2.0, 3.0, "congestion"])
+    def test_residual_no_worse_than_bisection(self, kind, eps, monkeypatch):
+        if kind in (2.0, "congestion"):
+            # convex cases: monotone Newton needs only a few evaluations
+            monkeypatch.setattr(functions, "_MAX_NEWTON_STEPS", 12)
+        rng = np.random.default_rng(7 if kind == "congestion" else int(10 * kind))
+        fn, singles, scale = self._case(kind, rng)
+        log_w = rng.uniform(-700.0, 700.0, self.N)
+        log_w[:6] = rng.uniform(-5.0, 5.0, 6)
+        log_w[6:9] = -np.inf
+        ell = fn._solve_log(log_w, eps)
+        assert np.all(np.isfinite(ell))
+        ulps = 4 * np.finfo(float).eps
+        for i, single in enumerate(singles):
+            ref = oracle_log_root(single, log_w[i], eps)
+            got = entry_residual(single, ell[i], log_w[i], eps)
+            # Newton stops within a few ulps of max(|l|, 1); the bisected root
+            # moved that far bounds the residual it may leave, plus a few ulps
+            # of the terms that cancel in the residual.
+            step = ulps * max(abs(ref), 1.0)
+            bound = max(entry_residual(single, ref + d, log_w[i], eps) for d in (-step, 0.0, step))
+            p = math.exp(min(ell[i] + log_w[i], 700.0)) if np.isfinite(log_w[i]) else 0.0
+            assert got <= bound + ulps * (scale[i] + p), (i, log_w[i], ell[i], ref, got, bound)
+
+    def test_public_update_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        w = np.exp(rng.uniform(-30.0, 30.0, 12))
+        for fn in (QuadraticDistance(0.3, rng.uniform(-1, 1, 12)),
+                   QuadraticDistance(0.3, rng.uniform(-1, 1, 12), exponent=3.0),
+                   Congestion(np.exp(rng.uniform(-3, 3, 12)))):
+            u = fn.solve_inclusion(ScaledArray.from_values(w), 0.05)
+            log_u = u.log_value()
+            for i in range(12):
+                single = (Congestion(fn.capacity[i:i + 1]) if isinstance(fn, Congestion)
+                          else QuadraticDistance(0.3, fn.anchor[i:i + 1], fn.exponent))
+                ref = oracle_log_root(single, math.log(w[i]), 0.05)
+                assert log_u[i] == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("fn", [QuadraticDistance(0.5, [0.3, 1.0]),
+                                    Congestion([0.4, 2.0])], ids=repr)
+    def test_iteration_cap_raises_with_context(self, fn, monkeypatch):
+        monkeypatch.setattr(functions, "_MAX_NEWTON_STEPS", 1)
+        w = ScaledArray.from_values([2.0, 0.7])
+        with pytest.raises(NumericalFailure) as err:
+            fn.solve_inclusion(w, 0.1)
+        msg = str(err.value)
+        assert repr(fn) in msg
+        assert "1 Newton steps" in msg and "log-weight range" in msg
 
 
 class TestSubgradients:

@@ -1,6 +1,7 @@
 """Core model tests: scaled storage, kernels, mass, and the dual objective."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,9 +85,21 @@ class TestBuildKernel:
 
     def test_cost_beyond_exponent_range_truncates_to_forbidden(self):
         c = np.array([[0.0, 7450.0]])
-        k = build_kernel(c, 0.01)
+        with pytest.warns(RuntimeWarning, match="1 finite-cost kernel entries underflow"):
+            k = build_kernel(c, 0.01)
         assert k.m[0, 1] == 0.0
         assert k.cost(0.01)[0, 1] == np.inf
+
+    def test_underflow_warning_threshold(self):
+        # exp(-x) is a nonzero subnormal up to x ~ 745.1 and zero beyond
+        eps = 0.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = build_kernel(np.array([[0.0, 740.0 * eps, np.inf]]), eps)
+        assert k.m[0, 1] > 0.0
+        with pytest.warns(RuntimeWarning, match=r"^2 finite-cost .* epsilon=0\.01"):
+            k = build_kernel(np.array([[0.0, 746.0 * eps, 800.0 * eps, np.inf]]), eps)
+        assert k.m[0, 1] == k.m[0, 2] == k.m[0, 3] == 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInput):

@@ -226,6 +226,10 @@ class TestSolve:
             solve(spec)
         assert "node 1" in str(err.value)
         assert "sweep" in str(err.value)
+        report = err.value.report
+        assert (report.termination, report.sweeps, report.feasible) == ("infeasible", 1, False)
+        assert report.residuals["node:0"] == pytest.approx(0.0, abs=1e-15)
+        assert report.residuals["node:1"] == pytest.approx(1.0, rel=1e-14)
 
     def test_max_sweeps_reported(self):
         rng = np.random.default_rng(11)
