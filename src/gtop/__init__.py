@@ -26,7 +26,7 @@ from .model import (CHAIN, GENERAL, OD_CYCLE, SPECIES_HUB, DualPotentials,
                     EdgeKernel, GraphTopology, ProblemSpec, ScaledArray,
                     build_kernel, dual_objective, total_mass)
 from .projections import ChainEngine, DenseEngine, make_engine
-from .solver import Schedule, SolveReport, SolverConfig, residuals, solve
+from .solver import SolveReport, SolverConfig, residuals, solve
 from .builders import (FlowEdge, FlowNetwork, MFGSetup, build_congestion,
                        build_flow_cost_matrix, build_flow_problem,
                        build_mfg_chain_problem, build_mfg_cost_matrix,

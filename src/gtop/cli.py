@@ -12,10 +12,14 @@ import math
 import os
 import sys
 
+import numpy as np
 
-def _numpy():
-    import numpy as np
-    return np
+from . import builders as bld
+from . import functions as fx
+from . import model as md
+from . import solver
+from .errors import ConfigError, GtopError
+from .projections import DENSE_ENTRY_BUDGET, make_engine
 
 
 class RunConfig:
@@ -31,7 +35,6 @@ class RunConfig:
 
 
 def _fail(path, message):
-    from .errors import ConfigError
     raise ConfigError("%s: %s" % (path, message))
 
 
@@ -51,7 +54,6 @@ def _number(obj, path, positive=False):
 
 
 def _load_matrix(obj, path, base_dir):
-    np = _numpy()
     if isinstance(obj, dict):
         ref = obj.get("csv")
         if ref is None:
@@ -80,9 +82,6 @@ def _parse_bound(obj, path):
 
 def function_from_config(obj, path, base_dir):
     """Build a catalog function from its JSON form."""
-    np = _numpy()
-    from . import functions as fx
-
     obj = _expect_map(obj, path)
     kind = obj.get("type")
     if kind == "zero":
@@ -138,9 +137,6 @@ def function_from_config(obj, path, base_dir):
 
 
 def _parse_flow(problem, epsilon, path, base_dir):
-    from . import builders as bld
-    from . import functions as fx
-
     nodes = problem.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         _fail(path + ".nodes", "expected a nonempty list")
@@ -179,7 +175,7 @@ def _parse_flow(problem, epsilon, path, base_dir):
     cost_kind = problem.get("edge_cost", "congestion")
     if cost_kind == "congestion":
         caps = net.capacities()
-        if not _numpy().all(_numpy().isfinite(caps)):
+        if not np.all(np.isfinite(caps)):
             _fail(path + ".edges", "congestion edge costs need finite capacities everywhere")
         edge_cost = None
     elif cost_kind == "zero":
@@ -193,9 +189,6 @@ def _parse_flow(problem, epsilon, path, base_dir):
 
 
 def _parse_mfg(problem, epsilon, path, base_dir):
-    np = _numpy()
-    from . import builders as bld
-
     if "grid" in problem and isinstance(problem["grid"], dict):
         g = problem["grid"]
         grid = bld.grid_points(g.get("shape", []), g.get("extent", []))
@@ -258,9 +251,6 @@ def _parse_mfg(problem, epsilon, path, base_dir):
 
 
 def _parse_raw(problem, epsilon, path, base_dir):
-    np = _numpy()
-    from . import model as md
-
     topo_cfg = _expect_map(problem.get("topology"), path + ".topology")
     kind = topo_cfg.get("class")
     sizes = topo_cfg.get("sizes")
@@ -301,8 +291,8 @@ def _parse_raw(problem, epsilon, path, base_dir):
     node_functions = {}
     for key, cfg in _expect_map(problem.get("node_functions", {}),
                                 path + ".node_functions").items():
-        node_functions[int(key)] = _node_or_composite(cfg, "%s.node_functions[%s]" % (path, key),
-                                                      base_dir)
+        node_functions[int(key)] = function_from_config(
+            cfg, "%s.node_functions[%s]" % (path, key), base_dir)
     edge_functions = {}
     for key, cfg in _expect_map(problem.get("edge_functions", {}),
                                 path + ".edge_functions").items():
@@ -310,30 +300,14 @@ def _parse_raw(problem, epsilon, path, base_dir):
         if len(parts) != 2:
             _fail(path + ".edge_functions", "edge keys look like \"0-1\", got %r" % (key,))
         edge = (int(parts[0]), int(parts[1]))
-        edge_functions[edge] = _node_or_composite(cfg, "%s.edge_functions[%s]" % (path, key),
-                                                  base_dir)
+        edge_functions[edge] = function_from_config(
+            cfg, "%s.edge_functions[%s]" % (path, key), base_dir)
     spec = md.ProblemSpec(topo, kernels, node_functions, edge_functions, epsilon)
     return spec, None
 
 
-def _node_or_composite(cfg, path, base_dir):
-    from .functions import CompositeFunction
-    cfg_map = _expect_map(cfg, path)
-    if cfg_map.get("type") == "composite":
-        parts = cfg_map.get("parts")
-        if not isinstance(parts, list) or not parts:
-            _fail(path + ".parts", "expected a nonempty list")
-        return CompositeFunction([
-            function_from_config(p, "%s.parts[%d]" % (path, i), base_dir)
-            for i, p in enumerate(parts)])
-    return function_from_config(cfg, path, base_dir)
-
-
 def parse_config(config_path):
     """Read and validate a JSON run configuration."""
-    from .errors import ConfigError
-    from .solver import SolverConfig
-
     if not os.path.exists(config_path):
         raise ConfigError("config file %r not found" % (config_path,))
     base_dir = os.path.dirname(os.path.abspath(config_path))
@@ -373,7 +347,7 @@ def parse_config(config_path):
         kwargs["max_sweeps"] = ms
     if solver_cfg.get("verify"):
         kwargs["verify"] = True
-    config = SolverConfig(**kwargs)
+    config = solver.SolverConfig(**kwargs)
 
     out_cfg = _expect_map(raw.get("output", {}), "output")
     out_dir = out_cfg.get("directory", "gtop_out")
@@ -388,12 +362,7 @@ def parse_config(config_path):
 
 
 def _write_matrix(path, arr):
-    np = _numpy()
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+    np.savetxt(path, np.atleast_2d(arr), delimiter=",", fmt="%.17g")
 
 
 def _json_finite(obj):
@@ -409,12 +378,6 @@ def _json_finite(obj):
 
 def run(run_config):
     """Solve the configured problem and write result files; returns exit status."""
-    np = _numpy()
-    from .errors import GtopError
-    from .model import SPECIES_HUB
-    from .projections import make_engine
-    from .solver import solve
-
     spec = run_config.spec
     os.makedirs(run_config.out_dir, exist_ok=True)
 
@@ -422,7 +385,7 @@ def run(run_config):
     report = None
     failure = None
     try:
-        pots, report = solve(spec, run_config.solver_config)
+        pots, report = solver.solve(spec, run_config.solver_config)
     except GtopError as exc:
         failure = exc
         report = getattr(exc, "report", None)
@@ -455,8 +418,7 @@ def run(run_config):
             rows = [engine.marginal(j, pots).value() for j in time_nodes]
             _write_matrix(os.path.join(run_config.out_dir, "marginals.csv"), np.stack(rows))
             if run_config.flow_net is not None:
-                from .builders import edge_utilization
-                util = [edge_utilization(run_config.flow_net, r) for r in rows]
+                util = [bld.edge_utilization(run_config.flow_net, r) for r in rows]
                 _write_matrix(os.path.join(run_config.out_dir, "utilization.csv"),
                               np.stack(util))
         if run_config.emit["bimarginals"]:
@@ -470,7 +432,7 @@ def run(run_config):
                 fh.write("sweep,dual_objective,max_residual\n")
                 for i, (d, r) in enumerate(zip(report.dual_values, report.max_residuals), 1):
                     fh.write("%d,%.17g,%.17g\n" % (i, d, r))
-        if topo.kind == SPECIES_HUB:
+        if topo.kind == md.SPECIES_HUB:
             _write_matrix(os.path.join(run_config.out_dir, "species_masses.csv"),
                           engine.marginal(topo.hub, pots).value())
 
@@ -503,7 +465,6 @@ def main(argv=None):
             parser.error("--tol must be positive")
         if args.max_sweeps is not None and args.max_sweeps < 1:
             parser.error("--max-sweeps must be at least 1")
-        from .errors import ConfigError
         try:
             run_config = parse_config(args.config)
         except ConfigError as exc:
@@ -516,13 +477,8 @@ def main(argv=None):
         if args.output is not None:
             run_config.out_dir = args.output
         if args.verify:
-            from .projections import DENSE_ENTRY_BUDGET
             run_config.solver_config.verify = True
-            sizes = run_config.spec.node_sizes
-            total = 1
-            for s in sizes:
-                total *= s
-            if total <= DENSE_ENTRY_BUDGET:
+            if math.prod(run_config.spec.node_sizes) <= DENSE_ENTRY_BUDGET:
                 run_config.solver_config.oracle_check = True
         return run(run_config)
     return 2

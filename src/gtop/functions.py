@@ -245,6 +245,10 @@ class Box(MarginalFunction):
             raise InvalidInput("box bounds must satisfy lower <= upper")
         if np.any(np.isinf(self.lower)):
             raise InvalidInput("box lower bounds must be finite")
+        # Logs of the bounds, fixed for every update: -inf at 0, +inf at inf.
+        with np.errstate(divide="ignore"):
+            self._log_lower = np.log(self.lower).ravel()
+            self._log_upper = np.log(self.upper).ravel()
 
     # Multipliers recovered from mantissa storage wobble by ~1e-16 around
     # exact zero; the kink at s = 0 is resolved with a small tolerance.
@@ -280,11 +284,8 @@ class Box(MarginalFunction):
         if starved.any():
             raise Infeasible("box lower bound is positive at entries %s where no plan "
                              "mass can arrive" % (np.flatnonzero(starved)[:8].tolist(),))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_lo = np.where(lo > 0, np.log(np.where(lo > 0, lo, 1.0)), -np.inf)
-            log_hi = np.where(np.isinf(hi), np.inf,
-                              np.where(hi > 0, np.log(np.where(hi > 0, hi, 1.0)), -np.inf))
-            out = np.minimum(np.maximum(log_lo - log_w, 0.0), log_hi - log_w)
+        with np.errstate(invalid="ignore"):
+            out = np.minimum(np.maximum(self._log_lower - log_w, 0.0), self._log_upper - log_w)
         out = np.where(w_zero, 0.0, out)
         out = np.where(hi == 0.0, -np.inf, out)
         return out

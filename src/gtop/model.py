@@ -21,6 +21,8 @@ GENERAL = "general"
 
 # exp(-x) may round to zero only for x beyond this spread.
 _UNDERFLOW_SPREAD = -math.log(np.finfo(float).smallest_subnormal)
+# A renormalization shifting the log scale by more than this is a rescale event.
+_RESCALE_THRESHOLD = 200.0
 
 
 class ScaledArray:
@@ -95,14 +97,13 @@ class ScaledArray:
 
 
 class RescaleLog:
-    """Counts renormalizations whose shift exceeded a magnitude threshold."""
+    """Counts renormalizations whose log shift exceeded ``_RESCALE_THRESHOLD``."""
 
-    def __init__(self, threshold=200.0):
-        self.threshold = float(threshold)
+    def __init__(self):
         self.events = 0
 
     def note(self, shift):
-        if shift > self.threshold:
+        if shift > _RESCALE_THRESHOLD:
             self.events += 1
 
 
@@ -427,6 +428,10 @@ class ProblemSpec:
         self.edge_functions = {e: edge_functions.get(e, self._zero)
                                for e in topology.edges}
         self._validate_functions()
+        # Cost of every block keyed by ("node", j) or ("edge", e): each node,
+        # then each functional edge.
+        self.blocks = {("node", j): fn for j, fn in self.node_functions.items()}
+        self.blocks.update((("edge", e), self.edge_functions[e]) for e in self.functional_edges)
 
     @staticmethod
     def _infer_sizes(topology, kernels):
@@ -506,19 +511,11 @@ def dual_objective(potentials, spec, engine=None):
     if not math.isfinite(mass):
         return -math.inf
     val = -spec.epsilon * mass
-    eps = spec.epsilon
-    for j in range(spec.topology.node_count):
-        for part, factor in zip(_parts(spec.node_fn(j)), potentials.nodes[j]):
+    for (kind, where), fn in spec.blocks.items():
+        factors = (potentials.nodes if kind == "node" else potentials.edges)[where]
+        for part, factor in zip(_parts(fn), factors):
             with np.errstate(invalid="ignore"):
-                s = -eps * factor.log_value()
-            c = part.conjugate(s)
-            if c == math.inf:
-                return -math.inf
-            val -= c
-    for e in spec.functional_edges:
-        for part, factor in zip(_parts(spec.edge_fn(e)), potentials.edges[e]):
-            with np.errstate(invalid="ignore"):
-                s = -eps * factor.log_value()
+                s = -spec.epsilon * factor.log_value()
             c = part.conjugate(s)
             if c == math.inf:
                 return -math.inf

@@ -25,6 +25,8 @@ Message conventions (messages have shape ``(carried, n_j)``):
     products without any division.
 """
 
+import math
+
 import numpy as np
 
 from .errors import SizeBoundExceeded, TopologyMismatch
@@ -53,7 +55,11 @@ class ChainEngine(_EngineBase):
 
     Serves the chain, od_cycle and species_hub topologies; ``T`` is the
     number of path nodes and ``carried`` maps a path node to the edge whose
-    kernel and potential form its carried factor.
+    kernel and potential form its carried factor.  ``order`` walks the path
+    left to right: at each node the carried edge, the node, the path edge
+    to the right, then the push of the forward message past the node.  The
+    hub carries no cost of its own and heads the order only so that the
+    order names every node and every edge once.
     """
 
     def __init__(self, spec, rescale_log=None):
@@ -76,6 +82,13 @@ class ChainEngine(_EngineBase):
             self.carried = {j: (self.hub, j) for j in range(self.T)}
         self.fwd = [ScaledArray(seed, 0.0)] + [None] * (self.T - 1)
         self.bwd = [None] * self.T
+        self.order = [] if self.hub is None else [("node", self.hub)]
+        for j in range(self.T):
+            if j in self.carried:
+                self.order.append(("edge", self.carried[j]))
+            self.order.append(("node", j))
+            if j < self.T - 1:
+                self.order += [("edge", (j, j + 1)), ("push", j)]
 
     def _kernel_with_edge_factor(self, e, pots):
         """Kernel times any potential factor living on the same edge."""
@@ -181,17 +194,21 @@ class ChainEngine(_EngineBase):
 
 
 class DenseEngine(_EngineBase):
-    """Brute-force reference: materializes the plan and sums modes out."""
+    """Brute-force reference: materializes the plan and sums modes out.
+
+    Every projection is recomputed from the potentials, so ``order`` needs
+    no message pushes: every node, then every edge.
+    """
 
     def __init__(self, spec, rescale_log=None):
         super().__init__(spec, rescale_log)
         self.sizes = list(spec.node_sizes)
-        total = 1
-        for n in self.sizes:
-            total *= n
+        total = math.prod(self.sizes)
         if total > DENSE_ENTRY_BUDGET:
             raise SizeBoundExceeded("dense reference limited to %d entries, instance has %d"
                                     % (DENSE_ENTRY_BUDGET, total))
+        self.order = ([("node", j) for j in range(len(self.sizes))]
+                      + [("edge", e) for e in spec.topology.edges])
 
     def rebuild_backward(self, pots):
         pass
@@ -256,7 +273,7 @@ class DenseEngine(_EngineBase):
         return self.project(pots, e)
 
 
-def make_engine(spec, rescale_log=None, dense=False):
-    if dense or spec.topology.kind == GENERAL:
+def make_engine(spec, rescale_log=None):
+    if spec.topology.kind == GENERAL:
         return DenseEngine(spec, rescale_log)
     return ChainEngine(spec, rescale_log)

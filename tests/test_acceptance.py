@@ -18,7 +18,7 @@ from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
                   build_mfg_chain_problem, build_mfg_problem, edge_utilization,
                   embed_od_matrix, grid_points, make_engine, solve)
 from gtop.projections import DenseEngine
-from gtop.solver import _PathDriver, _Updater
+from gtop.solver import _Updater
 
 from _support import (assert_maxnorm_close, random_chain_spec, random_hub_spec,
                       random_od_spec, random_potentials)
@@ -163,7 +163,7 @@ def test_criterion_3_monotone_dual_ascent():
                                       QuadraticDistance(0.8, rng.uniform(0.1, 0.4, n))])}
         solve(ProblemSpec(topo, kernels, nfns, efns, 0.5), cfg)
 
-        # general graph, custom schedule
+        # general graph, dense engine with a Box-constrained edge
         spec = ProblemSpec(GraphTopology.general(3, [(0, 1), (1, 2), (0, 2)]),
                            {(0, 1): build_kernel(rng.uniform(0, 1, (3, 3)), 0.8),
                             (1, 2): build_kernel(rng.uniform(0, 1, (3, 3)), 0.8),
@@ -194,11 +194,10 @@ def test_criterion_4_r_linear_convergence():
 
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        driver = _PathDriver(spec)
         eng.rebuild_backward(pots)
         errors = []
         for sweep in range(1, 201):
-            driver.sweep(eng, pots, _Updater(spec, pots, None, sweep))
+            _Updater(spec, pots, None, sweep).sweep(eng)
             errors.append(float(np.abs(DenseEngine(spec).tensor(pots).value()
                                        - m_star).sum()))
         # last 100 checked pairs, all above the reference precision floor

@@ -275,27 +275,30 @@ class TestMainEntry:
         assert main(["solve", "--config", path]) == 2
 
 
+def mfg_config(out_dir):
+    return {
+        "problem": {
+            "kind": "mfg",
+            "grid": {"shape": [2, 2], "extent": [0.0, 1.0, 0.0, 1.0]},
+            "steps": 2,
+            "species": [
+                {"initial": [0.25, 0.25, 0.25, 0.25]},
+                {"initial": [0.1, 0.2, 0.3, 0.4],
+                 "terminal": {"type": "quadratic", "weight": 0.5,
+                              "anchor": [0.25, 0.25, 0.25, 0.25]}},
+            ],
+            "total_terminal": {"type": "quadratic", "weight": 1.0,
+                               "anchor": [0.5, 0.5, 0.5, 0.5]},
+        },
+        "epsilon": 0.4,
+        "output": {"directory": out_dir},
+    }
+
+
 class TestMfgRun:
     def test_end_to_end_outputs(self, tmp_path):
         out = str(tmp_path / "out")
-        body = {
-            "problem": {
-                "kind": "mfg",
-                "grid": {"shape": [2, 2], "extent": [0.0, 1.0, 0.0, 1.0]},
-                "steps": 2,
-                "species": [
-                    {"initial": [0.25, 0.25, 0.25, 0.25]},
-                    {"initial": [0.1, 0.2, 0.3, 0.4],
-                     "terminal": {"type": "quadratic", "weight": 0.5,
-                                  "anchor": [0.25, 0.25, 0.25, 0.25]}},
-                ],
-                "total_terminal": {"type": "quadratic", "weight": 1.0,
-                                   "anchor": [0.5, 0.5, 0.5, 0.5]},
-            },
-            "epsilon": 0.4,
-            "output": {"directory": out},
-        }
-        cfg = parse_config(write_config(tmp_path, body))
+        cfg = parse_config(write_config(tmp_path, mfg_config(out)))
         assert run(cfg) == 0
         species = np.loadtxt(os.path.join(out, "species_masses.csv"), delimiter=",")
         np.testing.assert_allclose(species, [1.0, 1.0], atol=1e-7)
@@ -304,6 +307,27 @@ class TestMfgRun:
         # hub bimarginals carry the per-species density snapshots
         snap = np.loadtxt(os.path.join(out, "bimarg_3_1.csv"), delimiter=",")
         np.testing.assert_allclose(snap.sum(axis=0), marg[1], rtol=1e-10)
+
+    def test_csv_rows_hold_exact_projections(self, tmp_path):
+        # read as text: np.loadtxt turns a one-row file into a vector and so
+        # cannot tell a row from a column
+        out = str(tmp_path / "out")
+        cfg = parse_config(write_config(tmp_path, mfg_config(out)))
+        assert run(cfg) == 0
+        from gtop import make_engine, solve
+        pots, _ = solve(cfg.spec, cfg.solver_config)
+        eng = make_engine(cfg.spec)
+        eng.refresh(pots)
+        topo = cfg.spec.topology
+        expected = {
+            "species_masses.csv": [eng.marginal(topo.hub, pots).value()],
+            "marginals.csv": [eng.marginal(j, pots).value() for j in topo.time_nodes],
+        }
+        for name, rows in expected.items():
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert [[float(v) for v in line.split(",")] for line in lines] == \
+                [row.tolist() for row in rows], name
 
 
 class TestThreadCap:

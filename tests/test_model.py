@@ -67,7 +67,12 @@ class TestBuildKernel:
         rng = np.random.default_rng(1)
         for eps in (0.01, 0.5, 2.0):
             c = rng.uniform(-3, 25, (4, 5))
-            k = build_kernel(c, eps)
+            if eps == 0.01:
+                # a cost spread near 28 at eps = 0.01 underflows some entries and warns
+                with pytest.warns(RuntimeWarning, match="underflow"):
+                    k = build_kernel(c, eps)
+            else:
+                k = build_kernel(c, eps)
             assert np.max(k.m) == 1.0
 
     def test_cost_roundtrip(self):

@@ -290,3 +290,38 @@ class TestMessageReuse:
         for j in range(last + 1):
             assert_maxnorm_close(eng.marginal(j, pots), fresh.marginal(j, pots), 1e-12,
                                  "%s incremental marginal %d" % (family, j))
+
+
+class TestUpdateOrder:
+    """An engine's sweep order names every node and every edge exactly once."""
+
+    @pytest.mark.parametrize("family", ["chain", "od", "hub", "general"])
+    def test_order_covers_every_block_once(self, family):
+        rng = np.random.default_rng(50)
+        for _ in range(10):
+            if family == "chain":
+                spec = random_chain_spec(rng, with_edge_fn=True)
+            elif family == "hub":
+                spec = random_hub_spec(rng)
+            else:
+                spec = random_od_spec(rng)
+                if family == "general":
+                    spec = as_general(spec)
+            topo = spec.topology
+            order = make_engine(spec).order
+            expected = ([("node", j) for j in range(topo.node_count)]
+                        + [("edge", e) for e in topo.edges])
+            assert sorted(s for s in order if s[0] != "push") == sorted(expected)
+            pushes = [j for kind, j in order if kind == "push"]
+            if family == "general":
+                assert pushes == []
+                continue
+            # each forward push follows every update at its node, before the next node
+            T = len(topo.time_nodes)
+            assert pushes == list(range(T - 1))
+            pos = {step: i for i, step in enumerate(order)}
+            for j in range(T - 1):
+                assert pos[("node", j)] < pos[("edge", (j, j + 1))] < pos[("push", j)] \
+                    < pos[("node", j + 1)]
+                if topo.hub is not None:
+                    assert pos[("edge", (topo.hub, j))] < pos[("push", j)]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
-                  GraphTopology, Infeasible, InvalidInput, Linear, ProblemSpec,
-                  QuadraticDistance, Schedule, SolverConfig, Zero, build_kernel,
+                  GraphTopology, Infeasible, Linear, ProblemSpec,
+                  QuadraticDistance, SolverConfig, Zero, build_kernel,
                   dual_objective, inclusion_residual, make_engine, residuals, solve)
 from gtop.model import _parts, smul
 from gtop.projections import DenseEngine
@@ -174,15 +174,36 @@ class TestSolve:
             assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-6,
                                  "hub vs dense marginal %d" % j)
 
-    def test_hub_edge_kernel_matches_dense_solve(self):
+    @staticmethod
+    def _hub_edge_kernel_spec():
         rng = np.random.default_rng(40)
         spec = random_hub_spec(rng, time_nodes=3, n_states=3, species=2, epsilon=0.7)
-        hub = spec.topology.hub
         kernels = dict(spec.kernels)
-        kernels[(hub, 1)] = build_kernel(rng.uniform(0.0, 2.0, (2, 3)), spec.epsilon)
-        spec = ProblemSpec(spec.topology, kernels,
+        kernels[(spec.topology.hub, 1)] = build_kernel(rng.uniform(0.0, 2.0, (2, 3)),
+                                                       spec.epsilon)
+        return ProblemSpec(spec.topology, kernels,
                            {2: QuadraticDistance(0.8, rng.uniform(0.2, 0.6, 3))},
                            spec.edge_functions, spec.epsilon)
+
+    @staticmethod
+    def _stacked_chain_spec(n=3, epsilon=0.7):
+        # a composite node, a Congestion node and a Box edge: the path and
+        # dense engines update them in different orders
+        rng = np.random.default_rng(41)
+        topo = GraphTopology.chain(3)
+        kernels = {e: build_kernel(rng.uniform(0.0, 2.0, (n, n)), epsilon) for e in topo.edges}
+        mu = rng.uniform(0.2, 1.0, n)
+        total = float(mu.sum())
+        nfns = {0: Equality(mu),
+                1: CompositeFunction([Box(0.0, np.full(n, 0.6 * total)),
+                                      QuadraticDistance(0.8, rng.uniform(0.1, 0.4, n))]),
+                2: Congestion(np.full(n, 1.5 * total))}
+        efns = {(0, 1): Box(0.0, np.full((n, n), 0.3 * total))}
+        return ProblemSpec(topo, kernels, nfns, efns, epsilon)
+
+    @pytest.mark.parametrize("instance", ["hub_edge_kernel", "stacked_chain"])
+    def test_structured_solve_matches_dense(self, instance):
+        spec = getattr(self, "_%s_spec" % instance)()
         pots, report = solve(spec, SolverConfig(potential_tol=1e-12))
         dense_pots, dense_report = solve(as_general(spec), SolverConfig(potential_tol=1e-12))
         assert report.termination == dense_report.termination == "converged"
@@ -190,9 +211,9 @@ class TestSolve:
         eng = make_engine(spec)
         eng.refresh(pots)
         den = DenseEngine(spec)
-        for j in range(hub + 1):
+        for j in range(spec.topology.node_count):
             assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-8,
-                                 "hub vs dense marginal %d" % j)
+                                 "%s vs dense marginal %d" % (instance, j))
 
     def test_monotone_dual_trace(self):
         rng = np.random.default_rng(8)
@@ -374,43 +395,6 @@ class TestRandomizedVerifiedSolves:
             assert report.termination == "converged", "trial %d" % trial
 
 
-class TestScheduleInvariance:
-    def test_two_orders_reach_same_plan(self):
-        rng = np.random.default_rng(15)
-        n = 3
-        topo = GraphTopology.general(3, [(0, 1), (1, 2)])
-        kernels = {(0, 1): build_kernel(rng.uniform(0, 1, (n, n)), 0.6),
-                   (1, 2): build_kernel(rng.uniform(0, 1, (n, n)), 0.6)}
-        mu = rng.uniform(0.2, 1.0, n)
-        fns = {0: Equality(mu),
-               1: Box(0.0, np.full(n, float(mu.sum()) * 0.6)),
-               2: QuadraticDistance(1.0, rng.uniform(0.1, 0.4, n))}
-        spec = ProblemSpec(topo, kernels, fns, {}, 0.6)
-        s1 = Schedule.default_for(spec)
-        s2 = Schedule(tuple(reversed(s1.targets)))
-        p1, r1 = solve(spec, SolverConfig(), schedule=s1)
-        p2, r2 = solve(spec, SolverConfig(), schedule=s2)
-        assert r1.termination == r2.termination == "converged"
-        t1 = DenseEngine(spec).tensor(p1)
-        t2 = DenseEngine(spec).tensor(p2)
-        assert_maxnorm_close(t1, t2, 1e-6, "schedule invariance")
-
-    def test_incomplete_schedule_rejected(self):
-        rng = np.random.default_rng(16)
-        n = 2
-        topo = GraphTopology.general(2, [(0, 1)])
-        spec = ProblemSpec(topo, {(0, 1): build_kernel(rng.uniform(0, 1, (n, n)), 1.0)},
-                           {0: Equality([0.5, 0.5]), 1: Equality([0.4, 0.6])}, {}, 1.0)
-        with pytest.raises(InvalidInput):
-            solve(spec, schedule=Schedule((("node", 0, 0),)))
-
-    def test_custom_schedule_needs_general_topology(self):
-        rng = np.random.default_rng(17)
-        spec = two_node_spec(rng)
-        with pytest.raises(InvalidInput):
-            solve(spec, schedule=Schedule.default_for(spec))
-
-
 class TestResiduals:
     def test_satisfied_equality_is_zero(self):
         rng = np.random.default_rng(18)
@@ -475,11 +459,10 @@ class TestRLinearTrend:
         errors = []
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        from gtop.solver import _PathDriver, _Updater
-        driver = _PathDriver(spec)
+        from gtop.solver import _Updater
         eng.rebuild_backward(pots)
         for sweep in range(1, 61):
-            driver.sweep(eng, pots, _Updater(spec, pots, None, sweep))
+            _Updater(spec, pots, None, sweep).sweep(eng)
             errors.append(float(np.abs(DenseEngine(spec).tensor(pots).value()
                                        - m_star).sum()))
         # keep the tail above the reference-solution precision floor
