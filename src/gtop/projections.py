@@ -13,9 +13,10 @@ mode is
     potential, is the carried factor of its time node.
 
 The engine computes projections by passing these messages along the path,
-never materializing the tensor.  A dense reference engine does materialize
-it, for small instances, and is the ground truth the path recursion is
-tested against.
+never materializing the tensor.  A dense engine sums out one variable at a
+time on any small graph (variable elimination), is the reference the path
+recursion is tested against, and is itself tested against a brute-force
+tensor.
 
 Message conventions (messages have shape ``(carried, n_j)``):
   - forward messages aggregate everything strictly left of a node,
@@ -48,6 +49,14 @@ class _EngineBase:
         arr = ScaledArray(mantissa, log_scale)
         self._note(arr.renormalize())
         return arr
+
+    def _kernel_with_edge_factor(self, e, pots):
+        """Kernel times any potential factor living on the same edge."""
+        k = self.spec.kernels[e]
+        u_edge = pots.edge_value(e)
+        if u_edge is None:
+            return k.m, k.log_scale
+        return k.m * u_edge.m, k.log_scale + u_edge.log_scale
 
 
 class ChainEngine(_EngineBase):
@@ -89,14 +98,6 @@ class ChainEngine(_EngineBase):
             self.order.append(("node", j))
             if j < self.T - 1:
                 self.order += [("edge", (j, j + 1)), ("push", j)]
-
-    def _kernel_with_edge_factor(self, e, pots):
-        """Kernel times any potential factor living on the same edge."""
-        k = self.spec.kernels[e]
-        u_edge = pots.edge_value(e)
-        if u_edge is None:
-            return k.m, k.log_scale
-        return k.m * u_edge.m, k.log_scale + u_edge.log_scale
 
     def _times_carried(self, m, ls, j, pots):
         """``(m, ls)`` times the carried factor of path node ``j``, if it has one."""
@@ -194,10 +195,13 @@ class ChainEngine(_EngineBase):
 
 
 class DenseEngine(_EngineBase):
-    """Brute-force reference: materializes the plan and sums modes out.
+    """Variable elimination on a small graph of any topology (arXiv 2006.14113).
 
-    Every projection is recomputed from the potentials, so ``order`` needs
-    no message pushes: every node, then every edge.
+    A projection contracts the node potentials and, per edge, the kernel
+    times any edge potential, leaving an excluded factor out.  The pairwise
+    order of each ``(keep, exclude)`` signature comes from ``np.einsum_path``
+    once per engine and is replayed with plain ``np.einsum``, so the plan
+    tensor is never formed.  ``order``: every node, then every edge.
     """
 
     def __init__(self, spec, rescale_log=None):
@@ -209,6 +213,7 @@ class DenseEngine(_EngineBase):
                                     % (DENSE_ENTRY_BUDGET, total))
         self.order = ([("node", j) for j in range(len(self.sizes))]
                       + [("edge", e) for e in spec.topology.edges])
+        self._plans = {}
 
     def rebuild_backward(self, pots):
         pass
@@ -216,49 +221,43 @@ class DenseEngine(_EngineBase):
     def refresh(self, pots):
         pass
 
-    def _axis_shape(self, axes):
-        shape = [1] * len(self.sizes)
-        for ax in axes:
-            shape[ax] = self.sizes[ax]
-        return shape
+    def _plan(self, keep, exclude):
+        """Contraction steps ``(positions, "ab,bc->ac")`` of one signature.
 
-    def tensor(self, pots, exclude=None):
-        """The full plan, optionally with one node or edge factor left out."""
-        m = np.ones(self.sizes)
-        ls = 0.0
-        for j in range(len(self.sizes)):
-            if exclude == ("node", j):
-                continue
-            u = pots.node_value(j)
-            m = m * u.m.reshape(self._axis_shape([j]))
-            ls += u.log_scale
-        for e in self.spec.topology.edges:
-            a, b = e
-            km = self.spec.kernels[e].m
-            ls += self.spec.kernels[e].log_scale
-            if exclude != ("edge", e):
-                u_edge = pots.edge_value(e)
-                if u_edge is not None:
-                    km = km * u_edge.m
-                    ls += u_edge.log_scale
-            if a < b:
-                m = m * km.reshape(self._axis_shape([a, b]))
-            else:
-                m = m * km.T.reshape(self._axis_shape([b, a]))
-        out = ScaledArray(m, ls)
-        self._note(out.renormalize())
-        return out
+        A step pops the operands at ``positions`` and appends their
+        contraction, which keeps only the modes ``keep`` or a later operand needs.
+        """
+        letter = [chr(ord("a") + j) for j in range(len(self.sizes))]
+        subs = [letter[j] for j in range(len(self.sizes)) if exclude != ("node", j)]
+        subs += [letter[a] + letter[b] for a, b in self.spec.topology.edges]
+        out = "".join(letter[j] for j in keep)
+        shapes = [np.empty([self.sizes[letter.index(c)] for c in s]) for s in subs]
+        steps = []
+        for pos in np.einsum_path(",".join(subs) + "->" + out, *shapes, optimize="greedy")[0][1:]:
+            pos = sorted(pos, reverse=True)
+            taken = [subs.pop(p) for p in pos]
+            live = set(out).union(*subs)
+            res = "".join(sorted(set("".join(taken)) & live)) if subs else out
+            steps.append((pos, ",".join(taken) + "->" + res))
+            subs.append(res)
+        return steps
 
     def project(self, pots, keep, exclude=None):
-        """Sum the plan over every mode not listed in ``keep``."""
-        keep = tuple(keep)
-        full = self.tensor(pots, exclude=exclude)
-        drop = tuple(ax for ax in range(len(self.sizes)) if ax not in keep)
-        m = full.m.sum(axis=drop) if drop else full.m
-        order = tuple(sorted(keep))
-        if order != keep:
-            m = np.transpose(m, [order.index(ax) for ax in keep])
-        return self._fin(m, full.log_scale)
+        """Sum the plan over every mode not listed in ``keep``, in ``keep`` order."""
+        key = (tuple(keep), exclude)
+        if key not in self._plans:
+            self._plans[key] = self._plan(*key)
+        nodes = [pots.node_value(j) for j in range(len(self.sizes)) if exclude != ("node", j)]
+        ops, ls = [u.m for u in nodes], sum(u.log_scale for u in nodes)
+        for e in self.spec.topology.edges:
+            k = self.spec.kernels[e]
+            m, kls = ((k.m, k.log_scale) if exclude == ("edge", e)
+                      else self._kernel_with_edge_factor(e, pots))
+            ops.append(m)
+            ls += kls
+        for pos, subscripts in self._plans[key]:
+            ops.append(np.einsum(subscripts, *[ops.pop(p) for p in pos]))
+        return self._fin(ops[0], ls)
 
     def w_node(self, j, pots):
         return self.project(pots, (j,), exclude=("node", j))

@@ -95,17 +95,23 @@ def residuals(potentials, spec):
 
 
 class _Verifier:
-    """Optional per-update checks: dual monotonicity, dense cross-validation."""
+    """Optional per-update checks: dual monotonicity, dense cross-validation.
 
-    def __init__(self, spec, config):
+    A dense solve engine keeps no messages, so it evaluates the dual
+    mid-sweep too, and it needs no oracle: a second copy of itself would
+    check nothing.
+    """
+
+    def __init__(self, spec, config, engine):
         self.spec = spec
         self.last = None
+        self.dense = engine if isinstance(engine, DenseEngine) else None
         self.oracle = None
-        if config.oracle_check:
+        if config.oracle_check and self.dense is None:
             self.oracle = DenseEngine(spec)
 
     def check_update(self, pots, label):
-        d = dual_objective(pots, self.spec)
+        d = dual_objective(pots, self.spec, self.dense)
         if self.last is not None and math.isfinite(self.last):
             if d < self.last - _MONOTONE_SLACK * max(1.0, abs(self.last)):
                 raise VerificationFailure(
@@ -217,7 +223,7 @@ def solve(spec, config=None, initial=None):
     rescale = RescaleLog()
     engine = make_engine(spec, rescale)
     pots = initial.copy() if initial is not None else DualPotentials.ones_for(spec)
-    verifier = _Verifier(spec, config) if (config.verify or config.oracle_check) else None
+    verifier = _Verifier(spec, config, engine) if (config.verify or config.oracle_check) else None
 
     report = SolveReport()
     t0 = time.perf_counter()

@@ -15,6 +15,43 @@ def assert_maxnorm_close(a, b, rtol, context=""):
     assert err <= rtol, "%s: max-norm relative error %.3g exceeds %.3g" % (context, err, rtol)
 
 
+def dense_tensor(spec, pots, exclude=None):
+    """Brute-force plan: the broadcast product of every factor, materialized.
+
+    ``exclude`` leaves out one node potential (``("node", j)``) or one edge
+    potential (``("edge", e)``; the kernel stays), as the projection weights
+    do.  The ground truth the contraction engines are checked against.
+    """
+    sizes = spec.node_sizes
+
+    def along(m, axes):
+        """``m`` over the modes ``axes``, shaped to broadcast against the plan."""
+        if list(axes) != sorted(axes):
+            m = m.T
+        shape = [1] * len(sizes)
+        for ax in axes:
+            shape[ax] = sizes[ax]
+        return m.reshape(shape)
+
+    m = np.ones(sizes)
+    ls = 0.0
+    for j in range(len(sizes)):
+        if exclude != ("node", j):
+            u = pots.node_value(j)
+            m = m * along(u.m, (j,))
+            ls += u.log_scale
+    for e in spec.topology.edges:
+        k = spec.kernels[e]
+        km, ls = k.m, ls + k.log_scale
+        u_edge = None if exclude == ("edge", e) else pots.edge_value(e)
+        if u_edge is not None:
+            km, ls = km * u_edge.m, ls + u_edge.log_scale
+        m = m * along(km, e)
+    out = ScaledArray(m, ls)
+    out.renormalize()
+    return out
+
+
 def random_potentials(spec, rng, zero_rate=0.0, log_spread=1.0):
     """Positive potentials with optional exact zeros and varied magnitudes."""
     pots = DualPotentials.ones_for(spec)

@@ -20,8 +20,8 @@ from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
 from gtop.projections import DenseEngine
 from gtop.solver import _Updater
 
-from _support import (assert_maxnorm_close, random_chain_spec, random_hub_spec,
-                      random_od_spec, random_potentials)
+from _support import (assert_maxnorm_close, dense_tensor, random_chain_spec,
+                      random_hub_spec, random_od_spec, random_potentials)
 
 
 @contextmanager
@@ -190,7 +190,7 @@ def test_criterion_4_r_linear_convergence():
         ref_pots, ref_report = solve(spec, SolverConfig(potential_tol=5e-15,
                                                         max_sweeps=40000))
         assert ref_report.termination == "converged"
-        m_star = DenseEngine(spec).tensor(ref_pots).value()
+        m_star = dense_tensor(spec, ref_pots).value()
 
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
@@ -198,7 +198,7 @@ def test_criterion_4_r_linear_convergence():
         errors = []
         for sweep in range(1, 201):
             _Updater(spec, pots, None, sweep).sweep(eng)
-            errors.append(float(np.abs(DenseEngine(spec).tensor(pots).value()
+            errors.append(float(np.abs(dense_tensor(spec, pots).value()
                                        - m_star).sum()))
         # last 100 checked pairs, all above the reference precision floor
         tail = np.array([e for e in errors if e > 1e-8][-110:])

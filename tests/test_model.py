@@ -9,9 +9,8 @@ import pytest
 from gtop import (CompositeFunction, DualPotentials, Equality, GraphTopology,
                   InvalidInput, ProblemSpec, ScaledArray, Zero, build_kernel,
                   dual_objective, total_mass)
-from gtop.projections import DenseEngine
 
-from _support import random_chain_spec, random_potentials
+from _support import dense_tensor, random_chain_spec, random_potentials
 
 
 def all_ones_chain(n_nodes=3, n=2, epsilon=1.0):
@@ -156,7 +155,7 @@ class TestTotalMass:
         rng = np.random.default_rng(3)
         spec = random_chain_spec(rng, n_nodes=3, sizes=[3, 3, 3])
         pots = random_potentials(spec, rng)
-        dense = DenseEngine(spec).tensor(pots).total()
+        dense = dense_tensor(spec, pots).total()
         assert total_mass(pots, spec) == pytest.approx(dense, rel=1e-12)
 
     def test_identical_across_nodes(self):
@@ -199,7 +198,7 @@ class TestDualObjective:
         pots = random_potentials(spec, rng)
         pots.nodes[1] = [ScaledArray.ones(n)]  # the free node keeps a unit factor
         # independent evaluation, straight from the closed forms
-        mass = DenseEngine(spec).tensor(pots).total()
+        mass = dense_tensor(spec, pots).total()
         lam0 = 0.7 * pots.nodes[0][0].log_value()
         lam2 = 0.7 * pots.nodes[2][0].log_value()
         expected = -0.7 * mass - float(np.dot(-lam0, mu0)) - float(np.dot(-lam2, mu2))

@@ -1,13 +1,16 @@
-"""Projection tests: structured recursions against the dense reference."""
+"""Projection tests: structured recursions against the dense reference, and
+the dense engine's contractions against a brute-force tensor."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gtop import (ChainEngine, DenseEngine, DualPotentials, Equality, GraphTopology,
-                  ProblemSpec, ScaledArray, SizeBoundExceeded, TopologyMismatch,
-                  Zero, build_kernel, make_engine)
+from gtop import (Box, ChainEngine, CompositeFunction, DenseEngine, DualPotentials,
+                  Equality, GraphTopology, ProblemSpec, QuadraticDistance, ScaledArray,
+                  SizeBoundExceeded, TopologyMismatch, Zero, build_kernel, make_engine)
 
-from _support import (as_general, assert_maxnorm_close, random_chain_spec,
+from _support import (as_general, assert_maxnorm_close, dense_tensor, random_chain_spec,
                       random_hub_spec, random_od_spec, random_potentials)
 
 
@@ -32,7 +35,7 @@ class TestDenseOracle:
         pots.nodes[0] = [ScaledArray.from_values([0.3, 0.7])]
         pots.nodes[1] = [ScaledArray.from_values([0.6, 0.4])]
         den = DenseEngine(spec)
-        t = den.tensor(pots)
+        t = dense_tensor(spec, pots)
         np.testing.assert_allclose(t.value(), [[0.18, 0.12], [0.42, 0.28]], rtol=1e-14)
         np.testing.assert_allclose(den.project(pots, (0,)).value(), [0.3, 0.7], rtol=1e-14)
         np.testing.assert_allclose(den.project(pots, (1,)).value(), [0.6, 0.4], rtol=1e-14)
@@ -54,6 +57,139 @@ class TestDenseOracle:
         p = den.bimarginal((hub, 0), pots)
         q = den.project(pots, (0, hub))
         np.testing.assert_allclose(p.value(), q.value().T, rtol=1e-13)
+
+
+def brute_projection(spec, pots, keep, exclude=None):
+    """``dense_tensor`` summed over every mode not in ``keep``, in ``keep`` order."""
+    t = dense_tensor(spec, pots, exclude)
+    drop = tuple(ax for ax in range(len(spec.node_sizes)) if ax not in keep)
+    m = t.m.sum(axis=drop) if drop else t.m
+    order = sorted(keep)
+    return ScaledArray(np.transpose(m, [order.index(ax) for ax in keep]), t.log_scale)
+
+
+def random_general_spec(rng, edges, sizes, epsilon=0.8):
+    """General graph with random kernels, Equality costs on the first and last
+    edges, and two stacked costs on node 0."""
+    kernels = {(a, b): build_kernel(rng.uniform(0.0, 2.0, (sizes[a], sizes[b])), epsilon)
+               for a, b in edges}
+    edge_fns = {e: Equality(rng.uniform(0.1, 1.0, (sizes[e[0]], sizes[e[1]])))
+                for e in (edges[0], edges[-1])}
+    node_fns = {0: CompositeFunction([Box(0.0, np.full(sizes[0], 2.0)),
+                                      QuadraticDistance(1.0, rng.uniform(0.2, 0.8, sizes[0]))])}
+    return ProblemSpec(GraphTopology.general(len(sizes), edges), kernels, node_fns, edge_fns,
+                       epsilon)
+
+
+def cycle_with_chord(n):
+    """Cycle over ``n`` nodes plus the chord (0, n // 2); the closing edge runs
+    high to low, ``(n - 1, 0)``."""
+    return [(j, j + 1) for j in range(n - 1)] + [(n - 1, 0), (0, n // 2)]
+
+
+class TestDenseContraction:
+    """Every dense projection equals the matching sum of the brute-force tensor."""
+
+    def check_all(self, spec, pots, context):
+        den = DenseEngine(spec)
+        count = spec.topology.node_count
+        for j in range(count):
+            assert_maxnorm_close(den.w_node(j, pots),
+                                 brute_projection(spec, pots, (j,), ("node", j)),
+                                 1e-12, "%s w_node %d" % (context, j))
+            assert_maxnorm_close(den.marginal(j, pots), brute_projection(spec, pots, (j,)),
+                                 1e-12, "%s marginal %d" % (context, j))
+        for e in spec.topology.edges:
+            assert_maxnorm_close(den.w_edge(e, pots),
+                                 brute_projection(spec, pots, e, ("edge", e)),
+                                 1e-12, "%s w_edge %r" % (context, e))
+            assert_maxnorm_close(den.bimarginal(e, pots), brute_projection(spec, pots, e),
+                                 1e-12, "%s bimarginal %r" % (context, e))
+        adjacent = {frozenset(e) for e in spec.topology.edges}
+        apart = next((a, b) for a in range(count) for b in range(a + 1, count)
+                     if frozenset((a, b)) not in adjacent)
+        for keep in (apart, apart[::-1], (count - 1, 0, 1), tuple(range(count))):
+            assert_maxnorm_close(den.project(pots, keep), brute_projection(spec, pots, keep),
+                                 1e-12, "%s project %r" % (context, keep))
+
+    def test_cycle_with_chord_unequal_sizes(self):
+        rng = np.random.default_rng(60)
+        for trial in range(8):
+            n = int(rng.integers(4, 7))
+            sizes = [int(rng.integers(2, 5)) for _ in range(n)]
+            spec = random_general_spec(rng, cycle_with_chord(n), sizes)
+            pots = random_potentials(spec, rng, zero_rate=0.2 if trial % 2 else 0.0)
+            assert len(pots.nodes[0]) == 2
+            self.check_all(spec, pots, "cycle trial %d" % trial)
+
+    def test_hub_declared_general(self):
+        # as_general keeps the hub edges as (hub, j): every one runs high to low
+        rng = np.random.default_rng(61)
+        for trial in range(6):
+            spec = as_general(random_hub_spec(rng, time_nodes=3))
+            pots = random_potentials(spec, rng, zero_rate=0.2 if trial % 2 else 0.0)
+            self.check_all(spec, pots, "hub trial %d" % trial)
+
+    def test_edge_potential_exact_zeros(self):
+        rng = np.random.default_rng(62)
+        spec = random_general_spec(rng, cycle_with_chord(5), [3, 2, 4, 3, 2])
+        pots = random_potentials(spec, rng)
+        e = spec.topology.edges[-1]
+        vals = pots.edge_value(e).value()
+        vals[0, :] = 0.0
+        vals[1, 1] = 0.0
+        pots.edges[e] = [ScaledArray.from_values(vals)]
+        self.check_all(spec, pots, "zeroed edge potential")
+
+    def test_peak_memory_below_one_plan(self):
+        # one of each projection on a 6-node size-6 graph never holds a 6^6 array
+        rng = np.random.default_rng(63)
+        spec = random_general_spec(rng, cycle_with_chord(6), [6] * 6)
+        pots = random_potentials(spec, rng)
+        den = DenseEngine(spec)
+        e = spec.topology.edges[0]
+        tracemalloc.start()
+        try:
+            den.w_node(2, pots)
+            den.w_edge(e, pots)
+            den.marginal(3, pots)
+            den.bimarginal(e, pots)
+            den.project(pots, (4, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 ** 6 * 8
+
+    def test_paths_planned_once_per_signature(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        spec = random_general_spec(rng, cycle_with_chord(5), [2, 3, 2, 3, 2])
+        pots = random_potentials(spec, rng)
+        den = DenseEngine(spec)
+        planned = []
+        einsum_path = np.einsum_path
+
+        def counted(*args, **kwargs):
+            planned.append(args[0])
+            return einsum_path(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", counted)
+
+        def every_projection():
+            for j in range(5):
+                den.w_node(j, pots)
+                den.marginal(j, pots)
+            for e in spec.topology.edges:
+                den.w_edge(e, pots)
+                den.bimarginal(e, pots)
+
+        signatures = 10 + 2 * len(spec.topology.edges)
+        every_projection()
+        assert len(planned) == signatures
+        every_projection()
+        assert len(planned) == signatures
+        den.project(pots, (3, 0))
+        den.project(pots, (3, 0))
+        assert len(planned) == signatures + 1
 
 
 class TestChainProjections:

@@ -12,7 +12,8 @@ from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
 from gtop.model import _parts, smul
 from gtop.projections import DenseEngine
 
-from _support import as_general, assert_maxnorm_close, random_hub_spec, random_potentials
+from _support import (as_general, assert_maxnorm_close, dense_tensor, random_hub_spec,
+                      random_potentials)
 
 
 def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
@@ -214,6 +215,24 @@ class TestSolve:
         for j in range(spec.topology.node_count):
             assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-8,
                                  "%s vs dense marginal %d" % (instance, j))
+
+    @pytest.mark.parametrize("declared", ["structured", "general"])
+    def test_oracle_built_only_for_other_engines(self, declared, monkeypatch):
+        # a general spec already solves on the dense engine: no second copy
+        spec = self._stacked_chain_spec()
+        if declared == "general":
+            spec = as_general(spec)
+        built = []
+        init = DenseEngine.__init__
+
+        def counted(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(DenseEngine, "__init__", counted)
+        _, report = solve(spec, SolverConfig(verify=True, oracle_check=True))
+        assert report.termination == "converged"
+        assert len(built) == 1
 
     def test_monotone_dual_trace(self):
         rng = np.random.default_rng(8)
@@ -454,7 +473,7 @@ class TestRLinearTrend:
         ref_pots, ref_report = solve(spec, SolverConfig(potential_tol=1e-14,
                                                         max_sweeps=20000))
         assert ref_report.termination == "converged"
-        m_star = DenseEngine(spec).tensor(ref_pots).value()
+        m_star = dense_tensor(spec, ref_pots).value()
 
         errors = []
         pots = DualPotentials.ones_for(spec)
@@ -463,7 +482,7 @@ class TestRLinearTrend:
         eng.rebuild_backward(pots)
         for sweep in range(1, 61):
             _Updater(spec, pots, None, sweep).sweep(eng)
-            errors.append(float(np.abs(DenseEngine(spec).tensor(pots).value()
+            errors.append(float(np.abs(dense_tensor(spec, pots).value()
                                        - m_star).sum()))
         # keep the tail above the reference-solution precision floor
         tail = np.array([e for e in errors if e > 1e-9][-40:])
@@ -490,5 +509,5 @@ class TestDivergenceWarning:
                                                 log_potential_bound=3.0))
         assert any("log bound" in w for w in report.warnings)
         # the primal plan itself approaches its optimum even so
-        plan = DenseEngine(spec).tensor(pots).value()
+        plan = dense_tensor(spec, pots).value()
         np.testing.assert_allclose(plan, [[1.0, 0.0], [1.0, 1.0]], atol=0.02)
