@@ -176,6 +176,16 @@ class GraphTopology:
         return (0, self.node_count - 1)
 
     @property
+    def path_chords(self):
+        """The chords ``(0, b)`` when the edges are exactly the path (0, 1), ...,
+        (n-2, n-1) plus chords from node 0, as given; None for any other graph."""
+        path = {(t, t + 1) for t in range(self.node_count - 1)}
+        chords = tuple(e for e in self.edges if e not in path)
+        if len(self.edges) - len(chords) < len(path) or any(a != 0 for a, _ in chords):
+            return None
+        return chords
+
+    @property
     def time_nodes(self):
         if self.kind == SPECIES_HUB:
             return tuple(range(self.hub))

@@ -6,17 +6,18 @@ tree (Haasler, Ringh, Chen and Karlsson, arXiv 2004.06909).  The carried
 mode is
 
   - chain: nothing (a mode of size 1);
-  - od_cycle: the state of node 0.  The forward seed is the identity and the
-    chord, kernel times potential, is the carried factor of node T-1;
+  - od_cycle, and any ``general`` graph whose edges are the path plus chords
+    (0, b): the state of node 0.  The forward seed is the identity and each
+    chord (0, b), kernel times potential, is the carried factor of node b;
   - species_hub: the species index, which is the hub node.  The hub
     potential seeds the backward pass and each hub edge, kernel times
     potential, is the carried factor of its time node.
 
 The engine computes projections by passing these messages along the path,
 never materializing the tensor.  A dense engine sums out one variable at a
-time on any small graph (variable elimination), is the reference the path
-recursion is tested against, and is itself tested against a brute-force
-tensor.
+time (variable elimination) on every other small ``general`` graph.  It is
+also the reference the path recursion is tested against, and is itself
+tested against a brute-force tensor.
 
 Message conventions (messages have shape ``(carried, n_j)``):
   - forward messages aggregate everything strictly left of a node,
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import SizeBoundExceeded, TopologyMismatch
-from .model import (CHAIN, GENERAL, OD_CYCLE, SPECIES_HUB, ScaledArray, smul)
+from .model import GENERAL, SPECIES_HUB, ScaledArray, smul
 
 DENSE_ENTRY_BUDGET = 6 ** 6
 
@@ -62,33 +63,32 @@ class _EngineBase:
 class ChainEngine(_EngineBase):
     """Forward/backward substitution along a path with one carried mode.
 
-    Serves the chain, od_cycle and species_hub topologies; ``T`` is the
-    number of path nodes and ``carried`` maps a path node to the edge whose
-    kernel and potential form its carried factor.  ``order`` walks the path
-    left to right: at each node the carried edge, the node, the path edge
-    to the right, then the push of the forward message past the node.  The
-    hub carries no cost of its own and heads the order only so that the
-    order names every node and every edge once.
+    Serves the chain, od_cycle and species_hub topologies and every graph
+    whose edges are the path plus chords from node 0 (``path_chords``).
+    ``T`` is the number of path nodes and ``carried`` maps a path node to
+    the edge whose kernel and potential form its carried factor.  ``order``
+    walks the path left to right: at each node the carried edge, the node,
+    the path edge to the right, then the push of the forward message past
+    the node.  The hub carries no cost of its own and heads the order only
+    so that the order names every node and every edge once.
     """
 
     def __init__(self, spec, rescale_log=None):
         topo = spec.topology
-        if topo.kind not in (CHAIN, OD_CYCLE, SPECIES_HUB):
-            raise TopologyMismatch("the path engine needs a chain, od_cycle or "
-                                   "species_hub topology, not %r" % (topo.kind,))
+        chords = topo.path_chords
+        if topo.kind != SPECIES_HUB and chords is None:
+            raise TopologyMismatch("the path engine needs a species hub or a path plus "
+                                   "chords from node 0, not the edges %r" % (topo.edges,))
         super().__init__(spec, rescale_log)
         self.T = len(topo.time_nodes)
         self.hub = topo.hub
         n0 = spec.node_sizes[0]
-        if topo.kind == CHAIN:
-            seed = np.ones((1, n0))
-            self.carried = {}
-        elif topo.kind == OD_CYCLE:
-            seed = np.eye(n0)
-            self.carried = {self.T - 1: topo.chord}
-        else:
+        if self.hub is not None:
             seed = np.ones((topo.species_count, n0))
             self.carried = {j: (self.hub, j) for j in range(self.T)}
+        else:
+            seed = np.eye(n0) if chords else np.ones((1, n0))
+            self.carried = {b: (0, b) for _, b in chords}
         self.fwd = [ScaledArray(seed, 0.0)] + [None] * (self.T - 1)
         self.bwd = [None] * self.T
         self.order = [] if self.hub is None else [("node", self.hub)]
@@ -197,6 +197,10 @@ class ChainEngine(_EngineBase):
 class DenseEngine(_EngineBase):
     """Variable elimination on a small graph of any topology (arXiv 2006.14113).
 
+    ``make_engine`` picks it for every ``general`` graph the path engine
+    does not fit; on any graph it is the oracle the path engine is checked
+    against.
+
     A projection contracts the node potentials and, per edge, the kernel
     times any edge potential, leaving an excluded factor out.  The pairwise
     order of each ``(keep, exclude)`` signature comes from ``np.einsum_path``
@@ -273,6 +277,6 @@ class DenseEngine(_EngineBase):
 
 
 def make_engine(spec, rescale_log=None):
-    if spec.topology.kind == GENERAL:
+    if spec.topology.kind == GENERAL and spec.topology.path_chords is None:
         return DenseEngine(spec, rescale_log)
     return ChainEngine(spec, rescale_log)

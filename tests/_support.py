@@ -128,10 +128,27 @@ def random_hub_spec(rng, time_nodes=None, n_states=None, species=None, epsilon=1
 
 
 def as_general(spec):
-    """The same instance declared as a small general graph (dense solves)."""
+    """The same instance declared as a small general graph.
+
+    A chain or an OD cycle declared general is a path plus chords from
+    node 0, so it still runs on the path engine; only a hub gets the dense
+    engine.  ``solve_dense`` solves any spec on the dense engine.
+    """
     topo = GraphTopology.general(spec.topology.node_count, spec.topology.edges)
     return ProblemSpec(topo, spec.kernels, spec.node_functions, spec.edge_functions,
                        spec.epsilon)
+
+
+def solve_dense(spec, config=None, initial=None):
+    """``solve`` with ``gtop.solver.make_engine`` patched to ``DenseEngine`` for
+    this one call: the dense ground truth of a solve, whatever the topology."""
+    from gtop import DenseEngine, solver
+    routed = solver.make_engine
+    solver.make_engine = DenseEngine
+    try:
+        return solver.solve(spec, config, initial)
+    finally:
+        solver.make_engine = routed
 
 
 def feasible_marginals(spec, rng):

@@ -21,7 +21,7 @@ from gtop.projections import DenseEngine
 from gtop.solver import _Updater
 
 from _support import (assert_maxnorm_close, dense_tensor, random_chain_spec,
-                      random_hub_spec, random_od_spec, random_potentials)
+                      random_hub_spec, random_od_spec, random_potentials, solve_dense)
 
 
 @contextmanager
@@ -163,7 +163,8 @@ def test_criterion_3_monotone_dual_ascent():
                                       QuadraticDistance(0.8, rng.uniform(0.1, 0.4, n))])}
         solve(ProblemSpec(topo, kernels, nfns, efns, 0.5), cfg)
 
-        # general graph, dense engine with a Box-constrained edge
+        # general path plus the chord (0, 2) with a Box-constrained chord, on
+        # the path engine and on the dense engine
         spec = ProblemSpec(GraphTopology.general(3, [(0, 1), (1, 2), (0, 2)]),
                            {(0, 1): build_kernel(rng.uniform(0, 1, (3, 3)), 0.8),
                             (1, 2): build_kernel(rng.uniform(0, 1, (3, 3)), 0.8),
@@ -172,6 +173,7 @@ def test_criterion_3_monotone_dual_ascent():
                             1: QuadraticDistance(1.0, rng.uniform(0.1, 0.4, 3))},
                            {(0, 2): Box(0.0, np.full((3, 3), 0.4))}, 0.8)
         solve(spec, cfg)
+        solve_dense(spec, cfg)
 
 
 def test_criterion_4_r_linear_convergence():

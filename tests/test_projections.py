@@ -81,6 +81,18 @@ def random_general_spec(rng, edges, sizes, epsilon=0.8):
                        epsilon)
 
 
+def path_chord_edges(rng, n):
+    """The path over ``n`` nodes plus 1-3 chords (0, b), shuffled between a
+    path edge first and a chord last (``random_general_spec`` costs both)."""
+    count = int(rng.integers(1, min(3, n - 2) + 1))
+    chords = [(0, int(b)) for b in rng.choice(np.arange(2, n), count, replace=False)]
+    path = [(j, j + 1) for j in range(n - 1)]
+    first = path.pop(int(rng.integers(n - 1)))
+    last = chords.pop()
+    middle = path + chords
+    return [first] + [middle[i] for i in rng.permutation(len(middle))] + [last]
+
+
 def cycle_with_chord(n):
     """Cycle over ``n`` nodes plus the chord (0, n // 2); the closing edge runs
     high to low, ``(n - 1, 0)``."""
@@ -326,8 +338,53 @@ class TestODProjections:
                                  "od endpoint marginal %d" % j)
 
     def test_topology_guard(self):
+        # an OD cycle whose chord is given high to low is not path-plus-chord
         rng = np.random.default_rng(7)
-        spec = as_general(random_chain_spec(rng))
+        spec = random_general_spec(rng, [(0, 1), (1, 2), (2, 3), (3, 0)], [3, 2, 3, 2])
+        with pytest.raises(TopologyMismatch):
+            ChainEngine(spec)
+
+
+class TestPathChordRouting:
+    """A general path plus chords from node 0 runs on the path engine; every
+    other general graph stays on the dense engine."""
+
+    def test_matches_dense_randomized(self):
+        rng = np.random.default_rng(70)
+        for trial in range(12):
+            n = int(rng.integers(3, 7))
+            sizes = [int(rng.integers(2, 6)) for _ in range(n)]
+            spec = random_general_spec(rng, path_chord_edges(rng, n), sizes)
+            pots = random_potentials(spec, rng, zero_rate=0.2 if trial % 2 else 0.0)
+            assert len(pots.nodes[0]) == 2 and len(pots.edges) == 2
+            eng = refreshed(spec, pots)
+            assert type(eng) is ChainEngine
+            den = DenseEngine(spec)
+            for j in range(n):
+                assert_maxnorm_close(eng.w_node(j, pots), den.w_node(j, pots), 1e-12,
+                                     "w_node %d trial %d" % (j, trial))
+                assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-12,
+                                     "marginal %d trial %d" % (j, trial))
+            for e in spec.topology.edges:
+                assert_maxnorm_close(eng.w_edge(e, pots), den.w_edge(e, pots), 1e-12,
+                                     "w_edge %r trial %d" % (e, trial))
+                assert_maxnorm_close(eng.bimarginal(e, pots), den.bimarginal(e, pots), 1e-12,
+                                     "bimarginal %r trial %d" % (e, trial))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (3, 0)],
+        [(0, 1), (2, 1), (2, 3), (3, 4), (0, 3)],
+        "hub",
+    ], ids=["interior_chord", "chord_high_to_low", "path_edge_high_to_low", "hub"])
+    def test_other_graphs_stay_dense(self, edges):
+        rng = np.random.default_rng(71)
+        if edges == "hub":
+            spec = as_general(random_hub_spec(rng, time_nodes=3))
+        else:
+            spec = random_general_spec(rng, edges, [2, 3, 2, 3, 2])
+        assert spec.topology.path_chords is None
+        assert type(make_engine(spec)) is DenseEngine
         with pytest.raises(TopologyMismatch):
             ChainEngine(spec)
 
@@ -431,7 +488,7 @@ class TestMessageReuse:
 class TestUpdateOrder:
     """An engine's sweep order names every node and every edge exactly once."""
 
-    @pytest.mark.parametrize("family", ["chain", "od", "hub", "general"])
+    @pytest.mark.parametrize("family", ["chain", "od", "hub", "general", "path_chords"])
     def test_order_covers_every_block_once(self, family):
         rng = np.random.default_rng(50)
         for _ in range(10):
@@ -439,10 +496,14 @@ class TestUpdateOrder:
                 spec = random_chain_spec(rng, with_edge_fn=True)
             elif family == "hub":
                 spec = random_hub_spec(rng)
-            else:
+            elif family == "od":
                 spec = random_od_spec(rng)
-                if family == "general":
-                    spec = as_general(spec)
+            else:
+                # "general" is not path-plus-chord: its closing edge runs high to low
+                n = int(rng.integers(4, 7))
+                edges = path_chord_edges(rng, n) if family == "path_chords" \
+                    else cycle_with_chord(n)
+                spec = random_general_spec(rng, edges, [2] * n)
             topo = spec.topology
             order = make_engine(spec).order
             expected = ([("node", j) for j in range(topo.node_count)]
@@ -461,3 +522,6 @@ class TestUpdateOrder:
                     < pos[("node", j + 1)]
                 if topo.hub is not None:
                     assert pos[("edge", (topo.hub, j))] < pos[("push", j)]
+            # a chord (0, b) is updated at node b, first of its blocks
+            for _, b in topo.path_chords or ():
+                assert pos[("push", b - 1)] < pos[("edge", (0, b))] < pos[("node", b)]

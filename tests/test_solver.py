@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
+from gtop import (Box, CompositeFunction, Congestion, DualPotentials, EdgeKernel, Equality,
                   GraphTopology, Infeasible, Linear, ProblemSpec,
                   QuadraticDistance, SolverConfig, Zero, build_kernel,
                   dual_objective, inclusion_residual, make_engine, residuals, solve)
@@ -13,7 +13,7 @@ from gtop.model import _parts, smul
 from gtop.projections import DenseEngine
 
 from _support import (as_general, assert_maxnorm_close, dense_tensor, random_hub_spec,
-                      random_potentials)
+                      random_potentials, solve_dense)
 
 
 def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
@@ -202,11 +202,39 @@ class TestSolve:
         efns = {(0, 1): Box(0.0, np.full((n, n), 0.3 * total))}
         return ProblemSpec(topo, kernels, nfns, efns, epsilon)
 
-    @pytest.mark.parametrize("instance", ["hub_edge_kernel", "stacked_chain"])
+    @staticmethod
+    def _path_chord_costs_spec(n=3, epsilon=0.7):
+        # a general path plus the chords (0, 2) and (0, 3), with costs on a
+        # path edge and on a chord: the path order updates the edges amid the
+        # nodes, the dense order after them
+        rng = np.random.default_rng(42)
+        edges = [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]
+        kernels = {e: build_kernel(rng.uniform(0.0, 2.0, (n, n)), epsilon) for e in edges}
+        mu = rng.uniform(0.2, 1.0, n)
+        total = float(mu.sum())
+        nfns = {0: Equality(mu), 2: QuadraticDistance(0.8, rng.uniform(0.1, 0.4, n))}
+        efns = {(1, 2): Box(0.0, np.full((n, n), 0.3 * total)),
+                (0, 3): QuadraticDistance(1.0, rng.uniform(0.0, 0.1, (n, n)))}
+        return ProblemSpec(GraphTopology.general(4, edges), kernels, nfns, efns, epsilon)
+
+    @staticmethod
+    def _reversed_edge(spec, e):
+        """``spec`` declared general with the cost-free edge ``e`` given high to low."""
+        assert e not in spec.edge_functions or spec.edge_functions[e].is_zero
+        edges = [f[::-1] if f == e else f for f in spec.topology.edges]
+        kernels = dict(spec.kernels)
+        k = kernels.pop(e)
+        kernels[e[::-1]] = EdgeKernel(k.m.T, k.log_scale)
+        efns = {f: fn for f, fn in spec.edge_functions.items() if f != e}
+        return ProblemSpec(GraphTopology.general(spec.topology.node_count, edges), kernels,
+                           spec.node_functions, efns, spec.epsilon)
+
+    @pytest.mark.parametrize("instance", ["hub_edge_kernel", "stacked_chain",
+                                          "path_chord_costs"])
     def test_structured_solve_matches_dense(self, instance):
         spec = getattr(self, "_%s_spec" % instance)()
         pots, report = solve(spec, SolverConfig(potential_tol=1e-12))
-        dense_pots, dense_report = solve(as_general(spec), SolverConfig(potential_tol=1e-12))
+        dense_pots, dense_report = solve_dense(spec, SolverConfig(potential_tol=1e-12))
         assert report.termination == dense_report.termination == "converged"
         assert report.dual_objective == pytest.approx(dense_report.dual_objective, rel=1e-9)
         eng = make_engine(spec)
@@ -216,11 +244,14 @@ class TestSolve:
             assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-8,
                                  "%s vs dense marginal %d" % (instance, j))
 
-    @pytest.mark.parametrize("declared", ["structured", "general"])
+    @pytest.mark.parametrize("declared", ["structured", "general", "path_chords"])
     def test_oracle_built_only_for_other_engines(self, declared, monkeypatch):
-        # a general spec already solves on the dense engine: no second copy
+        # a general spec that is no path plus chords from node 0 already
+        # solves on the dense engine: no second copy; a general path gets one
         spec = self._stacked_chain_spec()
         if declared == "general":
+            spec = self._reversed_edge(spec, (1, 2))
+        elif declared == "path_chords":
             spec = as_general(spec)
         built = []
         init = DenseEngine.__init__
@@ -289,6 +320,50 @@ class TestSolve:
         eng = make_engine(spec)
         eng.refresh(pots)
         assert residuals(pots, spec)["node:0"] <= 1e-8
+
+
+def cycle_with_chord_spec(n=3, epsilon=0.5):
+    """A 6-cycle plus the chord (0, 3), declared general, with Equality, Box,
+    QuadraticDistance and Congestion node costs drawn from one positive plan."""
+    rng = np.random.default_rng(43)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]
+    plan = rng.uniform(0.5, 1.5, (n,) * 6)
+    plan /= plan.sum()
+    m = [plan.sum(axis=tuple(a for a in range(6) if a != j)) for j in range(6)]
+    kernels = {e: build_kernel(rng.uniform(0.0, 1.0, (n, n)), epsilon) for e in edges}
+    nfns = {0: Equality(m[0]), 2: QuadraticDistance(1.0, m[2]), 3: Box(0.0, 1.2 * m[3]),
+            4: Congestion(4.0 * m[4]), 5: Equality(m[5])}
+    return ProblemSpec(GraphTopology.general(6, edges), kernels, nfns, {}, epsilon)
+
+
+class TestPathChordRouting:
+    """A general path plus chords from node 0 solves on the path engine."""
+
+    def test_cycle_with_chord_matches_dense_trace(self):
+        # with node costs only, both engines update nodes 0..5 in turn
+        spec = cycle_with_chord_spec()
+        _, report = solve(spec)
+        _, dense_report = solve_dense(spec)
+        assert report.termination == dense_report.termination == "converged"
+        assert report.sweeps == dense_report.sweeps
+        np.testing.assert_allclose(report.dual_values, dense_report.dual_values,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_routed_solve_never_projects_densely(self, monkeypatch):
+        calls = []
+        project = DenseEngine.project
+
+        def counted(engine, *args, **kwargs):
+            calls.append(args[1])
+            return project(engine, *args, **kwargs)
+
+        monkeypatch.setattr(DenseEngine, "project", counted)
+        spec = cycle_with_chord_spec()
+        _, report = solve(spec, SolverConfig(verify=True))
+        assert report.termination == "converged"
+        assert calls == []
+        solve_dense(spec, SolverConfig(max_sweeps=1))
+        assert calls
 
 
 class TestComposite:
