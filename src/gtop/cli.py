@@ -19,7 +19,7 @@ from . import functions as fx
 from . import model as md
 from . import solver
 from .errors import ConfigError, GtopError
-from .projections import DENSE_ENTRY_BUDGET, make_engine
+from .projections import make_engine
 
 
 class RunConfig:
@@ -467,7 +467,7 @@ def main(argv=None):
             parser.error("--max-sweeps must be at least 1")
         try:
             run_config = parse_config(args.config)
-        except ConfigError as exc:
+        except GtopError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         if args.tol is not None:
@@ -478,8 +478,6 @@ def main(argv=None):
             run_config.out_dir = args.output
         if args.verify:
             run_config.solver_config.verify = True
-            if math.prod(run_config.spec.node_sizes) <= DENSE_ENTRY_BUDGET:
-                run_config.solver_config.oracle_check = True
         return run(run_config)
     return 2
 

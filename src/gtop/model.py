@@ -177,13 +177,18 @@ class GraphTopology:
 
     @property
     def path_chords(self):
-        """The chords ``(0, b)`` when the edges are exactly the path (0, 1), ...,
-        (n-2, n-1) plus chords from node 0, as given; None for any other graph."""
-        path = {(t, t + 1) for t in range(self.node_count - 1)}
-        chords = tuple(e for e in self.edges if e not in path)
-        if len(self.edges) - len(chords) < len(path) or any(a != 0 for a, _ in chords):
+        """``(path, chords)`` when the edges are exactly the path steps
+        (path[i], path[i+1]) plus chords (path[0], b), as given; None for any
+        other graph.  The path is (hub, 0, ..., T-1) for a species hub and
+        (0, ..., n-1) otherwise."""
+        path = tuple(range(self.node_count))
+        if self.kind == SPECIES_HUB:
+            path = (self.hub,) + path[:-1]
+        steps = set(zip(path, path[1:]))
+        chords = tuple(e for e in self.edges if e not in steps)
+        if len(self.edges) - len(chords) < len(steps) or any(a != path[0] for a, _ in chords):
             return None
-        return chords
+        return path, chords
 
     @property
     def time_nodes(self):
@@ -232,10 +237,7 @@ class GraphTopology:
             expect += tuple((self.hub, j) for j in range(self.hub))
             if tuple(sorted(self.edges)) != tuple(sorted(expect)):
                 raise InvalidInput("species_hub topology requires the time path plus all hub edges")
-        elif self.kind == GENERAL:
-            if n > 6:
-                raise InvalidInput("general topologies are admitted only up to 6 nodes")
-        else:
+        elif self.kind != GENERAL:
             raise InvalidInput("unknown topology kind %r" % (self.kind,))
 
     def _connected(self):
@@ -395,7 +397,7 @@ class ProblemSpec:
 
     Holds the graph, a kernel per edge, one convex cost per node and per
     functional edge, and the regularization strength.  Construction validates
-    shapes and the placement rules each projector relies on.
+    the shapes.
     """
 
     def __init__(self, topology, kernels, node_functions=None, edge_functions=None,
@@ -456,13 +458,9 @@ class ProblemSpec:
         if missing:
             raise InvalidInput("cannot infer sizes for nodes %r; give kernels covering them"
                                % (missing,))
-        if topology.kind == GENERAL:
-            if any(sizes[j] > 6 for j in sizes):
-                raise InvalidInput("general topologies are admitted only with node sizes up to 6")
         return [sizes[j] for j in range(topology.node_count)]
 
     def _validate_functions(self):
-        topo = self.topology
         for j, fn in self.node_functions.items():
             for part in _parts(fn):
                 part.validate_size(self.node_sizes[j], where="node %d" % j)
@@ -470,20 +468,6 @@ class ProblemSpec:
             shape = (self.node_sizes[e[0]], self.node_sizes[e[1]])
             for part in _parts(fn):
                 part.validate_size(shape[0] * shape[1], where="edge %r" % (e,))
-        nontrivial = self.functional_edges
-        if topo.kind == CHAIN:
-            pass
-        elif topo.kind == OD_CYCLE:
-            bad = [e for e in nontrivial if e != topo.chord]
-            if bad:
-                raise InvalidInput("od_cycle supports edge costs only on the chord, not %r" % bad)
-        elif topo.kind == SPECIES_HUB:
-            allowed = set(topo.hub_edges)
-            bad = [e for e in nontrivial if e not in allowed]
-            if bad:
-                raise InvalidInput("species_hub supports edge costs only on hub edges, not %r" % bad)
-            if not self.node_functions[topo.hub].is_zero:
-                raise InvalidInput("the hub node cannot carry its own cost; attach it to a hub edge")
 
     @property
     def functional_edges(self):
@@ -496,8 +480,9 @@ class ProblemSpec:
         return self.edge_functions[e]
 
 
-def total_mass(potentials, spec, engine=None):
-    """Total plan mass, evaluated as the sum of the first marginal projection.
+def total_mass(potentials, spec, engine=None, block=("node", 0)):
+    """Total plan mass, evaluated as the sum of one projection: the marginal
+    of node 0 unless ``block`` names another node or edge.
 
     Any single marginal gives the same number; the projection route avoids
     ever forming the full tensor.
@@ -507,17 +492,20 @@ def total_mass(potentials, spec, engine=None):
     if engine is None:
         engine = make_engine(spec)
         engine.refresh(potentials)
-    return engine.marginal(0, potentials).total()
+    kind, where = block
+    project = engine.marginal if kind == "node" else engine.bimarginal
+    return project(where, potentials).total()
 
 
-def dual_objective(potentials, spec, engine=None):
+def dual_objective(potentials, spec, engine=None, block=("node", 0)):
     """Concave objective the coordinate updates ascend.
 
     Equals ``-epsilon * mass - sum of conjugates`` with every conjugate taken
-    at the negated log potential.  Returns ``-inf`` when some multiplier sits
-    outside its conjugate's domain (a dual-infeasible point).
+    at the negated log potential; ``block`` picks the projection that gives
+    the mass (see :func:`total_mass`).  Returns ``-inf`` when some multiplier
+    sits outside its conjugate's domain (a dual-infeasible point).
     """
-    mass = total_mass(potentials, spec, engine)
+    mass = total_mass(potentials, spec, engine, block)
     if not math.isfinite(mass):
         return -math.inf
     val = -spec.epsilon * mass

@@ -1,25 +1,22 @@
 """Marginal and bimarginal projections of the structured plan.
 
-The three structured families are one recursion: a path of nodes
-0 .. T-1 whose messages carry one extra mode, the separator of a junction
-tree (Haasler, Ringh, Chen and Karlsson, arXiv 2004.06909).  The carried
-mode is
-
-  - chain: nothing (a mode of size 1);
-  - od_cycle, and any ``general`` graph whose edges are the path plus chords
-    (0, b): the state of node 0.  The forward seed is the identity and each
-    chord (0, b), kernel times potential, is the carried factor of node b;
-  - species_hub: the species index, which is the hub node.  The hub
-    potential seeds the backward pass and each hub edge, kernel times
-    potential, is the carried factor of its time node.
+Every structured graph is one recursion: a path whose messages carry one
+extra mode, the separator of a junction tree (Haasler, Ringh, Chen and
+Karlsson, arXiv 2004.06909).  ``GraphTopology.path_chords`` names the path
+and the chords (path[0], b) off it; the carried mode is the state of the
+path's first node.  With no chord it is dropped (a mode of size 1).  With
+chords the forward seed is the identity, and each chord, kernel times
+potential, is the carried factor of its node b.  Which graphs are such a
+path, and in which node order, is the topology's decision alone.
 
 The engine computes projections by passing these messages along the path,
 never materializing the tensor.  A dense engine sums out one variable at a
-time (variable elimination) on every other small ``general`` graph.  It is
-also the reference the path recursion is tested against, and is itself
-tested against a brute-force tensor.
+time (variable elimination) on every other graph.  It is also the
+reference the path recursion is tested against, and is itself tested
+against a brute-force tensor.
 
-Message conventions (messages have shape ``(carried, n_j)``):
+Message conventions (messages have shape ``(carried, n_v)`` and are
+indexed by path position):
   - forward messages aggregate everything strictly left of a node,
   - backward messages aggregate everything strictly right of it,
   - the potential and the carried factor of the node itself are always
@@ -32,9 +29,11 @@ import math
 import numpy as np
 
 from .errors import SizeBoundExceeded, TopologyMismatch
-from .model import GENERAL, SPECIES_HUB, ScaledArray, smul
+from .model import ScaledArray, smul
 
 DENSE_ENTRY_BUDGET = 6 ** 6
+# ``DenseEngine`` names each node by one letter in its einsum subscripts.
+_DENSE_NODE_LIMIT = 26
 
 
 class _EngineBase:
@@ -63,130 +62,118 @@ class _EngineBase:
 class ChainEngine(_EngineBase):
     """Forward/backward substitution along a path with one carried mode.
 
-    Serves the chain, od_cycle and species_hub topologies and every graph
-    whose edges are the path plus chords from node 0 (``path_chords``).
-    ``T`` is the number of path nodes and ``carried`` maps a path node to
-    the edge whose kernel and potential form its carried factor.  ``order``
-    walks the path left to right: at each node the carried edge, the node,
-    the path edge to the right, then the push of the forward message past
-    the node.  The hub carries no cost of its own and heads the order only
-    so that the order names every node and every edge once.
+    Serves every graph whose edges are a path plus chords from its first
+    node (``GraphTopology.path_chords``).  ``carried`` maps a path position
+    to the chord whose kernel and potential form its carried factor.
+    ``order`` walks the path left to right: at each node its chord, the
+    node, the path edge to the right, then ``("push", v)``, the push of the
+    forward message past the node ``v``.
     """
 
     def __init__(self, spec, rescale_log=None):
-        topo = spec.topology
-        chords = topo.path_chords
-        if topo.kind != SPECIES_HUB and chords is None:
-            raise TopologyMismatch("the path engine needs a species hub or a path plus "
-                                   "chords from node 0, not the edges %r" % (topo.edges,))
+        route = spec.topology.path_chords
+        if route is None:
+            raise TopologyMismatch("the path engine needs a path plus chords from its first "
+                                   "node, not the edges %r" % (spec.topology.edges,))
         super().__init__(spec, rescale_log)
-        self.T = len(topo.time_nodes)
-        self.hub = topo.hub
-        n0 = spec.node_sizes[0]
-        if self.hub is not None:
-            seed = np.ones((topo.species_count, n0))
-            self.carried = {j: (self.hub, j) for j in range(self.T)}
-        else:
-            seed = np.eye(n0) if chords else np.ones((1, n0))
-            self.carried = {b: (0, b) for _, b in chords}
+        self.path, chords = route
+        self.T = len(self.path)
+        self.pos = {v: i for i, v in enumerate(self.path)}
+        n_first = spec.node_sizes[self.path[0]]
+        seed = np.eye(n_first) if chords else np.ones((1, n_first))
+        self.carried = {self.pos[b]: (a, b) for a, b in chords}
+        self.steps = {e: i for i, e in enumerate(zip(self.path, self.path[1:]))}
         self.fwd = [ScaledArray(seed, 0.0)] + [None] * (self.T - 1)
         self.bwd = [None] * self.T
-        self.order = [] if self.hub is None else [("node", self.hub)]
-        for j in range(self.T):
-            if j in self.carried:
-                self.order.append(("edge", self.carried[j]))
-            self.order.append(("node", j))
-            if j < self.T - 1:
-                self.order += [("edge", (j, j + 1)), ("push", j)]
+        self.order = []
+        for i, v in enumerate(self.path):
+            if i in self.carried:
+                self.order.append(("edge", self.carried[i]))
+            self.order.append(("node", v))
+            if i < self.T - 1:
+                self.order += [("edge", (v, self.path[i + 1])), ("push", v)]
 
-    def _times_carried(self, m, ls, j, pots):
-        """``(m, ls)`` times the carried factor of path node ``j``, if it has one."""
-        e = self.carried.get(j)
+    def _times_carried(self, m, ls, i, pots):
+        """``(m, ls)`` times the carried factor of path position ``i``, if it has one."""
+        e = self.carried.get(i)
         if e is None:
             return m, ls
         fm, fls = self._kernel_with_edge_factor(e, pots)
         return m * fm, ls + fls
 
-    def _absorb(self, msg, j, pots):
-        """A message times the carried factor and the potential of node ``j``."""
-        m, ls = self._times_carried(msg.m, msg.log_scale, j, pots)
-        u = pots.node_value(j)
+    def _absorb(self, msg, i, pots):
+        """A message times the carried factor and the potential at position ``i``."""
+        m, ls = self._times_carried(msg.m, msg.log_scale, i, pots)
+        u = pots.node_value(self.path[i])
         return m * u.m, ls + u.log_scale
 
-    def _joint(self, j, pots):
-        """Carried mode by the state of path node ``j``: the plan summed over the rest."""
-        u = pots.node_value(j)
-        fwd, bwd = self.fwd[j], self.bwd[j]
+    def _joint(self, i, pots):
+        """Carried mode by the state at path position ``i``: the plan summed over the rest."""
+        u = pots.node_value(self.path[i])
+        fwd, bwd = self.fwd[i], self.bwd[i]
         return self._times_carried(u.m * fwd.m * bwd.m,
-                                   u.log_scale + fwd.log_scale + bwd.log_scale, j, pots)
+                                   u.log_scale + fwd.log_scale + bwd.log_scale, i, pots)
 
-    def _carried_node(self, e):
-        """The path node whose carried factor edge ``e`` is, or None."""
-        return e[1] if self.carried.get(e[1]) == e else None
+    def _carried_pos(self, e):
+        """The path position whose carried factor edge ``e`` is, or None."""
+        i = self.pos.get(e[1])
+        return i if self.carried.get(i) == e else None
 
-    def _path_node(self, e):
-        j = e[0]
-        if e != (j, j + 1) or j + 1 >= self.T:
-            raise TopologyMismatch("no path or carried edge %r in the %s engine"
-                                   % (e, self.spec.topology.kind))
-        return j
+    def _step(self, e):
+        i = self.steps.get(e)
+        if i is None:
+            raise TopologyMismatch("no path or carried edge %r in the path engine" % (e,))
+        return i
 
     def refresh(self, pots):
         self.rebuild_backward(pots)
-        for j in range(self.T - 1):
-            self.push_forward(j, pots)
+        for v in self.path[:-1]:
+            self.push_forward(v, pots)
 
     def rebuild_backward(self, pots):
         last = self.T - 1
-        if self.hub is None:
-            seed = ScaledArray(np.ones(self.fwd[0].shape[0]), 0.0)
-        else:
-            seed = pots.node_value(self.hub)
-        self.bwd[last] = self._fin(
-            np.broadcast_to(seed.m[:, None],
-                            (seed.m.size, self.spec.node_sizes[last])).copy(),
-            seed.log_scale)
-        for j in range(last - 1, -1, -1):
-            m, ls = self._absorb(self.bwd[j + 1], j + 1, pots)
-            km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
-            self.bwd[j] = self._fin(m @ km.T, ls + kls)
+        self.bwd[last] = ScaledArray(
+            np.ones((self.fwd[0].shape[0], self.spec.node_sizes[self.path[last]])), 0.0)
+        for i in range(last - 1, -1, -1):
+            m, ls = self._absorb(self.bwd[i + 1], i + 1, pots)
+            km, kls = self._kernel_with_edge_factor((self.path[i], self.path[i + 1]), pots)
+            self.bwd[i] = self._fin(m @ km.T, ls + kls)
 
-    def push_forward(self, j, pots):
-        m, ls = self._absorb(self.fwd[j], j, pots)
-        km, kls = self._kernel_with_edge_factor((j, j + 1), pots)
-        self.fwd[j + 1] = self._fin(m @ km, ls + kls)
+    def push_forward(self, v, pots):
+        i = self.pos[v]
+        m, ls = self._absorb(self.fwd[i], i, pots)
+        km, kls = self._kernel_with_edge_factor((v, self.path[i + 1]), pots)
+        self.fwd[i + 1] = self._fin(m @ km, ls + kls)
 
-    def w_node(self, j, pots):
-        fwd, bwd = self.fwd[j], self.bwd[j]
-        m, ls = self._times_carried(fwd.m * bwd.m, fwd.log_scale + bwd.log_scale, j, pots)
+    def w_node(self, v, pots):
+        i = self.pos[v]
+        fwd, bwd = self.fwd[i], self.bwd[i]
+        m, ls = self._times_carried(fwd.m * bwd.m, fwd.log_scale + bwd.log_scale, i, pots)
         return self._fin(m.sum(axis=0), ls)
 
     def w_edge(self, e, pots):
-        j = self._carried_node(e)
-        if j is not None:
-            u = pots.node_value(j)
+        i = self._carried_pos(e)
+        if i is not None:
+            u = pots.node_value(e[1])
             k = self.spec.kernels[e]
-            fwd, bwd = self.fwd[j], self.bwd[j]
+            fwd, bwd = self.fwd[i], self.bwd[i]
             return self._fin(fwd.m * bwd.m * u.m * k.m,
                              fwd.log_scale + bwd.log_scale + u.log_scale + k.log_scale)
-        j = self._path_node(e)
-        left = self._fin(*self._absorb(self.fwd[j], j, pots))
-        right = self._fin(*self._absorb(self.bwd[j + 1], j + 1, pots))
+        i = self._step(e)
+        left = self._fin(*self._absorb(self.fwd[i], i, pots))
+        right = self._fin(*self._absorb(self.bwd[i + 1], i + 1, pots))
         k = self.spec.kernels[e]
         return self._fin(k.m * (left.m.T @ right.m),
                          k.log_scale + left.log_scale + right.log_scale)
 
-    def marginal(self, j, pots):
-        if j == self.hub:
-            m, ls = self._joint(0, pots)
-            return self._fin(m.sum(axis=1), ls)
-        m, ls = self._joint(j, pots)
+    def marginal(self, v, pots):
+        m, ls = self._joint(self.pos[v], pots)
         return self._fin(m.sum(axis=0), ls)
 
     def bimarginal(self, e, pots):
-        j = self._carried_node(e)
-        if j is not None:
-            return self._fin(*self._joint(j, pots))
+        i = self._carried_pos(e)
+        if i is not None:
+            return self._fin(*self._joint(i, pots))
         w = self.w_edge(e, pots)
         u_edge = pots.edge_value(e)
         if u_edge is None:
@@ -197,9 +184,8 @@ class ChainEngine(_EngineBase):
 class DenseEngine(_EngineBase):
     """Variable elimination on a small graph of any topology (arXiv 2006.14113).
 
-    ``make_engine`` picks it for every ``general`` graph the path engine
-    does not fit; on any graph it is the oracle the path engine is checked
-    against.
+    ``make_engine`` picks it for every graph the path engine does not fit;
+    on any graph it is the oracle the path engine is checked against.
 
     A projection contracts the node potentials and, per edge, the kernel
     times any edge potential, leaving an excluded factor out.  The pairwise
@@ -212,9 +198,11 @@ class DenseEngine(_EngineBase):
         super().__init__(spec, rescale_log)
         self.sizes = list(spec.node_sizes)
         total = math.prod(self.sizes)
-        if total > DENSE_ENTRY_BUDGET:
-            raise SizeBoundExceeded("dense reference limited to %d entries, instance has %d"
-                                    % (DENSE_ENTRY_BUDGET, total))
+        if total > DENSE_ENTRY_BUDGET or len(self.sizes) > _DENSE_NODE_LIMIT:
+            raise SizeBoundExceeded("dense reference limited to %d entries and %d nodes, "
+                                    "instance has %d entries and %d nodes"
+                                    % (DENSE_ENTRY_BUDGET, _DENSE_NODE_LIMIT, total,
+                                       len(self.sizes)))
         self.order = ([("node", j) for j in range(len(self.sizes))]
                       + [("edge", e) for e in spec.topology.edges])
         self._plans = {}
@@ -277,6 +265,6 @@ class DenseEngine(_EngineBase):
 
 
 def make_engine(spec, rescale_log=None):
-    if spec.topology.kind == GENERAL and spec.topology.path_chords is None:
+    if spec.topology.path_chords is None:
         return DenseEngine(spec, rescale_log)
     return ChainEngine(spec, rescale_log)

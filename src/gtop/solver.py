@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Infeasible, InvalidInput, VerificationFailure
+from .errors import Infeasible, InvalidInput, SizeBoundExceeded, VerificationFailure
 from .model import DualPotentials, RescaleLog, _parts, dual_objective, smul
 from .projections import DenseEngine, make_engine
 
@@ -29,7 +29,6 @@ class SolverConfig:
     potential_tol: float = 1e-9
     max_sweeps: int = 10000
     verify: bool = False
-    oracle_check: bool = False
     callback: object = None
     log_potential_bound: float = 1e5
 
@@ -97,25 +96,30 @@ def residuals(potentials, spec):
 class _Verifier:
     """Optional per-update checks: dual monotonicity, dense cross-validation.
 
-    A dense solve engine keeps no messages, so it evaluates the dual
-    mid-sweep too, and it needs no oracle: a second copy of itself would
-    check nothing.
+    After an update the dual takes its plan mass from the solve engine's
+    projection of the block just updated, whose messages the sweep keeps
+    current.  The projections are checked each sweep against a dense oracle
+    when the solve engine is not dense (a second copy of it would check
+    nothing) and the instance fits the dense budget.
     """
 
-    def __init__(self, spec, config, engine):
+    def __init__(self, spec, engine):
         self.spec = spec
+        self.engine = engine
         self.last = None
-        self.dense = engine if isinstance(engine, DenseEngine) else None
         self.oracle = None
-        if config.oracle_check and self.dense is None:
-            self.oracle = DenseEngine(spec)
+        if not isinstance(engine, DenseEngine):
+            try:
+                self.oracle = DenseEngine(spec)
+            except SizeBoundExceeded:
+                pass
 
-    def check_update(self, pots, label):
-        d = dual_objective(pots, self.spec, self.dense)
+    def check_update(self, pots, block):
+        d = dual_objective(pots, self.spec, self.engine, block)
         if self.last is not None and math.isfinite(self.last):
             if d < self.last - _MONOTONE_SLACK * max(1.0, abs(self.last)):
-                raise VerificationFailure(
-                    "dual objective dropped from %.17g to %.17g at %s" % (self.last, d, label))
+                raise VerificationFailure("dual objective dropped from %.17g to %.17g at %s %r"
+                                          % (self.last, d, *block))
         self.last = d
 
     def check_projections(self, pots, engine, sweep):
@@ -173,13 +177,12 @@ class _Updater:
                 continue
             w = (engine.w_node if kind == "node" else engine.w_edge)(where, pots)
             factors = (pots.nodes if kind == "node" else pots.edges)[where]
-            label = "%s %r" % (kind, where)
             for k, part in enumerate(_parts(fn)):
                 if not part.is_zero:
-                    self._apply(factors, k, part, w, label)
+                    self._apply(factors, k, part, w, (kind, where))
         engine.rebuild_backward(pots)
 
-    def _apply(self, factors, k, part, w, label):
+    def _apply(self, factors, k, part, w, block):
         if len(factors) > 1:
             others = [factors[i] for i in range(len(factors)) if i != k]
             w_eff = smul(w, *others)
@@ -188,11 +191,11 @@ class _Updater:
         try:
             new = part.solve_inclusion(w_eff, self.spec.epsilon)
         except Infeasible as exc:
-            raise Infeasible("%s, sweep %d: %s" % (label, self.sweep_no, exc)) from exc
+            raise Infeasible("%s %r, sweep %d: %s" % (*block, self.sweep_no, exc)) from exc
         self.max_change = max(self.max_change, self._log_change(factors[k], new))
         factors[k] = new
         if self.verifier is not None:
-            self.verifier.check_update(self.pots, label)
+            self.verifier.check_update(self.pots, block)
 
 
 def _sanity_checks(spec):
@@ -223,7 +226,7 @@ def solve(spec, config=None, initial=None):
     rescale = RescaleLog()
     engine = make_engine(spec, rescale)
     pots = initial.copy() if initial is not None else DualPotentials.ones_for(spec)
-    verifier = _Verifier(spec, config, engine) if (config.verify or config.oracle_check) else None
+    verifier = _Verifier(spec, engine) if config.verify else None
 
     report = SolveReport()
     t0 = time.perf_counter()
@@ -232,7 +235,7 @@ def solve(spec, config=None, initial=None):
     warned_dual = False
     sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
-        upd = _Updater(spec, pots, verifier if config.verify else None, sweep)
+        upd = _Updater(spec, pots, verifier, sweep)
         try:
             upd.sweep(engine)
         except Infeasible as exc:
@@ -248,7 +251,7 @@ def solve(spec, config=None, initial=None):
         dual = dual_objective(pots, spec, engine)
         report.dual_values.append(dual)
         report.max_residuals.append(max_res)
-        if verifier is not None and config.oracle_check:
+        if verifier is not None:
             verifier.check_projections(pots, engine, sweep)
         if not warned_dual and len(report.dual_values) >= 2:
             prev = report.dual_values[-2]

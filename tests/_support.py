@@ -55,10 +55,7 @@ def dense_tensor(spec, pots, exclude=None):
 def random_potentials(spec, rng, zero_rate=0.0, log_spread=1.0):
     """Positive potentials with optional exact zeros and varied magnitudes."""
     pots = DualPotentials.ones_for(spec)
-    hub = spec.topology.hub if spec.topology.kind == "species_hub" else None
     for j in pots.nodes:
-        if j == hub:
-            continue
         for i in range(len(pots.nodes[j])):
             vals = np.exp(rng.uniform(-log_spread, log_spread, spec.node_sizes[j]))
             if zero_rate > 0:

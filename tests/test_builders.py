@@ -97,7 +97,7 @@ class TestFlowProblem:
         od = np.array([[1.0]])
         spec = build_flow_problem(net, od=od, epsilon=0.5)
         assert spec.topology.kind == "od_cycle"
-        pots, report = solve(spec, SolverConfig(verify=True, oracle_check=True))
+        pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         eng = make_engine(spec)
         eng.refresh(pots)

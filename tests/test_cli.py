@@ -274,6 +274,14 @@ class TestMainEntry:
         path = write_config(tmp_path, body)
         assert main(["solve", "--config", path]) == 2
 
+    def test_data_the_model_rejects_exit_code(self, tmp_path, capsys):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["topology"] = {"class": "general", "sizes": [2, 2, 2, 2],
+                                       "edges": [[0, 1], [2, 3]]}
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: graph is not connected\n"
+
 
 def mfg_config(out_dir):
     return {

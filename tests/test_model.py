@@ -130,9 +130,14 @@ class TestTopology:
         assert set(topo.hub_edges) == {(3, 0), (3, 1), (3, 2)}
         assert topo.time_nodes == (0, 1, 2)
 
-    def test_general_size_cap(self):
-        with pytest.raises(InvalidInput):
-            GraphTopology.general(7, [(j, j + 1) for j in range(6)])
+    def test_path_chords_per_kind(self):
+        assert GraphTopology.chain(4).path_chords == ((0, 1, 2, 3), ())
+        assert GraphTopology.od_cycle(4).path_chords == ((0, 1, 2, 3), ((0, 3),))
+        assert GraphTopology.species_hub(3, 2).path_chords == ((3, 0, 1, 2),
+                                                              ((3, 1), (3, 2)))
+        general = GraphTopology.general(4, [(0, 2), (0, 1), (1, 2), (2, 3)])
+        assert general.path_chords == ((0, 1, 2, 3), ((0, 2),))
+        assert GraphTopology.general(4, [(0, 1), (1, 2), (2, 3), (1, 3)]).path_chords is None
 
     def test_disconnected_rejected(self):
         with pytest.raises(InvalidInput):
@@ -220,20 +225,6 @@ class TestProblemSpecValidation:
         with pytest.raises(InvalidInput):
             ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 3)), 1.0)},
                         {0: Equality([1.0, 1.0, 1.0])}, {}, 1.0)
-
-    def test_edge_cost_placement_on_od(self):
-        topo = GraphTopology.od_cycle(3)
-        kernels = {(0, 1): build_kernel(np.zeros((2, 2)), 1.0),
-                   (1, 2): build_kernel(np.zeros((2, 2)), 1.0)}
-        with pytest.raises(InvalidInput):
-            ProblemSpec(topo, kernels, {},
-                        {(0, 1): Equality(np.ones((2, 2)))}, 1.0)
-
-    def test_hub_node_must_be_free(self):
-        topo = GraphTopology.species_hub(2, 2)
-        kernels = {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)}
-        with pytest.raises(InvalidInput):
-            ProblemSpec(topo, kernels, {topo.hub: Equality([1.0, 1.0])}, {}, 1.0)
 
     def test_composite_potentials_get_one_factor_each(self):
         topo = GraphTopology.chain(2)

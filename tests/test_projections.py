@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from gtop import (Box, ChainEngine, CompositeFunction, DenseEngine, DualPotentials,
-                  Equality, GraphTopology, ProblemSpec, QuadraticDistance, ScaledArray,
-                  SizeBoundExceeded, TopologyMismatch, Zero, build_kernel, make_engine)
+                  EdgeKernel, Equality, GraphTopology, ProblemSpec, QuadraticDistance,
+                  ScaledArray, SizeBoundExceeded, TopologyMismatch, Zero, build_kernel,
+                  make_engine)
 
 from _support import (as_general, assert_maxnorm_close, dense_tensor, random_chain_spec,
                       random_hub_spec, random_od_spec, random_potentials)
@@ -46,6 +47,16 @@ class TestDenseOracle:
         spec = ProblemSpec(topo, kernels, {}, {}, 1.0)
         with pytest.raises(SizeBoundExceeded):
             DenseEngine(spec)
+
+    def test_node_limit(self):
+        # einsum subscripts name each node by one letter: 27 size-1 nodes fit
+        # the entry budget but not the alphabet
+        edges = [(j, j + 1) for j in range(26)] + [(1, 26)]
+        spec = ProblemSpec(GraphTopology.general(27, edges),
+                           {e: EdgeKernel.ones((1, 1)) for e in edges}, {}, {}, 1.0)
+        assert spec.topology.path_chords is None
+        with pytest.raises(SizeBoundExceeded):
+            make_engine(spec)
 
     def test_reversed_pair_orientation(self):
         # keep order (b, a) with b > a must transpose correctly
@@ -509,19 +520,20 @@ class TestUpdateOrder:
             expected = ([("node", j) for j in range(topo.node_count)]
                         + [("edge", e) for e in topo.edges])
             assert sorted(s for s in order if s[0] != "push") == sorted(expected)
-            pushes = [j for kind, j in order if kind == "push"]
+            pushes = [v for kind, v in order if kind == "push"]
             if family == "general":
                 assert pushes == []
                 continue
             # each forward push follows every update at its node, before the next node
-            T = len(topo.time_nodes)
-            assert pushes == list(range(T - 1))
+            path, chords = topo.path_chords
+            assert pushes == list(path[:-1])
+            if family == "hub":
+                assert pushes == [topo.hub] + list(topo.time_nodes[:-1])
             pos = {step: i for i, step in enumerate(order)}
-            for j in range(T - 1):
-                assert pos[("node", j)] < pos[("edge", (j, j + 1))] < pos[("push", j)] \
-                    < pos[("node", j + 1)]
-                if topo.hub is not None:
-                    assert pos[("edge", (topo.hub, j))] < pos[("push", j)]
-            # a chord (0, b) is updated at node b, first of its blocks
-            for _, b in topo.path_chords or ():
-                assert pos[("push", b - 1)] < pos[("edge", (0, b))] < pos[("node", b)]
+            for v, w in zip(path, path[1:]):
+                assert pos[("node", v)] < pos[("edge", (v, w))] < pos[("push", v)] \
+                    < pos[("node", w)]
+            # a chord (path[0], b) is updated at node b, first of its blocks
+            for a, b in chords:
+                before = path[path.index(b) - 1]
+                assert pos[("push", before)] < pos[("edge", (a, b))] < pos[("node", b)]

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gtop import (Box, CompositeFunction, Congestion, DualPotentials, EdgeKernel, Equality,
-                  GraphTopology, Infeasible, Linear, ProblemSpec,
+from gtop import (Box, ChainEngine, CompositeFunction, Congestion, DualPotentials, EdgeKernel,
+                  Equality, GraphTopology, Infeasible, Linear, ProblemSpec,
                   QuadraticDistance, SolverConfig, Zero, build_kernel,
                   dual_objective, inclusion_residual, make_engine, residuals, solve)
 from gtop.model import _parts, smul
 from gtop.projections import DenseEngine
+from gtop.solver import _Verifier
 
 from _support import (as_general, assert_maxnorm_close, dense_tensor, random_hub_spec,
                       random_potentials, solve_dense)
@@ -128,7 +129,7 @@ class TestSolve:
         k = build_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
         spec = ProblemSpec(topo, {(0, 1): k},
                            {0: Equality([0.5, 0.5]), 1: Equality([0.5, 0.5])}, {}, 1.0)
-        pots, report = solve(spec, SolverConfig(verify=True, oracle_check=True))
+        pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         assert report.sweeps < 100
         assert report.max_residual <= 1e-8
@@ -162,7 +163,7 @@ class TestSolve:
         node_fns = {1: QuadraticDistance(0.8, rng.uniform(0.2, 0.6, n))}
         efns = {(topo.hub, 0): Equality(R0)}
         spec = ProblemSpec(topo, kernels, node_fns, efns, 0.5)
-        pots, report = solve(spec, SolverConfig(verify=True, oracle_check=True))
+        pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         dense_spec = ProblemSpec(GraphTopology.general(topo.node_count, topo.edges),
                                  spec.kernels, node_fns, efns, 0.5)
@@ -218,6 +219,35 @@ class TestSolve:
         return ProblemSpec(GraphTopology.general(4, edges), kernels, nfns, efns, epsilon)
 
     @staticmethod
+    def _hub_node_cost_spec(n=3, L=2, epsilon=0.7):
+        # the species masses as an Equality on the hub node itself, and a
+        # soft cost on the hub edge (hub, 1), a chord of the path (hub, 0, 1, 2)
+        rng = np.random.default_rng(44)
+        topo = GraphTopology.species_hub(3, L)
+        kernels = {e: build_kernel(rng.uniform(0.0, 2.0, (L if e[0] == topo.hub else n, n)),
+                                   epsilon) for e in topo.edges}
+        masses = rng.uniform(0.2, 1.0, L)
+        mu = rng.uniform(0.2, 1.0, n)
+        mu *= masses.sum() / mu.sum()
+        nfns = {topo.hub: Equality(masses), 0: Equality(mu),
+                2: QuadraticDistance(0.8, rng.uniform(0.1, 0.4, n))}
+        efns = {(topo.hub, 1): QuadraticDistance(1.0, rng.uniform(0.0, 0.2, (L, n)))}
+        return ProblemSpec(topo, kernels, nfns, efns, epsilon)
+
+    @staticmethod
+    def _od_path_edge_cost_spec(n=3, epsilon=0.7):
+        # an OD cycle with soft costs on the path edges (0, 1) and (1, 2)
+        # besides the Equality on its chord
+        rng = np.random.default_rng(45)
+        topo = GraphTopology.od_cycle(4)
+        kernels = {e: build_kernel(rng.uniform(0.0, 2.0, (n, n)), epsilon) for e in topo.edges}
+        R = rng.uniform(0.05, 0.5, (n, n))
+        efns = {topo.chord: Equality(R),
+                (0, 1): QuadraticDistance(1.0, rng.uniform(0.0, 0.1, (n, n))),
+                (1, 2): Congestion(np.full((n, n), float(R.sum())))}
+        return ProblemSpec(topo, kernels, {}, efns, epsilon)
+
+    @staticmethod
     def _reversed_edge(spec, e):
         """``spec`` declared general with the cost-free edge ``e`` given high to low."""
         assert e not in spec.edge_functions or spec.edge_functions[e].is_zero
@@ -230,7 +260,8 @@ class TestSolve:
                            spec.node_functions, efns, spec.epsilon)
 
     @pytest.mark.parametrize("instance", ["hub_edge_kernel", "stacked_chain",
-                                          "path_chord_costs"])
+                                          "path_chord_costs", "hub_node_cost",
+                                          "od_path_edge_cost"])
     def test_structured_solve_matches_dense(self, instance):
         spec = getattr(self, "_%s_spec" % instance)()
         pots, report = solve(spec, SolverConfig(potential_tol=1e-12))
@@ -261,7 +292,21 @@ class TestSolve:
             init(engine, *args, **kwargs)
 
         monkeypatch.setattr(DenseEngine, "__init__", counted)
-        _, report = solve(spec, SolverConfig(verify=True, oracle_check=True))
+        _, report = solve(spec, SolverConfig(verify=True))
+        assert report.termination == "converged"
+        assert len(built) == 1
+
+    def test_verified_solve_builds_one_path_engine(self, monkeypatch):
+        # the per-update dual takes its mass from the solve engine's projections
+        built = []
+        init = ChainEngine.__init__
+
+        def counted(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(ChainEngine, "__init__", counted)
+        _, report = solve(self._stacked_chain_spec(), SolverConfig(verify=True))
         assert report.termination == "converged"
         assert len(built) == 1
 
@@ -350,20 +395,47 @@ class TestPathChordRouting:
                                    rtol=1e-12, atol=0.0)
 
     def test_routed_solve_never_projects_densely(self, monkeypatch):
+        # only the verifier's dense oracle may project densely
         calls = []
         project = DenseEngine.project
+        verifiers = []
+        init = _Verifier.__init__
 
         def counted(engine, *args, **kwargs):
-            calls.append(args[1])
+            calls.append(engine)
             return project(engine, *args, **kwargs)
 
+        def recorded(verifier, *args, **kwargs):
+            init(verifier, *args, **kwargs)
+            verifiers.append(verifier)
+
         monkeypatch.setattr(DenseEngine, "project", counted)
+        monkeypatch.setattr(_Verifier, "__init__", recorded)
         spec = cycle_with_chord_spec()
         _, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
-        assert calls == []
+        oracle = verifiers[0].oracle
+        assert oracle is not None and oracle in calls
+        assert [e for e in calls if e is not oracle] == []
         solve_dense(spec, SolverConfig(max_sweeps=1))
-        assert calls
+        assert [e for e in calls if e is not oracle]
+
+    def test_large_general_path_matches_od_cycle(self):
+        # a general path plus chords from node 0 is admitted at any size:
+        # 8^10 entries are far beyond the dense budget
+        rng = np.random.default_rng(46)
+        n = 8
+        topo = GraphTopology.od_cycle(10)
+        kernels = {e: build_kernel(rng.uniform(0.0, 1.5, (n, n)), 0.6) for e in topo.edges}
+        R = rng.uniform(0.05, 0.5, (n, n))
+        nfns = {j: Congestion(np.full(n, float(R.sum()))) for j in range(1, 9, 2)}
+        efns = {topo.chord: Equality(R)}
+        od = ProblemSpec(topo, kernels, nfns, efns, 0.6)
+        general = ProblemSpec(GraphTopology.general(10, topo.edges), kernels, nfns, efns, 0.6)
+        _, od_report = solve(od)
+        _, report = solve(general)
+        assert report.termination == od_report.termination == "converged"
+        assert report.dual_values == od_report.dual_values
 
 
 class TestComposite:
@@ -382,7 +454,7 @@ class TestComposite:
     def test_feasible_composite_converges_with_inactive_cap(self):
         rng = np.random.default_rng(12)
         spec, mu1, cap = self._composite_spec(rng, cap_slack=0.4)
-        pots, report = solve(spec, SolverConfig(verify=True, oracle_check=True))
+        pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         eng = make_engine(spec)
         eng.refresh(pots)
@@ -434,7 +506,7 @@ class TestCompositeEdge:
         R = rng.uniform(0.1, 0.6, (n, n))
         comp = CompositeFunction([Equality(R), Box(0.0, R + 0.2)])
         spec = ProblemSpec(topo, kernels, {}, {topo.chord: comp}, 0.6)
-        pots, report = solve(spec, SolverConfig(verify=True, oracle_check=True))
+        pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         assert len(pots.edges[topo.chord]) == 2
         eng = make_engine(spec)
@@ -484,8 +556,7 @@ class TestRandomizedVerifiedSolves:
                            for j in range(tc - 1)}
                 efns = {(topo.hub, 0): Equality(rng.uniform(0.1, 0.6, (L, n)))}
                 spec = ProblemSpec(topo, kernels, {}, efns, 0.6)
-            pots, report = solve(spec, SolverConfig(verify=True, oracle_check=True,
-                                                    max_sweeps=600))
+            pots, report = solve(spec, SolverConfig(verify=True, max_sweeps=600))
             assert report.termination == "converged", "trial %d" % trial
 
 
