@@ -1,4 +1,4 @@
-"""Batch front end: JSON run configurations in, CSV/JSON results out.
+"""Batch front end: JSON run configurations in, CSV/NPY/JSON results out.
 
 The configuration schema is documented in the repository README.  Top level
 keys: "problem" (with "kind" one of "flow", "mfg", "raw"), "epsilon",
@@ -61,8 +61,10 @@ def _load_matrix(obj, path, base_dir):
         fname = os.path.join(base_dir, ref)
         if not os.path.exists(fname):
             _fail(path, "csv file %r not found" % ref)
-        data = np.loadtxt(fname, delimiter=",", ndmin=2)
-        return data
+        try:
+            return np.loadtxt(fname, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            _fail(path, "csv file %r: %s" % (ref, exc))
     if isinstance(obj, list):
         try:
             arr = np.array(obj, dtype=float)
@@ -72,12 +74,19 @@ def _load_matrix(obj, path, base_dir):
     _fail(path, "expected an inline array or a csv reference")
 
 
-def _parse_bound(obj, path):
-    if obj is None or obj == "inf":
-        return math.inf
-    if isinstance(obj, str):
-        _fail(path, "bounds must be numbers, arrays, or \"inf\"")
-    return obj
+def _bound(obj, path, base_dir):
+    """A box bound: a number, an inline array or a csv reference."""
+    if isinstance(obj, (list, dict)):
+        return _load_matrix(obj, path, base_dir)
+    return _number(obj, path)
+
+
+def _flag(cfg, key, default, path):
+    """A boolean option; any other JSON value is an error, never a truth test."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        _fail(path, "expected true or false")
+    return value
 
 
 def function_from_config(obj, path, base_dir):
@@ -90,11 +99,13 @@ def function_from_config(obj, path, base_dir):
         target = _load_matrix(obj.get("target"), path + ".target", base_dir)
         return fx.Equality(target)
     if kind == "box":
-        lower = obj.get("lower", 0.0)
-        upper = _parse_bound(obj.get("upper"), path + ".upper")
-        lower = _load_matrix(lower, path + ".lower", base_dir) if isinstance(lower, (list, dict)) else lower
-        upper = _load_matrix(upper, path + ".upper", base_dir) if isinstance(upper, (list, dict)) else upper
-        if np.any(np.asarray(lower, dtype=float) < 0):
+        lower = _bound(obj.get("lower", 0.0), path + ".lower", base_dir)
+        upper = obj.get("upper")
+        if upper is None or upper == "inf":
+            upper = math.inf
+        else:
+            upper = _bound(upper, path + ".upper", base_dir)
+        if np.any(lower < 0):
             _fail(path + ".lower", "must be nonnegative")
         return fx.Box(lower, upper)
     if kind == "linear":
@@ -345,18 +356,13 @@ def parse_config(config_path):
         if not isinstance(ms, int) or ms < 1:
             _fail("solver.max_sweeps", "expected a positive integer")
         kwargs["max_sweeps"] = ms
-    if solver_cfg.get("verify"):
-        kwargs["verify"] = True
+    kwargs["verify"] = _flag(solver_cfg, "verify", False, "solver.verify")
     config = solver.SolverConfig(**kwargs)
 
     out_cfg = _expect_map(raw.get("output", {}), "output")
     out_dir = out_cfg.get("directory", "gtop_out")
-    emit = {
-        "marginals": bool(out_cfg.get("marginals", True)),
-        "bimarginals": bool(out_cfg.get("bimarginals", True)),
-        "dual_trace": bool(out_cfg.get("dual_trace", True)),
-        "summary": bool(out_cfg.get("summary", True)),
-    }
+    emit = {key: _flag(out_cfg, key, True, "output." + key)
+            for key in ("marginals", "bimarginals", "dual_trace", "summary")}
     label = raw.get("label", os.path.splitext(os.path.basename(config_path))[0])
     return RunConfig(spec, config, out_dir, emit, flow_net=flow_net, label=label)
 
@@ -421,20 +427,27 @@ def run(run_config):
                 util = [bld.edge_utilization(run_config.flow_net, r) for r in rows]
                 _write_matrix(os.path.join(run_config.out_dir, "utilization.csv"),
                               np.stack(util))
+            if topo.kind == md.SPECIES_HUB:
+                _write_matrix(os.path.join(run_config.out_dir, "species_masses.csv"),
+                              engine.marginal(topo.hub, pots).value())
         if run_config.emit["bimarginals"]:
+            # The n_t x n_{t+1} time-step plans are the bulk of the output.
+            # Binary .npy keeps every bit and skips the per-value text
+            # formatting that dominates writing them as CSV.
+            steps = set(zip(time_nodes, time_nodes[1:]))
             for e in topo.edges:
                 p = engine.bimarginal(e, pots).value()
-                name = "bimarg_%d_%d.csv" % e
-                _write_matrix(os.path.join(run_config.out_dir, name), p)
+                name = os.path.join(run_config.out_dir, "bimarg_%d_%d" % e)
+                if e in steps:
+                    np.save(name + ".npy", p)
+                else:
+                    _write_matrix(name + ".csv", p)
         if run_config.emit["dual_trace"]:
             with open(os.path.join(run_config.out_dir, "dual_trace.csv"), "w",
                       encoding="utf-8") as fh:
                 fh.write("sweep,dual_objective,max_residual\n")
                 for i, (d, r) in enumerate(zip(report.dual_values, report.max_residuals), 1):
                     fh.write("%d,%.17g,%.17g\n" % (i, d, r))
-        if topo.kind == md.SPECIES_HUB:
-            _write_matrix(os.path.join(run_config.out_dir, "species_masses.csv"),
-                          engine.marginal(topo.hub, pots).value())
 
     if run_config.emit["summary"]:
         with open(os.path.join(run_config.out_dir, "summary.json"), "w",

@@ -98,6 +98,26 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, body))
         assert cfg.spec.kernels[(0, 1)].m.shape == (2, 2)
 
+    @pytest.mark.parametrize("section,key", [
+        ("output", "marginals"), ("output", "bimarginals"), ("output", "dual_trace"),
+        ("output", "summary"), ("solver", "verify")])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_boolean_options_must_be_booleans(self, tmp_path, section, key, value):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, body))
+        assert "%s.%s: expected true or false" % (section, key) in str(err.value)
+
+    def test_boolean_options_read_as_given(self, tmp_path):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["solver"]["verify"] = True
+        body["output"].update(marginals=False, bimarginals=True, dual_trace=False)
+        cfg = parse_config(write_config(tmp_path, body))
+        assert cfg.solver_config.verify is True
+        assert cfg.emit == {"marginals": False, "bimarginals": True, "dual_trace": False,
+                            "summary": True}
+
     def test_mfg_config(self, tmp_path):
         body = {
             "problem": {
@@ -127,7 +147,7 @@ class TestRun:
         assert run(cfg) == 0
         marg = np.loadtxt(os.path.join(out, "marginals.csv"), delimiter=",")
         np.testing.assert_allclose(marg, [[0.3, 0.7], [0.6, 0.4]], atol=1e-9)
-        coupling = np.loadtxt(os.path.join(out, "bimarg_0_1.csv"), delimiter=",")
+        coupling = np.load(os.path.join(out, "bimarg_0_1.npy"))
         np.testing.assert_allclose(coupling, np.outer([0.3, 0.7], [0.6, 0.4]),
                                    atol=1e-8)
         summary = json.load(open(os.path.join(out, "summary.json")))
@@ -274,6 +294,26 @@ class TestMainEntry:
         path = write_config(tmp_path, body)
         assert main(["solve", "--config", path]) == 2
 
+    @pytest.mark.parametrize("text", ["0,0\n0,abc\n", "0,0\n0\n"],
+                             ids=["non_numeric", "ragged"])
+    def test_malformed_csv_reference_exit_code(self, tmp_path, capsys, text):
+        (tmp_path / "cost.csv").write_text(text)
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["kernels"][0]["cost"] = {"csv": "cost.csv"}
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem.kernels[0].cost: csv file 'cost.csv': ")
+
+    def test_non_numeric_box_bound_exit_code(self, tmp_path, capsys):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["node_functions"]["0"] = {"type": "box", "lower": "abc",
+                                                  "upper": [1.0, 1.0]}
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err == \
+            "error: problem.node_functions[0].lower: expected a number\n"
+
     def test_data_the_model_rejects_exit_code(self, tmp_path, capsys):
         body = minimal_raw_config(str(tmp_path / "out"))
         body["problem"]["topology"] = {"class": "general", "sizes": [2, 2, 2, 2],
@@ -336,6 +376,42 @@ class TestMfgRun:
                 lines = fh.read().splitlines()
             assert [[float(v) for v in line.split(",")] for line in lines] == \
                 [row.tolist() for row in rows], name
+
+
+class TestStepPlans:
+    @pytest.mark.parametrize("make_config", [flow_config, mfg_config])
+    def test_step_plans_are_npy_other_edges_csv(self, tmp_path, make_config):
+        out = str(tmp_path / "out")
+        cfg = parse_config(write_config(tmp_path, make_config(out)))
+        assert run(cfg) == 0
+        from gtop import make_engine, solve
+        pots, _ = solve(cfg.spec, cfg.solver_config)
+        eng = make_engine(cfg.spec)
+        eng.refresh(pots)
+        topo = cfg.spec.topology
+        steps = set(zip(topo.time_nodes, topo.time_nodes[1:]))
+        assert steps and len(steps) < len(topo.edges)
+        for e in topo.edges:
+            exact = eng.bimarginal(e, pots).value()
+            npy = os.path.join(out, "bimarg_%d_%d.npy" % e)
+            csv = os.path.join(out, "bimarg_%d_%d.csv" % e)
+            if e in steps:
+                assert not os.path.exists(csv), csv
+                saved = np.load(npy)
+                assert saved.dtype == np.float64
+                assert np.array_equal(saved, exact), e
+            else:
+                assert not os.path.exists(npy), npy
+                assert np.array_equal(np.loadtxt(csv, delimiter=",", ndmin=2), exact), e
+
+    def test_marginals_flag_covers_species_masses(self, tmp_path):
+        out = str(tmp_path / "out")
+        body = mfg_config(out)
+        body["output"]["marginals"] = False
+        assert run(parse_config(write_config(tmp_path, body))) == 0
+        written = os.listdir(out)
+        assert "marginals.csv" not in written and "species_masses.csv" not in written
+        assert "bimarg_0_1.npy" in written
 
 
 class TestThreadCap:
