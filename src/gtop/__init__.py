@@ -22,9 +22,8 @@ from .errors import (ConfigError, GtopError, Infeasible, InvalidInput,
 from .functions import (Blockwise, Box, CompositeFunction, Congestion, Equality,
                         Linear, MarginalFunction, QuadraticDistance, SubgradientBand,
                         Zero, inclusion_residual, stack_rows)
-from .model import (CHAIN, GENERAL, OD_CYCLE, SPECIES_HUB, DualPotentials,
-                    EdgeKernel, GraphTopology, ProblemSpec, ScaledArray,
-                    build_kernel, dual_objective, total_mass)
+from .model import (DualPotentials, EdgeKernel, GraphTopology, ProblemSpec,
+                    ScaledArray, build_kernel, dual_objective, total_mass)
 from .projections import ChainEngine, DenseEngine, make_engine
 from .solver import SolveReport, SolverConfig, residuals, solve
 from .builders import (FlowEdge, FlowNetwork, MFGSetup, build_congestion,

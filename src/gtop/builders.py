@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .functions import (Blockwise, Box, CompositeFunction, Congestion, Equality,
-                        Zero, stack_rows)
-from .model import EdgeKernel, GraphTopology, ProblemSpec, build_kernel
+from .functions import Blockwise, Congestion, Equality, Zero, stack_rows
+from .model import GraphTopology, ProblemSpec, build_kernel
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,6 @@ class FlowNetwork:
     def edge_count(self):
         return len(self.edges)
 
-    def state_labels(self):
-        labels = ["edge:%r->%r" % (e.tail, e.head) for e in self.edges]
-        labels += ["source:%r" % (s,) for s in self.sources]
-        labels += ["sink:%r" % (s,) for s in self.sinks]
-        return labels
-
     def capacities(self):
         return np.array([e.capacity for e in self.edges], dtype=float)
 
@@ -116,7 +109,7 @@ def build_flow_cost_matrix(net):
     return c
 
 
-def build_congestion(capacities, n_states=None, edge_offset=0):
+def build_congestion(capacities, n_states=None):
     """Congestion cost on edge flows, padded with free states if asked.
 
     With only capacities given this is the plain congestion cost.  Passing
@@ -129,9 +122,14 @@ def build_congestion(capacities, n_states=None, edge_offset=0):
     core = Congestion(capacities)
     if n_states is None:
         return core
-    idx = edge_offset + np.arange(capacities.size)
+    return _on_edge_states(core, capacities.size, n_states)
+
+
+def _on_edge_states(fn, edge_count, n_states):
+    """``fn`` on the first ``edge_count`` states (the edges), no cost on the rest."""
+    idx = np.arange(edge_count)
     rest = np.setdiff1d(np.arange(n_states), idx)
-    blocks = [(idx, core)]
+    blocks = [(idx, fn)]
     if rest.size:
         blocks.append((rest, Zero()))
     return Blockwise(n_states, blocks)
@@ -173,18 +171,12 @@ def build_flow_problem(net, od=None, terminals=None, edge_cost=None, epsilon=0.0
     elif edge_cost.is_zero:
         interior = Zero()
     else:
-        idx = np.arange(net.edge_count)
-        rest = np.setdiff1d(np.arange(n), idx)
-        blocks = [(idx, edge_cost)]
-        if rest.size:
-            blocks.append((rest, Zero()))
-        interior = Blockwise(n, blocks)
+        interior = _on_edge_states(edge_cost, net.edge_count, n)
 
     node_functions = {j: interior for j in range(1, T - 1)}
     if od is not None:
         topo = GraphTopology.od_cycle(T)
         kernels = {(j, j + 1): kernel for j in range(T - 1)}
-        kernels[topo.chord] = EdgeKernel.ones((n, n))
         edge_functions = {topo.chord: Equality(embed_od_matrix(net, od))}
         return ProblemSpec(topo, kernels, node_functions, edge_functions, epsilon)
 
@@ -327,10 +319,6 @@ def build_mfg_problem(setup):
                        edge_functions, setup.epsilon)
 
 
-def _is_indicator(fn):
-    return isinstance(fn, (Equality, Box)) or fn.is_zero
-
-
 def _time_kernels(setup):
     """The transport kernel on every edge between consecutive time nodes."""
     cost = build_mfg_cost_matrix(grid=None if setup.cost_matrix is not None else setup.grid,
@@ -341,16 +329,13 @@ def _time_kernels(setup):
 
 def _total_node_functions(setup):
     """Costs on the total density per time node: running ones scaled by ``dt``
-    (indicators excepted), the terminal one as given."""
+    (indicators scale to themselves), the terminal one as given."""
     tc = setup.n_steps + 1
     node_functions = {}
     for j in range(1, tc - 1):
         fn = setup.total_running.get(j)
-        if fn is None:
-            continue
-        parts = fn.parts if isinstance(fn, CompositeFunction) else [fn]
-        scaled = [p if _is_indicator(p) else p.scaled(setup.dt) for p in parts]
-        node_functions[j] = scaled[0] if len(scaled) == 1 else CompositeFunction(scaled)
+        if fn is not None:
+            node_functions[j] = fn.scaled(setup.dt)
     if setup.total_terminal is not None:
         node_functions[tc - 1] = setup.total_terminal
     return node_functions

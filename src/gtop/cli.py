@@ -53,6 +53,40 @@ def _number(obj, path, positive=False):
     return v
 
 
+def _integer(obj, path, minimum):
+    """A JSON integer of at least ``minimum``; booleans and floats are errors."""
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < minimum:
+        _fail(path, "expected an integer of at least %d" % minimum)
+    return obj
+
+
+def _integer_list(obj, path, minimum):
+    if not isinstance(obj, list):
+        _fail(path, "expected a list of integers")
+    return [_integer(v, "%s[%d]" % (path, i), minimum) for i, v in enumerate(obj)]
+
+
+def _integer_key(key, path):
+    """A map key naming a node or a time index, such as "3"."""
+    try:
+        return int(key)
+    except ValueError:
+        _fail(path, "expected integer keys, got %r" % (key,))
+
+
+def _node_pair(obj, path):
+    pair = _integer_list(obj, path, 0)
+    if len(pair) != 2:
+        _fail(path, "expected a node pair")
+    return tuple(pair)
+
+
+def _string(obj, path):
+    if not isinstance(obj, str):
+        _fail(path, "expected a string")
+    return obj
+
+
 def _load_matrix(obj, path, base_dir):
     if isinstance(obj, dict):
         ref = obj.get("csv")
@@ -124,15 +158,11 @@ def function_from_config(obj, path, base_dir):
         blocks = obj.get("blocks")
         if not isinstance(blocks, list) or not blocks:
             _fail(path + ".blocks", "expected a nonempty list")
-        size = obj.get("size")
-        if not isinstance(size, int):
-            _fail(path + ".size", "expected an integer total size")
+        size = _integer(obj.get("size"), path + ".size", 1)
         parsed = []
         for i, blk in enumerate(blocks):
             blk = _expect_map(blk, "%s.blocks[%d]" % (path, i))
-            idx = blk.get("indices")
-            if not isinstance(idx, list):
-                _fail("%s.blocks[%d].indices" % (path, i), "expected an index list")
+            idx = _integer_list(blk.get("indices"), "%s.blocks[%d].indices" % (path, i), 0)
             fn = function_from_config(blk.get("function"), "%s.blocks[%d].function" % (path, i),
                                       base_dir)
             parsed.append((np.asarray(idx, dtype=int), fn))
@@ -166,9 +196,7 @@ def _parse_flow(problem, epsilon, path, base_dir):
                 _fail("%s.edges[%d].capacity" % (path, i), "must be positive")
         length = _number(e.get("length", 1.0), "%s.edges[%d].length" % (path, i), positive=True)
         edges.append(bld.FlowEdge(e["from"], e["to"], length, cap))
-    horizon = problem.get("horizon")
-    if not isinstance(horizon, int) or horizon < 2:
-        _fail(path + ".horizon", "expected an integer of at least 2")
+    horizon = _integer(problem.get("horizon"), path + ".horizon", 2)
     net = bld.FlowNetwork(nodes, edges, problem.get("sources", []), problem.get("sinks", []),
                           horizon)
 
@@ -202,12 +230,11 @@ def _parse_flow(problem, epsilon, path, base_dir):
 def _parse_mfg(problem, epsilon, path, base_dir):
     if "grid" in problem and isinstance(problem["grid"], dict):
         g = problem["grid"]
-        grid = bld.grid_points(g.get("shape", []), g.get("extent", []))
+        grid = bld.grid_points(_integer_list(g.get("shape"), path + ".grid.shape", 1),
+                               g.get("extent", []))
     else:
         grid = _load_matrix(problem.get("grid"), path + ".grid", base_dir)
-    steps = problem.get("steps")
-    if not isinstance(steps, int) or steps < 1:
-        _fail(path + ".steps", "expected a positive integer")
+    steps = _integer(problem.get("steps"), path + ".steps", 1)
     species_cfg = problem.get("species")
     if not isinstance(species_cfg, list) or not species_cfg:
         _fail(path + ".species", "expected a nonempty list")
@@ -229,10 +256,7 @@ def _parse_mfg(problem, epsilon, path, base_dir):
     total_running = {}
     for key, fn_cfg in _expect_map(problem.get("total_running", {}),
                                    path + ".total_running").items():
-        try:
-            j = int(key)
-        except ValueError:
-            _fail(path + ".total_running", "keys must be time indices, got %r" % (key,))
+        j = _integer_key(key, path + ".total_running")
         total_running[j] = function_from_config(fn_cfg, "%s.total_running[%s]" % (path, key),
                                                 base_dir)
     total_terminal = problem.get("total_terminal")
@@ -264,8 +288,8 @@ def _parse_mfg(problem, epsilon, path, base_dir):
 def _parse_raw(problem, epsilon, path, base_dir):
     topo_cfg = _expect_map(problem.get("topology"), path + ".topology")
     kind = topo_cfg.get("class")
-    sizes = topo_cfg.get("sizes")
-    if not isinstance(sizes, list) or not sizes:
+    sizes = _integer_list(topo_cfg.get("sizes"), path + ".topology.sizes", 1)
+    if not sizes:
         _fail(path + ".topology.sizes", "expected a nonempty list of node sizes")
     n = len(sizes)
     if kind == "chain":
@@ -273,9 +297,7 @@ def _parse_raw(problem, epsilon, path, base_dir):
     elif kind == "od_cycle":
         topo = md.GraphTopology.od_cycle(n)
     elif kind == "hub":
-        species = topo_cfg.get("species")
-        if not isinstance(species, int) or species < 1:
-            _fail(path + ".topology.species", "expected a positive species count")
+        species = _integer(topo_cfg.get("species"), path + ".topology.species", 1)
         topo = md.GraphTopology.species_hub(n - 1, species)
         if sizes[-1] != species:
             _fail(path + ".topology.sizes", "last size must equal the species count")
@@ -283,16 +305,15 @@ def _parse_raw(problem, epsilon, path, base_dir):
         edges = topo_cfg.get("edges")
         if not isinstance(edges, list) or not edges:
             _fail(path + ".topology.edges", "expected an edge list")
-        topo = md.GraphTopology.general(n, [tuple(e) for e in edges])
+        topo = md.GraphTopology.general(n, [
+            _node_pair(e, "%s.topology.edges[%d]" % (path, i)) for i, e in enumerate(edges)])
     else:
         _fail(path + ".topology.class", "unknown topology class %r" % (kind,))
 
     kernels = {}
     for i, k in enumerate(problem.get("kernels", [])):
         k = _expect_map(k, "%s.kernels[%d]" % (path, i))
-        edge = tuple(k.get("edge", ()))
-        if len(edge) != 2:
-            _fail("%s.kernels[%d].edge" % (path, i), "expected a node pair")
+        edge = _node_pair(k.get("edge"), "%s.kernels[%d].edge" % (path, i))
         cost = _load_matrix(k.get("cost"), "%s.kernels[%d].cost" % (path, i), base_dir)
         kernels[edge] = md.build_kernel(cost, epsilon)
     for e in topo.edges:
@@ -302,7 +323,7 @@ def _parse_raw(problem, epsilon, path, base_dir):
     node_functions = {}
     for key, cfg in _expect_map(problem.get("node_functions", {}),
                                 path + ".node_functions").items():
-        node_functions[int(key)] = function_from_config(
+        node_functions[_integer_key(key, path + ".node_functions")] = function_from_config(
             cfg, "%s.node_functions[%s]" % (path, key), base_dir)
     edge_functions = {}
     for key, cfg in _expect_map(problem.get("edge_functions", {}),
@@ -310,7 +331,7 @@ def _parse_raw(problem, epsilon, path, base_dir):
         parts = key.split("-")
         if len(parts) != 2:
             _fail(path + ".edge_functions", "edge keys look like \"0-1\", got %r" % (key,))
-        edge = (int(parts[0]), int(parts[1]))
+        edge = tuple(_integer_key(p, path + ".edge_functions") for p in parts)
         edge_functions[edge] = function_from_config(
             cfg, "%s.edge_functions[%s]" % (path, key), base_dir)
     spec = md.ProblemSpec(topo, kernels, node_functions, edge_functions, epsilon)
@@ -352,18 +373,16 @@ def parse_config(config_path):
         kwargs["potential_tol"] = _number(solver_cfg["potential_tol"],
                                           "solver.potential_tol", positive=True)
     if "max_sweeps" in solver_cfg:
-        ms = solver_cfg["max_sweeps"]
-        if not isinstance(ms, int) or ms < 1:
-            _fail("solver.max_sweeps", "expected a positive integer")
-        kwargs["max_sweeps"] = ms
+        kwargs["max_sweeps"] = _integer(solver_cfg["max_sweeps"], "solver.max_sweeps", 1)
     kwargs["verify"] = _flag(solver_cfg, "verify", False, "solver.verify")
     config = solver.SolverConfig(**kwargs)
 
     out_cfg = _expect_map(raw.get("output", {}), "output")
-    out_dir = out_cfg.get("directory", "gtop_out")
+    out_dir = _string(out_cfg.get("directory", "gtop_out"), "output.directory")
     emit = {key: _flag(out_cfg, key, True, "output." + key)
             for key in ("marginals", "bimarginals", "dual_trace", "summary")}
-    label = raw.get("label", os.path.splitext(os.path.basename(config_path))[0])
+    label = _string(raw.get("label", os.path.splitext(os.path.basename(config_path))[0]),
+                    "label")
     return RunConfig(spec, config, out_dir, emit, flow_net=flow_net, label=label)
 
 
@@ -427,7 +446,7 @@ def run(run_config):
                 util = [bld.edge_utilization(run_config.flow_net, r) for r in rows]
                 _write_matrix(os.path.join(run_config.out_dir, "utilization.csv"),
                               np.stack(util))
-            if topo.kind == md.SPECIES_HUB:
+            if topo.hub is not None:
                 _write_matrix(os.path.join(run_config.out_dir, "species_masses.csv"),
                               engine.marginal(topo.hub, pots).value())
         if run_config.emit["bimarginals"]:

@@ -13,12 +13,6 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 
-# Topology kinds.
-CHAIN = "chain"
-OD_CYCLE = "od_cycle"
-SPECIES_HUB = "species_hub"
-GENERAL = "general"
-
 # exp(-x) may round to zero only for x beyond this spread.
 _UNDERFLOW_SPREAD = -math.log(np.finfo(float).smallest_subnormal)
 # A renormalization shifting the log scale by more than this is a rescale event.
@@ -110,8 +104,6 @@ class RescaleLog:
 def _as_mantissa(x):
     if isinstance(x, ScaledArray):
         return x.m, x.log_scale
-    if isinstance(x, EdgeKernel):
-        return x.m, x.log_scale
     return np.asarray(x, dtype=float), 0.0
 
 
@@ -131,17 +123,17 @@ def smul(*factors, note=None):
 
 
 class GraphTopology:
-    """Connected marginal graph with one of four recognized structures.
+    """Connected marginal graph, given by its edge list.
 
-    Nodes are the tensor modes, numbered ``0 .. node_count-1``.  For the
-    species-hub structure the hub is the last node; the remaining nodes form
-    the time path and every one of them is joined to the hub.
+    Nodes are the tensor modes, numbered ``0 .. node_count-1``.  A species
+    hub is the node ``hub`` of size ``species_count``; every other node is a
+    time node.  The edges alone decide which structure the graph has
+    (:attr:`path_chords`).
     """
 
-    def __init__(self, node_count, edges, kind, hub=None, species_count=None):
+    def __init__(self, node_count, edges, hub=None, species_count=None):
         self.node_count = int(node_count)
         self.edges = tuple((int(a), int(b)) for a, b in edges)
-        self.kind = kind
         self.hub = None if hub is None else int(hub)
         self.species_count = None if species_count is None else int(species_count)
         self._validate()
@@ -149,41 +141,45 @@ class GraphTopology:
     @classmethod
     def chain(cls, node_count):
         edges = [(t, t + 1) for t in range(node_count - 1)]
-        return cls(node_count, edges, CHAIN)
+        return cls(node_count, edges)
 
     @classmethod
     def od_cycle(cls, node_count):
+        if node_count < 3:
+            raise InvalidInput("a cycle over the endpoints needs at least 3 nodes")
         edges = [(t, t + 1) for t in range(node_count - 1)]
         edges.append((0, node_count - 1))
-        return cls(node_count, edges, OD_CYCLE)
+        return cls(node_count, edges)
 
     @classmethod
     def species_hub(cls, time_node_count, species_count):
+        if time_node_count < 2:
+            raise InvalidInput("a species hub needs at least two time nodes")
         hub = int(time_node_count)
         edges = [(t, t + 1) for t in range(time_node_count - 1)]
         edges += [(hub, j) for j in range(time_node_count)]
-        return cls(time_node_count + 1, edges, SPECIES_HUB, hub=hub,
-                   species_count=species_count)
+        return cls(time_node_count + 1, edges, hub=hub, species_count=species_count)
 
     @classmethod
     def general(cls, node_count, edges):
-        return cls(node_count, edges, GENERAL)
+        return cls(node_count, edges)
 
     @property
     def chord(self):
-        if self.kind != OD_CYCLE:
-            return None
-        return (0, self.node_count - 1)
+        """The edge (0, n-1) closing an origin-destination cycle, or None."""
+        chord = (0, self.node_count - 1)
+        if self.hub is None and self.node_count >= 3 and chord in self.edges:
+            return chord
+        return None
 
     @property
     def path_chords(self):
         """``(path, chords)`` when the edges are exactly the path steps
         (path[i], path[i+1]) plus chords (path[0], b), as given; None for any
-        other graph.  The path is (hub, 0, ..., T-1) for a species hub and
-        (0, ..., n-1) otherwise."""
-        path = tuple(range(self.node_count))
-        if self.kind == SPECIES_HUB:
-            path = (self.hub,) + path[:-1]
+        other graph.  The path is the hub, if any, then the time nodes."""
+        path = self.time_nodes
+        if self.hub is not None:
+            path = (self.hub,) + path
         steps = set(zip(path, path[1:]))
         chords = tuple(e for e in self.edges if e not in steps)
         if len(self.edges) - len(chords) < len(steps) or any(a != path[0] for a, _ in chords):
@@ -192,20 +188,14 @@ class GraphTopology:
 
     @property
     def time_nodes(self):
-        if self.kind == SPECIES_HUB:
-            return tuple(range(self.hub))
-        return tuple(range(self.node_count))
-
-    @property
-    def hub_edges(self):
-        if self.kind != SPECIES_HUB:
-            return ()
-        return tuple((self.hub, j) for j in range(self.hub))
+        return tuple(v for v in range(self.node_count) if v != self.hub)
 
     def _validate(self):
         n = self.node_count
         if n < 2:
             raise InvalidInput("a graph needs at least two nodes, got %d" % n)
+        if self.hub is not None and not (0 <= self.hub < n and (self.species_count or 0) >= 1):
+            raise InvalidInput("a hub must be a node and have a positive species count")
         seen = set()
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n):
@@ -218,27 +208,6 @@ class GraphTopology:
             seen.add(key)
         if not self._connected():
             raise InvalidInput("graph is not connected")
-        if self.kind == CHAIN:
-            expect = tuple((t, t + 1) for t in range(n - 1))
-            if self.edges != expect:
-                raise InvalidInput("chain topology requires consecutive edges only")
-        elif self.kind == OD_CYCLE:
-            if n < 3:
-                raise InvalidInput("a cycle over the endpoints needs at least 3 nodes")
-            expect = tuple((t, t + 1) for t in range(n - 1)) + ((0, n - 1),)
-            if tuple(sorted(self.edges)) != tuple(sorted(expect)):
-                raise InvalidInput("od_cycle topology requires a path plus the (first, last) chord")
-        elif self.kind == SPECIES_HUB:
-            if self.hub != n - 1 or self.species_count is None or self.species_count < 1:
-                raise InvalidInput("species_hub topology requires hub = last node and a species count")
-            if n < 3:
-                raise InvalidInput("species_hub topology needs at least two time nodes")
-            expect = tuple((t, t + 1) for t in range(self.hub - 1))
-            expect += tuple((self.hub, j) for j in range(self.hub))
-            if tuple(sorted(self.edges)) != tuple(sorted(expect)):
-                raise InvalidInput("species_hub topology requires the time path plus all hub edges")
-        elif self.kind != GENERAL:
-            raise InvalidInput("unknown topology kind %r" % (self.kind,))
 
     def _connected(self):
         adj = {v: set() for v in range(self.node_count)}
@@ -256,39 +225,21 @@ class GraphTopology:
         return len(seen) == self.node_count
 
 
-class EdgeKernel:
+class EdgeKernel(ScaledArray):
     """Pairwise kernel ``exp(-cost / epsilon)`` stored in mantissa form.
 
-    ``support`` marks entries with finite cost; zero mantissa entries encode
-    forbidden transitions and stay exactly zero through every operation.
+    Zero mantissa entries encode forbidden transitions and stay exactly zero
+    through every operation.
     """
 
-    __slots__ = ("m", "log_scale", "support")
+    __slots__ = ()
 
     def __init__(self, mantissa, log_scale=0.0):
-        self.m = np.asarray(mantissa, dtype=float)
+        super().__init__(mantissa, log_scale)
         if self.m.ndim != 2:
             raise InvalidInput("kernel must be a matrix")
         if not np.all(np.isfinite(self.m)) or np.any(self.m < 0):
             raise InvalidInput("kernel entries must be finite and nonnegative")
-        self.log_scale = float(log_scale)
-        self.support = self.m > 0
-
-    @classmethod
-    def ones(cls, shape):
-        return cls(np.ones(shape), 0.0)
-
-    @property
-    def shape(self):
-        return self.m.shape
-
-    def as_scaled(self):
-        return ScaledArray(self.m, self.log_scale)
-
-    def cost(self, epsilon):
-        """Recover the cost matrix ``-epsilon * log`` (inf on zero entries)."""
-        with np.errstate(divide="ignore"):
-            return -epsilon * (np.log(self.m) + self.log_scale)
 
 
 def build_kernel(cost, epsilon):
@@ -448,7 +399,7 @@ class ProblemSpec:
     @staticmethod
     def _infer_sizes(topology, kernels):
         sizes = {}
-        if topology.kind == SPECIES_HUB:
+        if topology.hub is not None:
             sizes[topology.hub] = topology.species_count
         for e, k in kernels.items():
             for node, dim in zip(e, k.shape):

@@ -21,6 +21,9 @@ from .projections import DenseEngine, make_engine
 # Relative drop of the dual objective tolerated as roundoff before a
 # verified solve fails or a report warns.
 _MONOTONE_SLACK = 1e-9
+# Largest |log| of a dual iterate before a solve warns that the dual may
+# not attain its supremum.
+_LOG_POTENTIAL_BOUND = 1e5
 
 
 @dataclass
@@ -30,7 +33,6 @@ class SolverConfig:
     max_sweeps: int = 10000
     verify: bool = False
     callback: object = None
-    log_potential_bound: float = 1e5
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.potential_tol <= 0:
@@ -233,7 +235,6 @@ def solve(spec, config=None, initial=None):
     engine.rebuild_backward(pots)
     warned_divergence = False
     warned_dual = False
-    sweep = 0
     for sweep in range(1, config.max_sweeps + 1):
         upd = _Updater(spec, pots, verifier, sweep)
         try:
@@ -258,9 +259,9 @@ def solve(spec, config=None, initial=None):
             if math.isfinite(prev) and dual < prev - _MONOTONE_SLACK * max(1.0, abs(prev)):
                 report.warnings.append("dual objective decreased at sweep %d" % sweep)
                 warned_dual = True
-        if not warned_divergence and pots.max_abs_log() > config.log_potential_bound:
+        if not warned_divergence and pots.max_abs_log() > _LOG_POTENTIAL_BOUND:
             report.warnings.append("dual iterates exceed log bound %g; the dual may not "
-                                   "attain its supremum" % config.log_potential_bound)
+                                   "attain its supremum" % _LOG_POTENTIAL_BOUND)
             warned_divergence = True
         if config.callback is not None:
             config.callback(sweep, dual, max_res)
@@ -270,7 +271,7 @@ def solve(spec, config=None, initial=None):
     if not report.termination:
         report.termination = "max_sweeps"
     report.sweeps = sweep
-    report.residuals = residual_map(pots, spec, engine)
+    report.residuals = res
     report.feasible = report.max_residual <= config.feasibility_tol
     report.wall_time_s = time.perf_counter() - t0
     report.rescale_events = rescale.events

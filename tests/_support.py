@@ -117,7 +117,7 @@ def random_hub_spec(rng, time_nodes=None, n_states=None, species=None, epsilon=1
     topo = GraphTopology.species_hub(tc, L)
     kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 2.0, (n, n)), epsilon)
                for j in range(tc - 1)}
-    for e in topo.hub_edges:
+    for e in [(topo.hub, j) for j in topo.time_nodes]:
         if rng.uniform() < 0.5:
             kernels[e] = build_kernel(rng.uniform(0.0, 2.0, (L, n)), epsilon)
     edge_fns = {(topo.hub, 0): Equality(rng.uniform(0.05, 1.0, (L, n)))}
@@ -146,11 +146,3 @@ def solve_dense(spec, config=None, initial=None):
         return solver.solve(spec, config, initial)
     finally:
         solver.make_engine = routed
-
-
-def feasible_marginals(spec, rng):
-    """Node marginals realized by some positive plan (so equality targets work)."""
-    from gtop import DenseEngine
-    pots = random_potentials(spec, rng)
-    den = DenseEngine(spec)
-    return {j: den.marginal(j, pots).value() for j in range(spec.topology.node_count)}

@@ -62,12 +62,12 @@ def test_criterion_1_oracle_projection_equivalence():
                 for j in range(spec.topology.node_count):
                     assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-10,
                                          "trial %d %s marginal %d"
-                                         % (trial, spec.topology.kind, j))
+                                         % (trial, spec.topology.edges, j))
                 for e in spec.topology.edges:
                     assert_maxnorm_close(eng.bimarginal(e, pots),
                                          den.bimarginal(e, pots), 1e-10,
                                          "trial %d %s bimarginal %r"
-                                         % (trial, spec.topology.kind, e))
+                                         % (trial, spec.topology.edges, e))
         assert time.perf_counter() - started < 30.0
 
 

@@ -81,7 +81,7 @@ class TestBuildCongestion:
 
     def test_padded_blocks(self):
         from gtop import ScaledArray
-        fn = build_congestion(np.array([1.0, 2.0]), n_states=5, edge_offset=0)
+        fn = build_congestion(np.array([1.0, 2.0]), n_states=5)
         out = fn.solve_inclusion(ScaledArray.from_values([4.0, 4.0, 1.0, 1.0, 1.0]), 1.0)
         assert np.all(out.value()[2:] == 1.0)
         assert np.all(out.value()[:2] < 1.0)
@@ -96,7 +96,7 @@ class TestFlowProblem:
         net = tiny_net(horizon=3)
         od = np.array([[1.0]])
         spec = build_flow_problem(net, od=od, epsilon=0.5)
-        assert spec.topology.kind == "od_cycle"
+        assert spec.topology.chord == (0, 2)
         pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         eng = make_engine(spec)
@@ -109,7 +109,7 @@ class TestFlowProblem:
         mu0 = np.array([0.0, 1.0, 0.0])
         mu2 = np.array([0.0, 0.0, 1.0])
         spec = build_flow_problem(net, terminals=(mu0, mu2), epsilon=0.5)
-        assert spec.topology.kind == "chain"
+        assert spec.topology.path_chords == ((0, 1, 2), ())
         pots, report = solve(spec)
         assert report.termination == "converged"
         eng = make_engine(spec)

@@ -64,13 +64,13 @@ def flow_config(out_dir):
 class TestParseConfig:
     def test_minimal_two_marginal(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_raw_config(str(tmp_path / "out"))))
-        assert cfg.spec.topology.kind == "chain"
+        assert cfg.spec.topology.path_chords == ((0, 1), ())
         assert cfg.spec.epsilon == 1.0
         assert cfg.solver_config.feasibility_tol == 1e-10
 
     def test_flow_becomes_od_cycle(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, flow_config(str(tmp_path / "out"))))
-        assert cfg.spec.topology.kind == "od_cycle"
+        assert cfg.spec.topology.chord == (0, 2)
         assert cfg.flow_net is not None
 
     def test_negative_capacity_named(self, tmp_path):
@@ -136,7 +136,7 @@ class TestParseConfig:
             "output": {"directory": str(tmp_path / "out")},
         }
         cfg = parse_config(write_config(tmp_path, body))
-        assert cfg.spec.topology.kind == "species_hub"
+        assert cfg.spec.topology.hub == 3
         assert cfg.spec.topology.species_count == 2
 
 
@@ -412,6 +412,60 @@ class TestStepPlans:
         written = os.listdir(out)
         assert "marginals.csv" not in written and "species_masses.csv" not in written
         assert "bimarg_0_1.npy" in written
+
+
+def _blockwise_node_0(body, size=2, indices=(0, 1)):
+    body["problem"]["node_functions"]["0"] = {
+        "type": "blockwise", "size": size,
+        "blocks": [{"indices": list(indices), "function": {"type": "zero"}}]}
+
+
+def _hub_topology(body, species):
+    body["problem"]["topology"] = {"class": "hub", "sizes": [2, 2, 1], "species": species}
+
+
+def _raw(body, **problem):
+    body["problem"].update(problem)
+
+
+class TestConfigTypes:
+    """Integers and strings are read as those JSON types, never coerced."""
+
+    @pytest.mark.parametrize("make,edit,path", [
+        (minimal_raw_config, lambda b: b["solver"].update(max_sweeps=True), "solver.max_sweeps"),
+        (mfg_config, lambda b: b["problem"].update(steps=True), "problem.steps"),
+        (mfg_config, lambda b: b["problem"]["grid"].update(shape=[2.7, 2]),
+         "problem.grid.shape[0]"),
+        (minimal_raw_config, lambda b: _blockwise_node_0(b, size=True),
+         "problem.node_functions[0].size"),
+        (minimal_raw_config, lambda b: _blockwise_node_0(b, indices=[0.9, 1.7]),
+         "problem.node_functions[0].blocks[0].indices[0]"),
+        (minimal_raw_config, lambda b: _blockwise_node_0(b, indices=[0, "a"]),
+         "problem.node_functions[0].blocks[0].indices[1]"),
+        (minimal_raw_config, lambda b: _hub_topology(b, True), "problem.topology.species"),
+        (minimal_raw_config,
+         lambda b: _raw(b, topology={"class": "chain", "sizes": [2, 2.5]}, kernels=[]),
+         "problem.topology.sizes[1]"),
+        (minimal_raw_config,
+         lambda b: _raw(b, topology={"class": "general", "sizes": [2, 2], "edges": [[0, 1.7]]}),
+         "problem.topology.edges[0][1]"),
+        (minimal_raw_config,
+         lambda b: b["problem"]["kernels"][0].update(edge=[0.0, 1.0]),
+         "problem.kernels[0].edge[0]"),
+        (minimal_raw_config, lambda b: b["problem"]["node_functions"].update(a={"type": "zero"}),
+         "problem.node_functions"),
+        (minimal_raw_config, lambda b: _raw(b, edge_functions={"0-x": {"type": "zero"}}),
+         "problem.edge_functions"),
+        (minimal_raw_config, lambda b: b["output"].update(directory=5), "output.directory"),
+        (minimal_raw_config, lambda b: b.update(label=["run"]), "label"),
+    ], ids=["max_sweeps_bool", "steps_bool", "grid_shape_float", "blockwise_size_bool", "index_float",
+            "index_string", "species_bool", "size_float", "edge_float", "kernel_edge_float",
+            "node_key", "edge_key", "directory_number", "label_list"])
+    def test_rejected_with_config_path(self, tmp_path, capsys, make, edit, path):
+        body = make(str(tmp_path / "out"))
+        edit(body)
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err.startswith("error: %s: expected " % path)
 
 
 class TestThreadCap:

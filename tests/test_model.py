@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gtop import (CompositeFunction, DualPotentials, Equality, GraphTopology,
+from gtop import (CompositeFunction, DualPotentials, EdgeKernel, Equality, GraphTopology,
                   InvalidInput, ProblemSpec, ScaledArray, Zero, build_kernel,
                   dual_objective, total_mass)
 
@@ -55,7 +55,7 @@ class TestBuildKernel:
         c = np.array([[0.0, np.inf], [np.inf, 0.0]])
         k = build_kernel(c, 0.3)
         np.testing.assert_array_equal(k.m, np.eye(2))
-        np.testing.assert_array_equal(k.support, np.eye(2, dtype=bool))
+        np.testing.assert_array_equal(k.m > 0, np.eye(2, dtype=bool))
 
     def test_direct_exponentiation(self):
         k = build_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
@@ -82,7 +82,7 @@ class TestBuildKernel:
             c = rng.uniform(0, spread, (4, 4))
             c[0, 1] = np.inf
             k = build_kernel(c, eps)
-            back = k.cost(eps)
+            back = -eps * k.log_value()
             finite = np.isfinite(c)
             np.testing.assert_allclose(back[finite], c[finite], rtol=1e-12)
             assert back[0, 1] == np.inf
@@ -92,7 +92,7 @@ class TestBuildKernel:
         with pytest.warns(RuntimeWarning, match="1 finite-cost kernel entries underflow"):
             k = build_kernel(c, 0.01)
         assert k.m[0, 1] == 0.0
-        assert k.cost(0.01)[0, 1] == np.inf
+        assert (-0.01 * k.log_value())[0, 1] == np.inf
 
     def test_underflow_warning_threshold(self):
         # exp(-x) is a nonzero subnormal up to x ~ 745.1 and zero beyond
@@ -114,6 +114,21 @@ class TestBuildKernel:
             build_kernel(np.array([[0.0, -np.inf]]), 1.0)
 
 
+class TestEdgeKernel:
+    def test_is_a_scaled_array(self):
+        k = EdgeKernel(np.array([[1.0, 0.0]]), -2.0)
+        assert isinstance(k, ScaledArray)
+        np.testing.assert_array_equal(k.value(), [[np.exp(-2.0), 0.0]])
+        assert type(EdgeKernel.ones((2, 3))) is EdgeKernel
+
+    @pytest.mark.parametrize("mantissa", [[1.0, 2.0], [[1.0, -1.0]], [[0.5, np.nan]],
+                                          [[np.inf, 1.0]]],
+                             ids=["1d", "negative", "nan", "inf"])
+    def test_rejects_bad_mantissa(self, mantissa):
+        with pytest.raises(InvalidInput):
+            EdgeKernel(np.array(mantissa))
+
+
 class TestTopology:
     def test_chain_shape(self):
         topo = GraphTopology.chain(4)
@@ -127,7 +142,7 @@ class TestTopology:
     def test_hub_edges(self):
         topo = GraphTopology.species_hub(3, 2)
         assert topo.hub == 3
-        assert set(topo.hub_edges) == {(3, 0), (3, 1), (3, 2)}
+        assert {e for e in topo.edges if topo.hub in e} == {(3, 0), (3, 1), (3, 2)}
         assert topo.time_nodes == (0, 1, 2)
 
     def test_path_chords_per_kind(self):
@@ -138,6 +153,22 @@ class TestTopology:
         general = GraphTopology.general(4, [(0, 2), (0, 1), (1, 2), (2, 3)])
         assert general.path_chords == ((0, 1, 2, 3), ((0, 2),))
         assert GraphTopology.general(4, [(0, 1), (1, 2), (2, 3), (1, 3)]).path_chords is None
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_structure_follows_from_edges(self, n):
+        for built in (GraphTopology.chain(n), GraphTopology.od_cycle(n)):
+            general = GraphTopology.general(n, built.edges)
+            assert general.path_chords == built.path_chords
+            assert general.time_nodes == built.time_nodes
+            assert general.chord == built.chord
+
+    @pytest.mark.parametrize("build", [lambda: GraphTopology.species_hub(1, 2),
+                                       lambda: GraphTopology.species_hub(3, 0),
+                                       lambda: GraphTopology.od_cycle(2)],
+                             ids=["hub_one_time_node", "hub_no_species", "cycle_two_nodes"])
+    def test_count_checks(self, build):
+        with pytest.raises(InvalidInput):
+            build()
 
     def test_disconnected_rejected(self):
         with pytest.raises(InvalidInput):

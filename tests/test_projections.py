@@ -308,9 +308,9 @@ class TestODProjections:
         # on the left and by the chord factor and node-4 potential on the right
         u0 = pots.node_value(0).value()
         u4 = pots.node_value(4).value()
-        chord = spec.kernels[(0, 4)].as_scaled().value() * pots.edge_value((0, 4)).value()
-        k01 = spec.kernels[(0, 1)].as_scaled().value()
-        k34 = spec.kernels[(3, 4)].as_scaled().value()
+        chord = spec.kernels[(0, 4)].value() * pots.edge_value((0, 4)).value()
+        k01 = spec.kernels[(0, 1)].value()
+        k34 = spec.kernels[(3, 4)].value()
         np.testing.assert_allclose(eng.fwd[1].value(), u0[:, None] * k01, rtol=1e-13)
         np.testing.assert_allclose(eng.bwd[3].value(), (chord * u4[None, :]) @ k34.T,
                                    rtol=1e-13)
@@ -484,7 +484,7 @@ class TestMessageReuse:
         # change one node potential, push forward incrementally from it
         pots.nodes[touch] = [ScaledArray.from_values(
             np.exp(rng.uniform(-1, 1, spec.node_sizes[touch])))]
-        hi = spec.topology.hub if spec.topology.kind == "species_hub" else None
+        hi = spec.topology.hub
         last = (hi if hi is not None else spec.topology.node_count) - 1
         for j in range(touch, last):
             eng.push_forward(j, pots)

@@ -642,7 +642,7 @@ class TestRLinearTrend:
 
 
 class TestDivergenceWarning:
-    def test_unattained_dual_warns_not_errors(self):
+    def test_unattained_dual_warns_not_errors(self, monkeypatch):
         # two constraints that force a plan entry to zero: the optimal primal
         # exists but the dual multipliers run away; expect a warning only
         topo = GraphTopology.general(2, [(0, 1)])
@@ -651,8 +651,8 @@ class TestDivergenceWarning:
         spec = ProblemSpec(topo, {(0, 1): k},
                            {0: Box(0.0, np.array([1.0, 2.0]))},
                            {(0, 1): Box(R, np.full((2, 2), np.inf))}, 1.0)
-        pots, report = solve(spec, SolverConfig(max_sweeps=200,
-                                                log_potential_bound=3.0))
+        monkeypatch.setattr("gtop.solver._LOG_POTENTIAL_BOUND", 3.0)
+        pots, report = solve(spec, SolverConfig(max_sweeps=200))
         assert any("log bound" in w for w in report.warnings)
         # the primal plan itself approaches its optimum even so
         plan = dense_tensor(spec, pots).value()
