@@ -23,7 +23,8 @@ from .functions import (Blockwise, Box, CompositeFunction, Congestion, Equality,
                         Linear, MarginalFunction, QuadraticDistance, SubgradientBand,
                         Zero, inclusion_residual, stack_rows)
 from .model import (DualPotentials, EdgeKernel, GraphTopology, ProblemSpec,
-                    ScaledArray, build_kernel, dual_objective, total_mass)
+                    ScaledArray, SeparableKernel, build_kernel, dual_objective,
+                    total_mass)
 from .projections import ChainEngine, DenseEngine, make_engine
 from .solver import SolveReport, SolverConfig, residuals, solve
 from .builders import (FlowEdge, FlowNetwork, MFGSetup, build_congestion,

@@ -7,6 +7,7 @@ the species index.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .functions import Blockwise, Congestion, Equality, Zero, stack_rows
-from .model import GraphTopology, ProblemSpec, build_kernel
+from .model import GraphTopology, ProblemSpec, SeparableKernel, build_kernel
 
 
 @dataclass(frozen=True)
@@ -202,8 +203,12 @@ def edge_utilization(net, marginal):
 def grid_points(shape, extent):
     """Cell-centered grid coordinates over a rectangle, row-major order."""
     shape = tuple(int(s) for s in shape)
-    if len(shape) != len(extent) // 2 or len(extent) % 2 != 0:
-        raise InvalidInput("extent needs (lo, hi) per grid dimension")
+    try:
+        extent = np.asarray(extent, dtype=float)
+    except (TypeError, ValueError):
+        extent = None
+    if extent is None or extent.shape != (2 * len(shape),) or not np.isfinite(extent).all():
+        raise InvalidInput("extent needs finite numbers (lo, hi) per grid dimension")
     axes = []
     for d, n in enumerate(shape):
         lo, hi = float(extent[2 * d]), float(extent[2 * d + 1])
@@ -257,8 +262,12 @@ class MFGSetup:
         self.grid = np.asarray(self.grid, dtype=float)
         if self.grid.ndim == 1:
             self.grid = self.grid[:, None]
+        if self.n_steps < 1:
+            raise InvalidInput("need at least one time step")
         if self.dt is None:
             self.dt = 1.0 / self.n_steps
+        if not isinstance(self.dt, numbers.Real) or not 0 < self.dt < math.inf:
+            raise InvalidInput("dt must be a positive finite number, got %r" % (self.dt,))
         self.initial_densities = [np.asarray(m, dtype=float) for m in self.initial_densities]
         n = self.grid.shape[0]
         for idx, mu in enumerate(self.initial_densities):
@@ -267,8 +276,6 @@ class MFGSetup:
             if np.any(mu < 0) or float(mu.sum()) <= 0:
                 raise InvalidInput("initial density %d must be nonnegative with positive mass"
                                    % idx)
-        if self.n_steps < 1:
-            raise InvalidInput("need at least one time step")
 
     @property
     def n_species(self):
@@ -319,11 +326,32 @@ def build_mfg_problem(setup):
                        edge_functions, setup.epsilon)
 
 
+def _grid_axes(points):
+    """Per-axis coordinates of the n x d ``points`` when d >= 2 and they are,
+    in the order given, the row-major Cartesian product of those axes."""
+    sizes = [np.unique(c).size for c in points.T]
+    if len(sizes) < 2 or math.prod(sizes) != len(points):
+        return None
+    axes = [points[::math.prod(sizes[a + 1:]), a][:s] for a, s in enumerate(sizes)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes if np.array_equal(np.stack([m.ravel() for m in mesh], axis=1), points) else None
+
+
 def _time_kernels(setup):
-    """The transport kernel on every edge between consecutive time nodes."""
-    cost = build_mfg_cost_matrix(grid=None if setup.cost_matrix is not None else setup.grid,
-                                 matrix=setup.cost_matrix, scale=setup.cost_scale)
-    kernel = build_kernel(cost, setup.epsilon)
+    """The transport kernel on every edge between consecutive time nodes.
+
+    The squared distance on a grid that :func:`_grid_axes` splits is a sum of
+    one cost per axis, so its kernel is a :class:`SeparableKernel`; any other
+    grid and a given cost matrix get the dense kernel.
+    """
+    grid = None if setup.cost_matrix is not None else setup.grid
+    axes = None if grid is None else _grid_axes(grid)
+    if axes is None:
+        kernel = build_kernel(build_mfg_cost_matrix(grid, setup.cost_matrix, setup.cost_scale),
+                              setup.epsilon)
+    else:
+        kernel = SeparableKernel([build_kernel(build_mfg_cost_matrix(x, scale=setup.cost_scale),
+                                               setup.epsilon) for x in axes])
     return {(j, j + 1): kernel for j in range(setup.n_steps)}
 
 

@@ -44,10 +44,13 @@ def _expect_map(obj, path):
     return obj
 
 
-def _number(obj, path, positive=False):
+def _number(obj, path, positive=False, finite=False):
+    """A JSON number; a positive one must also be finite."""
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         _fail(path, "expected a number")
     v = float(obj)
+    if (finite or positive) and not math.isfinite(v):
+        _fail(path, "must be finite")
     if positive and not v > 0:
         _fail(path, "must be positive")
     return v
@@ -230,8 +233,12 @@ def _parse_flow(problem, epsilon, path, base_dir):
 def _parse_mfg(problem, epsilon, path, base_dir):
     if "grid" in problem and isinstance(problem["grid"], dict):
         g = problem["grid"]
+        extent = g.get("extent", [])
+        if not isinstance(extent, list):
+            _fail(path + ".grid.extent", "expected a list of numbers")
         grid = bld.grid_points(_integer_list(g.get("shape"), path + ".grid.shape", 1),
-                               g.get("extent", []))
+                               [_number(v, "%s.grid.extent[%d]" % (path, i), finite=True)
+                                for i, v in enumerate(extent)])
     else:
         grid = _load_matrix(problem.get("grid"), path + ".grid", base_dir)
     steps = _integer(problem.get("steps"), path + ".steps", 1)
@@ -272,11 +279,14 @@ def _parse_mfg(problem, epsilon, path, base_dir):
     elif cost_cfg.get("mode", "squared_distance") != "squared_distance":
         _fail(path + ".cost.mode", "unknown mode %r" % (cost_cfg.get("mode"),))
 
+    dt = problem.get("dt")
+    if dt is not None:
+        dt = _number(dt, path + ".dt", positive=True)
     running = {j: list(running_rows) for j in range(1, steps)} if any(
         fn is not None for fn in running_rows) else {}
     setup = bld.MFGSetup(
         grid=grid, n_steps=steps, initial_densities=initials,
-        dt=problem.get("dt"), epsilon=epsilon, cost_scale=scale, cost_matrix=cost_matrix,
+        dt=dt, epsilon=epsilon, cost_scale=scale, cost_matrix=cost_matrix,
         total_running=total_running, total_terminal=total_terminal,
         species_running=running,
         species_terminal=(list(terminal_rows)

@@ -6,6 +6,7 @@ a float mantissa array paired with a single log-scale offset so that products
 of many small kernel entries survive strong regularization.
 """
 
+import functools
 import math
 import warnings
 
@@ -240,6 +241,59 @@ class EdgeKernel(ScaledArray):
             raise InvalidInput("kernel must be a matrix")
         if not np.all(np.isfinite(self.m)) or np.any(self.m < 0):
             raise InvalidInput("kernel entries must be finite and nonnegative")
+
+    def apply(self, m, transpose=False):
+        """``m @ K``, or ``m @ K.T``: the rows of ``m`` times the kernel."""
+        return m @ (self.m.T if transpose else self.m)
+
+    def times(self, x):
+        """``x * K`` elementwise, written into ``x``."""
+        x *= self.m
+        return x
+
+    def full(self):
+        return self.m
+
+
+class SeparableKernel:
+    """Kernel on a row-major grid: the Kronecker product of one square
+    :class:`EdgeKernel` per axis, ``K[(i0, i1, ..), (j0, j1, ..)] =
+    K0[i0, j0] * K1[i1, j1] * ..`` (Solomon et al., "Convolutional Wasserstein
+    distances", ACM TOG 2015).  It is applied one axis at a time; only
+    :meth:`full` forms the n x n mantissa, anew on every call.
+    """
+
+    def __init__(self, axes):
+        self.axes = tuple(axes)
+        if any(k.shape[0] != k.shape[1] for k in self.axes):
+            raise InvalidInput("axis kernels must be square")
+        self.sizes = tuple(k.shape[0] for k in self.axes)
+        self.shape = (math.prod(self.sizes),) * 2
+        self.log_scale = sum(k.log_scale for k in self.axes)
+
+    def apply(self, m, transpose=False):
+        """``m @ K``, or ``m @ K.T``, by one small matmul per axis."""
+        x = m
+        for a, k in enumerate(self.axes):
+            km = k.m.T if transpose else k.m
+            if a == len(self.axes) - 1:
+                x = x.reshape(-1, self.sizes[a]) @ km
+            else:
+                x = km.T @ x.reshape(-1, self.sizes[a], math.prod(self.sizes[a + 1:]))
+        return x.reshape(m.shape)
+
+    def times(self, x):
+        """``x * K`` elementwise, written into the n x n ``x`` by broadcasting
+        each axis factor over its (s0, s1, .., s0, s1, ..) view."""
+        view = x.reshape(self.sizes * 2)
+        for a, k in enumerate(self.axes):
+            shape = [1] * len(view.shape)
+            shape[a] = shape[a + len(self.sizes)] = self.sizes[a]
+            view *= k.m.reshape(shape)
+        return view.reshape(x.shape)
+
+    def full(self):
+        return functools.reduce(np.kron, [k.m for k in self.axes])
 
 
 def build_kernel(cost, epsilon):

@@ -51,12 +51,12 @@ class _EngineBase:
         return arr
 
     def _kernel_with_edge_factor(self, e, pots):
-        """Kernel times any potential factor living on the same edge."""
+        """Kernel times any potential factor living on the same edge, as one matrix."""
         k = self.spec.kernels[e]
         u_edge = pots.edge_value(e)
         if u_edge is None:
-            return k.m, k.log_scale
-        return k.m * u_edge.m, k.log_scale + u_edge.log_scale
+            return k.full(), k.log_scale
+        return k.full() * u_edge.m, k.log_scale + u_edge.log_scale
 
 
 class ChainEngine(_EngineBase):
@@ -130,20 +130,28 @@ class ChainEngine(_EngineBase):
         for v in self.path[:-1]:
             self.push_forward(v, pots)
 
+    def _pass(self, msg, i, e, pots, transpose=False):
+        """The message ``msg`` at path position ``i``, absorbed there, times the
+        kernel of path edge ``e`` or its transpose.  A bare kernel applies
+        itself; one times an edge potential is formed as one matrix."""
+        m, ls = self._absorb(msg, i, pots)
+        if e not in pots.edges:
+            k = self.spec.kernels[e]
+            return self._fin(k.apply(m, transpose), ls + k.log_scale)
+        km, kls = self._kernel_with_edge_factor(e, pots)
+        return self._fin(m @ (km.T if transpose else km), ls + kls)
+
     def rebuild_backward(self, pots):
         last = self.T - 1
         self.bwd[last] = ScaledArray(
             np.ones((self.fwd[0].shape[0], self.spec.node_sizes[self.path[last]])), 0.0)
         for i in range(last - 1, -1, -1):
-            m, ls = self._absorb(self.bwd[i + 1], i + 1, pots)
-            km, kls = self._kernel_with_edge_factor((self.path[i], self.path[i + 1]), pots)
-            self.bwd[i] = self._fin(m @ km.T, ls + kls)
+            self.bwd[i] = self._pass(self.bwd[i + 1], i + 1, (self.path[i], self.path[i + 1]),
+                                     pots, transpose=True)
 
     def push_forward(self, v, pots):
         i = self.pos[v]
-        m, ls = self._absorb(self.fwd[i], i, pots)
-        km, kls = self._kernel_with_edge_factor((v, self.path[i + 1]), pots)
-        self.fwd[i + 1] = self._fin(m @ km, ls + kls)
+        self.fwd[i + 1] = self._pass(self.fwd[i], i, (v, self.path[i + 1]), pots)
 
     def w_node(self, v, pots):
         i = self.pos[v]
@@ -157,13 +165,13 @@ class ChainEngine(_EngineBase):
             u = pots.node_value(e[1])
             k = self.spec.kernels[e]
             fwd, bwd = self.fwd[i], self.bwd[i]
-            return self._fin(fwd.m * bwd.m * u.m * k.m,
+            return self._fin(fwd.m * bwd.m * u.m * k.full(),
                              fwd.log_scale + bwd.log_scale + u.log_scale + k.log_scale)
         i = self._step(e)
         left = self._fin(*self._absorb(self.fwd[i], i, pots))
         right = self._fin(*self._absorb(self.bwd[i + 1], i + 1, pots))
         k = self.spec.kernels[e]
-        return self._fin(k.m * (left.m.T @ right.m),
+        return self._fin(k.times(left.m.T @ right.m),
                          k.log_scale + left.log_scale + right.log_scale)
 
     def marginal(self, v, pots):
@@ -243,7 +251,7 @@ class DenseEngine(_EngineBase):
         ops, ls = [u.m for u in nodes], sum(u.log_scale for u in nodes)
         for e in self.spec.topology.edges:
             k = self.spec.kernels[e]
-            m, kls = ((k.m, k.log_scale) if exclude == ("edge", e)
+            m, kls = ((k.full(), k.log_scale) if exclude == ("edge", e)
                       else self._kernel_with_edge_factor(e, pots))
             ops.append(m)
             ls += kls

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from gtop import (Box, Congestion, DualPotentials, Equality, GraphTopology,
-                  ProblemSpec, QuadraticDistance, ScaledArray, Zero, build_kernel)
+from gtop import (Box, Congestion, DualPotentials, Equality, GraphTopology, Linear,
+                  MFGSetup, ProblemSpec, QuadraticDistance, ScaledArray, SeparableKernel,
+                  Zero, build_kernel, build_mfg_cost_matrix, build_mfg_problem)
 
 
 def assert_maxnorm_close(a, b, rtol, context=""):
@@ -42,7 +43,7 @@ def dense_tensor(spec, pots, exclude=None):
             ls += u.log_scale
     for e in spec.topology.edges:
         k = spec.kernels[e]
-        km, ls = k.m, ls + k.log_scale
+        km, ls = k.full(), ls + k.log_scale
         u_edge = None if exclude == ("edge", e) else pots.edge_value(e)
         if u_edge is not None:
             km, ls = km * u_edge.m, ls + u_edge.log_scale
@@ -146,3 +147,40 @@ def solve_dense(spec, config=None, initial=None):
         return solver.solve(spec, config, initial)
     finally:
         solver.make_engine = routed
+
+
+def row_major_grid(rng, sizes):
+    """Points of a random grid with ``sizes`` points per axis, in row-major
+    order; each axis is unsorted."""
+    axes = [rng.uniform(0.0, 1.0, s) for s in sizes]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def grid_mfg_specs(rng, sizes, steps=3, species=2, epsilon=0.3, cost_scale=1.7,
+                   path_edge_cost=False):
+    """A species-hub MFG on a random row-major grid, built with its separable
+    kernels, and the same instance with the dense n x n kernel.
+
+    Species costs put potentials on the hub edges; ``path_edge_cost`` adds a
+    quadratic cost, and with it a potential, on the time edge (1, 2).
+    """
+    grid = row_major_grid(rng, sizes)
+    n = grid.shape[0]
+    initials = [rng.uniform(0.1, 1.0, n) for _ in range(species)]
+    initials = [mu / mu.sum() / species for mu in initials]
+    setup = MFGSetup(grid=grid, n_steps=steps, initial_densities=initials, epsilon=epsilon,
+                     cost_scale=cost_scale,
+                     species_running={j: [Linear(rng.uniform(0.0, 1.0, n))] * species
+                                      for j in range(1, steps)},
+                     total_terminal=QuadraticDistance(2.0, np.full(n, 1.0 / n)))
+    spec = build_mfg_problem(setup)
+    assert isinstance(spec.kernels[(0, 1)], SeparableKernel)
+    edge_fns = dict(spec.edge_functions)
+    if path_edge_cost:
+        edge_fns[(1, 2)] = QuadraticDistance(1.0, rng.uniform(0.0, 0.1, (n, n)))
+    dense = build_kernel(build_mfg_cost_matrix(grid, scale=cost_scale), epsilon)
+    dense_kernels = {e: dense if isinstance(k, SeparableKernel) else k
+                     for e, k in spec.kernels.items()}
+    return tuple(ProblemSpec(spec.topology, kernels, spec.node_functions, edge_fns, epsilon)
+                 for kernels in (spec.kernels, dense_kernels))

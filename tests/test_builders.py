@@ -1,21 +1,24 @@
 """Builder tests: network flow and density-steering problem assembly."""
 
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
+from gtop import (Box, CompositeFunction, Congestion, DualPotentials, EdgeKernel, Equality,
                   FlowEdge, FlowNetwork, InvalidInput, Linear, MFGSetup,
-                  QuadraticDistance, SolverConfig, Zero, build_congestion,
+                  QuadraticDistance, SeparableKernel, SolverConfig, Zero, build_congestion,
                   build_flow_cost_matrix, build_flow_problem, build_kernel,
                   build_mfg_chain_problem, build_mfg_cost_matrix, build_mfg_problem,
                   edge_utilization, embed_od_matrix, grid_points, make_engine, solve)
 from gtop.builders import build_mfg_chain_problem as _chain_builder  # noqa: F401
+from gtop.cli import parse_config
 from gtop.projections import DenseEngine
 
-from _support import assert_maxnorm_close
+from _support import assert_maxnorm_close, grid_mfg_specs, row_major_grid
 
 INF = math.inf
 
@@ -212,6 +215,12 @@ class TestMFGCostMatrix:
         np.testing.assert_allclose(pts, [[0.25, 0.25], [0.25, 0.75],
                                          [0.75, 0.25], [0.75, 0.75]])
 
+    @pytest.mark.parametrize("extent", [["a", 1, 0, 1], [0.0, math.inf, 0.0, 1.0],
+                                        [0.0, math.nan, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    def test_grid_points_rejects_bad_extent(self, extent):
+        with pytest.raises(InvalidInput):
+            grid_points((2, 2), extent)
+
 
 def small_mfg_setup(rng, L=2, n_side=2, steps=3, eps=0.4, species_costs=False):
     grid = grid_points((n_side, n_side), (0.0, 1.0, 0.0, 1.0))
@@ -322,3 +331,89 @@ class TestMFGProblem:
         with pytest.raises(InvalidInput):
             MFGSetup(grid=np.array([[0.0], [1.0]]), n_steps=2,
                      initial_densities=[np.array([0.5, 0.5, 0.5])])
+
+    def test_zero_steps_rejected(self):
+        with pytest.raises(InvalidInput):
+            MFGSetup(grid=np.array([[0.0], [1.0]]), n_steps=0,
+                     initial_densities=[np.array([0.5, 0.5])])
+
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, math.inf, math.nan, "x"])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(InvalidInput):
+            MFGSetup(grid=np.array([[0.0], [1.0]]), n_steps=2,
+                     initial_densities=[np.array([0.5, 0.5])], dt=dt)
+
+
+def mfg_setup_on(grid, rng, cost_matrix=None):
+    n = grid.shape[0]
+    return MFGSetup(grid=grid, n_steps=2, initial_densities=[rng.uniform(0.1, 1.0, n)],
+                    cost_matrix=cost_matrix)
+
+
+class TestGridKernels:
+    """The builders pick a separable kernel exactly for row-major grids of two
+    or more axes, and it solves the same problem as the dense kernel."""
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (2, 3, 2)])
+    def test_row_major_grid_is_separable(self, sizes):
+        rng = np.random.default_rng(80)
+        grid = row_major_grid(rng, sizes)
+        setup = mfg_setup_on(grid, rng)
+        setup.cost_scale = 2.5
+        k = build_mfg_problem(setup).kernels[(0, 1)]
+        assert isinstance(k, SeparableKernel) and k.sizes == sizes
+        dense = build_kernel(build_mfg_cost_matrix(grid, scale=2.5), setup.epsilon)
+        assert_maxnorm_close(k.full() * np.exp(k.log_scale), dense.value(), 1e-12,
+                             "separable kernel")
+
+    def test_other_grids_stay_dense(self):
+        rng = np.random.default_rng(81)
+        grid = row_major_grid(rng, (3, 4))
+        shuffled = grid[rng.permutation(grid.shape[0])]
+        repeated = grid.copy()
+        repeated[1] = repeated[0]
+        line = np.linspace(0.0, 1.0, 5)
+        for points in (shuffled, repeated, line):
+            spec = build_mfg_problem(mfg_setup_on(points, rng))
+            assert type(spec.kernels[(0, 1)]) is EdgeKernel
+        matrix = build_mfg_cost_matrix(grid)
+        spec = build_mfg_chain_problem(mfg_setup_on(grid, rng, cost_matrix=matrix))
+        assert type(spec.kernels[(0, 1)]) is EdgeKernel
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 2)])
+    def test_solve_matches_dense_kernel(self, sizes):
+        sep, dense = grid_mfg_specs(np.random.default_rng(82), sizes)
+        _, a = solve(sep, SolverConfig())
+        _, b = solve(dense, SolverConfig())
+        assert a.termination == b.termination == "converged"
+        assert a.sweeps == b.sweeps
+        np.testing.assert_allclose(a.dual_values, b.dual_values, rtol=1e-12)
+
+    def test_grid_solve_allocates_no_n_by_n_array(self, tmp_path):
+        # 30 x 30 grid: one n x n float64 array takes 900**2 * 8 bytes
+        side, n = 30, 900
+        grid = grid_points((side, side), (0.0, 1.0, 0.0, 1.0))
+        mu = np.exp(-8.0 * ((grid - 0.3) ** 2).sum(axis=1))
+        body = {"problem": {
+            "kind": "mfg",
+            "grid": {"shape": [side, side], "extent": [0.0, 1.0, 0.0, 1.0]},
+            "steps": 3,
+            "species": [{"initial": (mu / mu.sum() / 2).tolist()},
+                        {"initial": np.full(n, 0.5 / n).tolist()}],
+            "total_terminal": {"type": "quadratic", "weight": 1.0,
+                               "anchor": np.full(n, 1.0 / n).tolist()}},
+            "epsilon": 0.1, "output": {"directory": str(tmp_path / "out")}}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(body))
+        tracemalloc.start()
+        try:
+            cfg = parse_config(str(path))
+            _, setup_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _, report = solve(cfg.spec, SolverConfig())
+            _, solve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.termination == "converged"
+        assert isinstance(cfg.spec.kernels[(0, 1)], SeparableKernel)
+        assert max(setup_peak, solve_peak) < n * n * 8

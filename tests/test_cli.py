@@ -458,14 +458,36 @@ class TestConfigTypes:
          "problem.edge_functions"),
         (minimal_raw_config, lambda b: b["output"].update(directory=5), "output.directory"),
         (minimal_raw_config, lambda b: b.update(label=["run"]), "label"),
+        (mfg_config, lambda b: b["problem"].update(dt="x"), "problem.dt"),
+        (mfg_config, lambda b: b["problem"]["grid"].update(extent=["a", 1, 0, 1]),
+         "problem.grid.extent[0]"),
+        (mfg_config, lambda b: b["problem"]["grid"].update(extent="0 1 0 1"),
+         "problem.grid.extent"),
     ], ids=["max_sweeps_bool", "steps_bool", "grid_shape_float", "blockwise_size_bool", "index_float",
             "index_string", "species_bool", "size_float", "edge_float", "kernel_edge_float",
-            "node_key", "edge_key", "directory_number", "label_list"])
+            "node_key", "edge_key", "directory_number", "label_list", "dt_string",
+            "extent_string", "extent_not_list"])
     def test_rejected_with_config_path(self, tmp_path, capsys, make, edit, path):
         body = make(str(tmp_path / "out"))
         edit(body)
         assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
         assert capsys.readouterr().err.startswith("error: %s: expected " % path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p.update(dt=-1.0), "problem.dt: must be positive"),
+        (lambda p: p.update(dt=0), "problem.dt: must be positive"),
+        (lambda p: p.update(dt=math.inf), "problem.dt: must be finite"),
+        (lambda p: p["grid"].update(extent=[0.0, math.inf, 0.0, 1.0]),
+         "problem.grid.extent[1]: must be finite"),
+    ], ids=["dt_negative", "dt_zero", "dt_infinite", "extent_infinite"])
+    def test_mfg_values_out_of_range(self, tmp_path, capsys, edit, message):
+        # a negative dt would flip the sign of every running cost
+        body = mfg_config(str(tmp_path / "out"))
+        body["problem"]["species"][0]["running"] = {"type": "linear",
+                                                    "cost": [0.0, 1.0, 2.0, 3.0]}
+        edit(body["problem"])
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 class TestThreadCap:

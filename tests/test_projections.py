@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from gtop import (Box, ChainEngine, CompositeFunction, DenseEngine, DualPotentials,
-                  EdgeKernel, Equality, GraphTopology, ProblemSpec, QuadraticDistance,
-                  ScaledArray, SizeBoundExceeded, TopologyMismatch, Zero, build_kernel,
-                  make_engine)
+                  EdgeKernel, Equality, GraphTopology, InvalidInput, ProblemSpec,
+                  QuadraticDistance, ScaledArray, SeparableKernel, SizeBoundExceeded,
+                  TopologyMismatch, Zero, build_kernel, make_engine)
 
-from _support import (as_general, assert_maxnorm_close, dense_tensor, random_chain_spec,
-                      random_hub_spec, random_od_spec, random_potentials)
+from _support import (as_general, assert_maxnorm_close, dense_tensor, grid_mfg_specs,
+                      random_chain_spec, random_hub_spec, random_od_spec, random_potentials)
 
 
 def refreshed(spec, pots):
@@ -537,3 +537,67 @@ class TestUpdateOrder:
             for a, b in chords:
                 before = path[path.index(b) - 1]
                 assert pos[("push", before)] < pos[("edge", (a, b))] < pos[("node", b)]
+
+
+class TestSeparableKernel:
+    """A grid kernel applied per axis equals its n x n Kronecker product."""
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (2, 3, 2)])
+    def test_products_match_full_matrix(self, sizes):
+        # random, nonsymmetric axis kernels tell message.K from message.K^T
+        rng = np.random.default_rng(70)
+        axes = [build_kernel(rng.uniform(0.0, 2.0, (s, s)), 0.7) for s in sizes]
+        sep = SeparableKernel(axes)
+        n = int(np.prod(sizes))
+        full = np.ones((1, 1))
+        for k in axes:
+            full = np.kron(full, k.m)
+        assert sep.shape == (n, n)
+        assert sep.log_scale == pytest.approx(sum(k.log_scale for k in axes), rel=1e-15)
+        np.testing.assert_array_equal(sep.full(), full)
+        m = rng.uniform(0.0, 1.0, (3, n))
+        np.testing.assert_allclose(sep.apply(m), m @ full, rtol=1e-12)
+        np.testing.assert_allclose(sep.apply(m, transpose=True), m @ full.T, rtol=1e-12)
+        x = rng.uniform(0.0, 1.0, (n, n))
+        np.testing.assert_allclose(sep.times(x.copy()), x * full, rtol=1e-12)
+
+    def test_axis_kernels_must_be_square(self):
+        with pytest.raises(InvalidInput):
+            SeparableKernel([EdgeKernel.ones((2, 2)), EdgeKernel.ones((2, 3))])
+
+
+class TestSeparableProjections:
+    """Every projection on a grid MFG with separable kernels equals the same
+    instance with the dense kernel, at 1e-12."""
+
+    def check_all(self, a, b, pots, context):
+        for j in range(a.spec.topology.node_count):
+            assert_maxnorm_close(a.w_node(j, pots), b.w_node(j, pots), 1e-12,
+                                 "%s w_node %d" % (context, j))
+            assert_maxnorm_close(a.marginal(j, pots), b.marginal(j, pots), 1e-12,
+                                 "%s marginal %d" % (context, j))
+        for e in a.spec.topology.edges:
+            assert_maxnorm_close(a.w_edge(e, pots), b.w_edge(e, pots), 1e-12,
+                                 "%s w_edge %r" % (context, e))
+            assert_maxnorm_close(a.bimarginal(e, pots), b.bimarginal(e, pots), 1e-12,
+                                 "%s bimarginal %r" % (context, e))
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (4, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("path_edge_cost", [False, True])
+    def test_matches_dense_kernel(self, sizes, path_edge_cost):
+        rng = np.random.default_rng(71)
+        for trial in range(3):
+            sep, dense = grid_mfg_specs(rng, sizes, path_edge_cost=path_edge_cost)
+            pots = random_potentials(sep, rng)
+            self.check_all(refreshed(sep, pots), refreshed(dense, pots), pots,
+                           "%r trial %d" % (sizes, trial))
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 2)])
+    def test_dense_oracle_on_tiny_instance(self, sizes):
+        rng = np.random.default_rng(72)
+        sep, dense = grid_mfg_specs(rng, sizes, steps=3, path_edge_cost=True)
+        pots = random_potentials(sep, rng)
+        eng = refreshed(sep, pots)
+        assert isinstance(eng, ChainEngine)
+        self.check_all(eng, DenseEngine(sep), pots, "oracle on separable kernels")
+        self.check_all(eng, DenseEngine(dense), pots, "oracle on the dense kernel")
