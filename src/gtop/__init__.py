@@ -20,18 +20,15 @@ from .errors import (ConfigError, GtopError, Infeasible, InvalidInput,
                      NumericalFailure, SizeBoundExceeded, TopologyMismatch,
                      VerificationFailure)
 from .functions import (Blockwise, Box, CompositeFunction, Congestion, Equality,
-                        Linear, MarginalFunction, QuadraticDistance, SubgradientBand,
-                        Zero, inclusion_residual, stack_rows)
+                        Linear, MarginalFunction, QuadraticDistance, Zero,
+                        inclusion_residual, stack_rows)
 from .model import (DualPotentials, EdgeKernel, GraphTopology, ProblemSpec,
-                    ScaledArray, SeparableKernel, build_kernel, dual_objective,
-                    total_mass)
+                    ScaledArray, SeparableKernel, build_kernel, dual_objective)
 from .projections import ChainEngine, DenseEngine, make_engine
-from .solver import SolveReport, SolverConfig, residuals, solve
-from .builders import (FlowEdge, FlowNetwork, MFGSetup, build_congestion,
-                       build_flow_cost_matrix, build_flow_problem,
-                       build_mfg_chain_problem, build_mfg_cost_matrix,
-                       build_mfg_problem, edge_utilization, embed_od_matrix,
-                       grid_points)
+from .solver import SolveReport, SolverConfig, solve
+from .builders import (FlowEdge, FlowNetwork, MFGSetup, build_flow_cost_matrix,
+                       build_flow_problem, build_mfg_chain_problem, build_mfg_cost_matrix,
+                       build_mfg_problem, edge_utilization, embed_od_matrix, grid_points)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

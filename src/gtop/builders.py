@@ -25,6 +25,11 @@ class FlowEdge:
     length: float = 1.0
     capacity: float = math.inf
 
+    def __post_init__(self):
+        if self.length != 1:
+            raise InvalidInput("edge (%r, %r) has length %r, but every edge takes one time "
+                               "step" % (self.tail, self.head, self.length))
+
 
 @dataclass
 class FlowNetwork:
@@ -110,30 +115,10 @@ def build_flow_cost_matrix(net):
     return c
 
 
-def build_congestion(capacities, n_states=None):
-    """Congestion cost on edge flows, padded with free states if asked.
-
-    With only capacities given this is the plain congestion cost.  Passing
-    the full state count returns a blockwise cost applying congestion to the
-    edge block and no cost to source and sink states.
-    """
-    capacities = np.asarray(capacities, dtype=float)
-    if np.any(capacities <= 0):
-        raise InvalidInput("capacities must be positive")
-    core = Congestion(capacities)
-    if n_states is None:
-        return core
-    return _on_edge_states(core, capacities.size, n_states)
-
-
 def _on_edge_states(fn, edge_count, n_states):
     """``fn`` on the first ``edge_count`` states (the edges), no cost on the rest."""
-    idx = np.arange(edge_count)
-    rest = np.setdiff1d(np.arange(n_states), idx)
-    blocks = [(idx, fn)]
-    if rest.size:
-        blocks.append((rest, Zero()))
-    return Blockwise(n_states, blocks)
+    return Blockwise(n_states, [(np.arange(edge_count), fn),
+                                (np.arange(edge_count, n_states), Zero())])
 
 
 def embed_od_matrix(net, od):
@@ -168,11 +153,8 @@ def build_flow_problem(net, od=None, terminals=None, edge_cost=None, epsilon=0.0
     kernel = build_kernel(cost, epsilon)
 
     if edge_cost is None:
-        interior = build_congestion(net.capacities(), n_states=n)
-    elif edge_cost.is_zero:
-        interior = Zero()
-    else:
-        interior = _on_edge_states(edge_cost, net.edge_count, n)
+        edge_cost = Congestion(net.capacities())
+    interior = Zero() if edge_cost.is_zero else _on_edge_states(edge_cost, net.edge_count, n)
 
     node_functions = {j: interior for j in range(1, T - 1)}
     if od is not None:
@@ -232,8 +214,15 @@ def build_mfg_cost_matrix(grid=None, matrix=None, scale=1.0):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[:, None]
-    diff = grid[:, None, :] - grid[None, :, :]
-    return float(scale) * np.sum(diff * diff, axis=2)
+    # One axis at a time, so no (n, n, d) difference array is formed.
+    cost = np.zeros((len(grid),) * 2)
+    sq = np.empty_like(cost)
+    for x in grid.T:
+        np.subtract.outer(x, x, out=sq)
+        sq *= sq
+        cost += sq
+    cost *= float(scale)
+    return cost
 
 
 @dataclass

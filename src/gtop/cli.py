@@ -90,6 +90,19 @@ def _string(obj, path):
     return obj
 
 
+def _name(obj, path):
+    """A node name: a JSON string or integer."""
+    if not isinstance(obj, (str, int)) or isinstance(obj, bool):
+        _fail(path, "expected a node name (a string or an integer)")
+    return obj
+
+
+def _name_list(obj, path):
+    if not isinstance(obj, list):
+        _fail(path, "expected a list of node names")
+    return [_name(v, "%s[%d]" % (path, i)) for i, v in enumerate(obj)]
+
+
 def _load_matrix(obj, path, base_dir):
     if isinstance(obj, dict):
         ref = obj.get("csv")
@@ -181,27 +194,26 @@ def function_from_config(obj, path, base_dir):
 
 
 def _parse_flow(problem, epsilon, path, base_dir):
-    nodes = problem.get("nodes")
-    if not isinstance(nodes, list) or not nodes:
+    nodes = _name_list(problem.get("nodes"), path + ".nodes")
+    if not nodes:
         _fail(path + ".nodes", "expected a nonempty list")
     edges_cfg = problem.get("edges")
     if not isinstance(edges_cfg, list) or not edges_cfg:
         _fail(path + ".edges", "expected a nonempty list")
     edges = []
     for i, e in enumerate(edges_cfg):
-        e = _expect_map(e, "%s.edges[%d]" % (path, i))
-        if "from" not in e or "to" not in e:
-            _fail("%s.edges[%d]" % (path, i), "edges need \"from\" and \"to\"")
+        where = "%s.edges[%d]" % (path, i)
+        e = _expect_map(e, where)
         cap = e.get("capacity", math.inf)
         if cap != math.inf:
-            cap = _number(cap, "%s.edges[%d].capacity" % (path, i))
-            if cap <= 0:
-                _fail("%s.edges[%d].capacity" % (path, i), "must be positive")
-        length = _number(e.get("length", 1.0), "%s.edges[%d].length" % (path, i), positive=True)
-        edges.append(bld.FlowEdge(e["from"], e["to"], length, cap))
+            cap = _number(cap, where + ".capacity", positive=True)
+        if _number(e.get("length", 1.0), where + ".length") != 1:
+            _fail(where + ".length", "must be 1: every edge takes one time step")
+        edges.append(bld.FlowEdge(_name(e.get("from"), where + ".from"),
+                                  _name(e.get("to"), where + ".to"), capacity=cap))
     horizon = _integer(problem.get("horizon"), path + ".horizon", 2)
-    net = bld.FlowNetwork(nodes, edges, problem.get("sources", []), problem.get("sinks", []),
-                          horizon)
+    net = bld.FlowNetwork(nodes, edges, _name_list(problem.get("sources", []), path + ".sources"),
+                          _name_list(problem.get("sinks", []), path + ".sinks"), horizon)
 
     constraint = _expect_map(problem.get("constraint"), path + ".constraint")
     od = None
@@ -503,8 +515,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "solve":
-        if args.tol is not None and args.tol <= 0:
-            parser.error("--tol must be positive")
+        if args.tol is not None and not 0 < args.tol < math.inf:
+            parser.error("--tol must be finite and positive")
         if args.max_sweeps is not None and args.max_sweeps < 1:
             parser.error("--max-sweeps must be at least 1")
         try:

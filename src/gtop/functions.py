@@ -31,25 +31,6 @@ _MAX_NEWTON_STEPS = 100
 _ULPS = 4.0 * np.finfo(float).eps
 
 
-class SubgradientBand:
-    """Entrywise interval ``[lower, upper]``; lower > upper encodes the empty set."""
-
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-
-    @property
-    def empty(self):
-        return self.lower > self.upper
-
-    def distance(self, p):
-        """Distance from ``p`` to the interval, entrywise (inf where empty)."""
-        p = np.asarray(p, dtype=float)
-        return np.maximum(np.maximum(self.lower - p, p - self.upper), 0.0)
-
-
 def _log_u_to_scaled(log_u, shape):
     finite = np.isfinite(log_u)
     if not finite.any():
@@ -106,6 +87,8 @@ class MarginalFunction:
         raise NotImplementedError
 
     def conjugate_subgradient(self, s):
+        """Entrywise interval ``(lower, upper)`` of the conjugate's subdifferential
+        at ``s``; lower > upper encodes the empty set."""
         raise NotImplementedError
 
     def solve_inclusion(self, w, epsilon):
@@ -141,14 +124,16 @@ class MarginalFunction:
 
 
 def inclusion_residual(fn, u, w, epsilon):
-    """Entrywise distance of ``u * w`` from the conjugate subdifferential."""
+    """Entrywise distance of ``u * w`` from the conjugate subdifferential
+    (inf where it is empty)."""
     p = (u.m * w.m).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         # a zero entry stays zero even where the scale overflows (0 * inf)
         p = np.where(p == 0.0, 0.0, p * np.exp(u.log_scale + w.log_scale))
     with np.errstate(divide="ignore"):
         s = -epsilon * u.log_value().ravel()
-    return fn.conjugate_subgradient(s).distance(p)
+    lower, upper = fn.conjugate_subgradient(s)
+    return np.maximum(np.maximum(lower - p, p - upper), 0.0)
 
 
 class Zero(MarginalFunction):
@@ -169,8 +154,7 @@ class Zero(MarginalFunction):
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
         at_zero = np.abs(s) <= self._atol
-        return SubgradientBand(np.where(at_zero, -np.inf, np.inf),
-                               np.where(at_zero, np.inf, -np.inf))
+        return np.where(at_zero, -np.inf, np.inf), np.where(at_zero, np.inf, -np.inf)
 
     def _solve_log(self, log_w, epsilon):
         return np.zeros_like(log_w)
@@ -201,7 +185,7 @@ class Equality(MarginalFunction):
 
     def conjugate_subgradient(self, s):
         t = np.broadcast_to(self.target.ravel(), np.asarray(s).ravel().shape)
-        return SubgradientBand(t, t)
+        return t, t
 
     def _solve_log(self, log_w, epsilon):
         t = self.target.ravel()
@@ -274,7 +258,7 @@ class Box(MarginalFunction):
         neg = s < -self._atol
         lower = np.where(pos, hi, lo)
         upper = np.where(neg, lo, hi)
-        return SubgradientBand(lower, upper)
+        return lower, upper
 
     def _solve_log(self, log_w, epsilon):
         lo = self.lower.ravel()
@@ -326,8 +310,7 @@ class Linear(MarginalFunction):
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
         at = np.abs(s - self.cost.ravel()) <= self._tol()
-        return SubgradientBand(np.where(at, -np.inf, np.inf),
-                               np.where(at, np.inf, -np.inf))
+        return np.where(at, -np.inf, np.inf), np.where(at, np.inf, -np.inf)
 
     def _solve_log(self, log_w, epsilon):
         return np.broadcast_to(-self.cost.ravel() / epsilon, log_w.shape).copy()
@@ -377,7 +360,7 @@ class QuadraticDistance(MarginalFunction):
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
         g = self._grad_conj(s)
-        return SubgradientBand(g, g)
+        return g, g
 
     def _solve_log(self, log_w, epsilon):
         # u*w = y - sign(l) |eps*l|^r / a with r = q - 1; the right side
@@ -453,7 +436,7 @@ class Congestion(MarginalFunction):
         active = s > 1.0 / b
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(active, b - np.sqrt(np.where(active, b / s, 1.0)), 0.0)
-        return SubgradientBand(slope, slope)
+        return slope, slope
 
     def _solve_log(self, log_w, epsilon):
         # u*w = b - sqrt(b / (-eps*l)) on l < -1/(eps*b); slack (u = 1) where w = 0.
@@ -530,10 +513,8 @@ class Blockwise(MarginalFunction):
         lower = np.empty(self.size)
         upper = np.empty(self.size)
         for idx, fn in self.blocks:
-            band = fn.conjugate_subgradient(s[idx])
-            lower[idx] = band.lower
-            upper[idx] = band.upper
-        return SubgradientBand(lower, upper)
+            lower[idx], upper[idx] = fn.conjugate_subgradient(s[idx])
+        return lower, upper
 
     def _solve_log(self, log_w, epsilon):
         out = np.empty(log_w.shape)

@@ -80,10 +80,6 @@ class ScaledArray:
         with np.errstate(over="ignore"):
             return float(s * np.exp(self.log_scale))
 
-    def log_total(self):
-        s = float(self.m.sum())
-        return -math.inf if s == 0.0 else math.log(s) + self.log_scale
-
     def copy(self):
         return ScaledArray(self.m.copy(), self.log_scale)
 
@@ -102,20 +98,13 @@ class RescaleLog:
             self.events += 1
 
 
-def _as_mantissa(x):
-    if isinstance(x, ScaledArray):
-        return x.m, x.log_scale
-    return np.asarray(x, dtype=float), 0.0
-
-
 def smul(*factors, note=None):
     """Elementwise product of scaled arrays (numpy broadcasting applies)."""
-    m, ls = _as_mantissa(factors[0])
-    m = np.array(m, dtype=float, copy=True)
+    m = factors[0].m.copy()
+    ls = factors[0].log_scale
     for f in factors[1:]:
-        fm, fls = _as_mantissa(f)
-        m = m * fm
-        ls += fls
+        m = m * f.m
+        ls += f.log_scale
     out = ScaledArray(m, ls)
     shift = out.renormalize()
     if note is not None:
@@ -485,32 +474,20 @@ class ProblemSpec:
         return self.edge_functions[e]
 
 
-def total_mass(potentials, spec, engine=None, block=("node", 0)):
-    """Total plan mass, evaluated as the sum of one projection: the marginal
-    of node 0 unless ``block`` names another node or edge.
-
-    Any single marginal gives the same number; the projection route avoids
-    ever forming the full tensor.
-    """
-    from .projections import make_engine
-
-    if engine is None:
-        engine = make_engine(spec)
-        engine.refresh(potentials)
-    kind, where = block
-    project = engine.marginal if kind == "node" else engine.bimarginal
-    return project(where, potentials).total()
-
-
-def dual_objective(potentials, spec, engine=None, block=("node", 0)):
+def dual_objective(potentials, spec, engine, block=("node", 0)):
     """Concave objective the coordinate updates ascend.
 
     Equals ``-epsilon * mass - sum of conjugates`` with every conjugate taken
-    at the negated log potential; ``block`` picks the projection that gives
-    the mass (see :func:`total_mass`).  Returns ``-inf`` when some multiplier
-    sits outside its conjugate's domain (a dual-infeasible point).
+    at the negated log potential.  The plan mass is the total of one
+    projection from ``engine``, whose messages must be current for
+    ``potentials`` (``engine.refresh``): the marginal of node 0 unless
+    ``block`` names another node or edge.  Any block gives the same number,
+    and no full tensor is formed.  Returns ``-inf`` when some multiplier sits
+    outside its conjugate's domain (a dual-infeasible point).
     """
-    mass = total_mass(potentials, spec, engine, block)
+    kind, where = block
+    project = engine.marginal if kind == "node" else engine.bimarginal
+    mass = project(where, potentials).total()
     if not math.isfinite(mass):
         return -math.inf
     val = -spec.epsilon * mass

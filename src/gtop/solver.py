@@ -35,8 +35,8 @@ class SolverConfig:
     callback: object = None
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.potential_tol <= 0:
-            raise InvalidInput("tolerances must be positive")
+        if not (0 < self.feasibility_tol < math.inf and 0 < self.potential_tol < math.inf):
+            raise InvalidInput("tolerances must be finite and positive")
         if self.max_sweeps < 1:
             raise InvalidInput("max_sweeps must be at least 1")
 
@@ -86,13 +86,6 @@ def residual_map(potentials, spec, engine):
                 p = project(where, potentials).value()
             out[name] = part.feasibility_residual(p)
     return out
-
-
-def residuals(potentials, spec):
-    """Standalone feasibility report; rebuilds projections from scratch."""
-    engine = make_engine(spec)
-    engine.refresh(potentials)
-    return residual_map(potentials, spec, engine)
 
 
 class _Verifier:
@@ -212,16 +205,26 @@ def _sanity_checks(spec):
                                  "%s has %.12g" % (ref_where, ref, where, m))
 
 
+def _close(report, termination, sweep, res, t0, rescale_events):
+    """Fill the report fields that a finished and a failed solve share."""
+    report.termination = termination
+    report.sweeps = sweep
+    report.residuals = res
+    report.wall_time_s = time.perf_counter() - t0
+    report.rescale_events = rescale_events
+
+
 def solve(spec, config=None, initial=None):
     """Run the coordinate ascent to convergence.
 
     Returns the final potentials together with a :class:`SolveReport`.
     Termination requires every hard constraint residual at or below the
     feasibility tolerance and the largest relative potential change of the
-    sweep at or below the potential tolerance.  An :class:`Infeasible`
-    raised by an update carries the partial report as ``exc.report``: the
-    sweeps begun, the per-sweep history, and the residuals of the
-    potentials as they stood when the update failed.
+    sweep at or below the potential tolerance.  Every projection comes from
+    the one engine built here.  An :class:`Infeasible` raised by an update
+    carries the partial report as ``exc.report``: the sweeps begun, the
+    per-sweep history, the rescale events, and the residuals of the
+    potentials as the failed update left them, from the refreshed engine.
     """
     config = config or SolverConfig()
     _sanity_checks(spec)
@@ -240,11 +243,10 @@ def solve(spec, config=None, initial=None):
         try:
             upd.sweep(engine)
         except Infeasible as exc:
-            report.sweeps = sweep
-            report.residuals = residuals(pots, spec)
-            report.wall_time_s = time.perf_counter() - t0
-            report.rescale_events = rescale.events
-            report.termination = "infeasible"
+            # The count is read first: this refresh's rescales are not the solve's.
+            events = rescale.events
+            engine.refresh(pots)
+            _close(report, "infeasible", sweep, residual_map(pots, spec, engine), t0, events)
             exc.report = report
             raise
         res = residual_map(pots, spec, engine)
@@ -265,16 +267,11 @@ def solve(spec, config=None, initial=None):
             warned_divergence = True
         if config.callback is not None:
             config.callback(sweep, dual, max_res)
-        if max_res <= config.feasibility_tol and upd.max_change <= config.potential_tol:
-            report.termination = "converged"
+        done = max_res <= config.feasibility_tol and upd.max_change <= config.potential_tol
+        if done:
             break
-    if not report.termination:
-        report.termination = "max_sweeps"
-    report.sweeps = sweep
-    report.residuals = res
+    _close(report, "converged" if done else "max_sweeps", sweep, res, t0, rescale.events)
     report.feasible = report.max_residual <= config.feasibility_tol
-    report.wall_time_s = time.perf_counter() - t0
-    report.rescale_events = rescale.events
     if any(not math.isfinite(d) for d in report.dual_values):
         report.warnings.append("dual objective was -inf at some sweeps "
                                "(multiplier outside a conjugate domain)")

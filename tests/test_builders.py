@@ -10,7 +10,7 @@ import pytest
 
 from gtop import (Box, CompositeFunction, Congestion, DualPotentials, EdgeKernel, Equality,
                   FlowEdge, FlowNetwork, InvalidInput, Linear, MFGSetup,
-                  QuadraticDistance, SeparableKernel, SolverConfig, Zero, build_congestion,
+                  QuadraticDistance, SeparableKernel, SolverConfig, Zero,
                   build_flow_cost_matrix, build_flow_problem, build_kernel,
                   build_mfg_chain_problem, build_mfg_cost_matrix, build_mfg_problem,
                   edge_utilization, embed_od_matrix, grid_points, make_engine, solve)
@@ -62,17 +62,38 @@ class TestFlowCostMatrix:
         assert c[0, 0] == INF
         assert c[1, 1] == INF
 
+    def test_only_unit_length_edges(self):
+        assert FlowEdge("A", "B", 1).length == 1
+        for length in (7.0, 0.5, math.nan, "1"):
+            with pytest.raises(InvalidInput):
+                FlowEdge("A", "B", length)
+        # a positional third value is the length, never a capacity
+        with pytest.raises(InvalidInput):
+            FlowNetwork(["A", "B"], [("A", "B", 2.0)], sources=["A"], sinks=["B"], horizon=3)
+
     def test_dangling_source_warns(self):
         with pytest.warns(UserWarning):
             FlowNetwork(["A", "B", "C"], [FlowEdge("A", "B")],
                         sources=["A", "C"], sinks=["B"], horizon=3)
 
 
+def interior_cost(capacities, sources):
+    """The cost build_flow_problem puts on node 1: a path A -> X -> B with
+    the given edge capacities, sources as given and sink B."""
+    edges = [FlowEdge("A", "X", capacity=capacities[0]),
+             FlowEdge("X", "B", capacity=capacities[1])]
+    net = FlowNetwork(["A", "X", "B"], edges, sources=sources, sinks=["B"], horizon=3)
+    return build_flow_problem(net, od=np.full((len(sources), 1), 1.0 / len(sources))).node_fn(1)
+
+
 class TestBuildCongestion:
+    """The default edge cost of build_flow_problem: congestion on the edge states."""
+
     def test_plain_returns_catalog_entry(self):
-        fn = build_congestion(np.array([1.0]))
+        idx, fn = interior_cost([1.0, 1.0], ["A"]).blocks[0]
+        np.testing.assert_array_equal(idx, [0, 1])
         assert isinstance(fn, Congestion)
-        assert fn.conjugate([1.0]) == 0.0
+        assert fn.conjugate([1.0, 1.0]) == 0.0
 
     def test_capacity_scaling_is_reparametrization(self):
         # cost at x = alpha*d depends only on the load fraction alpha
@@ -84,14 +105,16 @@ class TestBuildCongestion:
 
     def test_padded_blocks(self):
         from gtop import ScaledArray
-        fn = build_congestion(np.array([1.0, 2.0]), n_states=5)
+        fn = interior_cost([1.0, 2.0], ["A", "X"])
         out = fn.solve_inclusion(ScaledArray.from_values([4.0, 4.0, 1.0, 1.0, 1.0]), 1.0)
         assert np.all(out.value()[2:] == 1.0)
         assert np.all(out.value()[:2] < 1.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):
-            build_congestion(np.array([0.0]))
+            interior_cost([1.0, 0.0], ["A"])
+        with pytest.raises(InvalidInput):
+            Congestion(np.array([0.0]))
 
 
 class TestFlowProblem:
@@ -209,6 +232,25 @@ class TestMFGCostMatrix:
     def test_user_matrix_validated(self):
         with pytest.raises(InvalidInput):
             build_mfg_cost_matrix(matrix=np.array([[0.0, -np.inf], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_difference_formula_exactly(self, d):
+        g = np.random.default_rng(d).normal(size=(200, d))
+        diff = g[:, None, :] - g[None, :, :]
+        np.testing.assert_array_equal(build_mfg_cost_matrix(grid=g, scale=1.7),
+                                      1.7 * np.sum(diff * diff, axis=2))
+
+    def test_point_cloud_forms_no_n_by_n_by_d_array(self):
+        # a shuffled grid is no Cartesian product, so the dense cost serves it
+        g = np.random.default_rng(0).permutation(grid_points((30, 30), (0.0, 1.0, 0.0, 1.0)))
+        n = len(g)
+        tracemalloc.start()
+        try:
+            build_mfg_cost_matrix(grid=g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8
 
     def test_grid_points_layout(self):
         pts = grid_points((2, 2), (0.0, 1.0, 0.0, 1.0))

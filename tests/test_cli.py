@@ -490,6 +490,56 @@ class TestConfigTypes:
         assert capsys.readouterr().err == "error: %s\n" % message
 
 
+class TestFlowInputs:
+    """Flow node names are JSON strings or integers, in lists; every edge has length 1."""
+
+    def test_string_sources_are_not_split(self, tmp_path):
+        body = flow_config(str(tmp_path / "out"))
+        body["problem"].update(nodes=["A", "B", "AB"], sources="AB")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, body))
+        assert str(err.value).startswith("problem.sources: expected ")
+
+    @pytest.mark.parametrize("edit,path", [
+        (lambda b: b["problem"].update(sources="A"), "problem.sources"),
+        (lambda b: b["problem"].update(sinks="B"), "problem.sinks"),
+        (lambda b: b["problem"].update(nodes="AB"), "problem.nodes"),
+        (lambda b: b["problem"].update(nodes=["A", {"name": "B"}]), "problem.nodes[1]"),
+        (lambda b: b["problem"].update(nodes=["A", "B", True]), "problem.nodes[2]"),
+        (lambda b: b["problem"].update(sinks=[["B"]]), "problem.sinks[0]"),
+        (lambda b: b["problem"]["edges"][0].update({"from": {"name": "A"}}),
+         "problem.edges[0].from"),
+        (lambda b: b["problem"]["edges"][0].pop("to"), "problem.edges[0].to"),
+    ], ids=["sources_string", "sinks_string", "nodes_string", "node_object", "node_bool",
+            "sink_list", "edge_tail_object", "edge_head_missing"])
+    def test_names_rejected_with_config_path(self, tmp_path, capsys, edit, path):
+        body = flow_config(str(tmp_path / "out"))
+        edit(body)
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err.startswith("error: %s: expected " % path)
+
+    def test_integer_names_accepted(self, tmp_path):
+        body = flow_config(str(tmp_path / "out"))
+        body["problem"].update(nodes=[0, 1], sources=[0], sinks=[1],
+                               edges=[{"from": 0, "to": 1, "capacity": 5.0, "length": 1}])
+        assert parse_config(write_config(tmp_path, body)).flow_net.n_states == 3
+
+    @pytest.mark.parametrize("length", [7.0, 0.5, 2])
+    def test_edge_length_other_than_one_rejected(self, tmp_path, capsys, length):
+        body = flow_config(str(tmp_path / "out"))
+        body["problem"]["edges"][0]["length"] = length
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err.startswith("error: problem.edges[0].length: must be 1")
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_nonfinite_tol_is_usage_error(self, tmp_path, tol):
+        path = write_config(tmp_path, flow_config(str(tmp_path / "out")))
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--config", path, "--tol", tol])
+        assert err.value.code == 2
+        assert not os.path.exists(str(tmp_path / "out"))
+
+
 class TestThreadCap:
     def test_gtop_threads_propagates_before_numpy(self):
         import subprocess

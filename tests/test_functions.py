@@ -256,8 +256,8 @@ class TestInclusionResiduals:
                 eps = float(rng.uniform(0.2, 2.0))
                 us = np.geomspace(1e-6, 0.999 if isinstance(fn, Congestion) else 50.0, 400)
                 s = -eps * np.log(us)
-                grad = fn.conjugate_subgradient(s)
-                vals = us * w - 0.5 * (grad.lower + grad.upper)
+                lower, upper = fn.conjugate_subgradient(s)
+                vals = us * w - 0.5 * (lower + upper)
                 assert np.all(np.diff(vals) >= -1e-9 * np.maximum(1, np.abs(vals[:-1])))
 
 
@@ -266,7 +266,7 @@ def oracle_log_root(fn, log_w, epsilon):
     def g(ell):
         with np.errstate(over="ignore"):
             grow = float(np.exp(ell + log_w))
-        return grow - float(fn.conjugate_subgradient(np.array([-epsilon * ell])).lower[0])
+        return grow - float(fn.conjugate_subgradient(np.array([-epsilon * ell]))[0][0])
 
     lo, hi = -1.0, 1.0
     while g(lo) > 0:
@@ -356,31 +356,31 @@ class TestNewtonUpdate:
 class TestSubgradients:
     def test_box_cases(self):
         fn = Box(0.0, np.array([2.0]))
-        band = fn.conjugate_subgradient([1.0])
-        assert band.lower[0] == band.upper[0] == 2.0
-        band = fn.conjugate_subgradient([0.0])
-        assert (band.lower[0], band.upper[0]) == (0.0, 2.0)
-        band = fn.conjugate_subgradient([-1.0])
-        assert band.lower[0] == band.upper[0] == 0.0
+        lower, upper = fn.conjugate_subgradient([1.0])
+        assert lower[0] == upper[0] == 2.0
+        lower, upper = fn.conjugate_subgradient([0.0])
+        assert (lower[0], upper[0]) == (0.0, 2.0)
+        lower, upper = fn.conjugate_subgradient([-1.0])
+        assert lower[0] == upper[0] == 0.0
 
     def test_quadratic_gradient(self):
         fn = QuadraticDistance(0.5, [0.3])
-        band = fn.conjugate_subgradient([0.8])
-        assert band.lower[0] == pytest.approx(0.3 + 0.8 / (2 * 0.5))
+        lower, _ = fn.conjugate_subgradient([0.8])
+        assert lower[0] == pytest.approx(0.3 + 0.8 / (2 * 0.5))
 
     def test_congestion_kink_matches_both_sides(self):
         fn = Congestion([2.0])
         kink = 1.0 / 2.0
-        at = fn.conjugate_subgradient([kink])
-        assert at.lower[0] == at.upper[0] == 0.0
-        below = fn.conjugate_subgradient([kink - 1e-12])
-        above = fn.conjugate_subgradient([kink + 1e-12])
-        assert below.lower[0] == 0.0
-        assert above.lower[0] == pytest.approx(0.0, abs=1e-5)
+        lower, upper = fn.conjugate_subgradient([kink])
+        assert lower[0] == upper[0] == 0.0
+        below, _ = fn.conjugate_subgradient([kink - 1e-12])
+        above, _ = fn.conjugate_subgradient([kink + 1e-12])
+        assert below[0] == 0.0
+        assert above[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_outside_domain_is_empty(self):
-        band = Zero().conjugate_subgradient([2.0])
-        assert band.empty[0]
+        lower, upper = Zero().conjugate_subgradient([2.0])
+        assert lower[0] > upper[0]
         assert inclusion_residual(Zero(), ScaledArray.from_values([0.5]),
                                   ScaledArray.from_values([1.0]), 1.0)[0] == math.inf
 

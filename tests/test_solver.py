@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from gtop import (Box, ChainEngine, CompositeFunction, Congestion, DualPotentials, EdgeKernel,
-                  Equality, GraphTopology, Infeasible, Linear, ProblemSpec,
+                  Equality, GraphTopology, Infeasible, InvalidInput, Linear, ProblemSpec,
                   QuadraticDistance, SolverConfig, Zero, build_kernel,
-                  dual_objective, inclusion_residual, make_engine, residuals, solve)
-from gtop.model import _parts, smul
+                  dual_objective, inclusion_residual, make_engine, solve)
+from gtop.model import RescaleLog, _parts, smul
 from gtop.projections import DenseEngine
-from gtop.solver import _Verifier
+from gtop.solver import _Updater, _Verifier, residual_map
 
 from _support import (as_general, assert_maxnorm_close, dense_tensor, random_hub_spec,
                       random_potentials, solve_dense)
@@ -69,11 +69,13 @@ class TestSingleUpdates:
         spec = two_node_spec(rng)
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        d = dual_objective(pots, spec)
+        eng.refresh(pots)
+        d = dual_objective(pots, spec, eng)
         for _ in range(6):
             for j in (0, 1):
                 update_node(j, pots, eng, spec)
-                d2 = dual_objective(pots, spec)
+                eng.refresh(pots)
+                d2 = dual_objective(pots, spec, eng)
                 assert d2 >= d - 1e-9 * max(1.0, abs(d))
                 d = d2
 
@@ -347,6 +349,38 @@ class TestSolve:
         assert report.residuals["node:0"] == pytest.approx(0.0, abs=1e-15)
         assert report.residuals["node:1"] == pytest.approx(1.0, rel=1e-14)
 
+    def test_partial_report_counts_only_the_solve_rescales(self):
+        # at this small epsilon the refresh that reads the partial residuals
+        # rescales too; those events belong to no sweep
+        rng = np.random.default_rng(7)
+        n = 4
+        cost = rng.uniform(0, 5, (n, n))
+        cost[:, 3] = np.inf
+        with pytest.warns(RuntimeWarning):
+            k = build_kernel(cost, 0.002)
+        spec = ProblemSpec(GraphTopology.chain(4), {(j, j + 1): k for j in range(3)},
+                           {0: Equality(np.full(n, 0.25)), 1: Congestion(np.full(n, 3.0))},
+                           {}, 0.002)
+        log = RescaleLog()
+        eng = make_engine(spec, log)
+        pots = DualPotentials.ones_for(spec)
+        eng.rebuild_backward(pots)
+        with pytest.raises(Infeasible):
+            _Updater(spec, pots, None, 1).sweep(eng)
+        with pytest.raises(Infeasible) as err:
+            solve(spec)
+        assert err.value.report.rescale_events == log.events > 0
+        eng.refresh(pots)
+        assert log.events > err.value.report.rescale_events
+        assert err.value.report.residuals == residual_map(pots, spec, eng)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tolerances_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidInput):
+            SolverConfig(feasibility_tol=tol)
+        with pytest.raises(InvalidInput):
+            SolverConfig(potential_tol=tol)
+
     def test_max_sweeps_reported(self):
         rng = np.random.default_rng(11)
         spec = two_node_spec(rng)
@@ -364,7 +398,7 @@ class TestSolve:
         # the passed-in potentials are not mutated
         eng = make_engine(spec)
         eng.refresh(pots)
-        assert residuals(pots, spec)["node:0"] <= 1e-8
+        assert residual_map(pots, spec, eng)["node:0"] <= 1e-8
 
 
 def cycle_with_chord_spec(n=3, epsilon=0.5):
@@ -565,7 +599,9 @@ class TestResiduals:
         rng = np.random.default_rng(18)
         spec = two_node_spec(rng)
         pots, _ = solve(spec, SolverConfig(feasibility_tol=1e-12, potential_tol=1e-13))
-        res = residuals(pots, spec)
+        eng = make_engine(spec)
+        eng.refresh(pots)
+        res = residual_map(pots, spec, eng)
         assert max(res.values()) <= 1e-11
 
     def test_double_mass_is_unit_residual(self):
@@ -576,7 +612,9 @@ class TestResiduals:
         rng = np.random.default_rng(19)
         spec = two_node_spec(rng)
         pots, _ = solve(spec, SolverConfig(max_sweeps=3))
-        res = residuals(pots, spec)
+        eng = make_engine(spec)
+        eng.refresh(pots)
+        res = residual_map(pots, spec, eng)
         den = DenseEngine(spec)
         for j in (0, 1):
             expected = spec.node_fn(j).feasibility_residual(den.marginal(j, pots).value())
