@@ -32,13 +32,14 @@ _ULPS = 4.0 * np.finfo(float).eps
 
 
 def _log_u_to_scaled(log_u, shape):
-    finite = np.isfinite(log_u)
-    if not finite.any():
+    """``exp(log_u)`` as a scaled array peaking at 1; -inf entries give exact zeros."""
+    peak = float(log_u.max()) if log_u.size else -math.inf
+    if not peak < math.inf:
+        raise NumericalFailure("a coordinate update produced %d NaN or +inf log potentials "
+                               "out of %d" % (np.count_nonzero(~(log_u < math.inf)), log_u.size))
+    if peak == -math.inf:
         return ScaledArray(np.zeros(shape), 0.0)
-    peak = float(np.max(log_u[finite]))
-    m = np.exp(log_u - peak)
-    m[~finite] = 0.0
-    return ScaledArray(m.reshape(shape), peak)
+    return ScaledArray(np.exp(log_u - peak).reshape(shape), peak)
 
 
 def _newton_log(phi, log_w, lo, hi, fn):
@@ -233,6 +234,8 @@ class Box(MarginalFunction):
         with np.errstate(divide="ignore"):
             self._log_lower = np.log(self.lower).ravel()
             self._log_upper = np.log(self.upper).ravel()
+        self._lower_pos = (self.lower > 0).ravel()
+        self._upper_zero = (self.upper == 0).ravel()
 
     # Multipliers recovered from mantissa storage wobble by ~1e-16 around
     # exact zero; the kink at s = 0 is resolved with a small tolerance.
@@ -261,17 +264,15 @@ class Box(MarginalFunction):
         return lower, upper
 
     def _solve_log(self, log_w, epsilon):
-        lo = self.lower.ravel()
-        hi = self.upper.ravel()
         w_zero = np.isneginf(log_w)
-        starved = w_zero & (lo > 0)
+        starved = w_zero & self._lower_pos
         if starved.any():
             raise Infeasible("box lower bound is positive at entries %s where no plan "
                              "mass can arrive" % (np.flatnonzero(starved)[:8].tolist(),))
         with np.errstate(invalid="ignore"):
             out = np.minimum(np.maximum(self._log_lower - log_w, 0.0), self._log_upper - log_w)
         out = np.where(w_zero, 0.0, out)
-        out = np.where(hi == 0.0, -np.inf, out)
+        out = np.where(self._upper_zero, -np.inf, out)
         return out
 
     def feasibility_residual(self, p):

@@ -228,7 +228,7 @@ class EdgeKernel(ScaledArray):
         super().__init__(mantissa, log_scale)
         if self.m.ndim != 2:
             raise InvalidInput("kernel must be a matrix")
-        if not np.all(np.isfinite(self.m)) or np.any(self.m < 0):
+        if self.m.size and not (self.m.min() >= 0 and self.m.max() < math.inf):
             raise InvalidInput("kernel entries must be finite and nonnegative")
 
     def apply(self, m, transpose=False):
@@ -300,27 +300,27 @@ def build_kernel(cost, epsilon):
     epsilon = float(epsilon)
     if cost.ndim != 2:
         raise InvalidInput("cost must be a matrix")
-    if np.any(np.isnan(cost)) or np.any(cost == -np.inf):
+    cmin = float(cost.min()) if cost.size else math.inf
+    if not cmin > -math.inf:
         raise InvalidInput("cost entries must be > -inf and not NaN")
-    finite = np.isfinite(cost)
-    if not finite.any():
+    if cmin == math.inf:
         return EdgeKernel(np.zeros(cost.shape), 0.0)
-    # One working copy of the finite costs becomes the kernel values in place.
-    vals = cost[finite]
-    cmin = float(vals.min())
-    spread = (float(vals.max()) - cmin) / epsilon
-    vals -= cmin
-    vals /= -epsilon
-    np.exp(vals, out=vals)
+    # With +inf costs the spread is +inf and the zeros are counted: a finite
+    # entry can only underflow when the finite spread exceeds the bound too.
+    spread = (float(cost.max()) - cmin) / epsilon
+    forbidden = cost.size - int(np.count_nonzero(np.isfinite(cost))) if spread == math.inf else 0
+    # One working copy of the costs becomes the kernel in place; inf -> exp(-inf) = 0.
+    m = np.array(cost, dtype=float, order="C")
+    m -= cmin
+    m /= -epsilon
+    np.exp(m, out=m)
     if spread > _UNDERFLOW_SPREAD:
-        lost = int(np.count_nonzero(vals == 0.0))
+        lost = m.size - int(np.count_nonzero(m)) - forbidden
         if lost:
             warnings.warn("%d finite-cost kernel entries underflow to zero (forbidden "
                           "transitions) at epsilon=%g: their cost exceeds the smallest by "
                           "more than %.0f * epsilon" % (lost, epsilon, _UNDERFLOW_SPREAD),
                           RuntimeWarning, stacklevel=2)
-    m = np.zeros(cost.shape)
-    m[finite] = vals
     return EdgeKernel(m, -cmin / epsilon)
 
 

@@ -9,6 +9,7 @@ A backward rebuild closes the sweep so end-of-sweep projections are current.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -37,8 +38,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.feasibility_tol < math.inf and 0 < self.potential_tol < math.inf):
             raise InvalidInput("tolerances must be finite and positive")
-        if self.max_sweeps < 1:
-            raise InvalidInput("max_sweeps must be at least 1")
+        if isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral) \
+                or self.max_sweeps < 1:
+            raise InvalidInput("max_sweeps must be an integer >= 1, got %r" % (self.max_sweeps,))
 
 
 @dataclass

@@ -16,6 +16,38 @@ def assert_maxnorm_close(a, b, rtol, context=""):
     assert err <= rtol, "%s: max-norm relative error %.3g exceeds %.3g" % (context, err, rtol)
 
 
+def masked_kernel(cost, epsilon):
+    """The kernel formula that gathers the finite costs through a mask and
+    scatters their exponentials into a zero matrix: ``(mantissa, log_scale,
+    underflows)``, where ``underflows`` counts the finite costs whose entry
+    is zero.  The reference ``build_kernel`` must match bit for bit."""
+    cost = np.asarray(cost, dtype=float)
+    finite = np.isfinite(cost)
+    if not finite.any():
+        return np.zeros(cost.shape), 0.0, 0
+    vals = cost[finite]
+    cmin = float(vals.min())
+    vals -= cmin
+    vals /= -epsilon
+    np.exp(vals, out=vals)
+    m = np.zeros(cost.shape)
+    m[finite] = vals
+    return m, -cmin / epsilon, int(np.count_nonzero(vals == 0.0))
+
+
+def masked_log_u_to_scaled(log_u, shape):
+    """``exp(log_u)`` peaking at 1, with the non-finite entries masked to zero:
+    the reference ``functions._log_u_to_scaled`` must match on finite and
+    -inf entries."""
+    finite = np.isfinite(log_u)
+    if not finite.any():
+        return ScaledArray(np.zeros(shape), 0.0)
+    peak = float(np.max(log_u[finite]))
+    m = np.exp(log_u - peak)
+    m[~finite] = 0.0
+    return ScaledArray(m.reshape(shape), peak)
+
+
 def dense_tensor(spec, pots, exclude=None):
     """Brute-force plan: the broadcast product of every factor, materialized.
 

@@ -1,6 +1,7 @@
 """Core model tests: scaled storage, kernels, mass, and the dual objective."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from gtop import (CompositeFunction, DualPotentials, EdgeKernel, Equality, Graph
                   InvalidInput, ProblemSpec, ScaledArray, Zero, build_kernel,
                   dual_objective, make_engine)
 
-from _support import dense_tensor, random_chain_spec, random_potentials
+from _support import dense_tensor, masked_kernel, random_chain_spec, random_potentials
 
 
 def all_ones_chain(n_nodes=3, n=2, epsilon=1.0):
@@ -111,6 +112,60 @@ class TestBuildKernel:
             build_kernel(np.zeros((2, 2)), np.inf)
         with pytest.raises(InvalidInput):
             build_kernel(np.array([[0.0, -np.inf]]), 1.0)
+        with pytest.raises(InvalidInput):
+            build_kernel(np.array([[0.0, np.nan], [np.inf, 1.0]]), 1.0)
+        with pytest.raises(InvalidInput):
+            build_kernel(np.array([[np.nan, -np.inf]]), 1.0)
+
+    @staticmethod
+    def _random_cost(rng, case):
+        shape = {"row": (1, 9), "column": (9, 1)}.get(case, (int(rng.integers(2, 12)),
+                                                                int(rng.integers(2, 12))))
+        # spreads up to 3000 * epsilon, so some entries underflow
+        cost = rng.uniform(-5.0, 25.0, shape) * rng.choice([0.01, 1.0, 100.0])
+        if case in ("some_inf", "row", "column", "view"):
+            cost[rng.uniform(size=shape) < 0.4] = np.inf
+        if case == "all_inf":
+            cost[:] = np.inf
+        if case == "integer":
+            cost = rng.integers(-50, 2000, shape)
+        if case == "view":
+            cost = np.tile(cost, (1, 2))[:, ::2].T
+        return cost
+
+    COST_CASES = ["finite", "some_inf", "all_inf", "row", "column", "integer", "view"]
+
+    @pytest.mark.parametrize("case", COST_CASES)
+    def test_matches_masked_formula(self, case):
+        rng = np.random.default_rng(self.COST_CASES.index(case))
+        for _ in range(30):
+            cost = self._random_cost(rng, case)
+            eps = float(rng.choice([0.01, 0.3, 2.0]))
+            ref_m, ref_ls, ref_lost = masked_kernel(cost, eps)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                k = build_kernel(cost, eps)
+            lost = [int(str(w.message).split()[0]) for w in seen
+                    if issubclass(w.category, RuntimeWarning)]
+            assert lost == ([ref_lost] if ref_lost else [])
+            assert k.m.flags.c_contiguous and k.m.dtype == np.float64
+            assert k.m.shape == ref_m.shape and k.m.tobytes() == ref_m.tobytes()
+            assert k.log_scale == ref_ls
+
+    @pytest.mark.parametrize("inf_rate", [0.0, 0.3])
+    def test_peak_memory_is_one_matrix(self, inf_rate):
+        n = 600
+        rng = np.random.default_rng(3)
+        cost = rng.uniform(0.0, 2.0, (n, n))
+        cost[rng.uniform(size=cost.shape) < inf_rate] = np.inf
+        tracemalloc.start()
+        try:
+            k = build_kernel(cost, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.m.shape == (n, n)
+        assert peak <= 1.3 * n * n * 8, "peak %.2f n^2 doubles" % (peak / (n * n * 8))
 
 
 class TestEdgeKernel:
@@ -126,6 +181,9 @@ class TestEdgeKernel:
     def test_rejects_bad_mantissa(self, mantissa):
         with pytest.raises(InvalidInput):
             EdgeKernel(np.array(mantissa))
+
+    def test_empty_mantissa(self):
+        assert EdgeKernel(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestTopology:

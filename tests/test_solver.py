@@ -381,6 +381,16 @@ class TestSolve:
         with pytest.raises(InvalidInput):
             SolverConfig(potential_tol=tol)
 
+    @pytest.mark.parametrize("max_sweeps", [0, -1, 2.5, 1.0, True, "7", None])
+    def test_max_sweeps_must_be_a_positive_integer(self, max_sweeps):
+        with pytest.raises(InvalidInput, match="max_sweeps"):
+            SolverConfig(max_sweeps=max_sweeps)
+
+    def test_max_sweeps_takes_numpy_integers(self):
+        spec = two_node_spec(np.random.default_rng(11))
+        _, report = solve(spec, SolverConfig(max_sweeps=np.int64(2)))
+        assert report.sweeps == 2
+
     def test_max_sweeps_reported(self):
         rng = np.random.default_rng(11)
         spec = two_node_spec(rng)
