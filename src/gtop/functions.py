@@ -9,14 +9,15 @@ solve the scalar stationarity condition
 entrywise for ``u >= 0`` given a nonnegative weight vector ``w``.  All solves
 run in log space so extreme weight magnitudes cost nothing in accuracy.
 
-Equality, box, linear and zero costs solve in closed form.  The distance and
-congestion updates solve ``exp(l + log w) = phi(l)`` in ``l = log u`` by a
-safeguarded Newton iteration: it starts at a closed-form point right of the
-root, keeps a closed-form bracket, and stops once no entry moves by more
-than a few ulps of ``max(|l|, 1)``.  For the quadratic distance and for
-congestion the iteration descends monotonically and needs a handful of
-evaluations; other distance exponents fall back to bisection inside the
-bracket whenever a Newton step would leave it.
+Equality, box, linear and zero costs solve in closed form, and so does the
+quadratic distance with p = 2, through the Wright omega function.  The
+congestion update and the other distance exponents solve
+``exp(l + log w) = phi(l)`` in ``l = log u`` by a safeguarded Newton
+iteration: it starts at a closed-form point right of the root, keeps a
+closed-form bracket, and stops once no entry moves by more than a few ulps
+of ``max(|l|, 1)``.  For congestion the iteration descends monotonically and
+needs a handful of evaluations; the other distance exponents fall back to
+bisection inside the bracket whenever a Newton step would leave it.
 """
 
 import math
@@ -77,6 +78,29 @@ def _newton_log(phi, log_w, lo, hi, fn):
                               float(np.min(log_w)), float(np.max(log_w))))
 
 
+def _wright_omega(x):
+    """Wright omega, the root ``w`` of ``w + log w = x`` (Lawrence, Corless and
+    Jeffrey, "Algorithm 917", ACM TOMS 38(3), 2012), entrywise.
+
+    The start is ``e^x (1 - e^x)`` below -1, the cubic about 1 up to 1, and
+    ``x - log x + log x / x`` above; two fourth-order Fritsch-Shafer-Crowley
+    steps follow.  ``x`` is clipped at -700, where ``w`` is below 1e-304 and
+    ``log w`` still finite.
+    """
+    x = np.maximum(x, -700.0)
+    ex = np.exp(np.minimum(x, -1.0))
+    d = x - 1.0
+    lx = np.log(np.maximum(x, 1.0))
+    w = np.where(x < -1.0, ex * (1.0 - ex),
+                 np.where(x <= 1.0, 1.0 + d * (0.5 + d * (1.0 / 16.0 - d / 192.0)),
+                          x - lx + lx / np.maximum(x, 1.0)))
+    for _ in range(2):
+        r = x - w - np.log(w)
+        t = (1.0 + w) * (1.0 + w + 2.0 / 3.0 * r)
+        w = w + w * r / (1.0 + w) * (t - 0.5 * r) / (t - r)
+    return w
+
+
 class MarginalFunction:
     """Base class; instances are immutable and shape-agnostic (flattened math)."""
 
@@ -98,8 +122,7 @@ class MarginalFunction:
             w = ScaledArray.from_values(w)
         if not np.all(np.isfinite(w.m)) or np.any(w.m < 0):
             raise InvalidInput("projection weights must be finite and nonnegative")
-        with np.errstate(divide="ignore"):
-            log_w = w.log_value().ravel()
+        log_w = w.log_value().ravel()
         log_u = self._solve_log(log_w, float(epsilon))
         return _log_u_to_scaled(log_u, w.m.shape)
 
@@ -131,8 +154,7 @@ def inclusion_residual(fn, u, w, epsilon):
     with np.errstate(over="ignore", invalid="ignore"):
         # a zero entry stays zero even where the scale overflows (0 * inf)
         p = np.where(p == 0.0, 0.0, p * np.exp(u.log_scale + w.log_scale))
-    with np.errstate(divide="ignore"):
-        s = -epsilon * u.log_value().ravel()
+    s = -epsilon * u.log_value().ravel()
     lower, upper = fn.conjugate_subgradient(s)
     return np.maximum(np.maximum(lower - p, p - upper), 0.0)
 
@@ -335,8 +357,9 @@ class QuadraticDistance(MarginalFunction):
         self.exponent = float(exponent)
         if not (self.weight > 0 and math.isfinite(self.weight)):
             raise InvalidInput("distance weight must be positive and finite")
-        if self.exponent <= 1.0:
-            raise InvalidInput("distance exponent must exceed 1")
+        if not 1.0 < self.exponent < math.inf:
+            raise InvalidInput("distance exponent must be finite and exceed 1, got %r"
+                               % (exponent,))
         if not np.all(np.isfinite(self.anchor)):
             raise InvalidInput("distance anchor must be finite")
 
@@ -375,29 +398,37 @@ class QuadraticDistance(MarginalFunction):
             return out
         yp = y[pos]
         lwp = log_w[pos]
+        c = epsilon / a
+        if self.exponent == 2.0:
+            # u*w = y - c*l is c * omega(x), x = log w - log c + y/c, so
+            # l = y/c - omega = log c + log omega - log w.  The first form is
+            # taken where omega < 1, the second elsewhere, as neither cancels
+            # there; one Newton step on u*w - y + c*l polishes the rounding.
+            yc = yp / c
+            om = _wright_omega(lwp - math.log(c) + yc)
+            ell = np.where(om < 1.0, yc - om, math.log(c) + np.log(om) - lwp)
+            e = np.exp(ell + lwp)
+            out[pos] = ell - (e - yp + c * ell) / (e + c)
+            return out
         # g(hi) >= 0: there u*w >= 0 >= the right side, or u*w = y while the
         # right side is at most y (l >= 0), or u*w >= y >= the right side
         # (l = 0 >= log y - log w).  g(lo) <= 0: u*w <= 1 <= the right side.
         with np.errstate(divide="ignore", invalid="ignore"):
             hi = np.minimum(out[pos], np.fmax(np.log(yp) - lwp, 0.0))
         lo = np.minimum(-(a * (np.abs(yp) + 1.0)) ** (1.0 / r) / epsilon, -lwp)
-        c = epsilon / a
-        if r == 1.0:
-            def phi(ell):
-                return yp - c * ell, -c
-        else:
-            def phi(ell):
-                s = np.abs(epsilon * ell)
-                return yp - np.sign(ell) * s ** r / a, -r * c * s ** (r - 1.0)
 
-            # phi is not smooth at l = 0, so 0 becomes an end of the bracket.
-            # On the side of 0 where the root lies, |phi(l) - y| alone
-            # outgrows |g(0)| beyond |l| = t, which closes the bracket there.
-            with np.errstate(over="ignore"):
-                g0 = np.exp(lwp) - yp
-                t = (a * np.abs(g0)) ** (1.0 / r) / epsilon
-            lo = np.where(g0 > 0, np.maximum(lo, -t), np.maximum(lo, 0.0))
-            hi = np.where(g0 > 0, np.minimum(hi, 0.0), np.minimum(hi, t))
+        def phi(ell):
+            s = np.abs(epsilon * ell)
+            return yp - np.sign(ell) * s ** r / a, -r * c * s ** (r - 1.0)
+
+        # phi is not smooth at l = 0, so 0 becomes an end of the bracket.
+        # On the side of 0 where the root lies, |phi(l) - y| alone
+        # outgrows |g(0)| beyond |l| = t, which closes the bracket there.
+        with np.errstate(over="ignore"):
+            g0 = np.exp(lwp) - yp
+            t = (a * np.abs(g0)) ** (1.0 / r) / epsilon
+        lo = np.where(g0 > 0, np.maximum(lo, -t), np.maximum(lo, 0.0))
+        hi = np.where(g0 > 0, np.minimum(hi, 0.0), np.minimum(hi, t))
 
         out[pos] = _newton_log(phi, lwp, lo, hi, self)
         return out

@@ -26,13 +26,16 @@ class ScaledArray:
     The mantissa max-norm is pulled back to 1 by :meth:`renormalize`, which
     leaves the represented value unchanged.  Entries may be exactly zero;
     those encode states that have been eliminated from the plan.
+    :meth:`log_value` keeps its result, so ``m`` and ``log_scale`` are
+    written only by :meth:`renormalize`, which drops it.
     """
 
-    __slots__ = ("m", "log_scale")
+    __slots__ = ("m", "log_scale", "_log")
 
     def __init__(self, mantissa, log_scale=0.0):
         self.m = np.asarray(mantissa, dtype=float)
         self.log_scale = float(log_scale)
+        self._log = None
 
     @classmethod
     def from_values(cls, values):
@@ -62,6 +65,7 @@ class ScaledArray:
         shift = math.log(peak)
         self.m = self.m / peak
         self.log_scale += shift
+        self._log = None
         return abs(shift)
 
     def value(self):
@@ -69,8 +73,12 @@ class ScaledArray:
             return self.m * np.exp(self.log_scale)
 
     def log_value(self):
-        with np.errstate(divide="ignore"):
-            return np.log(self.m) + self.log_scale
+        """``log(m) + log_scale``, computed once and returned read-only."""
+        if self._log is None:
+            with np.errstate(divide="ignore"):
+                self._log = np.log(self.m) + self.log_scale
+            self._log.flags.writeable = False
+        return self._log
 
     def total(self):
         """Sum of the represented values as a plain float (inf on overflow)."""
@@ -293,24 +301,24 @@ def build_kernel(cost, epsilon):
     finite cost more than about 745 * epsilon above the smallest one
     underflows to zero as well; a RuntimeWarning reports how many did.
     """
-    cost = np.asarray(cost, dtype=float)
+    # One working copy of the costs is checked, then becomes the kernel in
+    # place; inf -> exp(-inf) = 0.
+    m = np.array(cost, dtype=float, order="C")
     if not (np.isscalar(epsilon) or np.ndim(epsilon) == 0) or not math.isfinite(float(epsilon)) \
             or float(epsilon) <= 0:
         raise InvalidInput("epsilon must be a positive finite scalar")
     epsilon = float(epsilon)
-    if cost.ndim != 2:
+    if m.ndim != 2:
         raise InvalidInput("cost must be a matrix")
-    cmin = float(cost.min()) if cost.size else math.inf
+    cmin = float(m.min()) if m.size else math.inf
     if not cmin > -math.inf:
         raise InvalidInput("cost entries must be > -inf and not NaN")
     if cmin == math.inf:
-        return EdgeKernel(np.zeros(cost.shape), 0.0)
+        return EdgeKernel(np.zeros(m.shape), 0.0)
     # With +inf costs the spread is +inf and the zeros are counted: a finite
     # entry can only underflow when the finite spread exceeds the bound too.
-    spread = (float(cost.max()) - cmin) / epsilon
-    forbidden = cost.size - int(np.count_nonzero(np.isfinite(cost))) if spread == math.inf else 0
-    # One working copy of the costs becomes the kernel in place; inf -> exp(-inf) = 0.
-    m = np.array(cost, dtype=float, order="C")
+    spread = (float(m.max()) - cmin) / epsilon
+    forbidden = m.size - int(np.count_nonzero(np.isfinite(m))) if spread == math.inf else 0
     m -= cmin
     m /= -epsilon
     np.exp(m, out=m)
@@ -374,9 +382,7 @@ class DualPotentials:
         for fs in list(self.nodes.values()) + list(self.edges.values()):
             for f in fs:
                 lv = f.log_value()
-                finite = np.isfinite(lv)
-                if finite.any():
-                    worst = max(worst, float(np.max(np.abs(lv[finite]))))
+                worst = max(worst, float(np.max(np.abs(lv), where=np.isfinite(lv), initial=0.0)))
         return worst
 
 

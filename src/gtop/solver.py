@@ -149,13 +149,11 @@ class _Updater:
 
     @staticmethod
     def _log_change(old, new):
-        lo, ln = old.log_value(), new.log_value()
-        both = np.isfinite(lo) & np.isfinite(ln)
-        if np.any(np.isfinite(lo) != np.isfinite(ln)):
-            return math.inf
-        if not both.any():
-            return 0.0
-        return float(np.max(np.abs(lo[both] - ln[both])))
+        """Largest change of a log potential: inf where only one side is -inf,
+        nothing where both are (the NaN that fmax skips)."""
+        with np.errstate(invalid="ignore"):
+            return float(np.fmax.reduce(np.abs(old.log_value() - new.log_value()),
+                                        axis=None, initial=0.0))
 
     def sweep(self, engine):
         """Walk ``engine.order``, then rebuild the backward messages.

@@ -5,6 +5,7 @@ and conjugates against numerical biconjugation on fine grids.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -368,7 +369,8 @@ class TestNewtonUpdate:
                 ref = oracle_log_root(single, math.log(w[i]), 0.05)
                 assert log_u[i] == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
-    @pytest.mark.parametrize("fn", [QuadraticDistance(0.5, [0.3, 1.0]),
+    # p = 2 solves in closed form, so p = 3 stands for the distance here.
+    @pytest.mark.parametrize("fn", [QuadraticDistance(0.5, [0.3, 1.0], exponent=3.0),
                                     Congestion([0.4, 2.0])], ids=repr)
     def test_iteration_cap_raises_with_context(self, fn, monkeypatch):
         monkeypatch.setattr(functions, "_MAX_NEWTON_STEPS", 1)
@@ -378,6 +380,74 @@ class TestNewtonUpdate:
         msg = str(err.value)
         assert repr(fn) in msg
         assert "1 Newton steps" in msg and "log-weight range" in msg
+
+
+def decimal_quadratic_root(log_w, y, c, start):
+    """l solving ``exp(l + log_w) = y - c*l`` to 50 digits (``y / c`` where
+    ``log_w`` is -inf).  The left side minus the right is convex and
+    increasing, so Newton's method converges to the one root from any start;
+    a start near it saves steps."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        y = Decimal(y)
+        if log_w == -math.inf:
+            return y / c
+        lw = Decimal(log_w)
+        ell = Decimal(start)
+        for _ in range(200):
+            e = (ell + lw).exp()
+            step = (e - y + c * ell) / (e + c)
+            ell -= step
+            if abs(step) <= Decimal("1e-40") * max(abs(ell), 1):
+                return ell
+    raise AssertionError("decimal Newton did not converge at log_w=%r, y=%r" % (log_w, y))
+
+
+class TestQuadraticClosedForm:
+    """p = 2 solves ``u*w = y - c*l`` through the Wright omega function."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1.0])
+    def test_matches_50_digit_roots(self, eps):
+        rng = np.random.default_rng(31 if eps < 1 else 32)
+        n = 48
+        for weight in np.exp([-2.0, -0.5, 0.7, 2.0]):
+            third = n // 3
+            anchor = np.concatenate([-np.exp(rng.uniform(-4, 1, third)), np.zeros(third),
+                                     np.exp(rng.uniform(-4, 1, n - 2 * third))])
+            rng.shuffle(anchor)
+            c = eps / (2.0 * weight)
+            log_w = rng.uniform(-700.0, 700.0, n)
+            log_w[:8] = rng.uniform(-5.0, 5.0, 8)
+            log_w[8:11] = -np.inf
+            # omega's argument log w - log c + y/c across its piecewise starts
+            log_w[11:24] = rng.uniform(-4.0, 4.0, 13) + math.log(c) - anchor[11:24] / c
+            ell = QuadraticDistance(weight, anchor)._solve_log(log_w, eps)
+            c_dec = Decimal(eps) / (2 * Decimal(float(weight)))
+            for i in range(n):
+                ref = decimal_quadratic_root(float(log_w[i]), float(anchor[i]), c_dec,
+                                             float(ell[i]))
+                bound = 4 * np.finfo(float).eps * max(abs(float(ref)), 1.0)
+                assert abs(float(Decimal(float(ell[i])) - ref)) <= bound, \
+                    (weight, log_w[i], anchor[i], ell[i], ref)
+
+    def test_never_iterates(self, monkeypatch):
+        def no_newton(*args):
+            raise AssertionError("Newton iteration called")
+
+        monkeypatch.setattr(functions, "_newton_log", no_newton)
+        rng = np.random.default_rng(33)
+        anchor = rng.uniform(-1.0, 1.0, 10)
+        w = ScaledArray.from_values(np.exp(rng.uniform(-20.0, 20.0, 10)))
+        fn = QuadraticDistance(0.7, anchor)
+        u = fn.solve_inclusion(w, 0.3)
+        assert np.max(inclusion_residual(fn, u, w, 0.3)) <= 1e-10
+        with pytest.raises(AssertionError, match="Newton"):
+            QuadraticDistance(0.7, anchor, exponent=3.0).solve_inclusion(w, 0.3)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, 1.0, 0.5])
+    def test_exponent_must_be_finite_and_exceed_one(self, exponent):
+        with pytest.raises(InvalidInput, match="exponent"):
+            QuadraticDistance(1.0, [0.0], exponent)
 
 
 class TestSubgradients:

@@ -34,6 +34,23 @@ class TestScaledArray:
             assert np.max(np.abs(arr.m)) <= 2.0 ** 512
             assert np.max(np.abs(arr.m)) >= 2.0 ** -512
 
+    def test_kept_log_is_read_only(self):
+        arr = ScaledArray(np.array([0.5, 0.0, 1.0]), 3.0)
+        lv = arr.log_value()
+        assert arr.log_value() is lv
+        assert not lv.flags.writeable
+        with pytest.raises(ValueError):
+            lv[0] = 0.0
+
+    def test_rescaling_drops_kept_log(self):
+        arr = ScaledArray(np.array([4.0, 0.0, 1.0]), -2.0)
+        stale = arr.log_value()
+        assert arr.renormalize() > 0
+        lv = arr.log_value()
+        assert lv is not stale
+        with np.errstate(divide="ignore"):
+            assert lv.tobytes() == (np.log(arr.m) + arr.log_scale).tobytes()
+
     def test_zero_array(self):
         arr = ScaledArray(np.zeros(3), 123.0)
         arr.renormalize()
@@ -152,12 +169,15 @@ class TestBuildKernel:
             assert k.m.shape == ref_m.shape and k.m.tobytes() == ref_m.tobytes()
             assert k.log_scale == ref_ls
 
-    @pytest.mark.parametrize("inf_rate", [0.0, 0.3])
+    @pytest.mark.parametrize("inf_rate", [0.0, 0.3, "int64"])
     def test_peak_memory_is_one_matrix(self, inf_rate):
         n = 600
         rng = np.random.default_rng(3)
-        cost = rng.uniform(0.0, 2.0, (n, n))
-        cost[rng.uniform(size=cost.shape) < inf_rate] = np.inf
+        if inf_rate == "int64":
+            cost = rng.integers(0, 30, (n, n), dtype=np.int64)
+        else:
+            cost = rng.uniform(0.0, 2.0, (n, n))
+            cost[rng.uniform(size=cost.shape) < inf_rate] = np.inf
         tracemalloc.start()
         try:
             k = build_kernel(cost, 0.05)

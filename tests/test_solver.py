@@ -7,7 +7,7 @@ import pytest
 
 from gtop import (Box, ChainEngine, CompositeFunction, Congestion, DualPotentials, EdgeKernel,
                   Equality, GraphTopology, Infeasible, InvalidInput, Linear, ProblemSpec,
-                  QuadraticDistance, SolverConfig, Zero, build_kernel,
+                  QuadraticDistance, ScaledArray, SolverConfig, Zero, build_kernel,
                   dual_objective, inclusion_residual, make_engine, solve)
 from gtop.model import RescaleLog, _parts, smul
 from gtop.projections import DenseEngine
@@ -538,6 +538,47 @@ class TestComposite:
         res = inclusion_residual(comp.parts[0], pots.nodes[1][0],
                                  smul(w, pots.nodes[1][1]), spec.epsilon)
         assert np.max(res) <= 1e-10
+
+
+class TestKeptLogs:
+    """Potentials keep their logs; the change test and the dual reuse them."""
+
+    def test_log_change_matches_entrywise_rule(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            a, b = rng.uniform(0.0, 1.0, (2, 6))
+            gone = rng.uniform(size=6) < 0.3
+            a[gone] = b[gone] = 0.0
+            old, new = ScaledArray(a, rng.normal()), ScaledArray(b, rng.normal())
+            lo, ln = old.log_value(), new.log_value()
+            both = np.isfinite(lo)
+            expected = float(np.max(np.abs(lo[both] - ln[both]))) if both.any() else 0.0
+            assert _Updater._log_change(old, new) == expected
+        zero = ScaledArray(np.zeros(3), 2.0)
+        assert _Updater._log_change(zero, ScaledArray(np.zeros(3), -5.0)) == 0.0
+        assert _Updater._log_change(zero, ScaledArray(np.array([0.0, 1.0, 0.0]))) == math.inf
+        assert _Updater._log_change(ScaledArray(np.ones(3)), zero) == math.inf
+
+    def test_kept_logs_are_exact_after_solve(self):
+        rng = np.random.default_rng(42)
+        n = 4
+        topo = GraphTopology.chain(3)
+        kernels = {(0, 1): build_kernel(rng.uniform(0, 1, (n, n)), 0.5),
+                   (1, 2): build_kernel(rng.uniform(0, 1, (n, n)), 0.5)}
+        mu0 = np.array([0.3, 0.0, 0.5, 0.2])
+        comp = CompositeFunction([Congestion(np.full(n, 2.0)), Box(0.0, np.full(n, 0.9))])
+        spec = ProblemSpec(topo, kernels,
+                           {0: Equality(mu0), 1: comp,
+                            2: QuadraticDistance(1.2, rng.uniform(0.1, 0.5, n))},
+                           {(1, 2): Box(0.0, np.full((n, n), 0.4))}, 0.5)
+        pots, report = solve(spec, SolverConfig(verify=True))
+        assert report.termination == "converged"
+        for fs in list(pots.nodes.values()) + list(pots.edges.values()):
+            for f in fs:
+                with np.errstate(divide="ignore"):
+                    fresh = np.log(f.m) + f.log_scale
+                assert f.log_value().tobytes() == fresh.tobytes()
+        assert np.isneginf(pots.nodes[0][0].log_value()[1])
 
 
 class TestCompositeEdge:
