@@ -452,6 +452,8 @@ def run(run_config):
             "max_residual": report.max_residual,
             "residuals": report.residuals,
             "rescale_events": report.rescale_events,
+            "extrapolations": {"tried": len(report.extrapolations),
+                               "accepted": sum(kept for _, _, kept in report.extrapolations)},
             "warnings": report.warnings,
             "wall_time_s": report.wall_time_s,
         })

@@ -39,8 +39,10 @@ class ScaledArray:
 
     @classmethod
     def from_values(cls, values):
+        # Outside input may hold negative entries, which the caller rejects
+        # after this; the peak of |values| keeps the log finite until then.
         out = cls(np.array(values, dtype=float), 0.0)
-        out.renormalize()
+        out._rescale(float(np.max(np.abs(out.m))) if out.m.size else 0.0)
         return out
 
     @classmethod
@@ -52,8 +54,13 @@ class ScaledArray:
         return self.m.shape
 
     def renormalize(self):
-        """Rescale the mantissa peak to 1; returns the absolute log shift."""
-        peak = float(np.max(np.abs(self.m))) if self.m.size else 0.0
+        """Rescale the mantissa peak to 1; returns the absolute log shift.
+
+        The mantissa is nonnegative, so its peak is its largest entry."""
+        return self._rescale(float(self.m.max()) if self.m.size else 0.0)
+
+    def _rescale(self, peak):
+        """Move ``peak``, the largest mantissa magnitude, into the log scale."""
         if not math.isfinite(peak):
             raise NumericalFailure("non-finite mantissa encountered during renormalization")
         if peak == 0.0:

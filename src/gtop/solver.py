@@ -6,6 +6,20 @@ order (``engine.order``), which the projection structure makes cheap: the
 path engine updates the blocks at each path node and pushes the forward
 message past it, the dense engine updates every node and then every edge.
 A backward rebuild closes the sweep so end-of-sweep projections are current.
+
+Between exact sweeps the solver may try one safeguarded geometric
+extrapolation of the dual iterates (``_Extrapolator``).  When the largest
+log-potential change of the last sweeps shrinks by a steady rate rho (three
+successive ratios agreeing within 1%, 0.5 < rho < 1, and at least four
+sweeps still projected to the potential tolerance), every factor jumps to
+the limit of its geometric series, ``log u_k + rho/(1-rho) (log u_k -
+log u_{k-1})``.  The jump is kept only if the dual beats the sweep's by
+more than two units of roundoff; otherwise the previous factors and engine
+messages are put back.  Every stop decision, callback, ``dual_values`` and
+``max_residuals`` entry belongs to an exact sweep, so the dual stays
+monotone from sweep to sweep and each sweep is still an exact block
+ascent.  ``SolveReport.extrapolations`` lists every try as ``(sweep, rho,
+accepted)``.
 """
 
 import math
@@ -16,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible, InvalidInput, SizeBoundExceeded, VerificationFailure
-from .model import DualPotentials, RescaleLog, _parts, dual_objective, smul
+from .model import DualPotentials, RescaleLog, ScaledArray, _parts, dual_objective, smul
 from .projections import DenseEngine, make_engine
 
 # Relative drop of the dual objective tolerated as roundoff before a
@@ -25,6 +39,17 @@ _MONOTONE_SLACK = 1e-9
 # Largest |log| of a dual iterate before a solve warns that the dual may
 # not attain its supremum.
 _LOG_POTENTIAL_BOUND = 1e5
+# Geometric extrapolation of the dual iterates (see ``_Extrapolator``): the
+# number of successive change ratios that must agree, their relative spread,
+# the smallest rate worth a trial, the fewest sweeps a trial must still
+# project to save, the step as a multiple of the geometric tail rho/(1-rho),
+# and the relative dual gain a trial must beat to count as more than roundoff.
+_RATE_RATIOS = 3
+_RATE_SPREAD = 0.01
+_RATE_MIN = 0.5
+_MIN_SWEEPS_LEFT = 4.0
+_EXTRAPOLATION_STEP = 1.0
+_ACCEPT_MARGIN = 2 * np.finfo(float).eps
 
 
 @dataclass
@@ -54,6 +79,7 @@ class SolveReport:
     rescale_events: int = 0
     warnings: list = field(default_factory=list)
     feasible: bool = False
+    extrapolations: list = field(default_factory=list)
 
     @property
     def dual_objective(self):
@@ -193,6 +219,109 @@ class _Updater:
             self.verifier.check_update(self.pots, block)
 
 
+class _Extrapolator:
+    """Safeguarded geometric extrapolation of the dual iterates.
+
+    Coordinate ascent converges R-linearly, and on slow instances the
+    largest log-potential change of a sweep shrinks by a steady rate rho.
+    Once the last ``_RATE_RATIOS`` ratios of successive changes agree within
+    ``_RATE_SPREAD``, with ``_RATE_MIN < rho < 1``, and the tail still
+    projects at least ``_MIN_SWEEPS_LEFT`` sweeps to the potential
+    tolerance, every factor jumps to the limit of its geometric series,
+    ``log u_k + rho/(1-rho) * (log u_k - log u_{k-1})``.  Entries that are
+    -inf at either iterate keep ``log u_k``.  The trial is kept only if its
+    dual beats the sweep's by more than ``_ACCEPT_MARGIN`` relative;
+    otherwise the factor lists and the engine's message lists, whose
+    entries are never mutated, are put back as they were.  Only sweeps
+    after the last trial enter the rate, so two trials are at least
+    ``_RATE_RATIOS + 1`` exact sweeps apart.  A trial's dual gain is about
+    the square of the potential error it removes, so near the tolerance it
+    sinks into the dual's roundoff; ``_MIN_SWEEPS_LEFT`` skips the trials
+    that could save only a few sweeps and would be decided by that roundoff.
+    """
+
+    def __init__(self, potential_tol):
+        self.tol = potential_tol
+        self.changes = []
+
+    def armed(self):
+        """Whether the next sweep's change can complete an agreeing window;
+        only then does the solve keep the factors from before that sweep."""
+        return len(self.changes) >= _RATE_RATIOS and _agreeing(self.changes[-_RATE_RATIOS:])
+
+    def rate(self, change):
+        """Record an exact sweep's largest change; rho if a trial is due, else None."""
+        self.changes.append(change)
+        window = self.changes[-_RATE_RATIOS - 1:]
+        if len(window) <= _RATE_RATIOS or not _agreeing(window):
+            return None
+        rho = change / window[-2]
+        if not _RATE_MIN < rho < 1.0 \
+                or math.log(self.tol / change) / math.log(rho) < _MIN_SWEEPS_LEFT:
+            return None
+        return rho
+
+    def trial(self, spec, pots, engine, before, dual, rho):
+        """Move ``pots`` to the extrapolated point and keep it if the dual rose.
+
+        ``before`` holds copies of the factor lists from before the sweep
+        that gave ``pots`` and ``dual``.  The backward rebuild leaves the
+        engine as a sweep starts from, where the projection of the first
+        block of ``engine.order`` is current; the dual is taken there.
+        """
+        self.changes = []
+        live = _factor_lists(pots)
+        after = [list(fs) for fs in live]
+        messages = [(ms, list(ms)) for ms in _message_lists(engine)]
+        step = _EXTRAPOLATION_STEP * rho / (1.0 - rho)
+        for fs, old in zip(live, before):
+            fs[:] = [_extrapolated(f, o, step) for f, o in zip(fs, old)]
+        engine.rebuild_backward(pots)
+        trial_dual = dual_objective(pots, spec, engine, engine.order[0])
+        if trial_dual > dual + _ACCEPT_MARGIN * max(1.0, abs(dual)):
+            return True
+        for fs, saved in zip(live, after):
+            fs[:] = saved
+        for ms, saved in messages:
+            ms[:] = saved
+        return False
+
+
+def _agreeing(changes):
+    """Whether ``changes`` are positive and finite and their successive
+    ratios lie within ``_RATE_SPREAD`` of each other."""
+    if not all(0.0 < c < math.inf for c in changes):
+        return False
+    ratios = [b / a for a, b in zip(changes, changes[1:])]
+    return max(ratios) <= (1.0 + _RATE_SPREAD) * min(ratios)
+
+
+def _factor_lists(pots):
+    """The live factor list of every node and edge, in a fixed order."""
+    return list(pots.nodes.values()) + list(pots.edges.values())
+
+
+def _message_lists(engine):
+    """The engine's forward and backward message lists; the dense engine has none."""
+    return [getattr(engine, name) for name in ("fwd", "bwd") if hasattr(engine, name)]
+
+
+def _extrapolated(new, old, step):
+    """``log new + step * (log new - log old)``, keeping ``log new`` where
+    either side is -inf; ``new`` itself when the factor did not move."""
+    if new is old:
+        return new
+    log_new = new.log_value()
+    with np.errstate(invalid="ignore"):
+        diff = log_new - old.log_value()
+    diff[~np.isfinite(diff)] = 0.0
+    log_u = log_new + step * diff
+    peak = float(np.max(log_u, initial=-math.inf))
+    if not math.isfinite(peak):
+        return new
+    return ScaledArray(np.exp(log_u - peak), peak)
+
+
 def _sanity_checks(spec):
     masses = [("%s %r" % block, float(np.sum(part.target)))
               for block, fn in spec.blocks.items() for part in _parts(fn)
@@ -220,7 +349,9 @@ def solve(spec, config=None, initial=None):
     Returns the final potentials together with a :class:`SolveReport`.
     Termination requires every hard constraint residual at or below the
     feasibility tolerance and the largest relative potential change of the
-    sweep at or below the potential tolerance.  Every projection comes from
+    sweep at or below the potential tolerance.  Between sweeps the iterates
+    may jump ahead along their geometric tail (``_Extrapolator``); the
+    per-sweep history holds exact sweeps only.  Every projection comes from
     the one engine built here.  An :class:`Infeasible` raised by an update
     carries the partial report as ``exc.report``: the sweeps begun, the
     per-sweep history, the rescale events, and the residuals of the
@@ -238,7 +369,9 @@ def solve(spec, config=None, initial=None):
     engine.rebuild_backward(pots)
     warned_divergence = False
     warned_dual = False
+    extrapolator = _Extrapolator(config.potential_tol)
     for sweep in range(1, config.max_sweeps + 1):
+        before = [list(fs) for fs in _factor_lists(pots)] if extrapolator.armed() else None
         upd = _Updater(spec, pots, verifier, sweep)
         try:
             upd.sweep(engine)
@@ -270,6 +403,10 @@ def solve(spec, config=None, initial=None):
         done = max_res <= config.feasibility_tol and upd.max_change <= config.potential_tol
         if done:
             break
+        rho = extrapolator.rate(upd.max_change)
+        if rho is not None and sweep < config.max_sweeps:
+            kept = extrapolator.trial(spec, pots, engine, before, dual, rho)
+            report.extrapolations.append((sweep, rho, kept))
     _close(report, "converged" if done else "max_sweeps", sweep, res, t0, rescale.events)
     report.feasible = report.max_residual <= config.feasibility_tol
     if any(not math.isfinite(d) for d in report.dual_values):

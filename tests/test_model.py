@@ -61,6 +61,30 @@ class TestScaledArray:
         assert arr.total() > 0
         np.testing.assert_allclose(arr.value(), [1e-200, 1e-210], rtol=1e-12)
 
+    def test_renormalize_matches_the_magnitude_peak_rule(self):
+        # a nonnegative mantissa's largest entry is its largest magnitude
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            m = np.exp(rng.uniform(-40, 40, rng.integers(1, 9)))
+            m[rng.uniform(size=m.size) < 0.3] = 0.0
+            ls = rng.uniform(-300, 300)
+            arr = ScaledArray(m.copy(), ls)
+            shift = arr.renormalize()
+            peak = float(np.max(np.abs(m)))
+            if peak in (0.0, 1.0):
+                continue
+            assert shift == abs(math.log(peak))
+            assert arr.m.tobytes() == (m / peak).tobytes()
+            assert arr.log_scale == ls + math.log(peak)
+
+    def test_negative_raw_weights_fail_as_invalid_input(self):
+        # outside input is scaled by its largest magnitude, so an all-negative
+        # vector reaches the weight check instead of failing in math.log
+        arr = ScaledArray.from_values([-2.0, -0.5])
+        assert arr.log_scale == math.log(2.0)
+        with pytest.raises(InvalidInput, match="nonnegative"):
+            Equality(np.ones(2)).solve_inclusion(np.array([-2.0, -0.5]), 1.0)
+
 
 class TestBuildKernel:
     def test_zero_costs_give_unit_kernel(self):

@@ -1,6 +1,7 @@
 """Solver tests: single updates, full solves, reports, and convergence traits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from gtop import (Box, ChainEngine, CompositeFunction, Congestion, DualPotential
                   Equality, GraphTopology, Infeasible, InvalidInput, Linear, ProblemSpec,
                   QuadraticDistance, ScaledArray, SolverConfig, Zero, build_kernel,
                   dual_objective, inclusion_residual, make_engine, solve)
+from gtop import solver as solver_module
 from gtop.model import RescaleLog, _parts, smul
 from gtop.projections import DenseEngine
-from gtop.solver import _Updater, _Verifier, residual_map
+from gtop.solver import _Extrapolator, _Updater, _Verifier, _extrapolated, residual_map
 
 from _support import (as_general, assert_maxnorm_close, dense_tensor, random_hub_spec,
                       random_potentials, solve_dense)
@@ -746,3 +748,195 @@ class TestDivergenceWarning:
         # the primal plan itself approaches its optimum even so
         plan = dense_tensor(spec, pots).value()
         np.testing.assert_allclose(plan, [[1.0, 0.0], [1.0, 1.0]], atol=0.02)
+
+
+def slow_spec(rng, kind, epsilon=0.4):
+    """A chain (kind 0), OD cycle (1) or species hub (2) with tight caps or
+    congestion, whose sweeps contract slowly enough to be extrapolated."""
+    n = int(rng.integers(3, 6))
+    if kind == 0:
+        T = int(rng.integers(3, 6))
+        topo = GraphTopology.chain(T)
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0, 1.5, (n, n)), epsilon)
+                   for j in range(T - 1)}
+        mu = rng.uniform(0.2, 1.0, n)
+        fns = {0: Equality(mu)}
+        for j in range(1, T):
+            pick = rng.integers(0, 3)
+            if pick == 0:
+                fns[j] = Box(0.0, np.full(n, 0.6 * float(mu.sum())))
+            elif pick == 1:
+                fns[j] = QuadraticDistance(0.8, rng.uniform(0.1, 0.5, n))
+            else:
+                fns[j] = Congestion(np.full(n, 0.5 * float(mu.sum())))
+        return ProblemSpec(topo, kernels, fns, {}, epsilon)
+    if kind == 1:
+        T = int(rng.integers(4, 7))
+        topo = GraphTopology.od_cycle(T)
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0, 1.5, (n, n)), epsilon)
+                   for j in range(T - 1)}
+        R = rng.uniform(0.05, 0.5, (n, n))
+        fns = {j: Congestion(np.full(n, 0.5 * float(R.sum()))) for j in range(1, T - 1)}
+        return ProblemSpec(topo, kernels, fns, {topo.chord: Equality(R)}, epsilon)
+    tc = int(rng.integers(3, 5))
+    L = int(rng.integers(2, 4))
+    topo = GraphTopology.species_hub(tc, L)
+    kernels = {(j, j + 1): build_kernel(rng.uniform(0, 1.5, (n, n)), epsilon)
+               for j in range(tc - 1)}
+    efns = {(topo.hub, 0): Equality(rng.uniform(0.1, 0.6, (L, n)))}
+    return ProblemSpec(topo, kernels, {tc - 1: QuadraticDistance(1.0, np.full(n, 1.0 / n))},
+                       efns, epsilon)
+
+
+def extrapolation_off(monkeypatch):
+    """No rate passes ``_RATE_MIN < rho < 1``: the solve runs exact sweeps only."""
+    monkeypatch.setattr("gtop.solver._RATE_MIN", 1.0)
+
+
+def solver_state(pots, engine):
+    """Every potential factor and engine message: identity, mantissa bytes, log scale."""
+    def entry(arr):
+        return None if arr is None else (id(arr), arr.m.tobytes(), arr.log_scale)
+    factors = [[entry(f) for f in fs] for fs in list(pots.nodes.values())
+               + list(pots.edges.values())]
+    return factors, [entry(a) for a in engine.fwd], [entry(a) for a in engine.bwd]
+
+
+class TestExtrapolation:
+    """Safeguarded geometric extrapolation between exact sweeps."""
+
+    def test_forced_rejection_restores_state_bit_for_bit(self, monkeypatch):
+        # A negative step moves back past u_{k-1}; the dual is concave in
+        # log u and rose from u_{k-1} to u_k, so it must fall there.
+        monkeypatch.setattr("gtop.solver._EXTRAPOLATION_STEP", -1.0)
+        duals = []
+        objective = solver_module.dual_objective
+
+        def recorded(*args, **kwargs):
+            duals.append(objective(*args, **kwargs))
+            return duals[-1]
+
+        trial = _Extrapolator.trial
+        checked = []
+
+        def checked_trial(self, spec, pots, engine, before, dual, rho):
+            state = solver_state(pots, engine)
+            kept = trial(self, spec, pots, engine, before, dual, rho)
+            assert not kept
+            # late trials move the dual by roundoff only; the first one drops it
+            assert duals[-1] < dual or checked
+            assert solver_state(pots, engine) == state
+            checked.append(rho)
+            return kept
+
+        monkeypatch.setattr(solver_module, "dual_objective", recorded)
+        monkeypatch.setattr(_Extrapolator, "trial", checked_trial)
+        spec = slow_spec(np.random.default_rng(5), 1)
+        _, report = solve(spec)
+        assert checked and [k for _, _, k in report.extrapolations] == [False] * len(checked)
+        # every trial was undone, so the solve is the plain one bit for bit
+        extrapolation_off(monkeypatch)
+        _, plain = solve(spec)
+        assert plain.extrapolations == []
+        assert report.dual_values == plain.dual_values
+        assert report.max_residuals == plain.max_residuals
+
+    def test_randomized_verified_solves_match_plain(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        specs = [slow_spec(rng, trial % 3) for trial in range(6)]
+        tried = kept = 0
+        finals = []
+        for spec in specs:
+            _, report = solve(spec, SolverConfig(verify=True, max_sweeps=3000))
+            assert report.termination == "converged"
+            d = np.array(report.dual_values)
+            # exact sweeps near the optimum move the computed dual by a few
+            # ulps either way; nothing more than that may be lost
+            assert np.all(np.diff(d) >= -1e-14 * np.maximum(1.0, np.abs(d[:-1])))
+            tried += len(report.extrapolations)
+            kept += sum(k for _, _, k in report.extrapolations)
+            finals.append(report)
+        assert kept >= len(specs) and tried > kept
+        extrapolation_off(monkeypatch)
+        for spec, report in zip(specs, finals):
+            _, plain = solve(spec, SolverConfig(verify=True, max_sweeps=3000))
+            assert plain.termination == "converged"
+            assert report.sweeps < plain.sweeps
+            assert report.dual_objective == pytest.approx(plain.dual_objective, rel=1e-12,
+                                                          abs=1e-12)
+
+    def test_minus_inf_potentials_pass_a_trial_without_warnings(self):
+        rng = np.random.default_rng(8)
+        n = 4
+        topo = GraphTopology.chain(4)
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0, 1.5, (n, n)), 0.4)
+                   for j in range(3)}
+        mu = rng.uniform(0.2, 1.0, n)
+        closed = np.full(n, 0.6 * float(mu.sum()))
+        closed[1] = 0.0
+        spec = ProblemSpec(topo, kernels,
+                           {0: Equality(mu), 1: Box(0.0, closed),
+                            2: Congestion(np.full(n, 0.5 * float(mu.sum()))),
+                            3: Box(0.0, np.full(n, 0.6 * float(mu.sum())))}, {}, 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pots, report = solve(spec, SolverConfig(verify=True))
+        assert report.termination == "converged"
+        assert any(k for _, _, k in report.extrapolations)
+        assert np.isneginf(pots.nodes[1][0].log_value()[1])
+
+    def test_extrapolated_factor_keeps_minus_inf_entries(self):
+        old = ScaledArray(np.array([0.0, 0.5, 0.0, 1.0]), 0.3)
+        new = ScaledArray(np.array([0.0, 0.0, 0.25, 1.0]), -0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _extrapolated(new, old, 3.0)
+        logs = out.log_value()
+        # -inf at both, -inf only now, -inf only before: keep log new
+        assert np.isneginf(logs[0]) and np.isneginf(logs[1])
+        assert logs[2] == pytest.approx(new.log_value()[2], rel=1e-15)
+        assert logs[3] == pytest.approx(-0.2 + 3.0 * (-0.2 - 0.3), rel=1e-15)
+        assert out.m.max() == 1.0
+        assert _extrapolated(new, new, 3.0) is new
+        dead = ScaledArray(np.zeros(3), 0.0)
+        assert _extrapolated(dead, ScaledArray(np.ones(3)), 3.0) is dead
+
+    def test_rate_needs_three_agreeing_ratios(self):
+        ext = _Extrapolator(1e-9)
+        assert [ext.rate(c) for c in (1.0, 0.8, 0.64, 0.512)][-1] == pytest.approx(0.8)
+        ext = _Extrapolator(1e-9)
+        assert [ext.rate(c) for c in (1.0, 0.8, 0.66, 0.528)][-1] is None
+        # a rate at or below _RATE_MIN, or at 1, never tries
+        ext = _Extrapolator(1e-9)
+        assert [ext.rate(c) for c in (1.0, 0.5, 0.25, 0.125)][-1] is None
+        ext = _Extrapolator(1e-9)
+        assert [ext.rate(c) for c in (1.0, 1.0, 1.0, 1.0)][-1] is None
+        # too close to the tolerance to save _MIN_SWEEPS_LEFT sweeps
+        ext = _Extrapolator(1e-9)
+        assert [ext.rate(c * 2e-9) for c in (1.0, 0.8, 0.64, 0.512)][-1] is None
+
+    def test_armed_before_every_due_trial(self):
+        # the solve keeps the pre-sweep factors only when armed, so armed
+        # must hold before every sweep whose change makes a trial due
+        rng = np.random.default_rng(9)
+        due = 0
+        for _ in range(200):
+            ext = _Extrapolator(1e-12)
+            c = 1.0
+            for _ in range(12):
+                armed = ext.armed()
+                c *= rng.choice([0.49, 0.5, 0.502, 0.7, 0.703, 0.705, 0.99, 1.0])
+                if ext.rate(c) is not None:
+                    assert armed
+                    due += 1
+        assert due > 0
+
+    def test_trials_are_exact_sweeps_apart_and_report_only_exact_sweeps(self):
+        spec = slow_spec(np.random.default_rng(6), 1)
+        calls = []
+        _, report = solve(spec, SolverConfig(callback=lambda *a: calls.append(a)))
+        sweeps = [s for s, _, _ in report.extrapolations]
+        assert sweeps and all(b - a >= 4 for a, b in zip(sweeps, sweeps[1:]))
+        assert len(report.dual_values) == len(report.max_residuals) == report.sweeps
+        assert [c[0] for c in calls] == list(range(1, report.sweeps + 1))
+        assert all(s < report.sweeps for s in sweeps)
