@@ -18,8 +18,18 @@ closed-form bracket, and stops once no entry moves by more than a few ulps
 of ``max(|l|, 1)``.  For congestion the iteration descends monotonically and
 needs a handful of evaluations; the other distance exponents fall back to
 bisection inside the bracket whenever a Newton step would leave it.
+
+Some updates ignore the weight altogether.  A zero cost gives the factor 1,
+a linear cost ``exp(-c / epsilon)``, and a box whose lower bounds are all 0
+and whose upper bounds are all 0 or +inf (an indicator of a support: an
+obstacle, a forbidden zone) gives 1 on the support and 0 off it.  The
+read-only property ``ignores_weight`` marks these entries, and a blockwise
+cost made only of them.  It is derived from the data the first time it is
+read.  The solver solves a marked part once and keeps its factor, and a
+blockwise cost reuses the log-factors of its marked blocks.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -107,6 +117,8 @@ class MarginalFunction:
     is_zero = False
     # Hard constraints report a feasibility residual; soft costs never do.
     hard = False
+    # Whether the update gives the same factor whatever the weight.
+    ignores_weight = False
 
     def conjugate(self, s):
         raise NotImplementedError
@@ -168,6 +180,7 @@ class Zero(MarginalFunction):
     """
 
     is_zero = True
+    ignores_weight = True
     _atol = 1e-8
 
     def conjugate(self, s):
@@ -263,6 +276,13 @@ class Box(MarginalFunction):
     # exact zero; the kink at s = 0 is resolved with a small tolerance.
     _atol = 1e-9
 
+    @functools.cached_property
+    def ignores_weight(self):
+        """An indicator box: lower bounds 0 and upper bounds 0 or +inf, so the
+        update is 1 where the upper bound is +inf and 0 where it is 0."""
+        return not self._lower_pos.any() \
+            and bool(np.all(self._upper_zero | np.isposinf(self.upper.ravel())))
+
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
         lo = self.lower.ravel()
@@ -307,7 +327,7 @@ class Box(MarginalFunction):
         return self
 
     def _expected_size(self):
-        return self.lower.size if self.lower.size > 1 else None
+        return self.lower.size if self.lower.ndim else None
 
     def __repr__(self):
         return "Box(n=%d)" % self.lower.size
@@ -315,6 +335,8 @@ class Box(MarginalFunction):
 
 class Linear(MarginalFunction):
     """Linear cost ``<c, x>``; forces the multiplier to equal ``c``."""
+
+    ignores_weight = True
 
     def __init__(self, cost):
         self.cost = np.asarray(cost, dtype=float)
@@ -498,7 +520,7 @@ class Congestion(MarginalFunction):
         raise InvalidInput("congestion costs cannot be rescaled; fold the factor into capacities")
 
     def _expected_size(self):
-        return self.capacity.size if self.capacity.size > 1 else None
+        return self.capacity.size if self.capacity.ndim else None
 
     def __repr__(self):
         return "Congestion(n=%d)" % self.capacity.size
@@ -517,10 +539,22 @@ class Blockwise(MarginalFunction):
                 continue
             if np.any(idx < 0) or np.any(idx >= self.size) or cover[idx].any():
                 raise InvalidInput("blockwise indices must partition 0..%d" % (self.size - 1))
+            fn.validate_size(idx.size, where="blockwise block %d" % len(self.blocks))
             cover[idx] = True
             self.blocks.append((idx, fn))
         if not cover.all():
             raise InvalidInput("blockwise blocks must cover every entry")
+        # (epsilon, log-factors with the marked blocks filled in), set by
+        # the first update.
+        self._fixed_log = None
+
+    @functools.cached_property
+    def ignores_weight(self):
+        return all(fn.ignores_weight for _, fn in self.blocks)
+
+    @functools.cached_property
+    def _weighted_blocks(self):
+        return [(idx, fn) for idx, fn in self.blocks if not fn.ignores_weight]
 
     @property
     def is_zero(self):
@@ -549,8 +583,14 @@ class Blockwise(MarginalFunction):
         return lower, upper
 
     def _solve_log(self, log_w, epsilon):
-        out = np.empty(log_w.shape)
-        for idx, fn in self.blocks:
+        if self._fixed_log is None or self._fixed_log[0] != epsilon:
+            out = np.empty(log_w.shape)
+            for idx, fn in self.blocks:
+                if fn.ignores_weight:
+                    out[idx] = fn._solve_log(log_w[idx], epsilon)
+            self._fixed_log = (epsilon, out)
+        out = self._fixed_log[1].copy()
+        for idx, fn in self._weighted_blocks:
             out[idx] = fn._solve_log(log_w[idx], epsilon)
         return out
 

@@ -26,16 +26,18 @@ class ScaledArray:
     The mantissa max-norm is pulled back to 1 by :meth:`renormalize`, which
     leaves the represented value unchanged.  Entries may be exactly zero;
     those encode states that have been eliminated from the plan.
-    :meth:`log_value` keeps its result, so ``m`` and ``log_scale`` are
-    written only by :meth:`renormalize`, which drops it.
+    :meth:`log_value` and :meth:`max_abs_log` keep their results, so ``m``
+    and ``log_scale`` are written only by :meth:`renormalize`, which drops
+    them.
     """
 
-    __slots__ = ("m", "log_scale", "_log")
+    __slots__ = ("m", "log_scale", "_log", "_abs_log")
 
     def __init__(self, mantissa, log_scale=0.0):
         self.m = np.asarray(mantissa, dtype=float)
         self.log_scale = float(log_scale)
         self._log = None
+        self._abs_log = None
 
     @classmethod
     def from_values(cls, values):
@@ -73,6 +75,7 @@ class ScaledArray:
         self.m = self.m / peak
         self.log_scale += shift
         self._log = None
+        self._abs_log = None
         return abs(shift)
 
     def value(self):
@@ -86,6 +89,23 @@ class ScaledArray:
                 self._log = np.log(self.m) + self.log_scale
             self._log.flags.writeable = False
         return self._log
+
+    def max_abs_log(self):
+        """Largest finite |log| of an entry (0 if there is none), computed once.
+
+        The finite logs lie between their smallest and their largest entry,
+        so these two are found first; only a -inf or NaN log needs a mask.
+        """
+        if self._abs_log is None:
+            lv = self.log_value()
+            lo = float(lv.min(initial=math.inf))
+            hi = float(lv.max(initial=-math.inf))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                finite = np.isfinite(lv)
+                lo = float(lv.min(where=finite, initial=math.inf))
+                hi = float(lv.max(where=finite, initial=-math.inf))
+            self._abs_log = max(abs(lo), abs(hi)) if lo <= hi else 0.0
+        return self._abs_log
 
     def total(self):
         """Sum of the represented values as a plain float (inf on overflow)."""
@@ -384,13 +404,12 @@ class DualPotentials:
         )
 
     def max_abs_log(self):
-        """Largest |log| over all positive entries; gauges dual iterate growth."""
-        worst = 0.0
-        for fs in list(self.nodes.values()) + list(self.edges.values()):
-            for f in fs:
-                lv = f.log_value()
-                worst = max(worst, float(np.max(np.abs(lv), where=np.isfinite(lv), initial=0.0)))
-        return worst
+        """Largest |log| over all positive entries; gauges dual iterate growth.
+
+        Each factor finds its own once, so a factor no update replaced costs
+        nothing the next time."""
+        return max((f.max_abs_log() for fs in list(self.nodes.values())
+                    + list(self.edges.values()) for f in fs), default=0.0)
 
 
 def _parts(fn):
@@ -451,6 +470,9 @@ class ProblemSpec:
         # then each functional edge.
         self.blocks = {("node", j): fn for j, fn in self.node_functions.items()}
         self.blocks.update((("edge", e), self.edge_functions[e]) for e in self.functional_edges)
+        # Conjugate of each part that ignores its weight, keyed by (block,
+        # part index), with the factor it was taken at; see dual_objective.
+        self._fixed_conjugates = {}
 
     @staticmethod
     def _infer_sizes(topology, kernels):
@@ -497,6 +519,10 @@ def dual_objective(potentials, spec, engine, block=("node", 0)):
     ``block`` names another node or edge.  Any block gives the same number,
     and no full tensor is formed.  Returns ``-inf`` when some multiplier sits
     outside its conjugate's domain (a dual-infeasible point).
+
+    A part whose update ignores its weight keeps its factor from sweep to
+    sweep, so its conjugate is reused while the factor is the same object;
+    factors are never mutated.
     """
     kind, where = block
     project = engine.marginal if kind == "node" else engine.bimarginal
@@ -504,12 +530,19 @@ def dual_objective(potentials, spec, engine, block=("node", 0)):
     if not math.isfinite(mass):
         return -math.inf
     val = -spec.epsilon * mass
+    fixed = spec._fixed_conjugates
     for (kind, where), fn in spec.blocks.items():
         factors = (potentials.nodes if kind == "node" else potentials.edges)[where]
-        for part, factor in zip(_parts(fn), factors):
-            with np.errstate(invalid="ignore"):
-                s = -spec.epsilon * factor.log_value()
-            c = part.conjugate(s)
+        for k, (part, factor) in enumerate(zip(_parts(fn), factors)):
+            kept = fixed.get((kind, where, k))
+            if kept is not None and kept[0] is factor:
+                c = kept[1]
+            else:
+                with np.errstate(invalid="ignore"):
+                    s = -spec.epsilon * factor.log_value()
+                c = part.conjugate(s)
+                if part.ignores_weight:
+                    fixed[(kind, where, k)] = (factor, c)
             if c == math.inf:
                 return -math.inf
             val -= c

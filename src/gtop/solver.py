@@ -6,12 +6,16 @@ order (``engine.order``), which the projection structure makes cheap: the
 path engine updates the blocks at each path node and pushes the forward
 message past it, the dense engine updates every node and then every edge.
 A backward rebuild closes the sweep so end-of-sweep projections are current.
+A cost part whose update ignores its weight (``ignores_weight``: zero,
+linear, indicator box) gets the same factor in every sweep, so it is solved
+in the first sweep only; a node or edge made only of such parts is then
+not projected at all.
 
 Between exact sweeps the solver may try one safeguarded geometric
 extrapolation of the dual iterates (``_Extrapolator``).  When the largest
 log-potential change of the last sweeps shrinks by a steady rate rho (three
-successive ratios agreeing within 1%, 0.5 < rho < 1, and at least four
-sweeps still projected to the potential tolerance), every factor jumps to
+successive ratios agreeing within 1%, rho < 1, and at least four sweeps
+still projected to the potential tolerance), every factor jumps to
 the limit of its geometric series, ``log u_k + rho/(1-rho) (log u_k -
 log u_{k-1})``.  The jump is kept only if the dual beats the sweep's by
 more than two units of roundoff; otherwise the previous factors and engine
@@ -41,12 +45,11 @@ _MONOTONE_SLACK = 1e-9
 _LOG_POTENTIAL_BOUND = 1e5
 # Geometric extrapolation of the dual iterates (see ``_Extrapolator``): the
 # number of successive change ratios that must agree, their relative spread,
-# the smallest rate worth a trial, the fewest sweeps a trial must still
-# project to save, the step as a multiple of the geometric tail rho/(1-rho),
-# and the relative dual gain a trial must beat to count as more than roundoff.
+# the fewest sweeps a trial must still project to save, the step as a
+# multiple of the geometric tail rho/(1-rho), and the relative dual gain a
+# trial must beat to count as more than roundoff.
 _RATE_RATIOS = 3
 _RATE_SPREAD = 0.01
-_RATE_MIN = 0.5
 _MIN_SWEEPS_LEFT = 4.0
 _EXTRAPOLATION_STEP = 1.0
 _ACCEPT_MARGIN = 2 * np.finfo(float).eps
@@ -185,22 +188,28 @@ class _Updater:
         """Walk ``engine.order``, then rebuild the backward messages.
 
         A node or edge step computes its projection weight once and updates
-        each stacked part against it times the other parts' factors; steps
-        on zero costs are skipped.
+        each stacked part against it times the other parts' factors.  Zero
+        parts are skipped, and so are parts that ignore their weight after
+        the first sweep, which has already given them their only factor; a
+        step left with no part to update computes no weight.
         """
         pots = self.pots
+        first = self.sweep_no == 1
         for kind, where in engine.order:
             if kind == "push":
                 engine.push_forward(where, pots)
                 continue
             fn = self.spec.blocks.get((kind, where))
-            if fn is None or fn.is_zero:
+            if fn is None:
+                continue
+            todo = [(k, part) for k, part in enumerate(_parts(fn))
+                    if not part.is_zero and (first or not part.ignores_weight)]
+            if not todo:
                 continue
             w = (engine.w_node if kind == "node" else engine.w_edge)(where, pots)
             factors = (pots.nodes if kind == "node" else pots.edges)[where]
-            for k, part in enumerate(_parts(fn)):
-                if not part.is_zero:
-                    self._apply(factors, k, part, w, (kind, where))
+            for k, part in todo:
+                self._apply(factors, k, part, w, (kind, where))
         engine.rebuild_backward(pots)
 
     def _apply(self, factors, k, part, w, block):
@@ -222,22 +231,24 @@ class _Updater:
 class _Extrapolator:
     """Safeguarded geometric extrapolation of the dual iterates.
 
-    Coordinate ascent converges R-linearly, and on slow instances the
-    largest log-potential change of a sweep shrinks by a steady rate rho.
-    Once the last ``_RATE_RATIOS`` ratios of successive changes agree within
-    ``_RATE_SPREAD``, with ``_RATE_MIN < rho < 1``, and the tail still
-    projects at least ``_MIN_SWEEPS_LEFT`` sweeps to the potential
-    tolerance, every factor jumps to the limit of its geometric series,
+    Coordinate ascent converges R-linearly, and the largest log-potential
+    change of a sweep often shrinks by a steady rate rho.  Once the last
+    ``_RATE_RATIOS`` ratios of successive changes agree within
+    ``_RATE_SPREAD``, with ``rho < 1``, and the tail still projects at least
+    ``_MIN_SWEEPS_LEFT`` sweeps to the potential tolerance, every factor
+    jumps to the limit of its geometric series,
     ``log u_k + rho/(1-rho) * (log u_k - log u_{k-1})``.  Entries that are
-    -inf at either iterate keep ``log u_k``.  The trial is kept only if its
-    dual beats the sweep's by more than ``_ACCEPT_MARGIN`` relative;
-    otherwise the factor lists and the engine's message lists, whose
-    entries are never mutated, are put back as they were.  Only sweeps
-    after the last trial enter the rate, so two trials are at least
-    ``_RATE_RATIOS + 1`` exact sweeps apart.  A trial's dual gain is about
-    the square of the potential error it removes, so near the tolerance it
-    sinks into the dual's roundoff; ``_MIN_SWEEPS_LEFT`` skips the trials
-    that could save only a few sweeps and would be decided by that roundoff.
+    -inf at either iterate keep ``log u_k``, and a factor the last sweep did
+    not replace (a part that ignores its weight) stays as it is.  The trial
+    is kept only if its dual beats the sweep's by more than
+    ``_ACCEPT_MARGIN`` relative; otherwise the factor lists and the
+    engine's message lists, whose entries are never mutated, are put back
+    as they were.  Only sweeps after the last trial enter the rate, so two
+    trials are at least ``_RATE_RATIOS + 1`` exact sweeps apart.  A trial's
+    dual gain is about the square of the potential error it removes, so
+    near the tolerance it sinks into the dual's roundoff;
+    ``_MIN_SWEEPS_LEFT`` skips the trials that could save only a few sweeps
+    and would be decided by that roundoff.
     """
 
     def __init__(self, potential_tol):
@@ -256,8 +267,7 @@ class _Extrapolator:
         if len(window) <= _RATE_RATIOS or not _agreeing(window):
             return None
         rho = change / window[-2]
-        if not _RATE_MIN < rho < 1.0 \
-                or math.log(self.tol / change) / math.log(rho) < _MIN_SWEEPS_LEFT:
+        if not rho < 1.0 or math.log(self.tol / change) / math.log(rho) < _MIN_SWEEPS_LEFT:
             return None
         return rho
 
@@ -395,8 +405,8 @@ def solve(spec, config=None, initial=None):
                 report.warnings.append("dual objective decreased at sweep %d" % sweep)
                 warned_dual = True
         if not warned_divergence and pots.max_abs_log() > _LOG_POTENTIAL_BOUND:
-            report.warnings.append("dual iterates exceed log bound %g; the dual may not "
-                                   "attain its supremum" % _LOG_POTENTIAL_BOUND)
+            report.warnings.append("dual iterates exceed log bound %g at sweep %d; the dual "
+                                   "may not attain its supremum" % (_LOG_POTENTIAL_BOUND, sweep))
             warned_divergence = True
         if config.callback is not None:
             config.callback(sweep, dual, max_res)
@@ -404,7 +414,8 @@ def solve(spec, config=None, initial=None):
         if done:
             break
         rho = extrapolator.rate(upd.max_change)
-        if rho is not None and sweep < config.max_sweeps:
+        # A trial is decided by the dual, which must be finite for that.
+        if rho is not None and sweep < config.max_sweeps and dual > -math.inf:
             kept = extrapolator.trial(spec, pots, engine, before, dual, rho)
             report.extrapolations.append((sweep, rho, kept))
     _close(report, "converged" if done else "max_sweeps", sweep, res, t0, rescale.events)

@@ -322,6 +322,15 @@ class TestMainEntry:
         assert main(["solve", "--config", path]) == 2
         assert capsys.readouterr().err == "error: graph is not connected\n"
 
+    def test_species_cost_of_the_wrong_length_exit_code(self, tmp_path, capsys):
+        body = mfg_config(str(tmp_path / "out"))
+        body["problem"]["species"][0]["terminal"] = {"type": "box", "lower": 0.0,
+                                                     "upper": [1.0, 2.0]}
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err == \
+            "error: blockwise block 0: function expects 2 entries, marginal has 4\n"
+
 
 def mfg_config(out_dir):
     return {

@@ -533,3 +533,88 @@ class TestBlockwiseAndComposite:
         assert QuadraticDistance(1.0, [0.0]).scaled(0.25).weight == 0.25
         with pytest.raises(InvalidInput):
             Congestion([1.0]).scaled(0.5)
+
+
+class TestWeightMark:
+    """``ignores_weight`` marks the entries whose update is the same for any weight."""
+
+    @pytest.mark.parametrize("fn", [
+        Zero(),
+        Linear([0.3, -1.0, 2.0]),
+        Box(0.0, [0.0, np.inf, np.inf]),
+        Box(0.0, np.inf),
+        Box([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        Blockwise(3, [([0], Box(0.0, [0.0])), ([1], Zero()), ([2], Linear([1.5]))]),
+    ], ids=repr)
+    def test_marked_entries_give_the_same_bits_for_any_weight(self, fn):
+        assert fn.ignores_weight
+        rng = np.random.default_rng(61)
+        first = fn.solve_inclusion(ScaledArray.from_values(np.ones(3)), 0.7)
+        for _ in range(20):
+            w = np.exp(rng.uniform(-30.0, 30.0, 3))
+            w[rng.uniform(size=3) < 0.3] = 0.0
+            u = fn.solve_inclusion(ScaledArray.from_values(w), 0.7)
+            assert u.m.tobytes() == first.m.tobytes() and u.log_scale == first.log_scale
+
+    @pytest.mark.parametrize("fn", [
+        Box(0.0, [1.0, np.inf, 0.0]),
+        Box([0.5, 0.0, 0.0], [np.inf, np.inf, 0.0]),
+        Box(0.0, 2.0),
+        Equality([0.2, 0.3, 0.5]),
+        QuadraticDistance(1.0, [0.2, 0.3, 0.5]),
+        QuadraticDistance(1.0, [0.2, 0.3, 0.5], exponent=3.0),
+        Congestion([1.0, 2.0, 3.0]),
+        Blockwise(3, [([0, 1], Box(0.0, [0.0, np.inf])), ([2], Equality([1.0]))]),
+    ], ids=repr)
+    def test_unmarked_entries(self, fn):
+        assert not fn.ignores_weight
+
+    def test_stack_rows_of_marked_rows_is_marked(self):
+        assert stack_rows([Box(0.0, [0.0, np.inf]), None, Linear([1.0, 2.0])], 2).ignores_weight
+        assert not stack_rows([None, QuadraticDistance(1.0, [0.1, 0.2])], 2).ignores_weight
+
+    def test_mark_is_not_computed_at_construction(self):
+        box = Box(0.0, [0.0, np.inf])
+        fn = Blockwise(2, [([0, 1], box)])
+        assert "ignores_weight" not in vars(box) and "ignores_weight" not in vars(fn)
+        assert fn.ignores_weight and vars(box)["ignores_weight"] is True
+
+    def test_blockwise_reuses_its_marked_blocks(self):
+        # A mixed blockwise cost keeps the log-factors of its marked blocks
+        # and solves the others against each new weight, per epsilon.
+        rng = np.random.default_rng(62)
+        blocks = [([0, 1], Box(0.0, [0.0, np.inf])), ([2, 3], Linear([0.4, 1.0])),
+                  ([4, 5], Equality([0.3, 0.6])), ([6, 7], QuadraticDistance(1.0, [0.2, 0.1])),
+                  ([8], Zero())]
+        fn = Blockwise(9, blocks)
+        for eps in (0.7, 0.7, 0.3, 0.7):
+            log_w = rng.uniform(-3.0, 3.0, 9)
+            expected = np.empty(9)
+            for idx, part in blocks:
+                expected[idx] = part._solve_log(log_w[idx], eps)
+            got = fn._solve_log(log_w, eps)
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestSizesCheckedAtConstruction:
+    def test_blockwise_checks_each_block_against_its_indices(self):
+        with pytest.raises(InvalidInput, match="blockwise block 0"):
+            Blockwise(4, [([0, 1], Box(0.0, [1.0, 2.0, 3.0])), ([2, 3], Zero())])
+        with pytest.raises(InvalidInput):
+            Blockwise(4, [([0, 1], Zero()), ([2, 3], Linear([1.0]))])
+        Blockwise(4, [([0, 1], Box(0.0, 1.0)), ([2, 3], Congestion(2.0))])
+
+    @pytest.mark.parametrize("fn", [Box(0.0, []), Congestion([]), Box(0.0, [1.0]),
+                                    Congestion([[1.0]])], ids=repr)
+    def test_only_a_scalar_parameter_fits_any_size(self, fn):
+        with pytest.raises(InvalidInput):
+            fn.validate_size(3)
+        Box(0.0, 1.0).validate_size(3)
+        Congestion(1.0).validate_size(3)
+
+    def test_empty_box_and_congestion_fail_the_problem_spec(self):
+        from gtop import GraphTopology, ProblemSpec, build_kernel
+        kernels = {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)}
+        for fn in (Box(0.0, []), Congestion([])):
+            with pytest.raises(InvalidInput):
+                ProblemSpec(GraphTopology.chain(2), kernels, {0: fn}, {}, 1.0)

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from gtop import (Box, ChainEngine, CompositeFunction, Congestion, DualPotentials, EdgeKernel,
-                  Equality, GraphTopology, Infeasible, InvalidInput, Linear, ProblemSpec,
-                  QuadraticDistance, ScaledArray, SolverConfig, Zero, build_kernel,
-                  dual_objective, inclusion_residual, make_engine, solve)
+from gtop import (Blockwise, Box, ChainEngine, CompositeFunction, Congestion, DualPotentials,
+                  EdgeKernel, Equality, GraphTopology, Infeasible, InvalidInput, Linear,
+                  ProblemSpec, QuadraticDistance, ScaledArray, SolverConfig, Zero, build_kernel,
+                  dual_objective, inclusion_residual, make_engine, solve, stack_rows)
 from gtop import solver as solver_module
 from gtop.model import RescaleLog, _parts, smul
 from gtop.projections import DenseEngine
@@ -749,6 +749,167 @@ class TestDivergenceWarning:
         plan = dense_tensor(spec, pots).value()
         np.testing.assert_allclose(plan, [[1.0, 0.0], [1.0, 1.0]], atol=0.02)
 
+    def test_warns_at_the_first_sweep_a_rescan_exceeds_the_bound(self, monkeypatch):
+        # Each factor keeps its largest |log|; a full rescan of the live
+        # factors after every sweep must pick out the same sweep.
+        topo = GraphTopology.general(2, [(0, 1)])
+        k = build_kernel(np.zeros((2, 2)), 1.0)
+        R = np.array([[1.0, 0.0], [1.0, 1.0]])
+        spec = ProblemSpec(topo, {(0, 1): k},
+                           {0: Box(0.0, np.array([1.0, 2.0]))},
+                           {(0, 1): Box(R, np.full((2, 2), np.inf))}, 1.0)
+        monkeypatch.setattr("gtop.solver._LOG_POTENTIAL_BOUND", 6.0)
+        live = []
+        ones_for = DualPotentials.ones_for.__func__
+
+        def kept_ones_for(cls, sp):
+            live.append(ones_for(cls, sp))
+            return live[-1]
+
+        monkeypatch.setattr(DualPotentials, "ones_for", classmethod(kept_ones_for))
+        over = []
+
+        def rescan(sweep, dual, res):
+            worst = 0.0
+            for fs in list(live[0].nodes.values()) + list(live[0].edges.values()):
+                for f in fs:
+                    with np.errstate(divide="ignore"):
+                        lv = np.log(f.m) + f.log_scale
+                    worst = max(worst, float(np.max(np.abs(lv), where=np.isfinite(lv),
+                                                    initial=0.0)))
+            if worst > 6.0:
+                over.append(sweep)
+
+        _, report = solve(spec, SolverConfig(max_sweeps=60, callback=rescan))
+        assert over
+        assert [w for w in report.warnings if "log bound" in w] == \
+            ["dual iterates exceed log bound 6 at sweep %d; the dual may not attain its "
+             "supremum" % over[0]]
+
+    def test_kept_log_peak_matches_a_masked_scan(self):
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            m = rng.uniform(0.0, 1.0, 7)
+            m[rng.uniform(size=7) < 0.3] = 0.0
+            f = ScaledArray(m, rng.normal(scale=20.0))
+            with np.errstate(divide="ignore"):
+                lv = np.log(m) + f.log_scale
+            expected = float(np.max(np.abs(lv), where=np.isfinite(lv), initial=0.0))
+            assert f.max_abs_log() == expected
+            f.renormalize()
+            with np.errstate(divide="ignore"):
+                lv = np.log(f.m) + f.log_scale
+            assert f.max_abs_log() == float(np.max(np.abs(lv), where=np.isfinite(lv),
+                                                   initial=0.0))
+        assert ScaledArray(np.zeros(3), 5.0).max_abs_log() == 0.0
+
+
+def marks_off(monkeypatch):
+    """Every part counts as weight-dependent: solved in every sweep, no reuse."""
+    for cls in (Zero, Linear, Box, Blockwise):
+        monkeypatch.setattr(cls, "ignores_weight", property(lambda self: False))
+
+
+def indicator_row(rng, n):
+    """Upper bounds 0 or +inf with the last state always open."""
+    upper = np.where(rng.uniform(size=n) < 0.4, 0.0, np.inf)
+    upper[-1] = np.inf
+    return Box(0.0, upper)
+
+
+def marked_spec(seed, kind, epsilon=0.5):
+    """A random hub or chain with indicator, linear and zero parts among its costs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    if kind == "hub":
+        tc, species = int(rng.integers(3, 6)), 4
+        topo = GraphTopology.species_hub(tc, species)
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 1.5, (n, n)), epsilon)
+                   for j in range(tc - 1)}
+        edge_fns = {(topo.hub, 0): Equality(rng.uniform(0.1, 0.6, (species, n)))}
+        for j in range(1, tc):
+            rows = [indicator_row(rng, n), None, Linear(rng.uniform(0.0, 1.0, n)),
+                    QuadraticDistance(0.5, rng.uniform(0.0, 0.3, n))]
+            edge_fns[(topo.hub, j)] = stack_rows(rows, n)
+        obstacle = Box(0.0, np.r_[0.0, np.full(n - 1, np.inf)])
+        node_fns = {j: obstacle for j in range(1, tc - 1)}
+        node_fns[1] = CompositeFunction([obstacle, QuadraticDistance(2.0, np.full(n, 0.3))])
+        node_fns[tc - 1] = QuadraticDistance(1.0, np.full(n, 1.0 / n))
+        return ProblemSpec(topo, kernels, node_fns, edge_fns, epsilon)
+    T = int(rng.integers(5, 7))
+    topo = GraphTopology.chain(T)
+    kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 1.5, (n, n)), epsilon)
+               for j in range(T - 1)}
+    mu = rng.uniform(0.2, 1.0, n)
+    nu = rng.uniform(0.2, 1.0, n)
+    node_fns = {0: Equality(mu), 1: indicator_row(rng, n), 2: Linear(rng.uniform(0, 1, n)),
+                3: CompositeFunction([indicator_row(rng, n), Linear(rng.uniform(0, 1, n))]),
+                T - 1: Equality(nu * mu.sum() / nu.sum())}
+    edge_fns = {(1, 2): stack_rows([indicator_row(rng, n) if r % 2 else
+                                    QuadraticDistance(1.0, rng.uniform(0.0, 0.2, n))
+                                    for r in range(n)], n),
+                (2, 3): stack_rows([[indicator_row(rng, n), None, Linear(np.ones(n))][r % 3]
+                                    for r in range(n)], n)}
+    return ProblemSpec(topo, kernels, node_fns, edge_fns, epsilon)
+
+
+class TestWeightIndependentParts:
+    """Parts whose update ignores the weight are solved in the first sweep only."""
+
+    @pytest.mark.parametrize("kind", ["hub", "chain"])
+    def test_solves_match_the_solves_without_the_mark_bit_for_bit(self, kind, monkeypatch):
+        runs = []
+        for marked in (True, False):
+            if not marked:
+                marks_off(monkeypatch)
+            reports = []
+            for seed in range(4):
+                spec = marked_spec(seed, kind)
+                _, verified = solve(spec, SolverConfig(verify=True))
+                start, _ = solve(spec, SolverConfig(max_sweeps=3))
+                _, warm = solve(spec, initial=start)
+                assert verified.termination == warm.termination == "converged"
+                reports.append((verified, warm))
+            runs.append(reports)
+        for (v1, w1), (v0, w0) in zip(*runs):
+            assert v1.dual_values == v0.dual_values
+            assert w1.dual_values == w0.dual_values
+            assert v1.max_residuals == v0.max_residuals
+            assert v1.extrapolations == v0.extrapolations
+            assert w1.extrapolations == w0.extrapolations
+
+    def test_marked_parts_are_solved_in_the_first_sweep_only(self, monkeypatch):
+        spec = marked_spec(0, "chain")
+        updates = []
+        apply = _Updater._apply
+
+        def counted(self, factors, k, part, w, block):
+            updates.append((self.sweep_no, block, k))
+            return apply(self, factors, k, part, w, block)
+
+        monkeypatch.setattr(_Updater, "_apply", counted)
+        _, report = solve(spec)
+        assert report.sweeps > 2
+        # node 1 is an indicator box, node 2 linear, node 3 both, edge (2, 3)
+        # indicator, zero and linear rows: only the first sweep updates them
+        fixed = {("node", 1), ("node", 2), ("node", 3), ("edge", (2, 3))}
+        first = {(b, k) for s, b, k in updates if s == 1}
+        later = {(b, k) for s, b, k in updates if s > 1}
+        assert {b for b, _ in first} >= fixed
+        assert not {b for b, _ in later} & fixed
+        assert later == first - {(b, k) for b, k in first if b in fixed}
+
+    def test_no_trial_while_the_dual_is_minus_inf(self):
+        # Random factors on the zero-cost nodes are never updated, so the
+        # dual stays -inf and no trial can be decided by it.
+        spec = marked_spec(0, "chain")
+        start = random_potentials(spec, np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve(spec, SolverConfig(max_sweeps=40), initial=start)
+        assert all(d == -math.inf for d in report.dual_values)
+        assert report.extrapolations == []
+
 
 def slow_spec(rng, kind, epsilon=0.4):
     """A chain (kind 0), OD cycle (1) or species hub (2) with tight caps or
@@ -789,8 +950,8 @@ def slow_spec(rng, kind, epsilon=0.4):
 
 
 def extrapolation_off(monkeypatch):
-    """No rate passes ``_RATE_MIN < rho < 1``: the solve runs exact sweeps only."""
-    monkeypatch.setattr("gtop.solver._RATE_MIN", 1.0)
+    """No tail projects ``_MIN_SWEEPS_LEFT`` sweeps: the solve runs exact sweeps only."""
+    monkeypatch.setattr("gtop.solver._MIN_SWEEPS_LEFT", math.inf)
 
 
 def solver_state(pots, engine):
@@ -906,9 +1067,9 @@ class TestExtrapolation:
         assert [ext.rate(c) for c in (1.0, 0.8, 0.64, 0.512)][-1] == pytest.approx(0.8)
         ext = _Extrapolator(1e-9)
         assert [ext.rate(c) for c in (1.0, 0.8, 0.66, 0.528)][-1] is None
-        # a rate at or below _RATE_MIN, or at 1, never tries
+        # a fast tail tries as well; a rate at 1 never does
         ext = _Extrapolator(1e-9)
-        assert [ext.rate(c) for c in (1.0, 0.5, 0.25, 0.125)][-1] is None
+        assert [ext.rate(c) for c in (1.0, 0.5, 0.25, 0.125)][-1] == 0.5
         ext = _Extrapolator(1e-9)
         assert [ext.rate(c) for c in (1.0, 1.0, 1.0, 1.0)][-1] is None
         # too close to the tolerance to save _MIN_SWEEPS_LEFT sweeps
