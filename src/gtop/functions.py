@@ -25,8 +25,9 @@ and whose upper bounds are all 0 or +inf (an indicator of a support: an
 obstacle, a forbidden zone) gives 1 on the support and 0 off it.  The
 read-only property ``ignores_weight`` marks these entries, and a blockwise
 cost made only of them.  It is derived from the data the first time it is
-read.  The solver solves a marked part once and keeps its factor, and a
-blockwise cost reuses the log-factors of its marked blocks.
+read.  The solver solves a marked part in its first sweep only, keeps its
+factor and counts its residual as 0; a blockwise cost keeps the
+log-factors of its marked blocks per epsilon and solves only the others.
 """
 
 import functools
@@ -112,7 +113,12 @@ def _wright_omega(x):
 
 
 class MarginalFunction:
-    """Base class; instances are immutable and shape-agnostic (flattened math)."""
+    """Base class; instances are immutable and shape-agnostic (flattened math).
+
+    Instances hold no solve state.  :class:`Blockwise` keeps one memo, the
+    log-factors of its marked blocks for the last epsilon, which changes no
+    result.
+    """
 
     is_zero = False
     # Hard constraints report a feasibility residual; soft costs never do.
@@ -256,7 +262,11 @@ class Box(MarginalFunction):
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
-        lower, upper = np.broadcast_arrays(lower, upper)
+        try:
+            lower, upper = np.broadcast_arrays(lower, upper)
+        except ValueError:
+            raise InvalidInput("box bounds of shapes %r and %r do not broadcast"
+                               % (lower.shape, upper.shape)) from None
         self.lower = np.array(lower, dtype=float)
         self.upper = np.array(upper, dtype=float)
         if np.any(self.lower < 0) or np.any(np.isnan(self.lower)):
@@ -633,6 +643,10 @@ class CompositeFunction:
     @property
     def is_zero(self):
         return all(p.is_zero for p in self.parts)
+
+    def validate_size(self, n, where=""):
+        for p in self.parts:
+            p.validate_size(n, where)
 
     def scaled(self, factor):
         return CompositeFunction([p.scaled(factor) for p in self.parts])

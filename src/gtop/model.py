@@ -4,6 +4,11 @@ Plans are never stored as full tensors.  A plan is the elementwise product of
 edge kernels and rank-structured potential factors; all magnitudes are kept as
 a float mantissa array paired with a single log-scale offset so that products
 of many small kernel entries survive strong regularization.
+
+A :class:`ProblemSpec` is data only: its ``blocks`` table lists the stacked
+cost parts of every node and functional edge, resolved once at construction,
+and no solve writes into it.  The dual objective is the plain formula,
+exact for any potentials.
 """
 
 import functools
@@ -372,15 +377,13 @@ class DualPotentials:
 
     @classmethod
     def ones_for(cls, spec):
-        nodes = {}
-        for j in range(spec.topology.node_count):
-            k = len(_parts(spec.node_fn(j)))
-            nodes[j] = [ScaledArray.ones(spec.node_sizes[j]) for _ in range(k)]
-        edges = {}
-        for e in spec.functional_edges:
-            k = len(_parts(spec.edge_fn(e)))
-            shape = (spec.node_sizes[e[0]], spec.node_sizes[e[1]])
-            edges[e] = [ScaledArray.ones(shape) for _ in range(k)]
+        nodes, edges = {}, {}
+        for (kind, where), parts in spec.blocks.items():
+            if kind == "node":
+                nodes[where] = [ScaledArray.ones(spec.node_sizes[where]) for _ in parts]
+            else:
+                shape = (spec.node_sizes[where[0]], spec.node_sizes[where[1]])
+                edges[where] = [ScaledArray.ones(shape) for _ in parts]
         return cls(nodes, edges)
 
     def node_value(self, j):
@@ -412,18 +415,13 @@ class DualPotentials:
                     + list(self.edges.values()) for f in fs), default=0.0)
 
 
-def _parts(fn):
-    """Stacked cost list for a node or edge function (length 1 if plain)."""
-    parts = getattr(fn, "parts", None)
-    return list(parts) if parts is not None else [fn]
-
-
 class ProblemSpec:
     """Immutable description of one optimization instance.
 
     Holds the graph, a kernel per edge, one convex cost per node and per
-    functional edge, and the regularization strength.  Construction validates
-    the shapes.
+    edge, and the regularization strength.  Construction validates the
+    shapes and fills ``blocks``, the tuple of stacked cost parts of each
+    node and of each edge whose cost is not zero.
     """
 
     def __init__(self, topology, kernels, node_functions=None, edge_functions=None,
@@ -466,13 +464,11 @@ class ProblemSpec:
         self.edge_functions = {e: edge_functions.get(e, self._zero)
                                for e in topology.edges}
         self._validate_functions()
-        # Cost of every block keyed by ("node", j) or ("edge", e): each node,
-        # then each functional edge.
-        self.blocks = {("node", j): fn for j, fn in self.node_functions.items()}
-        self.blocks.update((("edge", e), self.edge_functions[e]) for e in self.functional_edges)
-        # Conjugate of each part that ignores its weight, keyed by (block,
-        # part index), with the factor it was taken at; see dual_objective.
-        self._fixed_conjugates = {}
+        # The stacked cost parts of every block, keyed by ("node", j) or
+        # ("edge", e): each node, then each edge whose cost is not zero.
+        costs = [(("node", j), fn) for j, fn in self.node_functions.items()]
+        costs += [(("edge", e), fn) for e, fn in self.edge_functions.items() if not fn.is_zero]
+        self.blocks = {key: tuple(getattr(fn, "parts", (fn,))) for key, fn in costs}
 
     @staticmethod
     def _infer_sizes(topology, kernels):
@@ -490,23 +486,12 @@ class ProblemSpec:
         return [sizes[j] for j in range(topology.node_count)]
 
     def _validate_functions(self):
+        """Checks every node and edge function, zero-cost edges included."""
         for j, fn in self.node_functions.items():
-            for part in _parts(fn):
-                part.validate_size(self.node_sizes[j], where="node %d" % j)
+            fn.validate_size(self.node_sizes[j], where="node %d" % j)
         for e, fn in self.edge_functions.items():
-            shape = (self.node_sizes[e[0]], self.node_sizes[e[1]])
-            for part in _parts(fn):
-                part.validate_size(shape[0] * shape[1], where="edge %r" % (e,))
-
-    @property
-    def functional_edges(self):
-        return tuple(e for e in self.topology.edges if not self.edge_functions[e].is_zero)
-
-    def node_fn(self, j):
-        return self.node_functions[j]
-
-    def edge_fn(self, e):
-        return self.edge_functions[e]
+            fn.validate_size(self.node_sizes[e[0]] * self.node_sizes[e[1]],
+                             where="edge %r" % (e,))
 
 
 def dual_objective(potentials, spec, engine, block=("node", 0)):
@@ -519,10 +504,6 @@ def dual_objective(potentials, spec, engine, block=("node", 0)):
     ``block`` names another node or edge.  Any block gives the same number,
     and no full tensor is formed.  Returns ``-inf`` when some multiplier sits
     outside its conjugate's domain (a dual-infeasible point).
-
-    A part whose update ignores its weight keeps its factor from sweep to
-    sweep, so its conjugate is reused while the factor is the same object;
-    factors are never mutated.
     """
     kind, where = block
     project = engine.marginal if kind == "node" else engine.bimarginal
@@ -530,19 +511,12 @@ def dual_objective(potentials, spec, engine, block=("node", 0)):
     if not math.isfinite(mass):
         return -math.inf
     val = -spec.epsilon * mass
-    fixed = spec._fixed_conjugates
-    for (kind, where), fn in spec.blocks.items():
+    for (kind, where), parts in spec.blocks.items():
         factors = (potentials.nodes if kind == "node" else potentials.edges)[where]
-        for k, (part, factor) in enumerate(zip(_parts(fn), factors)):
-            kept = fixed.get((kind, where, k))
-            if kept is not None and kept[0] is factor:
-                c = kept[1]
-            else:
-                with np.errstate(invalid="ignore"):
-                    s = -spec.epsilon * factor.log_value()
-                c = part.conjugate(s)
-                if part.ignores_weight:
-                    fixed[(kind, where, k)] = (factor, c)
+        for part, factor in zip(parts, factors):
+            with np.errstate(invalid="ignore"):
+                s = -spec.epsilon * factor.log_value()
+            c = part.conjugate(s)
             if c == math.inf:
                 return -math.inf
             val -= c

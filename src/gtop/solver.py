@@ -8,8 +8,10 @@ message past it, the dense engine updates every node and then every edge.
 A backward rebuild closes the sweep so end-of-sweep projections are current.
 A cost part whose update ignores its weight (``ignores_weight``: zero,
 linear, indicator box) gets the same factor in every sweep, so it is solved
-in the first sweep only; a node or edge made only of such parts is then
-not projected at all.
+in the first sweep only, which also resets whatever factor a warm start
+gave it.  A node or edge made only of such parts is then not projected at
+all, and such a part reports a residual of 0: its own factor satisfies it
+whatever the other blocks do.
 
 Between exact sweeps the solver may try one safeguarded geometric
 extrapolation of the dual iterates (``_Extrapolator``).  When the largest
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible, InvalidInput, SizeBoundExceeded, VerificationFailure
-from .model import DualPotentials, RescaleLog, ScaledArray, _parts, dual_objective, smul
+from .model import DualPotentials, RescaleLog, ScaledArray, dual_objective, smul
 from .projections import DenseEngine, make_engine
 
 # Relative drop of the dual objective tolerated as roundoff before a
@@ -96,20 +98,23 @@ class SolveReport:
 def residual_map(potentials, spec, engine):
     """Feasibility residual per cost block, from current projections.
 
-    Hard blocks (equality, box) report their violation; soft costs report
-    zero without a projection.  A node or edge is projected at most once,
-    however many hard parts it stacks; stacked parts get keys ``key#k``.
+    Hard blocks (equality, box) report their violation.  Soft costs report
+    zero without a projection, and so does a part that ignores its weight
+    (an indicator box): its own update satisfies it exactly whatever the
+    other blocks do, and ``solve`` makes that update in the first sweep,
+    before any residual is read.  Zero costs report nothing.  A node or edge
+    is projected at most once, however many hard parts it stacks; stacked
+    parts get keys ``key#k``.
     """
     out = {}
-    for (kind, where), fn in spec.blocks.items():
+    for (kind, where), parts in spec.blocks.items():
         key = "node:%d" % where if kind == "node" else "edge:%d-%d" % where
-        parts = _parts(fn)
         p = None
         for k, part in enumerate(parts):
             if part.is_zero:
                 continue
             name = key if len(parts) == 1 else "%s#%d" % (key, k)
-            if not part.hard:
+            if not part.hard or part.ignores_weight:
                 out[name] = 0.0
                 continue
             if p is None:
@@ -188,10 +193,10 @@ class _Updater:
         """Walk ``engine.order``, then rebuild the backward messages.
 
         A node or edge step computes its projection weight once and updates
-        each stacked part against it times the other parts' factors.  Zero
-        parts are skipped, and so are parts that ignore their weight after
-        the first sweep, which has already given them their only factor; a
-        step left with no part to update computes no weight.
+        each stacked part against it times the other parts' factors.  Parts
+        that ignore their weight are skipped after the first sweep, which
+        has already given them their only factor; a step left with no part
+        to update computes no weight.
         """
         pots = self.pots
         first = self.sweep_no == 1
@@ -199,11 +204,11 @@ class _Updater:
             if kind == "push":
                 engine.push_forward(where, pots)
                 continue
-            fn = self.spec.blocks.get((kind, where))
-            if fn is None:
+            parts = self.spec.blocks.get((kind, where))
+            if parts is None:
                 continue
-            todo = [(k, part) for k, part in enumerate(_parts(fn))
-                    if not part.is_zero and (first or not part.ignores_weight)]
+            todo = [(k, part) for k, part in enumerate(parts)
+                    if first or not part.ignores_weight]
             if not todo:
                 continue
             w = (engine.w_node if kind == "node" else engine.w_edge)(where, pots)
@@ -334,7 +339,7 @@ def _extrapolated(new, old, step):
 
 def _sanity_checks(spec):
     masses = [("%s %r" % block, float(np.sum(part.target)))
-              for block, fn in spec.blocks.items() for part in _parts(fn)
+              for block, parts in spec.blocks.items() for part in parts
               if getattr(part, "target", None) is not None]
     if len(masses) > 1:
         ref_where, ref = masses[0]
@@ -366,6 +371,8 @@ def solve(spec, config=None, initial=None):
     carries the partial report as ``exc.report``: the sweeps begun, the
     per-sweep history, the rescale events, and the residuals of the
     potentials as the failed update left them, from the refreshed engine.
+    When the update fails in the first sweep, the parts that ignore their
+    weight and were not reached yet count as satisfied in those residuals.
     """
     config = config or SolverConfig()
     _sanity_checks(spec)

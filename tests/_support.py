@@ -1,10 +1,23 @@
 """Shared helpers for the test suite: instance generators and comparisons."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 
 from gtop import (Box, Congestion, DualPotentials, Equality, GraphTopology, Linear,
                   MFGSetup, ProblemSpec, QuadraticDistance, ScaledArray, SeparableKernel,
                   Zero, build_kernel, build_mfg_cost_matrix, build_mfg_problem)
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, imported by path: the benchmark's inputs and
+    nothing else of it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_maxnorm_close(a, b, rtol, context=""):

@@ -83,7 +83,8 @@ def interior_cost(capacities, sources):
     edges = [FlowEdge("A", "X", capacity=capacities[0]),
              FlowEdge("X", "B", capacity=capacities[1])]
     net = FlowNetwork(["A", "X", "B"], edges, sources=sources, sinks=["B"], horizon=3)
-    return build_flow_problem(net, od=np.full((len(sources), 1), 1.0 / len(sources))).node_fn(1)
+    spec = build_flow_problem(net, od=np.full((len(sources), 1), 1.0 / len(sources)))
+    return spec.node_functions[1]
 
 
 class TestBuildCongestion:
@@ -366,7 +367,7 @@ class TestMFGProblem:
         setup = small_mfg_setup(rng, L=1)
         setup.total_running = {1: QuadraticDistance(1.0, np.full(setup.n_points, 0.1))}
         spec = build_mfg_problem(setup)
-        fn = spec.node_fn(1)
+        fn = spec.node_functions[1]
         assert fn.weight == pytest.approx(setup.dt * 1.0)
 
     def test_initial_density_validation(self):

@@ -612,6 +612,12 @@ class TestSizesCheckedAtConstruction:
         Box(0.0, 1.0).validate_size(3)
         Congestion(1.0).validate_size(3)
 
+    @pytest.mark.parametrize("lower", [[], [1.0, 2.0]])
+    def test_box_bounds_that_do_not_broadcast(self, lower):
+        with pytest.raises(InvalidInput, match="do not broadcast"):
+            Box(lower, [1.0, 2.0, 3.0])
+        Box([0.5], [1.0, 2.0, 3.0]).validate_size(3)
+
     def test_empty_box_and_congestion_fail_the_problem_spec(self):
         from gtop import GraphTopology, ProblemSpec, build_kernel
         kernels = {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)}

@@ -1,4 +1,5 @@
-"""Import layers: a gtop module imports only modules of earlier layers.
+"""Import layers: a gtop module imports only modules of earlier layers, and
+takes no underscore-prefixed name from another gtop module.
 
 Every import is read with ``ast``, at module level and inside function and
 class bodies, so an import deferred into a function cannot hide a cycle.
@@ -38,15 +39,47 @@ class _Imports(ast.NodeVisitor):
                 self._add(alias.name[len("gtop."):])
 
     def visit_ImportFrom(self, node):
-        module = node.module or ""
-        if node.level == 0:
-            if module != "gtop" and not module.startswith("gtop."):
-                return
-            module = module[len("gtop."):]
-        elif node.level > 1:
+        module = _gtop_module(node)
+        if module is None:
             return
         for name in [module] if module else [alias.name for alias in node.names]:
             self._add(name)
+
+
+def _gtop_module(node):
+    """The gtop module an ``ImportFrom`` reads ("" for the package), or None."""
+    module = node.module or ""
+    if node.level == 0:
+        if module != "gtop" and not module.startswith("gtop."):
+            return None
+        return module[len("gtop."):]
+    return module if node.level == 1 else None
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_names(source):
+    """Underscore-prefixed names that ``source`` takes from a gtop module:
+    imported by name, or read as an attribute of an imported gtop module."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _gtop_module(node)
+            if module == "":
+                modules.update(alias.asname or alias.name for alias in node.names)
+            elif module is not None:
+                found += [alias.name for alias in node.names if _private(alias.name)]
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("gtop."))
+    found += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in modules
+              and _private(node.attr)]
+    return found
 
 
 def violations(name, source):
@@ -83,3 +116,20 @@ def test_allowed_import_only_in_its_scope():
     deferred = "class ProblemSpec:\n    def __init__(self):\n        from .functions import Zero\n"
     assert violations("model", deferred) == []
     assert violations("model", "from .functions import Zero\n") == [("model", "functions", "")]
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_private_name_from_another_module(name):
+    assert private_names((SRC / (name + ".py")).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from .model import _parts, smul\n", ["_parts"]),
+    ("def f():\n    from gtop.solver import _Updater\n", ["_Updater"]),
+    ("from . import model as md\nx = md._parts(f)\n", ["_parts"]),
+    ("import gtop.model as md\nx = md._parts\n", ["_parts"]),
+    ("from . import model\nx = model.__name__, model.smul\n", []),
+    ("from numpy import _private\n", []),
+])
+def test_private_checker_sees_every_form(source, found):
+    assert private_names(source) == found

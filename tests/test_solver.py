@@ -11,7 +11,7 @@ from gtop import (Blockwise, Box, ChainEngine, CompositeFunction, Congestion, Du
                   ProblemSpec, QuadraticDistance, ScaledArray, SolverConfig, Zero, build_kernel,
                   dual_objective, inclusion_residual, make_engine, solve, stack_rows)
 from gtop import solver as solver_module
-from gtop.model import RescaleLog, _parts, smul
+from gtop.model import RescaleLog, smul
 from gtop.projections import DenseEngine
 from gtop.solver import _Extrapolator, _Updater, _Verifier, _extrapolated, residual_map
 
@@ -33,7 +33,8 @@ def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
 def update_node(j, pots, eng, spec):
     """One exact node update against freshly rebuilt projections."""
     eng.refresh(pots)
-    pots.nodes[j] = [spec.node_fn(j).solve_inclusion(eng.w_node(j, pots), spec.epsilon)]
+    fn = spec.node_functions[j]
+    pots.nodes[j] = [fn.solve_inclusion(eng.w_node(j, pots), spec.epsilon)]
 
 
 class TestSingleUpdates:
@@ -45,7 +46,7 @@ class TestSingleUpdates:
         update_node(0, pots, eng, spec)
         eng.refresh(pots)
         np.testing.assert_allclose(eng.marginal(0, pots).value(),
-                                   spec.node_fn(0).target, rtol=1e-12)
+                                   spec.node_functions[0].target, rtol=1e-12)
 
     def test_box_update_complementary_slackness(self):
         rng = np.random.default_rng(1)
@@ -92,7 +93,7 @@ class TestSingleUpdates:
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
         eng.refresh(pots)
-        pots.edges[topo.chord] = [spec.edge_fn(topo.chord).solve_inclusion(
+        pots.edges[topo.chord] = [spec.edge_functions[topo.chord].solve_inclusion(
             eng.w_edge(topo.chord, pots), spec.epsilon)]
         eng.refresh(pots)
         np.testing.assert_allclose(eng.bimarginal(topo.chord, pots).value(), R, rtol=1e-12)
@@ -114,9 +115,9 @@ class TestSingleUpdates:
     def test_composite_single_part_reduces_to_plain(self):
         rng = np.random.default_rng(5)
         spec = two_node_spec(rng)
+        fns = spec.node_functions
         comp_spec = ProblemSpec(spec.topology, spec.kernels,
-                                {0: spec.node_fn(0),
-                                 1: CompositeFunction([spec.node_fn(1)])}, {}, spec.epsilon)
+                                {0: fns[0], 1: CompositeFunction([fns[1]])}, {}, spec.epsilon)
         p1, _ = solve(spec, SolverConfig())
         p2, _ = solve(comp_spec, SolverConfig())
         e1 = make_engine(spec)
@@ -509,7 +510,7 @@ class TestComposite:
         np.testing.assert_allclose(pots.nodes[1][1].value(), np.ones(3), atol=1e-7)
         # and both sub-inclusions hold
         w = eng.w_node(1, pots)
-        parts = _parts(spec.node_fn(1))
+        parts = spec.blocks[("node", 1)]
         factors = pots.nodes[1]
         for k_idx, part in enumerate(parts):
             others = [factors[i] for i in range(len(factors)) if i != k_idx]
@@ -530,7 +531,7 @@ class TestComposite:
         spec, mu1, cap = self._composite_spec(rng, cap_slack=0.4)
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        comp = spec.node_fn(1)
+        comp = spec.node_functions[1]
         eng.refresh(pots)
         w = eng.w_node(1, pots)
         pots.nodes[1][0] = comp.parts[0].solve_inclusion(smul(w, pots.nodes[1][1]),
@@ -670,7 +671,8 @@ class TestResiduals:
         res = residual_map(pots, spec, eng)
         den = DenseEngine(spec)
         for j in (0, 1):
-            expected = spec.node_fn(j).feasibility_residual(den.marginal(j, pots).value())
+            fn = spec.node_functions[j]
+            expected = fn.feasibility_residual(den.marginal(j, pots).value())
             assert res["node:%d" % j] == pytest.approx(expected, rel=1e-12)
 
 
@@ -693,7 +695,8 @@ class TestKKTAtTermination:
         eng.refresh(pots)
         for j in range(3):
             w = eng.w_node(j, pots)
-            res = inclusion_residual(spec.node_fn(j), pots.nodes[j][0], w, spec.epsilon)
+            fn = spec.node_functions[j]
+            res = inclusion_residual(fn, pots.nodes[j][0], w, spec.epsilon)
             assert np.max(res) <= 10 * cfg.feasibility_tol
 
 
@@ -890,25 +893,83 @@ class TestWeightIndependentParts:
         monkeypatch.setattr(_Updater, "_apply", counted)
         _, report = solve(spec)
         assert report.sweeps > 2
-        # node 1 is an indicator box, node 2 linear, node 3 both, edge (2, 3)
-        # indicator, zero and linear rows: only the first sweep updates them
-        fixed = {("node", 1), ("node", 2), ("node", 3), ("edge", (2, 3))}
+        # node 1 is an indicator box, node 2 linear, node 3 both, node 4
+        # zero, edge (2, 3) indicator, zero and linear rows: only the first
+        # sweep updates them
+        fixed = {("node", 1), ("node", 2), ("node", 3), ("node", 4), ("edge", (2, 3))}
         first = {(b, k) for s, b, k in updates if s == 1}
         later = {(b, k) for s, b, k in updates if s > 1}
         assert {b for b, _ in first} >= fixed
         assert not {b for b, _ in later} & fixed
         assert later == first - {(b, k) for b, k in first if b in fixed}
 
-    def test_no_trial_while_the_dual_is_minus_inf(self):
-        # Random factors on the zero-cost nodes are never updated, so the
-        # dual stays -inf and no trial can be decided by it.
+    def test_random_warm_start_resets_the_marked_factors(self):
+        # The first sweep gives every marked part, zero costs included, its
+        # only factor, so no stray starting factor survives.
         spec = marked_spec(0, "chain")
+        _, cold = solve(spec)
         start = random_potentials(spec, np.random.default_rng(0))
+        _, warm = solve(spec, initial=start)
+        assert warm.termination == cold.termination == "converged"
+        assert all(math.isfinite(d) for d in warm.dual_values)
+        assert warm.dual_objective == pytest.approx(cold.dual_objective, rel=1e-12, abs=1e-12)
+
+    def test_no_trial_while_the_dual_is_minus_inf(self, monkeypatch):
+        # exp(-200 / 0.1) underflows: the linear factor is 0 at the last
+        # state, where its conjugate is +inf, so the dual is -inf at every
+        # sweep although the change ratios call for trials.
+        rng = np.random.default_rng(3)
+        n, epsilon = 4, 0.1
+        topo = GraphTopology.chain(3)
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0, 1.5, (n, n)), epsilon)
+                   for j in range(2)}
+        spec = ProblemSpec(topo, kernels,
+                           {0: Equality(rng.uniform(0.2, 1.0, n)), 1: Linear([0, 0, 0, 200]),
+                            2: QuadraticDistance(0.8, rng.uniform(0.1, 0.5, n))}, {}, epsilon)
+        due = []
+        rate = _Extrapolator.rate
+
+        def spied(self, change):
+            due.append(rate(self, change))
+            return due[-1]
+
+        monkeypatch.setattr(_Extrapolator, "rate", spied)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, report = solve(spec, SolverConfig(max_sweeps=40), initial=start)
-        assert all(d == -math.inf for d in report.dual_values)
+            _, report = solve(spec, SolverConfig(max_sweeps=60))
+        assert report.dual_values == [-math.inf] * 60
+        assert any(rho is not None for rho in due)
         assert report.extrapolations == []
+
+
+class TestSpecHoldsNoSolveState:
+    """A solve reads its spec and writes nothing into it."""
+
+    @staticmethod
+    def snapshot(spec):
+        """Identity of every attribute, and of every entry of a dict attribute."""
+        return {name: (id(value), sorted((repr(k), id(v)) for k, v in value.items())
+                       if isinstance(value, dict) else None)
+                for name, value in vars(spec).items()}
+
+    @pytest.mark.parametrize("kind", ["hub", "chain"])
+    def test_solves_leave_the_spec_as_it_was(self, kind):
+        spec = marked_spec(1, kind)
+        before = self.snapshot(spec)
+        _, first = solve(spec)
+        assert self.snapshot(spec) == before
+        _, second = solve(spec)
+        assert self.snapshot(spec) == before
+        for name in ("termination", "sweeps", "dual_values", "max_residuals", "residuals",
+                     "extrapolations"):
+            assert getattr(first, name) == getattr(second, name)
+
+    def test_all_zero_blockwise_of_the_wrong_size_on_an_edge_is_rejected(self):
+        # A zero-cost edge has no block, but its function is still checked.
+        spec = marked_spec(0, "chain")
+        with pytest.raises(InvalidInput):
+            ProblemSpec(spec.topology, spec.kernels, spec.node_functions,
+                        {(0, 1): Blockwise(4, [([0, 1, 2, 3], Zero())])}, spec.epsilon)
 
 
 def slow_spec(rng, kind, epsilon=0.4):

@@ -8,24 +8,17 @@ ratio near 0.25 and keeps one jump; dense_cycle settles into a slower
 steady rate and is extrapolated several times.
 """
 
-import importlib.util
-import os
-
 import pytest
 
-from gtop import Box, solver
+from gtop import Box, ChainEngine, solver
 from gtop.functions import MarginalFunction
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from _support import load_workloads
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_workloads()
 
 
 def solve_seed0(workloads, name, work_dir):
@@ -79,3 +72,20 @@ def test_dense_cycle_is_extrapolated(workloads, tmp_path):
     assert any(kept for _, _, kept in report.extrapolations)
     ref = workloads.REFERENCE_DUAL["dense_cycle"]
     assert report.dual_objective == pytest.approx(ref, rel=1e-12)
+
+
+def test_mfg_hub_projects_no_marginal_for_its_residuals(workloads, tmp_path, monkeypatch):
+    # Its hard node parts are indicator boxes, which report a residual of 0
+    # without a projection: the node marginals are the 14 sweep duals and
+    # the dual of the one try.
+    calls = []
+    marginal = ChainEngine.marginal
+
+    def counted(self, v, pots):
+        calls.append(v)
+        return marginal(self, v, pots)
+
+    monkeypatch.setattr(ChainEngine, "marginal", counted)
+    report = solve_seed0(workloads, "mfg_hub", tmp_path)
+    assert report.sweeps == 14 and len(report.extrapolations) == 1
+    assert len(calls) == 15
