@@ -117,10 +117,9 @@ def _load_matrix(obj, path, base_dir):
             _fail(path, "csv file %r: %s" % (ref, exc))
     if isinstance(obj, list):
         try:
-            arr = np.array(obj, dtype=float)
+            return np.array(obj, dtype=float)
         except (TypeError, ValueError):
             _fail(path, "could not read a numeric array")
-        return arr
     _fail(path, "expected an inline array or a csv reference")
 
 
@@ -216,8 +215,7 @@ def _parse_flow(problem, epsilon, path, base_dir):
                           _name_list(problem.get("sinks", []), path + ".sinks"), horizon)
 
     constraint = _expect_map(problem.get("constraint"), path + ".constraint")
-    od = None
-    terminals = None
+    od = terminals = None
     if "od" in constraint:
         od = _load_matrix(constraint["od"], path + ".constraint.od", base_dir)
     elif "initial" in constraint and "final" in constraint:
@@ -257,9 +255,7 @@ def _parse_mfg(problem, epsilon, path, base_dir):
     species_cfg = problem.get("species")
     if not isinstance(species_cfg, list) or not species_cfg:
         _fail(path + ".species", "expected a nonempty list")
-    initials = []
-    running_rows = []
-    terminal_rows = []
+    initials, running_rows, terminal_rows = [], [], []
     for i, sp in enumerate(species_cfg):
         sp = _expect_map(sp, "%s.species[%d]" % (path, i))
         initials.append(_load_matrix(sp.get("initial"), "%s.species[%d].initial" % (path, i),
@@ -408,8 +404,16 @@ def parse_config(config_path):
     return RunConfig(spec, config, out_dir, emit, flow_net=flow_net, label=label)
 
 
+def _fresh(path):
+    """``path`` with any old file removed: on ext4 a file truncated and written
+    again is flushed to disk when closed, which made reruns slow and uneven."""
+    if os.path.lexists(path):
+        os.remove(path)
+    return path
+
+
 def _write_matrix(path, arr):
-    np.savetxt(path, np.atleast_2d(arr), delimiter=",", fmt="%.17g")
+    np.savetxt(_fresh(path), np.atleast_2d(arr), delimiter=",", fmt="%.17g")
 
 
 def _json_finite(obj):
@@ -428,9 +432,7 @@ def run(run_config):
     spec = run_config.spec
     os.makedirs(run_config.out_dir, exist_ok=True)
 
-    pots = None
-    report = None
-    failure = None
+    pots = report = failure = None
     try:
         pots, report = solver.solve(spec, run_config.solver_config)
     except GtopError as exc:
@@ -482,18 +484,18 @@ def run(run_config):
                 p = engine.bimarginal(e, pots).value()
                 name = os.path.join(run_config.out_dir, "bimarg_%d_%d" % e)
                 if e in steps:
-                    np.save(name + ".npy", p)
+                    np.save(_fresh(name + ".npy"), p)
                 else:
                     _write_matrix(name + ".csv", p)
         if run_config.emit["dual_trace"]:
-            with open(os.path.join(run_config.out_dir, "dual_trace.csv"), "w",
+            with open(_fresh(os.path.join(run_config.out_dir, "dual_trace.csv")), "w",
                       encoding="utf-8") as fh:
                 fh.write("sweep,dual_objective,max_residual\n")
                 for i, (d, r) in enumerate(zip(report.dual_values, report.max_residuals), 1):
                     fh.write("%d,%.17g,%.17g\n" % (i, d, r))
 
     if run_config.emit["summary"]:
-        with open(os.path.join(run_config.out_dir, "summary.json"), "w",
+        with open(_fresh(os.path.join(run_config.out_dir, "summary.json")), "w",
                   encoding="utf-8") as fh:
             json.dump(_json_finite(summary), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")

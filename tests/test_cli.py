@@ -177,6 +177,22 @@ class TestRun:
             else:
                 assert b1 == b2, "output %s differs between reruns" % name
 
+    def test_rerun_replaces_files_instead_of_rewriting_them(self, tmp_path):
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        cfg = parse_config(write_config(tmp_path, flow_config(str(out))))
+        assert run(cfg) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.json"}
+        kept.mkdir()
+        for p in out.iterdir():
+            p.write_bytes(b"stale\n" * 10000)
+            os.link(p, kept / p.name)
+        assert run(cfg) == 0
+        for name, data in first.items():
+            assert (out / name).read_bytes() == data
+        read_strict_json(str(out / "summary.json"))
+        for p in kept.iterdir():
+            assert p.read_bytes() == b"stale\n" * 10000, p.name
+
     def test_csv_roundtrip_full_precision(self, tmp_path):
         out = str(tmp_path / "out")
         cfg = parse_config(write_config(tmp_path, flow_config(out)))
