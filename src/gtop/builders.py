@@ -275,10 +275,7 @@ class MFGSetup:
         return self.grid.shape[0]
 
 
-def _species_edge_function(setup, j, terminal):
-    table = setup.species_terminal if terminal else setup.species_running.get(j)
-    if table is None:
-        return None
+def _species_edge_function(setup, table, terminal):
     fns = []
     nontrivial = False
     for fn in table:
@@ -299,17 +296,25 @@ def build_mfg_problem(setup):
 
     The hub bimarginal at time zero is pinned to the stacked initial
     densities; later hub edges carry the per-species costs and the time
-    nodes carry the shared costs on total densities.
+    nodes carry the shared costs on total densities.  Hub edges whose row
+    tables hold the same functions share one species-row cost.
     """
     tc = setup.n_steps + 1
     topo = GraphTopology.species_hub(tc, setup.n_species)
 
     start = np.stack([mu for mu in setup.initial_densities], axis=0)
     edge_functions = {(topo.hub, 0): Equality(start)}
+    built = {}
     for j in range(1, tc):
-        fn = _species_edge_function(setup, j, terminal=(j == tc - 1))
-        if fn is not None:
-            edge_functions[(topo.hub, j)] = fn
+        terminal = j == tc - 1
+        table = setup.species_terminal if terminal else setup.species_running.get(j)
+        if table is None:
+            continue
+        key = (terminal, *map(id, table))
+        if key not in built:
+            built[key] = _species_edge_function(setup, table, terminal)
+        if built[key] is not None:
+            edge_functions[(topo.hub, j)] = built[key]
 
     return ProblemSpec(topo, _time_kernels(setup), _total_node_functions(setup),
                        edge_functions, setup.epsilon)

@@ -7,7 +7,8 @@ solve the scalar stationarity condition
     0 in -u * w + d(conjugate)(-epsilon * log u)
 
 entrywise for ``u >= 0`` given a nonnegative weight vector ``w``.  All solves
-run in log space so extreme weight magnitudes cost nothing in accuracy.
+run in log space so extreme weight magnitudes cost nothing in accuracy.  Each
+also bounds the total of its marginal (``mass_bounds``) for the presolve.
 
 Equality, box, linear and zero costs solve in closed form, and so does the
 quadratic distance with p = 2, through the Wright omega function.  The
@@ -27,7 +28,8 @@ read-only property ``ignores_weight`` marks these entries, and a blockwise
 cost made only of them.  It is derived from the data the first time it is
 read.  The solver solves a marked part in its first sweep only, keeps its
 factor and counts its residual as 0; a blockwise cost keeps the
-log-factors of its marked blocks per epsilon and solves only the others.
+log-factors of its marked blocks per epsilon, solves only the others and
+is hard only through them.  An indicator box's conjugate is 0 or +inf.
 """
 
 import functools
@@ -112,6 +114,18 @@ def _wright_omega(x):
     return w
 
 
+def _quadratic_log(y, log_w, c):
+    # u*w = y - c*l is c * omega(x), x = log w - log c + y/c, so
+    # l = y/c - omega = log c + log omega - log w.  The first form is taken
+    # where omega < 1, the second elsewhere, as neither cancels there; one
+    # Newton step on u*w - y + c*l polishes the rounding.  Needs every w > 0.
+    yc = y / c
+    om = _wright_omega(log_w - math.log(c) + yc)
+    ell = np.where(om < 1.0, yc - om, math.log(c) + np.log(om) - log_w)
+    e = np.exp(ell + log_w)
+    return ell - (e - y + c * ell) / (e + c)
+
+
 class MarginalFunction:
     """Base class; instances are immutable and shape-agnostic (flattened math).
 
@@ -150,6 +164,11 @@ class MarginalFunction:
     def feasibility_residual(self, p):
         """Normalized violation of the hard constraint, or None if soft."""
         return None
+
+    def mass_bounds(self, n):
+        """Bounds ``(lo, hi)`` that the cost puts on the total of an n-entry
+        marginal; a soft cost allows any nonnegative total."""
+        return 0.0, math.inf
 
     def scaled(self, factor):
         """The function multiplied by a positive scalar."""
@@ -191,7 +210,7 @@ class Zero(MarginalFunction):
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        return 0.0 if np.all(np.abs(s) <= self._atol) else math.inf
+        return 0.0 if (np.abs(s) <= self._atol).all() else math.inf
 
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
@@ -244,6 +263,9 @@ class Equality(MarginalFunction):
         t = self.target.ravel()
         return float(np.abs(p.ravel() - t).sum() / max(np.abs(t).sum(), 1.0))
 
+    def mass_bounds(self, n):
+        return (float(np.sum(self.target)),) * 2
+
     def scaled(self, factor):
         return self
 
@@ -281,6 +303,7 @@ class Box(MarginalFunction):
             self._log_upper = np.log(self.upper).ravel()
         self._lower_pos = (self.lower > 0).ravel()
         self._upper_zero = (self.upper == 0).ravel()
+        self._upper_inf = np.isposinf(self.upper).ravel()
 
     # Multipliers recovered from mantissa storage wobble by ~1e-16 around
     # exact zero; the kink at s = 0 is resolved with a small tolerance.
@@ -290,18 +313,18 @@ class Box(MarginalFunction):
     def ignores_weight(self):
         """An indicator box: lower bounds 0 and upper bounds 0 or +inf, so the
         update is 1 where the upper bound is +inf and 0 where it is 0."""
-        return not self._lower_pos.any() \
-            and bool(np.all(self._upper_zero | np.isposinf(self.upper.ravel())))
+        return not self._lower_pos.any() and bool((self._upper_zero | self._upper_inf).all())
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        lo = self.lower.ravel()
-        hi = self.upper.ravel()
         pos = s > self._atol
+        if self.ignores_weight:
+            # every term s * bound is 0, or +inf where s > 0 meets upper = +inf
+            return math.inf if (pos & self._upper_inf).any() else 0.0
         neg = s < -self._atol
         with np.errstate(invalid="ignore"):
-            up = np.where(hi == 0.0, 0.0, s * hi)
-            dn = np.where(lo == 0.0, 0.0, s * lo)
+            up = np.where(self._upper_zero, 0.0, s * self.upper.ravel())
+            dn = np.where(self._lower_pos, s * self.lower.ravel(), 0.0)
         terms = np.where(pos, up, np.where(neg, dn, 0.0))
         return float(np.sum(terms))
 
@@ -333,6 +356,10 @@ class Box(MarginalFunction):
         under = np.maximum(self.lower.ravel() - p, 0.0)
         return float((over.sum() + under.sum()) / max(np.abs(p).sum(), 1.0))
 
+    def mass_bounds(self, n):
+        return (float(np.broadcast_to(self.lower.ravel(), n).sum()),
+                float(np.broadcast_to(self.upper.ravel(), n).sum()))
+
     def scaled(self, factor):
         return self
 
@@ -352,19 +379,17 @@ class Linear(MarginalFunction):
         self.cost = np.asarray(cost, dtype=float)
         if not np.all(np.isfinite(self.cost)):
             raise InvalidInput("linear cost vector must be finite")
-
-    def _tol(self):
-        return 1e-8 * (1.0 + float(np.max(np.abs(self.cost), initial=0.0)))
+        self._tol = 1e-8 * (1.0 + float(np.max(np.abs(self.cost), initial=0.0)))
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        if np.all(np.abs(s - self.cost.ravel()) <= self._tol()):
+        if (np.abs(s - self.cost.ravel()) <= self._tol).all():
             return 0.0
         return math.inf
 
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        at = np.abs(s - self.cost.ravel()) <= self._tol()
+        at = np.abs(s - self.cost.ravel()) <= self._tol
         return np.where(at, -np.inf, np.inf), np.where(at, np.inf, -np.inf)
 
     def _solve_log(self, log_w, epsilon):
@@ -407,7 +432,7 @@ class QuadraticDistance(MarginalFunction):
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        if np.any(np.isinf(s)):
+        if np.isinf(s).any():
             return math.inf
         q = self._dual_exponent()
         a = (self.weight * self.exponent) ** (q - 1.0)
@@ -424,23 +449,17 @@ class QuadraticDistance(MarginalFunction):
         y = np.broadcast_to(self.anchor.ravel(), log_w.shape)
         r = self._dual_exponent() - 1.0
         a = (self.weight * self.exponent) ** r
-        out = np.sign(y) * (a * np.abs(y)) ** (1.0 / r) / epsilon
+        c = epsilon / a
         pos = ~np.isneginf(log_w)
+        if self.exponent == 2.0 and pos.all():
+            return _quadratic_log(y, log_w, c)
+        out = np.sign(y) * (a * np.abs(y)) ** (1.0 / r) / epsilon
         if not pos.any():
             return out
         yp = y[pos]
         lwp = log_w[pos]
-        c = epsilon / a
         if self.exponent == 2.0:
-            # u*w = y - c*l is c * omega(x), x = log w - log c + y/c, so
-            # l = y/c - omega = log c + log omega - log w.  The first form is
-            # taken where omega < 1, the second elsewhere, as neither cancels
-            # there; one Newton step on u*w - y + c*l polishes the rounding.
-            yc = yp / c
-            om = _wright_omega(lwp - math.log(c) + yc)
-            ell = np.where(om < 1.0, yc - om, math.log(c) + np.log(om) - lwp)
-            e = np.exp(ell + lwp)
-            out[pos] = ell - (e - yp + c * ell) / (e + c)
+            out[pos] = _quadratic_log(yp, lwp, c)
             return out
         # g(hi) >= 0: there u*w >= 0 >= the right side, or u*w = y while the
         # right side is at most y (l >= 0), or u*w >= y >= the right side
@@ -524,6 +543,9 @@ class Congestion(MarginalFunction):
         out[pos] = _newton_log(phi, lwp, lo, hi, self)
         return out
 
+    def mass_bounds(self, n):
+        return 0.0, float(np.broadcast_to(self.capacity.ravel(), n).sum())
+
     def scaled(self, factor):
         if float(factor) == 1.0:
             return self
@@ -537,11 +559,16 @@ class Congestion(MarginalFunction):
 
 
 class Blockwise(MarginalFunction):
-    """Different catalog entries on disjoint index blocks of one flattened argument."""
+    """Different catalog entries on disjoint index blocks of one flattened argument.
+
+    Blocks of increasing consecutive indices (all of :func:`stack_rows`) are
+    accessed through slice views.  Blocks that ignore their weight are soft.
+    """
 
     def __init__(self, size, blocks):
         self.size = int(size)
         self.blocks = []
+        self._views = []
         cover = np.zeros(self.size, dtype=bool)
         for idx, fn in blocks:
             idx = np.asarray(idx, dtype=int).ravel()
@@ -552,6 +579,8 @@ class Blockwise(MarginalFunction):
             fn.validate_size(idx.size, where="blockwise block %d" % len(self.blocks))
             cover[idx] = True
             self.blocks.append((idx, fn))
+            contiguous = bool((np.diff(idx) == 1).all())
+            self._views.append((slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx, fn))
         if not cover.all():
             raise InvalidInput("blockwise blocks must cover every entry")
         # (epsilon, log-factors with the marked blocks filled in), set by
@@ -564,21 +593,21 @@ class Blockwise(MarginalFunction):
 
     @functools.cached_property
     def _weighted_blocks(self):
-        return [(idx, fn) for idx, fn in self.blocks if not fn.ignores_weight]
+        return [(sel, fn) for sel, fn in self._views if not fn.ignores_weight]
 
     @property
     def is_zero(self):
         return all(fn.is_zero for _, fn in self.blocks)
 
-    @property
+    @functools.cached_property
     def hard(self):
-        return any(fn.hard for _, fn in self.blocks)
+        return any(fn.hard and not fn.ignores_weight for _, fn in self.blocks)
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
         total = 0.0
-        for idx, fn in self.blocks:
-            c = fn.conjugate(s[idx])
+        for sel, fn in self._views:
+            c = fn.conjugate(s[sel])
             if c == math.inf:
                 return math.inf
             total += c
@@ -588,30 +617,30 @@ class Blockwise(MarginalFunction):
         s = np.asarray(s, dtype=float).ravel()
         lower = np.empty(self.size)
         upper = np.empty(self.size)
-        for idx, fn in self.blocks:
-            lower[idx], upper[idx] = fn.conjugate_subgradient(s[idx])
+        for sel, fn in self._views:
+            lower[sel], upper[sel] = fn.conjugate_subgradient(s[sel])
         return lower, upper
 
     def _solve_log(self, log_w, epsilon):
         if self._fixed_log is None or self._fixed_log[0] != epsilon:
             out = np.empty(log_w.shape)
-            for idx, fn in self.blocks:
+            for sel, fn in self._views:
                 if fn.ignores_weight:
-                    out[idx] = fn._solve_log(log_w[idx], epsilon)
+                    out[sel] = fn._solve_log(log_w[sel], epsilon)
             self._fixed_log = (epsilon, out)
         out = self._fixed_log[1].copy()
-        for idx, fn in self._weighted_blocks:
-            out[idx] = fn._solve_log(log_w[idx], epsilon)
+        for sel, fn in self._weighted_blocks:
+            out[sel] = fn._solve_log(log_w[sel], epsilon)
         return out
 
     def feasibility_residual(self, p):
         p = p.ravel()
-        worst = None
-        for idx, fn in self.blocks:
-            r = fn.feasibility_residual(p[idx])
-            if r is not None:
-                worst = r if worst is None else max(worst, r)
-        return worst
+        found = [fn.feasibility_residual(p[sel]) for sel, fn in self._views]
+        return max((r for r in found if r is not None), default=None)
+
+    def mass_bounds(self, n):
+        bounds = [fn.mass_bounds(idx.size) for idx, fn in self.blocks]
+        return sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
 
     def scaled(self, factor):
         return Blockwise(self.size, [(idx, fn.scaled(factor)) for idx, fn in self.blocks])

@@ -102,9 +102,10 @@ def residual_map(potentials, spec, engine):
     zero without a projection, and so does a part that ignores its weight
     (an indicator box): its own update satisfies it exactly whatever the
     other blocks do, and ``solve`` makes that update in the first sweep,
-    before any residual is read.  Zero costs report nothing.  A node or edge
-    is projected at most once, however many hard parts it stacks; stacked
-    parts get keys ``key#k``.
+    before any residual is read; a blockwise cost is hard only through blocks
+    that do not ignore their weight.  Zero costs report nothing.  A node or
+    edge is projected at most once, however many hard parts it stacks;
+    stacked parts get keys ``key#k``.
     """
     out = {}
     for (kind, where), parts in spec.blocks.items():
@@ -338,15 +339,20 @@ def _extrapolated(new, old, step):
 
 
 def _sanity_checks(spec):
-    masses = [("%s %r" % block, float(np.sum(part.target)))
-              for block, parts in spec.blocks.items() for part in parts
-              if getattr(part, "target", None) is not None]
-    if len(masses) > 1:
-        ref_where, ref = masses[0]
-        for where, m in masses[1:]:
-            if abs(m - ref) > 1e-9 * max(1.0, abs(ref)):
-                raise Infeasible("equality targets carry different masses: %s has %.12g, "
-                                 "%s has %.12g" % (ref_where, ref, where, m))
+    """Presolve: every marginal carries the one plan mass, so the mass bounds
+    of all parts must meet (relative slack 1e-9), or the two blocks are named."""
+    lo, hi = (0.0, None), (math.inf, None)
+    for block, parts in spec.blocks.items():
+        n = math.prod(spec.node_sizes[j] for j in np.atleast_1d(block[1]))
+        for part in parts:
+            a, b = part.mass_bounds(n)
+            if a > lo[0]:
+                lo = (a, block)
+            if b < hi[0]:
+                hi = (b, block)
+    if lo[0] - hi[0] > 1e-9 * max(1.0, abs(hi[0])):
+        raise Infeasible("the plan mass has no feasible value: %s %r needs at least %.12g, "
+                         "%s %r allows at most %.12g" % (*lo[1], lo[0], *hi[1], hi[0]))
 
 
 def _close(report, termination, sweep, res, t0, rescale_events):

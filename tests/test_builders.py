@@ -362,6 +362,29 @@ class TestMFGProblem:
             assert p[0, : n // 2].sum() <= 1e-10  # species zero-region
         assert eng.marginal(2, pots).value()[n // 2] <= 1e-10  # total obstacle
 
+    def test_equal_row_tables_share_one_species_cost(self):
+        # One cost per distinct table of row functions (by identity); a
+        # table of equal but distinct functions per time solves to the
+        # same bits.
+        rng = np.random.default_rng(6)
+        setup = small_mfg_setup(rng, L=2, steps=4, species_costs=True)
+        n = setup.n_points
+        box = Box(0.0, np.where(np.arange(n) < 2, 0.0, np.inf))
+        setup.species_running = {j: [box, setup.species_running[1][0]] for j in range(1, 4)}
+        setup.species_terminal = [None, QuadraticDistance(0.5, np.full(n, 0.5 / n))]
+        shared = build_mfg_problem(setup)
+        hub = shared.topology.hub
+        rows = [shared.edge_functions[(hub, j)] for j in range(1, 5)]
+        assert rows[0] is rows[1] is rows[2] and rows[3] is not rows[0]
+        setup.species_running = {j: [Box(box.lower, box.upper), Linear(table[1].cost)]
+                                 for j, table in setup.species_running.items()}
+        distinct = build_mfg_problem(setup)
+        assert len({id(distinct.edge_functions[(hub, j)]) for j in range(1, 5)}) == 4
+        reports = [solve(spec, SolverConfig())[1] for spec in (shared, distinct)]
+        assert reports[0].termination == "converged"
+        assert reports[0].dual_values == reports[1].dual_values
+        assert reports[0].residuals == reports[1].residuals
+
     def test_dt_scaling_applied_to_running_costs(self):
         rng = np.random.default_rng(5)
         setup = small_mfg_setup(rng, L=1)

@@ -156,6 +156,22 @@ class TestRun:
         assert trace[0] == "sweep,dual_objective,max_residual"
         assert len(trace) == summary["sweeps"] + 1
 
+    def test_blockwise_with_unordered_indices_solves(self, tmp_path):
+        # a block whose indices do not run in increasing order is read
+        # through its index array, not a slice
+        out = str(tmp_path / "out")
+        body = minimal_raw_config(out)
+        body["problem"]["kernels"][0]["cost"] = [[0.0, 0.3], [0.5, 0.1]]
+        body["problem"]["node_functions"]["1"] = {
+            "type": "blockwise", "size": 2,
+            "blocks": [{"indices": [1, 0], "function": {"type": "equality",
+                                                         "target": [0.4, 0.6]}}]}
+        cfg = parse_config(write_config(tmp_path, body))
+        assert not isinstance(cfg.spec.node_functions[1]._views[0][0], slice)
+        assert run(cfg) == 0
+        marg = np.loadtxt(os.path.join(out, "marginals.csv"), delimiter=",")
+        np.testing.assert_allclose(marg, [[0.3, 0.7], [0.6, 0.4]], atol=1e-9)
+
     def test_rerun_is_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         body = flow_config(out1)

@@ -624,3 +624,179 @@ class TestSizesCheckedAtConstruction:
         for fn in (Box(0.0, []), Congestion([])):
             with pytest.raises(InvalidInput):
                 ProblemSpec(GraphTopology.chain(2), kernels, {0: fn}, {}, 1.0)
+
+
+def general_box_conjugate(box, s):
+    """The box conjugate by its general formula, with the bound masks
+    computed on each call."""
+    s = np.asarray(s, dtype=float).ravel()
+    lo, hi = box.lower.ravel(), box.upper.ravel()
+    with np.errstate(invalid="ignore"):
+        up = np.where(hi == 0.0, 0.0, s * hi)
+        dn = np.where(lo == 0.0, 0.0, s * lo)
+    terms = np.where(s > box._atol, up, np.where(s < -box._atol, dn, 0.0))
+    return float(np.sum(terms))
+
+
+def random_catalog_entry(rng, n):
+    """A random catalog entry on n entries, with scalar or vector box bounds."""
+    kind = rng.integers(9)
+    if kind == 0:
+        return Box(0.0, np.where(rng.uniform(size=n) < 0.5, np.inf, 0.0))
+    if kind == 1:
+        return Box(0.0, np.inf if rng.uniform() < 0.5 else 0.0)
+    if kind == 2:
+        lower = rng.uniform(0.0, 0.2, n) * (rng.uniform(size=n) < 0.5)
+        upper = lower + np.where(rng.uniform(size=n) < 0.3, np.inf, rng.uniform(0.0, 1.0, n))
+        return Box(lower, upper)
+    if kind == 3:
+        return Box(rng.uniform(0.0, 0.1), rng.uniform(0.2, 1.0))
+    if kind == 4:
+        return Equality(rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8))
+    if kind == 5:
+        return Linear(rng.normal(size=n))
+    if kind == 6:
+        return QuadraticDistance(rng.uniform(0.1, 2.0), rng.normal(size=n),
+                                 exponent=2.0 if rng.uniform() < 0.7 else 3.0)
+    if kind == 7:
+        return Congestion(rng.uniform(0.5, 2.0, n))
+    return Zero()
+
+
+def random_blockwise(rng, contiguous):
+    """Blockwise over a random partition of 1..40 entries, in consecutive
+    runs or in shuffled, possibly reversed index blocks."""
+    size = int(rng.integers(1, 41))
+    order = np.arange(size) if contiguous else rng.permutation(size)
+    cuts = np.sort(rng.choice(np.arange(1, size), size=min(size - 1, int(rng.integers(0, 5))),
+                              replace=False)) if size > 1 else []
+    blocks = [(idx if contiguous or rng.uniform() < 0.7 else idx[::-1],
+               random_catalog_entry(rng, idx.size)) for idx in np.split(order, cuts)]
+    return Blockwise(size, blocks)
+
+
+def same_bits(a, b):
+    if isinstance(a, tuple):
+        return all(same_bits(x, y) for x, y in zip(a, b))
+    if a is None or b is None:
+        return a is b
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBlockwiseViews:
+    """Slice views and the fast conjugate and update paths give the bits of
+    the index-array formulas."""
+
+    @staticmethod
+    def by_index(fn, s, log_w, p, eps):
+        """Conjugate, update, residual and subgradient of ``fn`` with every
+        block read and written through its index array."""
+        total = 0.0
+        for idx, part in fn.blocks:
+            c = part.conjugate(s[idx])
+            total = math.inf if c == math.inf or total == math.inf else total + c
+        out, lower, upper = np.empty(fn.size), np.empty(fn.size), np.empty(fn.size)
+        residuals = []
+        for idx, part in fn.blocks:
+            out[idx] = part._solve_log(log_w[idx], eps)
+            lower[idx], upper[idx] = part.conjugate_subgradient(s[idx])
+            residuals.append(part.feasibility_residual(p[idx]))
+        found = [r for r in residuals if r is not None]
+        return total, out, max(found) if found else None, (lower, upper)
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_random_blockwise_matches_index_arrays_bit_for_bit(self, contiguous):
+        rng = np.random.default_rng(181 + contiguous)
+        for _ in range(300):
+            fn = random_blockwise(rng, contiguous)
+            if contiguous:
+                assert all(isinstance(sel, slice) for sel, _ in fn._views)
+            n = fn.size
+            s = rng.normal(0.0, 1.0, n) * np.where(rng.uniform(size=n) < 0.3, 1e-12, 1.0)
+            log_w = rng.uniform(-5.0, 5.0, n)
+            log_w[rng.uniform(size=n) < 0.1] = -np.inf
+            p = rng.uniform(0.0, 1.0, n)
+            eps = float(rng.uniform(0.1, 1.0))
+            try:
+                expected = self.by_index(fn, s, log_w, p, eps)
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    fn._solve_log(log_w, eps)
+                continue
+            got = (fn.conjugate(s), fn._solve_log(log_w, eps), fn.feasibility_residual(p),
+                   fn.conjugate_subgradient(s))
+            assert same_bits(got, expected)
+
+    def test_stack_rows_reads_slices(self):
+        fn = stack_rows([Box(0.0, [0.0, np.inf]), None, Linear([1.0, 2.0])], 2)
+        assert [sel for sel, _ in fn._views] == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        np.testing.assert_array_equal(fn.blocks[2][0], [4, 5])
+
+    @pytest.mark.parametrize("upper", [np.inf, 0.0, [np.inf, 0.0, np.inf, 0.0, np.inf, np.inf]],
+                             ids=repr)
+    def test_indicator_conjugate_matches_the_general_formula(self, upper):
+        box = Box(0.0, upper)
+        assert box.ignores_weight
+        atol = box._atol
+        values = [-np.inf, np.inf, np.nan, atol, -atol, np.nextafter(atol, 1.0),
+                  np.nextafter(-atol, -1.0), np.nextafter(atol, 0.0), 0.0, -0.0, 2.0, -3.0]
+        rng = np.random.default_rng(183)
+        for _ in range(500):
+            s = rng.choice(values, size=6)
+            assert repr(box.conjugate(s)) == repr(general_box_conjugate(box, s))
+        if np.ndim(upper) == 0:
+            assert box.conjugate(np.zeros(0)) == general_box_conjugate(box, np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("box", [Box(0.0, [1.0, np.inf, 0.0, 2.0, np.inf, 0.5]),
+                                     Box([0.5, 0.0, 0.0, 0.1, 0.2, 0.0], np.inf),
+                                     Box(0.2, 0.7)], ids=repr)
+    def test_general_box_conjugate_keeps_its_bits(self, box):
+        assert not box.ignores_weight
+        rng = np.random.default_rng(184)
+        values = [-np.inf, np.inf, box._atol, -box._atol, 0.0, 2.0, -3.0, 0.25]
+        for _ in range(500):
+            s = rng.choice(values, size=6)
+            with np.errstate(invalid="ignore"):  # +inf and -inf terms sum to NaN
+                assert repr(box.conjugate(s)) == repr(general_box_conjugate(box, s))
+
+    def test_quadratic_update_without_zero_weights_keeps_its_bits(self):
+        # The update where no weight is 0 equals the gathered update of the
+        # same entries next to a zero weight.
+        rng = np.random.default_rng(185)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            anchor = rng.normal(0.0, 1.0, n)
+            log_w = rng.uniform(-40.0, 40.0, n)
+            weight, eps = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.01, 1.0))
+            alone = QuadraticDistance(weight, anchor)._solve_log(log_w, eps)
+            padded = QuadraticDistance(weight, np.append(anchor, 0.5))._solve_log(
+                np.append(log_w, -np.inf), eps)
+            assert alone.tobytes() == padded[:n].tobytes()
+
+    def test_blockwise_hard_only_through_weighted_blocks(self):
+        indicator = Box(0.0, [0.0, np.inf])
+        assert not stack_rows([indicator, None, Linear([1.0, 2.0]),
+                               QuadraticDistance(0.1, [0.2, 0.3])], 2).hard
+        assert stack_rows([indicator, Box(0.0, [0.1, np.inf])], 2).hard
+        assert stack_rows([indicator, Equality([0.1, 0.2])], 2).hard
+        assert indicator.hard
+
+
+class TestMassBounds:
+    """Bounds each catalog entry puts on the total of its marginal."""
+
+    @pytest.mark.parametrize("fn, bounds", [
+        (Equality([0.2, 0.3]), (0.5, 0.5)),
+        (Box([0.1, 0.2], [1.0, 2.0]), (pytest.approx(0.3), 3.0)),
+        (Box(0.1, 0.5), (pytest.approx(0.2), 1.0)),
+        (Box(0.0, [1.0, np.inf]), (0.0, np.inf)),
+        (Congestion([1.0, 2.0]), (0.0, 3.0)),
+        (Congestion(1.5), (0.0, 3.0)),
+        (Linear([1.0, -2.0]), (0.0, np.inf)),
+        (QuadraticDistance(1.0, [0.1, 0.2]), (0.0, np.inf)),
+        (Zero(), (0.0, np.inf)),
+        (Blockwise(2, [([0], Equality([0.4])), ([1], Box(0.1, 0.3))]), (0.5, 0.7)),
+        (Blockwise(2, [([0], Equality([0.4])), ([1], Linear([1.0]))]), (0.4, np.inf)),
+    ], ids=repr)
+    def test_mass_bounds(self, fn, bounds):
+        assert fn.mass_bounds(2) == bounds

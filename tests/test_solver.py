@@ -522,6 +522,15 @@ class TestComposite:
         rng = np.random.default_rng(13)
         spec, mu1, cap = self._composite_spec(rng, cap_slack=-0.3)
         assert np.any(cap < mu1)
+        # the cap's total is below the target's: the presolve sees it
+        with pytest.raises(Infeasible, match="node 1 allows at most"):
+            solve(spec)
+        # with one entry uncapped only the entrywise contradiction is left,
+        # which the mass bounds cannot see
+        cap[0] = np.inf
+        comp = CompositeFunction([Equality(mu1), Box(0.0, cap)])
+        spec = ProblemSpec(spec.topology, spec.kernels, {0: spec.node_functions[0], 1: comp},
+                           {}, spec.epsilon)
         pots, report = solve(spec, SolverConfig(max_sweeps=200))
         assert report.termination == "max_sweeps"
         assert report.max_residual > 1e-6
@@ -1162,3 +1171,71 @@ class TestExtrapolation:
         assert len(report.dual_values) == len(report.max_residuals) == report.sweeps
         assert [c[0] for c in calls] == list(range(1, report.sweeps + 1))
         assert all(s < report.sweeps for s in sweeps)
+
+
+def three_node_steering(middle, end=None, edge_functions=None):
+    """A 3-node chain with 5 states and eps = 0.1, mass 1 at both ends."""
+    x = (np.arange(5) + 0.5) / 5
+    k = build_kernel((x[:, None] - x[None, :]) ** 2, 0.1)
+    mu = np.full(5, 0.2)
+    nodes = {0: Equality(mu), 1: middle, 2: Equality(mu) if end is None else end}
+    return ProblemSpec(GraphTopology.chain(3), {(0, 1): k, (1, 2): k}, nodes,
+                       edge_functions or {}, 0.1)
+
+
+class TestPresolve:
+    """Every block bounds the one plan mass; bounds that cannot meet fail
+    before the first sweep and name the two blocks."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = _Updater.sweep
+
+        def counted(self, engine):
+            calls.append(self.sweep_no)
+            return sweep(self, engine)
+
+        monkeypatch.setattr(_Updater, "sweep", counted)
+        return calls
+
+    @pytest.mark.parametrize("middle, message", [
+        (Box(0.0, 0.05), "node 0 needs at least 1, node 1 allows at most 0.25"),
+        (Box(0.5, np.inf), "node 1 needs at least 2.5, node 0 allows at most 1"),
+        (Box(0.0, np.full(5, 0.05)), "node 1 allows at most 0.25"),
+        (Congestion(0.1), "node 1 allows at most 0.5"),
+        (Blockwise(5, [([0, 1], Box(0.0, 0.1)), ([2, 3, 4], Equality([0.1, 0.2, 0.2]))]),
+         "node 1 allows at most 0.7"),
+        (Blockwise(5, [([0, 3], Equality([0.6, 0.6])), ([1, 2, 4], Linear([0.0, 1.0, 2.0]))]),
+         "node 1 needs at least 1.2"),
+        (CompositeFunction([QuadraticDistance(1.0, np.full(5, 0.2)), Box(0.0, 0.1)]),
+         "node 1 allows at most 0.5"),
+    ], ids=["cap", "floor", "vector_cap", "congestion", "blockwise_cap", "blockwise_floor",
+            "composite"])
+    def test_bounds_that_cannot_meet_fail_before_sweep_1(self, sweeps, middle, message):
+        with pytest.raises(Infeasible, match=message):
+            solve(three_node_steering(middle))
+        assert sweeps == []
+
+    def test_unequal_equality_masses_name_both_nodes(self, sweeps):
+        with pytest.raises(Infeasible, match="node 2 needs at least 1.5, node 0 allows at most 1"):
+            solve(three_node_steering(Zero(), end=Equality(np.full(5, 0.3))))
+        assert sweeps == []
+
+    def test_edge_bounds_take_part(self, sweeps):
+        spec = three_node_steering(Zero(), edge_functions={(1, 2): Box(0.0, 0.01)})
+        with pytest.raises(Infeasible, match=r"edge \(1, 2\) allows at most 0.25"):
+            solve(spec)
+        assert sweeps == []
+
+    @pytest.mark.parametrize("middle", [
+        Box(0.0, 0.2 * (1.0 - 1e-12)),
+        Box(0.2 * (1.0 + 1e-12), np.inf),
+        Box(0.0, [1.0, np.inf, 0.0, 0.0, 0.0]),
+        Congestion(0.3),
+        Blockwise(5, [([0, 1], Box(0.0, 0.4)), ([2, 3, 4], Equality([0.1, 0.2, 0.2]))]),
+        CompositeFunction([Linear(np.zeros(5)), QuadraticDistance(1.0, np.full(5, 0.2))]),
+    ], ids=repr)
+    def test_bounds_that_meet_within_the_slack_pass(self, sweeps, middle):
+        solve(three_node_steering(middle), SolverConfig(max_sweeps=2))
+        assert sweeps == [1, 2]

@@ -89,3 +89,27 @@ def test_mfg_hub_projects_no_marginal_for_its_residuals(workloads, tmp_path, mon
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
     assert report.sweeps == 14 and len(report.extrapolations) == 1
     assert len(calls) == 15
+
+
+def test_mfg_hub_projects_only_its_equality_hub_edge(workloads, tmp_path, monkeypatch):
+    # The species rows of hub edges 1-9 are hard only through an indicator
+    # box, so their residuals need no projection: the one bimarginal per
+    # sweep is the residual of the equality on hub edge 0.
+    calls = []
+    bimarginal = ChainEngine.bimarginal
+
+    def counted(self, e, pots):
+        calls.append(e)
+        return bimarginal(self, e, pots)
+
+    monkeypatch.setattr(ChainEngine, "bimarginal", counted)
+    report = solve_seed0(workloads, "mfg_hub", tmp_path)
+    assert report.sweeps == 14
+    assert len(calls) == 14 and set(calls) == {(10, 0)}
+
+
+def test_mfg_hub_shares_its_species_rows(workloads, tmp_path):
+    # 8 running hub edges share one row table, the terminal edge has its own
+    spec = workloads.WORKLOADS["mfg_hub"](0, str(tmp_path)).setup().spec
+    rows = [fn for (a, b), fn in spec.edge_functions.items() if a == spec.topology.hub and b > 0]
+    assert len(rows) == 9 and len({id(fn) for fn in rows}) == 2
