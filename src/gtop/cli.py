@@ -18,7 +18,7 @@ from . import builders as bld
 from . import functions as fx
 from . import model as md
 from . import solver
-from .errors import ConfigError, GtopError
+from .errors import ConfigError, GtopError, InvalidInput
 from .projections import make_engine
 
 
@@ -181,7 +181,10 @@ def function_from_config(obj, path, base_dir):
             fn = function_from_config(blk.get("function"), "%s.blocks[%d].function" % (path, i),
                                       base_dir)
             parsed.append((np.asarray(idx, dtype=int), fn))
-        return fx.Blockwise(size, parsed)
+        try:
+            return fx.Blockwise(size, parsed)
+        except InvalidInput as exc:
+            _fail(path, str(exc))
     if kind == "composite":
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:
@@ -329,6 +332,8 @@ def _parse_raw(problem, epsilon, path, base_dir):
         _fail(path + ".topology.class", "unknown topology class %r" % (kind,))
 
     kernels = {}
+    if not isinstance(problem.get("kernels", []), list):
+        _fail(path + ".kernels", "expected a list")
     for i, k in enumerate(problem.get("kernels", [])):
         k = _expect_map(k, "%s.kernels[%d]" % (path, i))
         edge = _node_pair(k.get("edge"), "%s.kernels[%d].edge" % (path, i))
@@ -412,8 +417,11 @@ def _fresh(path):
     return path
 
 
-def _write_matrix(path, arr):
-    np.savetxt(_fresh(path), np.atleast_2d(arr), delimiter=",", fmt="%.17g")
+def _write_csv(path, *blocks):
+    """Each block, a vector or a matrix, as "%.17g" CSV lines; widths may differ."""
+    with open(_fresh(path), "wb") as fh:
+        for block in blocks:
+            np.savetxt(fh, np.atleast_2d(block), delimiter=",", fmt="%.17g")
 
 
 def _json_finite(obj):
@@ -467,14 +475,13 @@ def run(run_config):
         time_nodes = topo.time_nodes
         if run_config.emit["marginals"]:
             rows = [engine.marginal(j, pots).value() for j in time_nodes]
-            _write_matrix(os.path.join(run_config.out_dir, "marginals.csv"), np.stack(rows))
+            _write_csv(os.path.join(run_config.out_dir, "marginals.csv"), *rows)
             if run_config.flow_net is not None:
                 util = [bld.edge_utilization(run_config.flow_net, r) for r in rows]
-                _write_matrix(os.path.join(run_config.out_dir, "utilization.csv"),
-                              np.stack(util))
+                _write_csv(os.path.join(run_config.out_dir, "utilization.csv"), *util)
             if topo.hub is not None:
-                _write_matrix(os.path.join(run_config.out_dir, "species_masses.csv"),
-                              engine.marginal(topo.hub, pots).value())
+                _write_csv(os.path.join(run_config.out_dir, "species_masses.csv"),
+                           engine.marginal(topo.hub, pots).value())
         if run_config.emit["bimarginals"]:
             # The n_t x n_{t+1} time-step plans are the bulk of the output.
             # Binary .npy keeps every bit and skips the per-value text
@@ -486,7 +493,7 @@ def run(run_config):
                 if e in steps:
                     np.save(_fresh(name + ".npy"), p)
                 else:
-                    _write_matrix(name + ".csv", p)
+                    _write_csv(name + ".csv", p)
         if run_config.emit["dual_trace"]:
             with open(_fresh(os.path.join(run_config.out_dir, "dual_trace.csv")), "w",
                       encoding="utf-8") as fh:

@@ -576,6 +576,8 @@ class Blockwise(MarginalFunction):
                 continue
             if np.any(idx < 0) or np.any(idx >= self.size) or cover[idx].any():
                 raise InvalidInput("blockwise indices must partition 0..%d" % (self.size - 1))
+            if isinstance(fn, CompositeFunction):
+                raise InvalidInput("blockwise block %d is a composite" % len(self.blocks))
             fn.validate_size(idx.size, where="blockwise block %d" % len(self.blocks))
             cover[idx] = True
             self.blocks.append((idx, fn))
@@ -665,7 +667,8 @@ class CompositeFunction:
     """Several costs stacked on one node or edge, each with its own factor."""
 
     def __init__(self, parts):
-        self.parts = list(parts)
+        # A nested composite stacks its parts here, each with its own factor.
+        self.parts = [q for p in parts for q in getattr(p, "parts", (p,))]
         if not self.parts:
             raise InvalidInput("a composite needs at least one part")
 

@@ -21,8 +21,6 @@ from .errors import InvalidInput, NumericalFailure
 
 # exp(-x) may round to zero only for x beyond this spread.
 _UNDERFLOW_SPREAD = -math.log(np.finfo(float).smallest_subnormal)
-# A renormalization shifting the log scale by more than this is a rescale event.
-_RESCALE_THRESHOLD = 200.0
 
 
 class ScaledArray:
@@ -31,18 +29,16 @@ class ScaledArray:
     The mantissa max-norm is pulled back to 1 by :meth:`renormalize`, which
     leaves the represented value unchanged.  Entries may be exactly zero;
     those encode states that have been eliminated from the plan.
-    :meth:`log_value` and :meth:`max_abs_log` keep their results, so ``m``
-    and ``log_scale`` are written only by :meth:`renormalize`, which drops
-    them.
+    :meth:`log_value` keeps its result, so ``m`` and ``log_scale`` are
+    written only by :meth:`renormalize`, which drops it.
     """
 
-    __slots__ = ("m", "log_scale", "_log", "_abs_log")
+    __slots__ = ("m", "log_scale", "_log")
 
     def __init__(self, mantissa, log_scale=0.0):
         self.m = np.asarray(mantissa, dtype=float)
         self.log_scale = float(log_scale)
         self._log = None
-        self._abs_log = None
 
     @classmethod
     def from_values(cls, values):
@@ -80,7 +76,6 @@ class ScaledArray:
         self.m = self.m / peak
         self.log_scale += shift
         self._log = None
-        self._abs_log = None
         return abs(shift)
 
     def value(self):
@@ -96,21 +91,19 @@ class ScaledArray:
         return self._log
 
     def max_abs_log(self):
-        """Largest finite |log| of an entry (0 if there is none), computed once.
+        """Largest finite |log| of an entry (0 if there is none).
 
         The finite logs lie between their smallest and their largest entry,
         so these two are found first; only a -inf or NaN log needs a mask.
         """
-        if self._abs_log is None:
-            lv = self.log_value()
-            lo = float(lv.min(initial=math.inf))
-            hi = float(lv.max(initial=-math.inf))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                finite = np.isfinite(lv)
-                lo = float(lv.min(where=finite, initial=math.inf))
-                hi = float(lv.max(where=finite, initial=-math.inf))
-            self._abs_log = max(abs(lo), abs(hi)) if lo <= hi else 0.0
-        return self._abs_log
+        lv = self.log_value()
+        lo = float(lv.min(initial=math.inf))
+        hi = float(lv.max(initial=-math.inf))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            finite = np.isfinite(lv)
+            lo = float(lv.min(where=finite, initial=math.inf))
+            hi = float(lv.max(where=finite, initial=-math.inf))
+        return max(abs(lo), abs(hi)) if lo <= hi else 0.0
 
     def total(self):
         """Sum of the represented values as a plain float (inf on overflow)."""
@@ -127,18 +120,7 @@ class ScaledArray:
         return "ScaledArray(shape=%s, log_scale=%.6g)" % (self.m.shape, self.log_scale)
 
 
-class RescaleLog:
-    """Counts renormalizations whose log shift exceeded ``_RESCALE_THRESHOLD``."""
-
-    def __init__(self):
-        self.events = 0
-
-    def note(self, shift):
-        if shift > _RESCALE_THRESHOLD:
-            self.events += 1
-
-
-def smul(*factors, note=None):
+def smul(*factors):
     """Elementwise product of scaled arrays (numpy broadcasting applies)."""
     m = factors[0].m.copy()
     ls = factors[0].log_scale
@@ -146,9 +128,7 @@ def smul(*factors, note=None):
         m = m * f.m
         ls += f.log_scale
     out = ScaledArray(m, ls)
-    shift = out.renormalize()
-    if note is not None:
-        note(shift)
+    out.renormalize()
     return out
 
 
@@ -405,14 +385,6 @@ class DualPotentials:
             {j: [f.copy() for f in fs] for j, fs in self.nodes.items()},
             {e: [f.copy() for f in fs] for e, fs in self.edges.items()},
         )
-
-    def max_abs_log(self):
-        """Largest |log| over all positive entries; gauges dual iterate growth.
-
-        Each factor finds its own once, so a factor no update replaced costs
-        nothing the next time."""
-        return max((f.max_abs_log() for fs in list(self.nodes.values())
-                    + list(self.edges.values()) for f in fs), default=0.0)
 
 
 class ProblemSpec:

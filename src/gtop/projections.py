@@ -29,25 +29,26 @@ import math
 import numpy as np
 
 from .errors import SizeBoundExceeded, TopologyMismatch
-from .model import ScaledArray, smul
+from .model import ScaledArray
 
 DENSE_ENTRY_BUDGET = 6 ** 6
 # ``DenseEngine`` names each node by one letter in its einsum subscripts.
 _DENSE_NODE_LIMIT = 26
+# A renormalization shifting the log scale by more than this is a rescale event.
+_RESCALE_THRESHOLD = 200.0
 
 
 class _EngineBase:
-    def __init__(self, spec, rescale_log=None):
-        self.spec = spec
-        self._log = rescale_log
+    """Every projection and message ends in ``_fin``, counting ``rescale_events``."""
 
-    def _note(self, shift):
-        if self._log is not None:
-            self._log.note(shift)
+    def __init__(self, spec):
+        self.spec = spec
+        self.rescale_events = 0
 
     def _fin(self, mantissa, log_scale):
         arr = ScaledArray(mantissa, log_scale)
-        self._note(arr.renormalize())
+        if arr.renormalize() > _RESCALE_THRESHOLD:
+            self.rescale_events += 1
         return arr
 
     def _kernel_with_edge_factor(self, e, pots):
@@ -70,12 +71,12 @@ class ChainEngine(_EngineBase):
     forward message past the node ``v``.
     """
 
-    def __init__(self, spec, rescale_log=None):
+    def __init__(self, spec):
         route = spec.topology.path_chords
         if route is None:
             raise TopologyMismatch("the path engine needs a path plus chords from its first "
                                    "node, not the edges %r" % (spec.topology.edges,))
-        super().__init__(spec, rescale_log)
+        super().__init__(spec)
         self.path, chords = route
         self.T = len(self.path)
         self.pos = {v: i for i, v in enumerate(self.path)}
@@ -186,7 +187,7 @@ class ChainEngine(_EngineBase):
         u_edge = pots.edge_value(e)
         if u_edge is None:
             return w
-        return smul(w, u_edge, note=self._note)
+        return self._fin(w.m * u_edge.m, w.log_scale + u_edge.log_scale)
 
 
 class DenseEngine(_EngineBase):
@@ -202,8 +203,8 @@ class DenseEngine(_EngineBase):
     tensor is never formed.  ``order``: every node, then every edge.
     """
 
-    def __init__(self, spec, rescale_log=None):
-        super().__init__(spec, rescale_log)
+    def __init__(self, spec):
+        super().__init__(spec)
         self.sizes = list(spec.node_sizes)
         total = math.prod(self.sizes)
         if total > DENSE_ENTRY_BUDGET or len(self.sizes) > _DENSE_NODE_LIMIT:
@@ -272,7 +273,7 @@ class DenseEngine(_EngineBase):
         return self.project(pots, e)
 
 
-def make_engine(spec, rescale_log=None):
+def make_engine(spec):
     if spec.topology.path_chords is None:
-        return DenseEngine(spec, rescale_log)
-    return ChainEngine(spec, rescale_log)
+        return DenseEngine(spec)
+    return ChainEngine(spec)

@@ -13,19 +13,30 @@ gave it.  A node or edge made only of such parts is then not projected at
 all, and such a part reports a residual of 0: its own factor satisfies it
 whatever the other blocks do.
 
+A sweep records its facts where they happen: the updater keeps the
+largest log change and the largest finite |log| of the factors it writes,
+and the factors they replace; the engine counts its rescale events.  Sweep
+1 writes every factor and each later sweep every factor that reads its
+weight, so the divergence guard sees every live factor.
+
 Between exact sweeps the solver may try one safeguarded geometric
-extrapolation of the dual iterates (``_Extrapolator``).  When the largest
-log-potential change of the last sweeps shrinks by a steady rate rho (three
-successive ratios agreeing within 1%, rho < 1, and at least four sweeps
-still projected to the potential tolerance), every factor jumps to
-the limit of its geometric series, ``log u_k + rho/(1-rho) (log u_k -
-log u_{k-1})``.  The jump is kept only if the dual beats the sweep's by
-more than two units of roundoff; otherwise the previous factors and engine
-messages are put back.  Every stop decision, callback, ``dual_values`` and
-``max_residuals`` entry belongs to an exact sweep, so the dual stays
-monotone from sweep to sweep and each sweep is still an exact block
-ascent.  ``SolveReport.extrapolations`` lists every try as ``(sweep, rho,
-accepted)``.
+extrapolation of the dual iterates.  Coordinate ascent converges
+R-linearly, and the largest log change of a sweep often shrinks by a steady
+rate rho.  Once ``_RATE_RATIOS`` successive ratios of these changes agree
+within ``_RATE_SPREAD``, with rho < 1, and the tail still projects at least
+``_MIN_SWEEPS_LEFT`` sweeps to the potential tolerance, every factor the
+last sweep replaced moves ``_EXTRAPOLATION_STEP`` times its geometric tail,
+to ``log u_k + rho/(1-rho) (log u_k - log u_{k-1})`` at step 1, keeping
+``log u_k`` where either is -inf.  The backward messages are rebuilt and
+the dual is taken at ``engine.order[0]``; the jump is kept only if it beats
+the sweep's dual by more than ``_ACCEPT_MARGIN`` relative, else the
+replaced factors and the backward messages are put back.  Only sweeps after
+the last try enter the rate.  A try gains about the square of the potential
+error it removes, which near the tolerance sinks into the dual's roundoff,
+hence ``_MIN_SWEEPS_LEFT``.  Every stop decision, callback, ``dual_values``
+and ``max_residuals`` entry belongs to an exact sweep, so the dual stays
+monotone from sweep to sweep.  ``SolveReport.extrapolations`` lists every
+try as ``(sweep, rho, accepted)``.
 """
 
 import math
@@ -36,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible, InvalidInput, SizeBoundExceeded, VerificationFailure
-from .model import DualPotentials, RescaleLog, ScaledArray, dual_objective, smul
+from .model import DualPotentials, ScaledArray, dual_objective, smul
 from .projections import DenseEngine, make_engine
 
 # Relative drop of the dual objective tolerated as roundoff before a
@@ -45,11 +56,7 @@ _MONOTONE_SLACK = 1e-9
 # Largest |log| of a dual iterate before a solve warns that the dual may
 # not attain its supremum.
 _LOG_POTENTIAL_BOUND = 1e5
-# Geometric extrapolation of the dual iterates (see ``_Extrapolator``): the
-# number of successive change ratios that must agree, their relative spread,
-# the fewest sweeps a trial must still project to save, the step as a
-# multiple of the geometric tail rho/(1-rho), and the relative dual gain a
-# trial must beat to count as more than roundoff.
+# The geometric extrapolation rule, as the module docstring describes it.
 _RATE_RATIOS = 3
 _RATE_SPREAD = 0.01
 _MIN_SWEEPS_LEFT = 4.0
@@ -173,7 +180,9 @@ def _assert_scaled_close(a, b, rtol, label):
 
 
 class _Updater:
-    """One sweep of block updates, tracking change size and verifying if asked."""
+    """One sweep of block updates, verified if asked.  It records the largest
+    log change (``max_change``), the largest finite |log| of a new factor
+    (``max_abs_log``) and, in ``replaced``, each overwrite's (list, index, old)."""
 
     def __init__(self, spec, pots, verifier, sweep_no):
         self.spec = spec
@@ -181,6 +190,8 @@ class _Updater:
         self.verifier = verifier
         self.sweep_no = sweep_no
         self.max_change = 0.0
+        self.max_abs_log = 0.0
+        self.replaced = []
 
     @staticmethod
     def _log_change(old, new):
@@ -229,45 +240,22 @@ class _Updater:
         except Infeasible as exc:
             raise Infeasible("%s %r, sweep %d: %s" % (*block, self.sweep_no, exc)) from exc
         self.max_change = max(self.max_change, self._log_change(factors[k], new))
+        self.max_abs_log = max(self.max_abs_log, new.max_abs_log())
+        self.replaced.append((factors, k, factors[k]))
         factors[k] = new
         if self.verifier is not None:
             self.verifier.check_update(self.pots, block)
 
 
 class _Extrapolator:
-    """Safeguarded geometric extrapolation of the dual iterates.
-
-    Coordinate ascent converges R-linearly, and the largest log-potential
-    change of a sweep often shrinks by a steady rate rho.  Once the last
-    ``_RATE_RATIOS`` ratios of successive changes agree within
-    ``_RATE_SPREAD``, with ``rho < 1``, and the tail still projects at least
-    ``_MIN_SWEEPS_LEFT`` sweeps to the potential tolerance, every factor
-    jumps to the limit of its geometric series,
-    ``log u_k + rho/(1-rho) * (log u_k - log u_{k-1})``.  Entries that are
-    -inf at either iterate keep ``log u_k``, and a factor the last sweep did
-    not replace (a part that ignores its weight) stays as it is.  The trial
-    is kept only if its dual beats the sweep's by more than
-    ``_ACCEPT_MARGIN`` relative; otherwise the factor lists and the
-    engine's message lists, whose entries are never mutated, are put back
-    as they were.  Only sweeps after the last trial enter the rate, so two
-    trials are at least ``_RATE_RATIOS + 1`` exact sweeps apart.  A trial's
-    dual gain is about the square of the potential error it removes, so
-    near the tolerance it sinks into the dual's roundoff;
-    ``_MIN_SWEEPS_LEFT`` skips the trials that could save only a few sweeps
-    and would be decided by that roundoff.
-    """
+    """The rate rule of the geometric extrapolation (see the module docstring)."""
 
     def __init__(self, potential_tol):
         self.tol = potential_tol
         self.changes = []
 
-    def armed(self):
-        """Whether the next sweep's change can complete an agreeing window;
-        only then does the solve keep the factors from before that sweep."""
-        return len(self.changes) >= _RATE_RATIOS and _agreeing(self.changes[-_RATE_RATIOS:])
-
     def rate(self, change):
-        """Record an exact sweep's largest change; rho if a trial is due, else None."""
+        """Record an exact sweep's largest change; rho if a try is due, else None."""
         self.changes.append(change)
         window = self.changes[-_RATE_RATIOS - 1:]
         if len(window) <= _RATE_RATIOS or not _agreeing(window):
@@ -277,30 +265,24 @@ class _Extrapolator:
             return None
         return rho
 
-    def trial(self, spec, pots, engine, before, dual, rho):
-        """Move ``pots`` to the extrapolated point and keep it if the dual rose.
 
-        ``before`` holds copies of the factor lists from before the sweep
-        that gave ``pots`` and ``dual``.  The backward rebuild leaves the
-        engine as a sweep starts from, where the projection of the first
-        block of ``engine.order`` is current; the dual is taken there.
-        """
-        self.changes = []
-        live = _factor_lists(pots)
-        after = [list(fs) for fs in live]
-        messages = [(ms, list(ms)) for ms in _message_lists(engine)]
-        step = _EXTRAPOLATION_STEP * rho / (1.0 - rho)
-        for fs, old in zip(live, before):
-            fs[:] = [_extrapolated(f, o, step) for f, o in zip(fs, old)]
-        engine.rebuild_backward(pots)
-        trial_dual = dual_objective(pots, spec, engine, engine.order[0])
-        if trial_dual > dual + _ACCEPT_MARGIN * max(1.0, abs(dual)):
-            return True
-        for fs, saved in zip(live, after):
-            fs[:] = saved
-        for ms, saved in messages:
-            ms[:] = saved
-        return False
+def _try_extrapolation(spec, pots, engine, replaced, dual, rho):
+    """Move the factors in ``replaced`` along their geometric tail; keep the
+    move if the dual rose above the sweep's ``dual``, else put back the list
+    entries the try overwrote (the rebuild writes the backward messages only)."""
+    swept = [(fs, k, fs[k]) for fs, k, _ in replaced]
+    bwd = list(getattr(engine, "bwd", ()))
+    for fs, k, old in replaced:
+        fs[k] = _extrapolated(fs[k], old, _EXTRAPOLATION_STEP * rho / (1.0 - rho))
+    engine.rebuild_backward(pots)
+    trial_dual = dual_objective(pots, spec, engine, engine.order[0])
+    if trial_dual > dual + _ACCEPT_MARGIN * max(1.0, abs(dual)):
+        return True
+    for fs, k, new in swept:
+        fs[k] = new
+    if bwd:
+        engine.bwd[:] = bwd
+    return False
 
 
 def _agreeing(changes):
@@ -310,16 +292,6 @@ def _agreeing(changes):
         return False
     ratios = [b / a for a, b in zip(changes, changes[1:])]
     return max(ratios) <= (1.0 + _RATE_SPREAD) * min(ratios)
-
-
-def _factor_lists(pots):
-    """The live factor list of every node and edge, in a fixed order."""
-    return list(pots.nodes.values()) + list(pots.edges.values())
-
-
-def _message_lists(engine):
-    """The engine's forward and backward message lists; the dense engine has none."""
-    return [getattr(engine, name) for name in ("fwd", "bwd") if hasattr(engine, name)]
 
 
 def _extrapolated(new, old, step):
@@ -371,7 +343,7 @@ def solve(spec, config=None, initial=None):
     Termination requires every hard constraint residual at or below the
     feasibility tolerance and the largest relative potential change of the
     sweep at or below the potential tolerance.  Between sweeps the iterates
-    may jump ahead along their geometric tail (``_Extrapolator``); the
+    may jump ahead along their geometric tail (module docstring); the
     per-sweep history holds exact sweeps only.  Every projection comes from
     the one engine built here.  An :class:`Infeasible` raised by an update
     carries the partial report as ``exc.report``: the sweeps begun, the
@@ -382,8 +354,7 @@ def solve(spec, config=None, initial=None):
     """
     config = config or SolverConfig()
     _sanity_checks(spec)
-    rescale = RescaleLog()
-    engine = make_engine(spec, rescale)
+    engine = make_engine(spec)
     pots = initial.copy() if initial is not None else DualPotentials.ones_for(spec)
     verifier = _Verifier(spec, engine) if config.verify else None
 
@@ -394,13 +365,12 @@ def solve(spec, config=None, initial=None):
     warned_dual = False
     extrapolator = _Extrapolator(config.potential_tol)
     for sweep in range(1, config.max_sweeps + 1):
-        before = [list(fs) for fs in _factor_lists(pots)] if extrapolator.armed() else None
         upd = _Updater(spec, pots, verifier, sweep)
         try:
             upd.sweep(engine)
         except Infeasible as exc:
             # The count is read first: this refresh's rescales are not the solve's.
-            events = rescale.events
+            events = engine.rescale_events
             engine.refresh(pots)
             _close(report, "infeasible", sweep, residual_map(pots, spec, engine), t0, events)
             exc.report = report
@@ -417,7 +387,7 @@ def solve(spec, config=None, initial=None):
             if math.isfinite(prev) and dual < prev - _MONOTONE_SLACK * max(1.0, abs(prev)):
                 report.warnings.append("dual objective decreased at sweep %d" % sweep)
                 warned_dual = True
-        if not warned_divergence and pots.max_abs_log() > _LOG_POTENTIAL_BOUND:
+        if not warned_divergence and upd.max_abs_log > _LOG_POTENTIAL_BOUND:
             report.warnings.append("dual iterates exceed log bound %g at sweep %d; the dual "
                                    "may not attain its supremum" % (_LOG_POTENTIAL_BOUND, sweep))
             warned_divergence = True
@@ -427,11 +397,12 @@ def solve(spec, config=None, initial=None):
         if done:
             break
         rho = extrapolator.rate(upd.max_change)
-        # A trial is decided by the dual, which must be finite for that.
+        # A try is decided by the dual, which must be finite for that.
         if rho is not None and sweep < config.max_sweeps and dual > -math.inf:
-            kept = extrapolator.trial(spec, pots, engine, before, dual, rho)
+            extrapolator.changes = []
+            kept = _try_extrapolation(spec, pots, engine, upd.replaced, dual, rho)
             report.extrapolations.append((sweep, rho, kept))
-    _close(report, "converged" if done else "max_sweeps", sweep, res, t0, rescale.events)
+    _close(report, "converged" if done else "max_sweeps", sweep, res, t0, engine.rescale_events)
     report.feasible = report.max_residual <= config.feasibility_tol
     if any(not math.isfinite(d) for d in report.dual_values):
         report.warnings.append("dual objective was -inf at some sweeps "

@@ -172,6 +172,19 @@ class TestRun:
         marg = np.loadtxt(os.path.join(out, "marginals.csv"), delimiter=",")
         np.testing.assert_allclose(marg, [[0.3, 0.7], [0.6, 0.4]], atol=1e-9)
 
+    def test_time_nodes_of_different_sizes_write_rows_of_their_own_length(self, tmp_path):
+        out = str(tmp_path / "out")
+        body = minimal_raw_config(out)
+        body["problem"]["topology"]["sizes"] = [2, 3]
+        body["problem"]["kernels"] = []
+        body["problem"]["node_functions"]["1"] = {"type": "equality",
+                                                  "target": [0.2, 0.3, 0.5]}
+        assert run(parse_config(write_config(tmp_path, body))) == 0
+        rows = open(os.path.join(out, "marginals.csv")).read().splitlines()
+        assert [len(r.split(",")) for r in rows] == [2, 3]
+        np.testing.assert_allclose([float(v) for v in rows[1].split(",")], [0.2, 0.3, 0.5],
+                                   atol=1e-9)
+
     def test_rerun_is_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         body = flow_config(out1)
@@ -353,6 +366,25 @@ class TestMainEntry:
         path = write_config(tmp_path, body)
         assert main(["solve", "--config", path]) == 2
         assert capsys.readouterr().err == "error: graph is not connected\n"
+
+    def test_composite_block_rejected_with_config_path(self, tmp_path, capsys):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["node_functions"]["1"] = {
+            "type": "blockwise", "size": 2,
+            "blocks": [{"indices": [0, 1],
+                        "function": {"type": "composite", "parts": [{"type": "zero"}]}}]}
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err == \
+            "error: problem.node_functions[1]: blockwise block 0 is a composite\n"
+
+    @pytest.mark.parametrize("kernels", [None, 3, True, {"edge": [0, 1]}])
+    def test_kernels_other_than_a_list_exit_code(self, tmp_path, capsys, kernels):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["kernels"] = kernels
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: problem.kernels: expected a list\n"
 
     def test_species_cost_of_the_wrong_length_exit_code(self, tmp_path, capsys):
         body = mfg_config(str(tmp_path / "out"))

@@ -1,9 +1,11 @@
-"""Config mutation: every field of the flow and mfg smoke configs, set to
-each of a fixed set of wrong or odd values, either fails with a
-``GtopError`` or runs to an exit status of 0, 1 or 2.
+"""Config mutation: every field of the flow and mfg smoke configs and of two
+raw configs, set to each of a fixed set of wrong or odd values, either fails
+with a ``GtopError`` or runs to an exit status of 0, 1 or 2.
 
-The smoke configs come from ``perfbench/workloads.py``.  Lists are followed
-to their first three items.  Each case runs ``parse_config`` and then
+The smoke configs come from ``perfbench/workloads.py``.  The raw configs are
+a path-plus-chord graph whose nodes differ in size, stacking an equality, a
+composite, a blockwise cost and an edge box, and a species hub.  Lists are
+followed to their first three items.  Each case runs ``parse_config`` and then
 ``cli.run`` with a budget of 3 sweeps, inside the test's own directory, so
 that a mutated output directory lands there too.
 """
@@ -18,8 +20,33 @@ from gtop import GtopError, cli
 from _support import load_workloads
 
 VALUES = (None, "x", [], {}, -1, 0, 1.5, True, math.nan, math.inf, [[1]], {"a": 1}, [None],
-          [1.0, 2.0])
+          [1.0, 2.0], {"type": "composite", "parts": [{"type": "zero"}]})
 LIST_ITEMS = 3
+
+RAW = {
+    "raw_path_chord": {
+        "topology": {"class": "general", "sizes": [2, 3, 2], "edges": [[0, 1], [1, 2], [0, 2]]},
+        "kernels": [{"edge": [0, 1], "cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]},
+                    {"edge": [0, 2], "cost": [[0.0, 1.0], [1.0, 0.0]]}],
+        "node_functions": {
+            "0": {"type": "equality", "target": [0.6, 0.4]},
+            "1": {"type": "composite", "parts": [
+                {"type": "box", "upper": [0.5, 0.5, 0.5]},
+                {"type": "quadratic", "weight": 1.0, "anchor": [0.3, 0.3, 0.4]}]},
+            "2": {"type": "blockwise", "size": 2, "blocks": [
+                {"indices": [0], "function": {"type": "box", "lower": 0.0, "upper": [0.7]}},
+                {"indices": [1], "function": {"type": "linear", "cost": [0.1]}}]}},
+        "edge_functions": {"0-1": {"type": "box", "upper": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]}},
+    },
+    "raw_hub": {
+        "topology": {"class": "hub", "sizes": [2, 2, 2], "species": 2},
+        "kernels": [{"edge": [0, 1], "cost": [[0.0, 1.0], [1.0, 0.0]]}],
+        "node_functions": {"0": {"type": "equality", "target": [0.5, 0.5]},
+                           "1": {"type": "quadratic", "anchor": [0.7, 0.3]},
+                           "2": {"type": "equality", "target": [0.4, 0.6]}},
+        "edge_functions": {"2-1": {"type": "congestion", "capacity": [[1.0, 1.0], [1.0, 1.0]]}},
+    },
+}
 
 
 def field_paths(node, prefix=()):
@@ -57,12 +84,21 @@ def outcome(config_path):
         return "GtopError"
 
 
-@pytest.mark.parametrize("name", ["flow_od", "mfg_hub"])
-def test_every_mutated_field_fails_cleanly(name, tmp_path, monkeypatch):
+def base_config(name, tmp_path):
+    """The unmutated config of ``name``, writing its results to "out"."""
+    if name in RAW:
+        problem = dict(json.loads(json.dumps(RAW[name])), kind="raw")
+        return {"problem": problem, "epsilon": 0.5, "output": {"directory": "out"}}
     workload = load_workloads().WORKLOADS[name](0, str(tmp_path / "smoke"), smoke=True)
     with open(workload.config_path, encoding="utf-8") as fh:
         config = json.load(fh)
     config["output"]["directory"] = "out"
+    return config
+
+
+@pytest.mark.parametrize("name", ["flow_od", "mfg_hub", *RAW])
+def test_every_mutated_field_fails_cleanly(name, tmp_path, monkeypatch):
+    config = base_config(name, tmp_path)
     monkeypatch.chdir(tmp_path)
     seen = []
     for path in field_paths(config):

@@ -528,6 +528,15 @@ class TestBlockwiseAndComposite:
         with pytest.raises(InvalidInput):
             CompositeFunction([])
 
+    def test_nested_composite_stacks_its_parts(self):
+        eq, box, zero = Equality([1.0, 2.0]), Box(0.0, 3.0), Zero()
+        fn = CompositeFunction([CompositeFunction([eq, zero]), box])
+        assert fn.parts == [eq, zero, box]
+
+    def test_blockwise_rejects_a_composite_block(self):
+        with pytest.raises(InvalidInput, match="blockwise block 1 is a composite"):
+            Blockwise(3, [([0], Zero()), ([1, 2], CompositeFunction([Zero()]))])
+
     def test_scaling(self):
         assert Linear([2.0]).scaled(0.5).cost[0] == 1.0
         assert QuadraticDistance(1.0, [0.0]).scaled(0.25).weight == 0.25

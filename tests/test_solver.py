@@ -11,7 +11,7 @@ from gtop import (Blockwise, Box, ChainEngine, CompositeFunction, Congestion, Du
                   ProblemSpec, QuadraticDistance, ScaledArray, SolverConfig, Zero, build_kernel,
                   dual_objective, inclusion_residual, make_engine, solve, stack_rows)
 from gtop import solver as solver_module
-from gtop.model import RescaleLog, smul
+from gtop.model import smul
 from gtop.projections import DenseEngine
 from gtop.solver import _Extrapolator, _Updater, _Verifier, _extrapolated, residual_map
 
@@ -364,17 +364,16 @@ class TestSolve:
         spec = ProblemSpec(GraphTopology.chain(4), {(j, j + 1): k for j in range(3)},
                            {0: Equality(np.full(n, 0.25)), 1: Congestion(np.full(n, 3.0))},
                            {}, 0.002)
-        log = RescaleLog()
-        eng = make_engine(spec, log)
+        eng = make_engine(spec)
         pots = DualPotentials.ones_for(spec)
         eng.rebuild_backward(pots)
         with pytest.raises(Infeasible):
             _Updater(spec, pots, None, 1).sweep(eng)
         with pytest.raises(Infeasible) as err:
             solve(spec)
-        assert err.value.report.rescale_events == log.events > 0
+        assert err.value.report.rescale_events == eng.rescale_events > 0
         eng.refresh(pots)
-        assert log.events > err.value.report.rescale_events
+        assert eng.rescale_events > err.value.report.rescale_events
         assert err.value.report.residuals == residual_map(pots, spec, eng)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
@@ -1047,12 +1046,12 @@ class TestExtrapolation:
             duals.append(objective(*args, **kwargs))
             return duals[-1]
 
-        trial = _Extrapolator.trial
+        trial = solver_module._try_extrapolation
         checked = []
 
-        def checked_trial(self, spec, pots, engine, before, dual, rho):
+        def checked_trial(spec, pots, engine, replaced, dual, rho):
             state = solver_state(pots, engine)
-            kept = trial(self, spec, pots, engine, before, dual, rho)
+            kept = trial(spec, pots, engine, replaced, dual, rho)
             assert not kept
             # late trials move the dual by roundoff only; the first one drops it
             assert duals[-1] < dual or checked
@@ -1061,7 +1060,7 @@ class TestExtrapolation:
             return kept
 
         monkeypatch.setattr(solver_module, "dual_objective", recorded)
-        monkeypatch.setattr(_Extrapolator, "trial", checked_trial)
+        monkeypatch.setattr(solver_module, "_try_extrapolation", checked_trial)
         spec = slow_spec(np.random.default_rng(5), 1)
         _, report = solve(spec)
         assert checked and [k for _, _, k in report.extrapolations] == [False] * len(checked)
@@ -1145,22 +1144,6 @@ class TestExtrapolation:
         # too close to the tolerance to save _MIN_SWEEPS_LEFT sweeps
         ext = _Extrapolator(1e-9)
         assert [ext.rate(c * 2e-9) for c in (1.0, 0.8, 0.64, 0.512)][-1] is None
-
-    def test_armed_before_every_due_trial(self):
-        # the solve keeps the pre-sweep factors only when armed, so armed
-        # must hold before every sweep whose change makes a trial due
-        rng = np.random.default_rng(9)
-        due = 0
-        for _ in range(200):
-            ext = _Extrapolator(1e-12)
-            c = 1.0
-            for _ in range(12):
-                armed = ext.armed()
-                c *= rng.choice([0.49, 0.5, 0.502, 0.7, 0.703, 0.705, 0.99, 1.0])
-                if ext.rate(c) is not None:
-                    assert armed
-                    due += 1
-        assert due > 0
 
     def test_trials_are_exact_sweeps_apart_and_report_only_exact_sweeps(self):
         spec = slow_spec(np.random.default_rng(6), 1)
