@@ -436,7 +436,8 @@ def _json_finite(obj):
 
 
 def run(run_config):
-    """Solve the configured problem and write result files; returns exit status."""
+    """Solve the configured problem and write result files; returns the exit
+    status, 1 when the solve failed or stopped at ``max_sweeps`` unconverged."""
     spec = run_config.spec
     os.makedirs(run_config.out_dir, exist_ok=True)
 
@@ -506,7 +507,7 @@ def run(run_config):
                   encoding="utf-8") as fh:
             json.dump(_json_finite(summary), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
-    return 0 if failure is None else 1
+    return 0 if failure is None and report.termination == "converged" else 1
 
 
 def main(argv=None):

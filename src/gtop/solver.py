@@ -28,13 +28,21 @@ within ``_RATE_SPREAD``, with rho < 1, and the tail still projects at least
 last sweep replaced moves ``_EXTRAPOLATION_STEP`` times its geometric tail,
 to ``log u_k + rho/(1-rho) (log u_k - log u_{k-1})`` at step 1, keeping
 ``log u_k`` where either is -inf.  The backward messages are rebuilt and
-the dual is taken at ``engine.order[0]``; the jump is kept only if it beats
-the sweep's dual by more than ``_ACCEPT_MARGIN`` relative, else the
-replaced factors and the backward messages are put back.  Only sweeps after
-the last try enter the rate.  A try gains about the square of the potential
-error it removes, which near the tolerance sinks into the dual's roundoff,
-hence ``_MIN_SWEEPS_LEFT``.  Every stop decision, callback, ``dual_values``
-and ``max_residuals`` entry belongs to an exact sweep, so the dual stays
+the dual is taken at ``engine.order[0]``.  Outside ``_ROUNDOFF_BAND`` of
+the sweep's dual the jump is kept if the dual rose.  A late jump gains
+about the square of the potential error, below the dual's roundoff, so
+inside the band it is kept if the trapezoid (g'(0) + g'(1)) / 2 of the
+dual's slope along d = log u_trial - log u_k is positive, with
+g' = sum_b eps <grad f*_b(s_b) - P_b, d_b> over the moved factors, s_b =
+-eps log u_b, P_b the block's projection and grad f*_b the end of its
+conjugate subgradient that the sign of d_b picks.  An infinite end counts
+as flat: with a finite trial dual such ends come only from roundoff-level
+moves inside the tolerance bands of zero, linear and box costs.  g'(1)
+needs the forward messages pushed at the trial point too, g'(0) reads the
+sweep's saved messages.  A rejected jump puts back the replaced factors and the
+forward and backward message lists.  Only sweeps after the last try enter
+the rate.  Every stop decision, callback, ``dual_values`` and
+``max_residuals`` entry belongs to an exact sweep, so the dual stays
 monotone from sweep to sweep.  ``SolveReport.extrapolations`` lists every
 try as ``(sweep, rho, accepted)``.
 """
@@ -61,7 +69,9 @@ _RATE_RATIOS = 3
 _RATE_SPREAD = 0.01
 _MIN_SWEEPS_LEFT = 4.0
 _EXTRAPOLATION_STEP = 1.0
-_ACCEPT_MARGIN = 2 * np.finfo(float).eps
+# Trial and sweep duals closer than this, relative to max(1, |dual|), differ
+# by roundoff (blocks disagree on the dual by up to 8 ulps).
+_ROUNDOFF_BAND = 16 * np.finfo(float).eps
 
 
 @dataclass
@@ -182,7 +192,8 @@ def _assert_scaled_close(a, b, rtol, label):
 class _Updater:
     """One sweep of block updates, verified if asked.  It records the largest
     log change (``max_change``), the largest finite |log| of a new factor
-    (``max_abs_log``) and, in ``replaced``, each overwrite's (list, index, old)."""
+    (``max_abs_log``) and, in ``replaced``, each overwrite's (block, part
+    index, log of the old factor)."""
 
     def __init__(self, spec, pots, verifier, sweep_no):
         self.spec = spec
@@ -224,7 +235,7 @@ class _Updater:
             if not todo:
                 continue
             w = (engine.w_node if kind == "node" else engine.w_edge)(where, pots)
-            factors = (pots.nodes if kind == "node" else pots.edges)[where]
+            factors = _factors(pots, (kind, where))
             for k, part in todo:
                 self._apply(factors, k, part, w, (kind, where))
         engine.rebuild_backward(pots)
@@ -241,7 +252,7 @@ class _Updater:
             raise Infeasible("%s %r, sweep %d: %s" % (*block, self.sweep_no, exc)) from exc
         self.max_change = max(self.max_change, self._log_change(factors[k], new))
         self.max_abs_log = max(self.max_abs_log, new.max_abs_log())
-        self.replaced.append((factors, k, factors[k]))
+        self.replaced.append((block, k, factors[k].log_value()))
         factors[k] = new
         if self.verifier is not None:
             self.verifier.check_update(self.pots, block)
@@ -267,22 +278,73 @@ class _Extrapolator:
 
 
 def _try_extrapolation(spec, pots, engine, replaced, dual, rho):
-    """Move the factors in ``replaced`` along their geometric tail; keep the
-    move if the dual rose above the sweep's ``dual``, else put back the list
-    entries the try overwrote (the rebuild writes the backward messages only)."""
-    swept = [(fs, k, fs[k]) for fs, k, _ in replaced]
-    bwd = list(getattr(engine, "bwd", ()))
-    for fs, k, old in replaced:
-        fs[k] = _extrapolated(fs[k], old, _EXTRAPOLATION_STEP * rho / (1.0 - rho))
+    """Move the factors in ``replaced`` along their geometric tail and keep the
+    move if the dual rose, or inside the roundoff band if its slope says so
+    (module docstring); else put back the factors and the message lists."""
+    step = _EXTRAPOLATION_STEP * rho / (1.0 - rho)
+    slots = [(_factors(pots, block), k) for block, k, _ in replaced]
+    swept = [fs[k] for fs, k in slots]
+    for (fs, k), (_, _, old_log) in zip(slots, replaced):
+        fs[k] = _extrapolated(fs[k], old_log, step)
+    trial = [fs[k] for fs, k in slots]
+    lists = [getattr(engine, name) for name in ("fwd", "bwd") if hasattr(engine, name)]
+    saved = [list(msgs) for msgs in lists]
+
+    def install(factors, messages):
+        for (fs, k), f in zip(slots, factors):
+            fs[k] = f
+        for msgs, entries in zip(lists, messages):
+            msgs[:] = entries
+
     engine.rebuild_backward(pots)
     trial_dual = dual_objective(pots, spec, engine, engine.order[0])
-    if trial_dual > dual + _ACCEPT_MARGIN * max(1.0, abs(dual)):
-        return True
-    for fs, k, new in swept:
-        fs[k] = new
-    if bwd:
-        engine.bwd[:] = bwd
-    return False
+    if not abs(trial_dual - dual) <= _ROUNDOFF_BAND * max(1.0, abs(dual)):
+        kept = trial_dual > dual
+        if not kept:
+            install(swept, saved)
+        return kept
+    moves = [(block, k, _log_diff(t.log_value(), u.log_value()).ravel())
+             for (block, k, _), u, t in zip(replaced, swept, trial) if t is not u]
+    # The backward messages are current: the forward pushes complete a refresh.
+    for kind, where in engine.order:
+        if kind == "push":
+            engine.push_forward(where, pots)
+    slope_at_trial = _dual_slope(spec, pots, engine, moves)
+    at_trial = [list(msgs) for msgs in lists]
+    install(swept, saved)
+    # The trapezoid (g'(0) + g'(1)) / 2 has the sign of the sum.
+    kept = _dual_slope(spec, pots, engine, moves) + slope_at_trial > 0.0
+    if kept:
+        install(trial, at_trial)
+    return kept
+
+
+def _dual_slope(spec, pots, engine, moves):
+    """The dual's slope along ``moves``, (block, part index, d) entries, at the
+    current factors: sum over them of eps <grad f*(s) - P, d>, where grad f*
+    is the subgradient end that the sign of d picks and counts as 0 where it
+    is infinite (module docstring).  The engine's messages must be current."""
+    eps = spec.epsilon
+    projected = {}
+    slope = 0.0
+    for block, k, d in moves:
+        p = projected.get(block)
+        if p is None:
+            kind, where = block
+            project = engine.marginal if kind == "node" else engine.bimarginal
+            p = projected[block] = project(where, pots).value().ravel()
+        s = -eps * _factors(pots, block)[k].log_value().ravel()
+        lower, upper = spec.blocks[block][k].conjugate_subgradient(s)
+        end = np.where(d > 0.0, lower, upper)
+        end[~np.isfinite(end)] = 0.0
+        slope += eps * float(np.dot(end - p, d))
+    return slope
+
+
+def _factors(pots, block):
+    """The factor list of a ("node", j) or ("edge", e) block."""
+    kind, where = block
+    return (pots.nodes if kind == "node" else pots.edges)[where]
 
 
 def _agreeing(changes):
@@ -294,16 +356,21 @@ def _agreeing(changes):
     return max(ratios) <= (1.0 + _RATE_SPREAD) * min(ratios)
 
 
-def _extrapolated(new, old, step):
-    """``log new + step * (log new - log old)``, keeping ``log new`` where
-    either side is -inf; ``new`` itself when the factor did not move."""
-    if new is old:
-        return new
-    log_new = new.log_value()
+def _log_diff(a, b):
+    """``a - b`` for two log arrays, 0 where either side is -inf."""
     with np.errstate(invalid="ignore"):
-        diff = log_new - old.log_value()
+        diff = a - b
     diff[~np.isfinite(diff)] = 0.0
-    log_u = log_new + step * diff
+    return diff
+
+
+def _extrapolated(new, old_log, step):
+    """``log new + step * (log new - old_log)``, keeping ``log new`` where
+    either side is -inf; ``new`` itself when ``old_log`` is its own log."""
+    log_new = new.log_value()
+    if old_log is log_new:
+        return new
+    log_u = log_new + step * _log_diff(log_new, old_log)
     peak = float(np.max(log_u, initial=-math.inf))
     if not math.isfinite(peak):
         return new

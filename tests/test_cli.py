@@ -333,6 +333,16 @@ class TestMainEntry:
         assert main(["solve", "--config", path, "--output", other]) == 0
         assert os.path.exists(os.path.join(other, "marginals.csv"))
 
+    def test_unconverged_solve_exits_1_with_every_output(self, tmp_path):
+        done = str(tmp_path / "done")
+        assert main(["solve", "--config", write_config(tmp_path, minimal_raw_config(done))]) == 0
+        out = str(tmp_path / "out")
+        path = write_config(tmp_path, minimal_raw_config(out))
+        assert main(["solve", "--config", path, "--max-sweeps", "1"]) == 1
+        summary = read_strict_json(os.path.join(out, "summary.json"))
+        assert summary["termination"] == "max_sweeps" and summary["sweeps"] == 1
+        assert sorted(os.listdir(out)) == sorted(os.listdir(done))
+
     def test_config_error_exit_code(self, tmp_path):
         body = minimal_raw_config(str(tmp_path / "out"))
         body["problem"]["kind"] = "nope"

@@ -1071,6 +1071,133 @@ class TestExtrapolation:
         assert report.dual_values == plain.dual_values
         assert report.max_residuals == plain.max_residuals
 
+    @staticmethod
+    def spy_tries(monkeypatch):
+        """Per try: the sweep's dual, the trial dual, the slopes taken and the decision."""
+        tries = []
+        objective = solver_module.dual_objective
+        slope = solver_module._dual_slope
+        trial = solver_module._try_extrapolation
+
+        def recorded(*args, **kwargs):
+            value = objective(*args, **kwargs)
+            if tries and "kept" not in tries[-1]:
+                tries[-1]["trial"] = value
+            return value
+
+        def sloped(*args):
+            tries[-1]["slopes"].append(slope(*args))
+            return tries[-1]["slopes"][-1]
+
+        def spied(spec, pots, engine, replaced, dual, rho):
+            tries.append({"dual": dual, "slopes": []})
+            tries[-1]["kept"] = trial(spec, pots, engine, replaced, dual, rho)
+            return tries[-1]["kept"]
+
+        monkeypatch.setattr(solver_module, "dual_objective", recorded)
+        monkeypatch.setattr(solver_module, "_dual_slope", sloped)
+        monkeypatch.setattr(solver_module, "_try_extrapolation", spied)
+        return tries
+
+    def test_slope_is_taken_only_inside_the_roundoff_band(self, monkeypatch):
+        tries = self.spy_tries(monkeypatch)
+        for seed, kind in ((9, 1), (0, 0)):
+            _, report = solve(slow_spec(np.random.default_rng(seed), kind))
+            assert report.termination == "converged"
+        band = solver_module._ROUNDOFF_BAND
+        inside = [abs(t["trial"] - t["dual"]) <= band * max(1.0, abs(t["dual"])) for t in tries]
+        assert any(inside) and not all(inside)
+        for t, slope_taken in zip(tries, inside):
+            assert len(t["slopes"]) == (2 if slope_taken else 0)
+            if slope_taken:
+                assert t["kept"] == (sum(t["slopes"]) > 0.0)
+            else:
+                assert t["kept"] == (t["trial"] > t["dual"])
+
+    def test_in_band_rejection_restores_state_bit_for_bit(self, monkeypatch):
+        # Every try is decided by its slope, and a step back past u_{k-1}
+        # lowers the dual, so every one is rejected after the forward and
+        # backward messages were rebuilt at the trial point.
+        monkeypatch.setattr("gtop.solver._ROUNDOFF_BAND", math.inf)
+        monkeypatch.setattr("gtop.solver._EXTRAPOLATION_STEP", -1.0)
+        trial = solver_module._try_extrapolation
+        slopes = []
+        checked = []
+
+        def checked_trial(spec, pots, engine, replaced, dual, rho):
+            state = solver_state(pots, engine)
+            kept = trial(spec, pots, engine, replaced, dual, rho)
+            assert not kept
+            assert solver_state(pots, engine) == state
+            checked.append(rho)
+            return kept
+
+        slope = solver_module._dual_slope
+        monkeypatch.setattr(solver_module, "_dual_slope",
+                            lambda *args: slopes.append(1) or slope(*args))
+        monkeypatch.setattr(solver_module, "_try_extrapolation", checked_trial)
+        spec = slow_spec(np.random.default_rng(5), 1)
+        _, report = solve(spec)
+        assert checked and len(slopes) == 2 * len(checked)
+        extrapolation_off(monkeypatch)
+        _, plain = solve(spec)
+        assert report.dual_values == plain.dual_values
+        assert report.max_residuals == plain.max_residuals
+
+    def test_trapezoid_matches_the_dual_gain_far_above_roundoff(self, monkeypatch):
+        # With the band opened, every try takes both slopes; where the gain
+        # is far above roundoff and the step short, (g'(0) + g'(1)) / 2
+        # is the gain to 3 digits.
+        monkeypatch.setattr("gtop.solver._ROUNDOFF_BAND", math.inf)
+        tries = self.spy_tries(monkeypatch)
+        solve(slow_spec(np.random.default_rng(5), 1))
+        compared = 0
+        for t in tries:
+            gain = t["trial"] - t["dual"]
+            if 1e-12 < abs(gain) < 1e-5:
+                assert 0.5 * sum(t["slopes"]) == pytest.approx(gain, rel=1e-3)
+                compared += 1
+        assert compared >= 2
+
+    def test_blockwise_slope_counts_infinite_ends_as_flat(self, monkeypatch):
+        # The zero, linear and indicator-box rows of the blockwise cost keep
+        # their log-factors, so their moves are renormalization roundoff,
+        # where the subgradient end is infinite.
+        rng = np.random.default_rng(0)
+        n, epsilon = 6, 0.4
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0, 1.5, (n, n)), epsilon)
+                   for j in range(3)}
+        mu = rng.uniform(0.2, 1.0, n)
+        mixed = Blockwise(n, [([0], Zero()), ([1], Linear([0.3])),
+                              ([2, 3], Box(0.0, [np.inf, 0.0])),
+                              ([4, 5], QuadraticDistance(0.5, np.full(2, 0.4 * mu.sum())))])
+        spec = ProblemSpec(GraphTopology.chain(4), kernels,
+                           {0: Equality(mu), 1: Congestion(np.full(n, 0.5 * mu.sum())),
+                            2: mixed, 3: Box(0.0, np.full(n, 0.3 * mu.sum()))}, {}, epsilon)
+        monkeypatch.setattr("gtop.solver._ROUNDOFF_BAND", math.inf)
+        slope = solver_module._dual_slope
+        flat = []
+
+        def checked(spec, pots, engine, moves):
+            value = slope(spec, pots, engine, moves)
+            assert math.isfinite(value)
+            for block, k, d in moves:
+                if block == ("node", 2):
+                    s = -epsilon * pots.nodes[2][k].log_value().ravel()
+                    lower, upper = mixed.conjugate_subgradient(s)
+                    end = np.where(d > 0, lower, upper)
+                    flat.append(np.count_nonzero(~np.isfinite(end) & (d != 0)))
+            return value
+
+        monkeypatch.setattr(solver_module, "_dual_slope", checked)
+        _, report = solve(spec)
+        assert report.termination == "converged" and report.extrapolations
+        assert flat and max(flat) > 0
+        extrapolation_off(monkeypatch)
+        _, plain = solve(spec)
+        assert report.dual_objective == pytest.approx(plain.dual_objective, rel=1e-12,
+                                                      abs=1e-12)
+
     def test_randomized_verified_solves_match_plain(self, monkeypatch):
         rng = np.random.default_rng(5)
         specs = [slow_spec(rng, trial % 3) for trial in range(6)]
@@ -1120,16 +1247,16 @@ class TestExtrapolation:
         new = ScaledArray(np.array([0.0, 0.0, 0.25, 1.0]), -0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _extrapolated(new, old, 3.0)
+            out = _extrapolated(new, old.log_value(), 3.0)
         logs = out.log_value()
         # -inf at both, -inf only now, -inf only before: keep log new
         assert np.isneginf(logs[0]) and np.isneginf(logs[1])
         assert logs[2] == pytest.approx(new.log_value()[2], rel=1e-15)
         assert logs[3] == pytest.approx(-0.2 + 3.0 * (-0.2 - 0.3), rel=1e-15)
         assert out.m.max() == 1.0
-        assert _extrapolated(new, new, 3.0) is new
+        assert _extrapolated(new, new.log_value(), 3.0) is new
         dead = ScaledArray(np.zeros(3), 0.0)
-        assert _extrapolated(dead, ScaledArray(np.ones(3)), 3.0) is dead
+        assert _extrapolated(dead, np.zeros(3), 3.0) is dead
 
     def test_rate_needs_three_agreeing_ratios(self):
         ext = _Extrapolator(1e-9)
