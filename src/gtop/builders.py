@@ -230,9 +230,10 @@ class MFGSetup:
     """Inputs of a multi-species density steering problem.
 
     ``n_steps`` is the number of transitions, so there are ``n_steps + 1``
-    time points.  Running costs are keyed by interior time index and are
-    scaled by ``dt`` when the problem is assembled; terminal costs are not.
-    Species costs may be None (no cost) per species and time.
+    time points.  Running costs are keyed by interior time index (1 ..
+    ``n_steps - 1``; any other key is an error) and are scaled by ``dt``
+    when the problem is assembled; terminal costs are not.  Species costs
+    may be None (no cost) per species and time.
     """
 
     grid: np.ndarray
@@ -257,6 +258,11 @@ class MFGSetup:
             self.dt = 1.0 / self.n_steps
         if not isinstance(self.dt, numbers.Real) or not 0 < self.dt < math.inf:
             raise InvalidInput("dt must be a positive finite number, got %r" % (self.dt,))
+        outside = [k for k in self.total_running
+                   if not (isinstance(k, numbers.Integral) and 1 <= k < self.n_steps)]
+        if outside:
+            raise InvalidInput("total_running keys must be interior time indices 1 .. %d, "
+                               "got %r" % (self.n_steps - 1, outside))
         self.initial_densities = [np.asarray(m, dtype=float) for m in self.initial_densities]
         n = self.grid.shape[0]
         for idx, mu in enumerate(self.initial_densities):

@@ -275,6 +275,9 @@ def _parse_mfg(problem, epsilon, path, base_dir):
     for key, fn_cfg in _expect_map(problem.get("total_running", {}),
                                    path + ".total_running").items():
         j = _integer_key(key, path + ".total_running")
+        if not 1 <= j < steps:
+            _fail("%s.total_running[%s]" % (path, key),
+                  "expected an interior time index 1 .. %d" % (steps - 1))
         total_running[j] = function_from_config(fn_cfg, "%s.total_running[%s]" % (path, key),
                                                 base_dir)
     total_terminal = problem.get("total_terminal")

@@ -149,11 +149,15 @@ class MarginalFunction:
         raise NotImplementedError
 
     def solve_inclusion(self, w, epsilon):
-        """Coordinate update: the ``u`` solving the stationarity inclusion."""
+        """Coordinate update: the ``u`` solving the stationarity inclusion.
+
+        Raw weights are checked to be finite and nonnegative; a
+        :class:`ScaledArray` weight is taken as an engine's, which are."""
         if not isinstance(w, ScaledArray):
-            w = ScaledArray.from_values(w)
-        if not np.all(np.isfinite(w.m)) or np.any(w.m < 0):
-            raise InvalidInput("projection weights must be finite and nonnegative")
+            values = np.asarray(w, dtype=float)
+            if not np.all(np.isfinite(values)) or np.any(values < 0):
+                raise InvalidInput("projection weights must be finite and nonnegative")
+            w = ScaledArray.from_values(values)
         log_w = w.log_value().ravel()
         log_u = self._solve_log(log_w, float(epsilon))
         return _log_u_to_scaled(log_u, w.m.shape)

@@ -42,8 +42,8 @@ class ScaledArray:
 
     @classmethod
     def from_values(cls, values):
-        # Outside input may hold negative entries, which the caller rejects
-        # after this; the peak of |values| keeps the log finite until then.
+        # The peak of |values| keeps the log finite for any real input; a
+        # caller that takes outside input rejects negative entries itself.
         out = cls(np.array(values, dtype=float), 0.0)
         out._rescale(float(np.max(np.abs(out.m))) if out.m.size else 0.0)
         return out

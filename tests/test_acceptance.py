@@ -346,8 +346,9 @@ def mfg_instance(n_side=20, steps=9, species=4, epsilon=0.05):
     rows = [Box(0.0, kappa_species1), None, Linear(c3),
             QuadraticDistance(0.1, mu4_target)][:species]
     total_running = {j: Box(0.0, kappa_total) for j in range(1, steps)}
-    total_running[4] = CompositeFunction([Box(0.0, kappa_total),
-                                          QuadraticDistance(3.0, checkpoint)])
+    if steps > 4:  # the checkpoint is a running cost at the interior time 4
+        total_running[4] = CompositeFunction([Box(0.0, kappa_total),
+                                              QuadraticDistance(3.0, checkpoint)])
     setup = MFGSetup(grid=grid, n_steps=steps, initial_densities=initials,
                      epsilon=epsilon, total_running=total_running,
                      total_terminal=QuadraticDistance(3.0, uniform_end),
@@ -420,7 +421,6 @@ def test_criterion_7_replica_verifies_per_update():
     """Reduced replica of the steering experiment under per-update checks."""
     with criterion("7b", "reduced steering replica, per-update dual checks"):
         setup, upper, obstacle = mfg_instance(n_side=4, steps=4, epsilon=0.2)
-        del setup.total_running[4]
         n = setup.n_points
         setup.total_running[2] = CompositeFunction([
             Box(0.0, np.where(obstacle, 0.0, np.inf)),

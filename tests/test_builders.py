@@ -282,6 +282,17 @@ def small_mfg_setup(rng, L=2, n_side=2, steps=3, eps=0.4, species_costs=False):
 
 
 class TestMFGProblem:
+    @pytest.mark.parametrize("key", [0, 3, 99, -1, "2", 1.5], ids=repr)
+    def test_total_running_keys_outside_the_interior_are_rejected(self, key):
+        grid = grid_points((2, 2), (0.0, 1.0, 0.0, 1.0))
+        box = Box(0.0, np.full(4, 0.5))
+        with pytest.raises(InvalidInput, match=r"interior time indices 1 \.\. 2"):
+            MFGSetup(grid=grid, n_steps=3, initial_densities=[np.full(4, 0.25)],
+                     total_running={1: box, key: box})
+        setup = MFGSetup(grid=grid, n_steps=3, initial_densities=[np.full(4, 0.25)],
+                         total_running={1: box, 2: box})
+        assert set(build_mfg_problem(setup).blocks) >= {("node", 1), ("node", 2)}
+
     def test_single_species_matches_chain(self):
         rng = np.random.default_rng(1)
         setup = small_mfg_setup(rng, L=1)

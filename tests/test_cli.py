@@ -427,6 +427,29 @@ def mfg_config(out_dir):
 
 
 class TestMfgRun:
+    @pytest.mark.parametrize("keys", [["0", "3", "99"], ["3"], ["99"]], ids=repr)
+    def test_total_running_outside_the_interior_exit_code(self, tmp_path, capsys, keys):
+        # 3 steps: the interior time indices are 1 and 2; 0 is the start
+        # and 3 the terminal time, which a running cost would silently miss.
+        body = mfg_config(str(tmp_path / "out"))
+        body["problem"]["steps"] = 3
+        box = {"type": "box", "lower": 0.0, "upper": [0.5, 0.5, 0.5, 0.5]}
+        body["problem"]["total_running"] = {"1": box, **{k: box for k in keys}}
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: problem.total_running[%s]: expected an " \
+            "interior time index 1 .. 2\n" % keys[0]
+
+    def test_interior_total_running_keys_solve(self, tmp_path):
+        out = str(tmp_path / "out")
+        body = mfg_config(out)
+        body["problem"]["steps"] = 3
+        body["problem"]["total_running"] = {
+            str(j): {"type": "box", "lower": 0.0, "upper": [0.6, 0.6, 0.6, 0.6]} for j in (1, 2)}
+        cfg = parse_config(write_config(tmp_path, body))
+        assert set(cfg.spec.blocks) >= {("node", 1), ("node", 2)}
+        assert run(cfg) == 0
+
     def test_end_to_end_outputs(self, tmp_path):
         out = str(tmp_path / "out")
         cfg = parse_config(write_config(tmp_path, mfg_config(out)))

@@ -199,6 +199,15 @@ class TestSolveInclusion:
     def test_zero_gives_unit(self):
         np.testing.assert_array_equal(solve_u(Zero(), [3.0, 0.0], 1.0), [1.0, 1.0])
 
+    @pytest.mark.parametrize("w", [[1.0, np.nan], [1.0, -0.5], [np.inf, 1.0]],
+                             ids=["nan", "negative", "inf"])
+    def test_raw_weights_are_checked(self, w):
+        # Engine weights are ScaledArrays, finite and nonnegative by
+        # construction; a raw list is outside input and is scanned.
+        for fn in (Box(0.0, 1.0), Equality([0.5, 0.5]), Zero()):
+            with pytest.raises(InvalidInput, match="finite and nonnegative"):
+                fn.solve_inclusion(w, 1.0)
+
     def test_quadratic_against_bisection_oracle(self):
         # u * w = y - eps*log(u)/(2*sigma), here u = -ln(u)
         fn = QuadraticDistance(0.5, [0.0])

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gtop import (Blockwise, Box, ChainEngine, CompositeFunction, Congestion, Du
 from gtop import solver as solver_module
 from gtop.model import smul
 from gtop.projections import DenseEngine
-from gtop.solver import _Extrapolator, _Updater, _Verifier, _extrapolated, residual_map
+from gtop.solver import _Mixer, _Updater, _Verifier, residual_map
 
 from _support import (as_general, assert_maxnorm_close, dense_tensor, random_hub_spec,
                       random_potentials, solve_dense)
@@ -935,13 +936,13 @@ class TestWeightIndependentParts:
                            {0: Equality(rng.uniform(0.2, 1.0, n)), 1: Linear([0, 0, 0, 200]),
                             2: QuadraticDistance(0.8, rng.uniform(0.1, 0.5, n))}, {}, epsilon)
         due = []
-        rate = _Extrapolator.rate
+        record = _Mixer.record
 
-        def spied(self, change):
-            due.append(rate(self, change))
+        def spied(self, pots, upd):
+            due.append(record(self, pots, upd))
             return due[-1]
 
-        monkeypatch.setattr(_Extrapolator, "rate", spied)
+        monkeypatch.setattr(_Mixer, "record", spied)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, report = solve(spec, SolverConfig(max_sweeps=60))
@@ -1032,13 +1033,22 @@ def solver_state(pots, engine):
     return factors, [entry(a) for a in engine.fwd], [entry(a) for a in engine.bwd]
 
 
+def propose_behind(monkeypatch):
+    """Every try goes to 2 x_k - g_k, behind the sweep's input x_k."""
+    def behind(self):
+        inputs, outputs = self.pairs[-1]
+        return [g + 2.0 * solver_module._log_diff(x, g) for x, g in zip(inputs, outputs)]
+
+    monkeypatch.setattr(_Mixer, "proposal", behind)
+
+
 class TestExtrapolation:
-    """Safeguarded geometric extrapolation between exact sweeps."""
+    """Safeguarded Anderson-mixed tries between exact sweeps."""
 
     def test_forced_rejection_restores_state_bit_for_bit(self, monkeypatch):
-        # A negative step moves back past u_{k-1}; the dual is concave in
-        # log u and rose from u_{k-1} to u_k, so it must fall there.
-        monkeypatch.setattr("gtop.solver._EXTRAPOLATION_STEP", -1.0)
+        # The proposal moves back past the sweep's input x_k; the dual is
+        # concave in log u and rose from x_k to g_k, so it must fall there.
+        propose_behind(monkeypatch)
         duals = []
         objective = solver_module.dual_objective
 
@@ -1049,14 +1059,14 @@ class TestExtrapolation:
         trial = solver_module._try_extrapolation
         checked = []
 
-        def checked_trial(spec, pots, engine, replaced, dual, rho):
+        def checked_trial(spec, pots, engine, replaced, dual, proposal):
             state = solver_state(pots, engine)
-            kept = trial(spec, pots, engine, replaced, dual, rho)
+            kept = trial(spec, pots, engine, replaced, dual, proposal)
             assert not kept
             # late trials move the dual by roundoff only; the first one drops it
             assert duals[-1] < dual or checked
             assert solver_state(pots, engine) == state
-            checked.append(rho)
+            checked.append(dual)
             return kept
 
         monkeypatch.setattr(solver_module, "dual_objective", recorded)
@@ -1089,9 +1099,9 @@ class TestExtrapolation:
             tries[-1]["slopes"].append(slope(*args))
             return tries[-1]["slopes"][-1]
 
-        def spied(spec, pots, engine, replaced, dual, rho):
+        def spied(spec, pots, engine, replaced, dual, proposal):
             tries.append({"dual": dual, "slopes": []})
-            tries[-1]["kept"] = trial(spec, pots, engine, replaced, dual, rho)
+            tries[-1]["kept"] = trial(spec, pots, engine, replaced, dual, proposal)
             return tries[-1]["kept"]
 
         monkeypatch.setattr(solver_module, "dual_objective", recorded)
@@ -1115,21 +1125,21 @@ class TestExtrapolation:
                 assert t["kept"] == (t["trial"] > t["dual"])
 
     def test_in_band_rejection_restores_state_bit_for_bit(self, monkeypatch):
-        # Every try is decided by its slope, and a step back past u_{k-1}
+        # Every try is decided by its slope, and a step back past x_k
         # lowers the dual, so every one is rejected after the forward and
         # backward messages were rebuilt at the trial point.
         monkeypatch.setattr("gtop.solver._ROUNDOFF_BAND", math.inf)
-        monkeypatch.setattr("gtop.solver._EXTRAPOLATION_STEP", -1.0)
+        propose_behind(monkeypatch)
         trial = solver_module._try_extrapolation
         slopes = []
         checked = []
 
-        def checked_trial(spec, pots, engine, replaced, dual, rho):
+        def checked_trial(spec, pots, engine, replaced, dual, proposal):
             state = solver_state(pots, engine)
-            kept = trial(spec, pots, engine, replaced, dual, rho)
+            kept = trial(spec, pots, engine, replaced, dual, proposal)
             assert not kept
             assert solver_state(pots, engine) == state
-            checked.append(rho)
+            checked.append(dual)
             return kept
 
         slope = solver_module._dual_slope
@@ -1242,35 +1252,83 @@ class TestExtrapolation:
         assert any(k for _, _, k in report.extrapolations)
         assert np.isneginf(pots.nodes[1][0].log_value()[1])
 
+    @staticmethod
+    def affine_mixer(side_outputs):
+        """A mixer holding six sweeps of an affine contraction of dimension 3,
+        plus a second factor whose outputs are ``side_outputs(j)``."""
+        rng = np.random.default_rng(0)
+        A = 0.8 * np.linalg.qr(rng.normal(size=(3, 3)))[0] @ np.diag([1.0, 0.7, 0.4])
+        b = rng.normal(size=3)
+        mixer = _Mixer(1e-9)
+        x, side = rng.normal(size=3), side_outputs(-1)
+        for j in range(6):
+            g, g_side = A @ x + b, side_outputs(j)
+            mixer.pairs.append(([x, side], [g, g_side]))
+            x, side = g, g_side
+        return mixer, np.linalg.solve(np.eye(3) - A, b), x
+
+    def test_mixing_solves_an_affine_map(self):
+        # Type-II Anderson over 5 differences reaches the fixed point of an
+        # affine map of dimension 3 (up to the Tikhonov term); a factor
+        # whose outputs do not change is handed back as it is.
+        mixer, fixed, last = self.affine_mixer(lambda j: np.zeros(2))
+        mixed, side = mixer.proposal()
+        np.testing.assert_allclose(mixed, fixed, rtol=1e-8)
+        assert abs(mixed - fixed).max() < 1e-3 * abs(last - fixed).max()
+        assert side is mixer.pairs[-1][1][1]
+        # residuals that do not change leave nothing to mix
+        mixer.pairs = [([np.zeros(2)], [np.ones(2)])] * 3
+        assert mixer.proposal() is None
+
     def test_extrapolated_factor_keeps_minus_inf_entries(self):
-        old = ScaledArray(np.array([0.0, 0.5, 0.0, 1.0]), 0.3)
-        new = ScaledArray(np.array([0.0, 0.0, 0.25, 1.0]), -0.2)
+        # The side factor's first entry is -inf throughout, and its second
+        # is -inf in the oldest input only: both keep the last output, and
+        # the finite entries still mix to the fixed point.
+        mixer, fixed, _ = self.affine_mixer(
+            lambda j: np.array([-np.inf, -np.inf if j < 0 else 0.1 * j]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _extrapolated(new, old.log_value(), 3.0)
-        logs = out.log_value()
-        # -inf at both, -inf only now, -inf only before: keep log new
-        assert np.isneginf(logs[0]) and np.isneginf(logs[1])
-        assert logs[2] == pytest.approx(new.log_value()[2], rel=1e-15)
-        assert logs[3] == pytest.approx(-0.2 + 3.0 * (-0.2 - 0.3), rel=1e-15)
-        assert out.m.max() == 1.0
-        assert _extrapolated(new, new.log_value(), 3.0) is new
-        dead = ScaledArray(np.zeros(3), 0.0)
-        assert _extrapolated(dead, np.zeros(3), 3.0) is dead
+            mixed, side = mixer.proposal()
+        np.testing.assert_allclose(mixed, fixed, rtol=1e-8)
+        assert np.isneginf(side[0]) and side[1] == 0.5
+
+    def test_mixing_keeps_references_not_copies(self, monkeypatch):
+        # With no try in between, one sweep's outputs are the next one's
+        # inputs, and the last outputs are the live factors' cached logs.
+        spec = slow_spec(np.random.default_rng(5), 1)
+        mixers = []
+        init = _Mixer.__init__
+
+        def kept(self, tol):
+            init(self, tol)
+            mixers.append(self)
+
+        monkeypatch.setattr(_Mixer, "__init__", kept)
+        extrapolation_off(monkeypatch)
+        pots, _ = solve(spec, SolverConfig(max_sweeps=12))
+        pairs = mixers[0].pairs
+        assert len(pairs) == solver_module._MIX_DEPTH + 1
+        for (_, g), (x, _) in zip(pairs, pairs[1:]):
+            assert all(a is b for a, b in zip(g, x))
+        live = [f.log_value() for fs in list(pots.nodes.values()) + list(pots.edges.values())
+                for f in fs]
+        assert all(any(g is f for f in live) for g in pairs[-1][1])
 
     def test_rate_needs_three_agreeing_ratios(self):
-        ext = _Extrapolator(1e-9)
-        assert [ext.rate(c) for c in (1.0, 0.8, 0.64, 0.512)][-1] == pytest.approx(0.8)
-        ext = _Extrapolator(1e-9)
-        assert [ext.rate(c) for c in (1.0, 0.8, 0.66, 0.528)][-1] is None
+        def rate(changes, tol=1e-9):
+            mixer = _Mixer(tol)
+            return [mixer.record(None, SimpleNamespace(sweep_no=1, replaced=[], max_change=c))
+                    for c in changes][-1]
+
+        assert rate((1.0, 0.8, 0.64, 0.512)) == pytest.approx(0.8)
+        # ratios 0.8, 0.825, 0.8 agree within 20%; 0.8, 0.625, 0.9 do not
+        assert rate((1.0, 0.8, 0.66, 0.528)) == pytest.approx(0.8)
+        assert rate((1.0, 0.8, 0.5, 0.45)) is None
         # a fast tail tries as well; a rate at 1 never does
-        ext = _Extrapolator(1e-9)
-        assert [ext.rate(c) for c in (1.0, 0.5, 0.25, 0.125)][-1] == 0.5
-        ext = _Extrapolator(1e-9)
-        assert [ext.rate(c) for c in (1.0, 1.0, 1.0, 1.0)][-1] is None
+        assert rate((1.0, 0.5, 0.25, 0.125)) == 0.5
+        assert rate((1.0, 1.0, 1.0, 1.0)) is None
         # too close to the tolerance to save _MIN_SWEEPS_LEFT sweeps
-        ext = _Extrapolator(1e-9)
-        assert [ext.rate(c * 2e-9) for c in (1.0, 0.8, 0.64, 0.512)][-1] is None
+        assert rate([c * 2e-9 for c in (1.0, 0.8, 0.64, 0.512)]) is None
 
     def test_trials_are_exact_sweeps_apart_and_report_only_exact_sweeps(self):
         spec = slow_spec(np.random.default_rng(6), 1)
@@ -1349,3 +1407,40 @@ class TestPresolve:
     def test_bounds_that_meet_within_the_slack_pass(self, sweeps, middle):
         solve(three_node_steering(middle), SolverConfig(max_sweeps=2))
         assert sweeps == [1, 2]
+
+
+class TestStoppedShortOfFeasibility:
+    """A solve that stops at ``max_sweeps`` with a residual above the
+    feasibility tolerance says so, naming the block with the largest one."""
+
+    @staticmethod
+    def stacked_infeasible_chain():
+        # Each part on node 4 allows a plan mass of 1, but their stack
+        # leaves only states 2 and 3 open, capped at .465 + .184 = .649:
+        # the presolve passes, and node 0's equality stays short by .351.
+        rng = np.random.default_rng(0)
+        n, epsilon = 4, 0.05
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 1.0, (n, n)), epsilon)
+                   for j in range(4)}
+        node4 = CompositeFunction([Box(0.0, [0.598, 0.481, 0.465, 0.184]),
+                                   Box(0.0, [0.0, 0.0, np.inf, np.inf])])
+        return ProblemSpec(GraphTopology.chain(5), kernels,
+                           {0: Equality(np.full(n, 0.25)), 4: node4}, {}, epsilon)
+
+    def test_infeasible_stack_warns_and_the_dual_never_drops(self):
+        _, report = solve(self.stacked_infeasible_chain(), SolverConfig(max_sweeps=300))
+        assert report.termination == "max_sweeps" and not report.feasible
+        assert report.residuals["node:0"] == pytest.approx(0.351, abs=1e-9)
+        assert report.warnings == ["stopped at max_sweeps with residual 0.351 at node:0, "
+                                   "above feasibility_tol 1e-08"]
+        # the dual climbs the infeasible ray; every try on it was safeguarded
+        assert report.extrapolations
+        assert np.all(np.diff(report.dual_values) >= 0.0)
+
+    def test_feasible_stops_do_not_warn(self):
+        spec = three_node_steering(QuadraticDistance(1.0, np.full(5, 0.2)))
+        _, report = solve(spec)
+        assert report.termination == "converged" and report.warnings == []
+        # stopped early, but every residual is already within the tolerance
+        _, report = solve(spec, SolverConfig(max_sweeps=3, feasibility_tol=1.0))
+        assert report.termination == "max_sweeps" and report.warnings == []

@@ -1,18 +1,19 @@
-"""Sweep counts of the full-size benchmark instances, solved in process.
+"""Sweep and work counts of the full-size benchmark instances, solved in process.
 
 The instances come from ``perfbench/workloads.py``, imported by path so
 that this file depends on the benchmark's inputs and nothing else of it.
-chain_steer contracts too irregularly for the geometric extrapolation to
-try a jump, so its sweeps stay as they were.  mfg_hub settles at a change
-ratio near 0.25 and keeps one jump, decided by the dual alone (its one
-``marginal`` call per try shows that no slope is taken); dense_cycle
-settles into a slower steady rate and keeps four jumps, the late ones
-decided by the dual's slope, at every seed.
+Every try mixes the last exact sweeps (Anderson, type II).  chain_steer's
+change ratios settle within the trigger's spread three times, and only its
+third try is kept.  mfg_hub keeps its one try, decided by the dual alone
+(one ``marginal`` call for it shows that no slope is taken); dense_cycle
+keeps four tries at every seed, at seed 0 the last one decided by the
+dual's slope.
 """
 
 import pytest
 
 from gtop import Box, ChainEngine, solver
+from gtop.solver import _Mixer
 from gtop.functions import MarginalFunction
 
 from _support import load_workloads
@@ -33,19 +34,21 @@ def solve_seed0(workloads, name, work_dir, seed=0):
     return solver.solve(problem, config)[1]
 
 
-@pytest.mark.parametrize("name, sweeps", [("chain_steer", 31)])
-def test_irregular_instances_never_try(workloads, name, sweeps, tmp_path):
-    report = solve_seed0(workloads, name, tmp_path)
+def test_chain_steer_keeps_its_third_try(workloads, tmp_path):
+    report = solve_seed0(workloads, "chain_steer", tmp_path)
     assert report.termination == "converged"
-    assert report.sweeps == sweeps
-    assert report.extrapolations == []
+    assert report.sweeps == 23
+    assert [(sweep, kept) for sweep, _, kept in report.extrapolations] == \
+        [(6, False), (12, False), (16, True)]
+    ref = workloads.REFERENCE_DUAL["chain_steer"]
+    assert report.dual_objective == pytest.approx(ref, rel=1e-12)
 
 
 def test_mfg_hub_keeps_one_fast_jump(workloads, tmp_path):
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
     assert report.termination == "converged"
-    assert report.sweeps == 14
-    assert [(sweep, kept) for sweep, _, kept in report.extrapolations] == [(7, True)]
+    assert report.sweeps == 13
+    assert [(sweep, kept) for sweep, _, kept in report.extrapolations] == [(6, True)]
     ref = workloads.REFERENCE_DUAL["mfg_hub"]
     assert report.dual_objective == pytest.approx(ref, rel=1e-12)
 
@@ -68,10 +71,10 @@ def test_mfg_hub_solves_its_indicator_boxes_once(workloads, tmp_path, monkeypatc
 
 
 def test_dense_cycle_is_extrapolated(workloads, tmp_path):
-    for seed in (0, 1, 3, 7):
+    for seed, sweeps in ((0, 19), (1, 19), (3, 20), (7, 20)):
         report = solve_seed0(workloads, "dense_cycle", tmp_path, seed)
         assert report.termination == "converged"
-        assert report.sweeps == 35
+        assert report.sweeps == sweeps
         assert [kept for _, _, kept in report.extrapolations] == [True] * 4
     report = solve_seed0(workloads, "dense_cycle", tmp_path)
     ref = workloads.REFERENCE_DUAL["dense_cycle"]
@@ -80,7 +83,7 @@ def test_dense_cycle_is_extrapolated(workloads, tmp_path):
 
 def test_mfg_hub_projects_no_marginal_for_its_residuals(workloads, tmp_path, monkeypatch):
     # Its hard node parts are indicator boxes, which report a residual of 0
-    # without a projection: the node marginals are the 14 sweep duals and
+    # without a projection: the node marginals are the 13 sweep duals and
     # the dual of the one try.
     calls = []
     marginal = ChainEngine.marginal
@@ -91,8 +94,8 @@ def test_mfg_hub_projects_no_marginal_for_its_residuals(workloads, tmp_path, mon
 
     monkeypatch.setattr(ChainEngine, "marginal", counted)
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
-    assert report.sweeps == 14 and len(report.extrapolations) == 1
-    assert len(calls) == 15
+    assert report.sweeps == 13 and len(report.extrapolations) == 1
+    assert len(calls) == 14
 
 
 def test_mfg_hub_projects_only_its_equality_hub_edge(workloads, tmp_path, monkeypatch):
@@ -108,8 +111,8 @@ def test_mfg_hub_projects_only_its_equality_hub_edge(workloads, tmp_path, monkey
 
     monkeypatch.setattr(ChainEngine, "bimarginal", counted)
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
-    assert report.sweeps == 14
-    assert len(calls) == 14 and set(calls) == {(10, 0)}
+    assert report.sweeps == 13
+    assert len(calls) == 13 and set(calls) == {(10, 0)}
 
 
 def test_mfg_hub_shares_its_species_rows(workloads, tmp_path):
@@ -117,3 +120,57 @@ def test_mfg_hub_shares_its_species_rows(workloads, tmp_path):
     spec = workloads.WORKLOADS["mfg_hub"](0, str(tmp_path)).setup().spec
     rows = [fn for (a, b), fn in spec.edge_functions.items() if a == spec.topology.hub and b > 0]
     assert len(rows) == 9 and len({id(fn) for fn in rows}) == 2
+
+
+@pytest.mark.parametrize("name, in_band", [("dense_cycle", [False, False, False, True]),
+                                           ("mfg_hub", [False])])
+def test_what_a_try_costs(workloads, tmp_path, monkeypatch, name, in_band):
+    # An out-of-band try is one backward rebuild and one dual; an in-band
+    # try adds one forward pass and two slopes.  Building the proposal
+    # projects nothing.
+    counts = dict.fromkeys(["rebuild_backward", "push_forward", "w_node", "w_edge",
+                            "marginal", "bimarginal", "dual_objective", "_dual_slope"], 0)
+
+    def counted(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for attr in ("rebuild_backward", "push_forward", "w_node", "w_edge", "marginal",
+                 "bimarginal"):
+        counted(ChainEngine, attr)
+    counted(solver, "dual_objective")
+    counted(solver, "_dual_slope")
+    tries, built = [], []
+    trial, proposal = solver._try_extrapolation, _Mixer.proposal
+
+    def spied_trial(spec, pots, engine, replaced, dual, mixed):
+        before = dict(counts)
+        kept = trial(spec, pots, engine, replaced, dual, mixed)
+        pushes = sum(kind == "push" for kind, _ in engine.order)
+        tries.append(({k: counts[k] - before[k] for k in counts}, pushes))
+        return kept
+
+    def spied_proposal(self):
+        before = dict(counts)
+        mixed = proposal(self)
+        built.append(counts == before)
+        return mixed
+
+    monkeypatch.setattr(solver, "_try_extrapolation", spied_trial)
+    monkeypatch.setattr(_Mixer, "proposal", spied_proposal)
+    report = solve_seed0(workloads, name, tmp_path)
+    assert report.termination == "converged"
+    assert len(built) == len(report.extrapolations) and all(built)
+    assert [used["_dual_slope"] > 0 for used, _ in tries] == in_band
+    for used, pushes in tries:
+        assert used["rebuild_backward"] == used["dual_objective"] == 1
+        assert used["w_node"] == used["w_edge"] == 0
+        if used["_dual_slope"]:
+            assert used["_dual_slope"] == 2 and used["push_forward"] == pushes > 0
+        else:
+            assert used["push_forward"] == 0
