@@ -8,7 +8,9 @@ solve the scalar stationarity condition
 
 entrywise for ``u >= 0`` given a nonnegative weight vector ``w``.  All solves
 run in log space so extreme weight magnitudes cost nothing in accuracy.  Each
-also bounds the total of its marginal (``mass_bounds``) for the presolve.
+also bounds the total of its marginal (``mass_bounds``) for the presolve, and
+the log factors its update can return (``log_factor_bounds``) for the
+solver's mixed tries.
 
 Equality, box, linear and zero costs solve in closed form, and so does the
 quadratic distance with p = 2, through the Wright omega function.  The
@@ -164,6 +166,12 @@ class MarginalFunction:
 
     def _solve_log(self, log_w, epsilon):
         raise NotImplementedError
+
+    def log_factor_bounds(self, epsilon):
+        """Entrywise bounds ``(lo, hi)`` on the log of any factor the update
+        returns for a positive weight.  Past them the conjugate is flat or
+        infinite, so moving a factor there only lowers the dual."""
+        return -math.inf, math.inf
 
     def feasibility_residual(self, p):
         """Normalized violation of the hard constraint, or None if soft."""
@@ -353,6 +361,12 @@ class Box(MarginalFunction):
         out = np.where(w_zero, 0.0, out)
         out = np.where(self._upper_zero, -np.inf, out)
         return out
+
+    def log_factor_bounds(self, epsilon):
+        # The update's log factor is at most 0 where lower = 0 and at least
+        # 0 where upper = +inf.
+        return (np.where(self._upper_inf, 0.0, -np.inf),
+                np.where(self._lower_pos, np.inf, 0.0))
 
     def feasibility_residual(self, p):
         p = p.ravel()
@@ -547,6 +561,10 @@ class Congestion(MarginalFunction):
         out[pos] = _newton_log(phi, lwp, lo, hi, self)
         return out
 
+    def log_factor_bounds(self, epsilon):
+        # s = -eps * l must pass the kink 1 / b for u * w to be positive.
+        return -math.inf, -1.0 / (epsilon * self.capacity.ravel())
+
     def mass_bounds(self, n):
         return 0.0, float(np.broadcast_to(self.capacity.ravel(), n).sum())
 
@@ -638,6 +656,12 @@ class Blockwise(MarginalFunction):
         for sel, fn in self._weighted_blocks:
             out[sel] = fn._solve_log(log_w[sel], epsilon)
         return out
+
+    def log_factor_bounds(self, epsilon):
+        lo, hi = np.full(self.size, -math.inf), np.full(self.size, math.inf)
+        for sel, fn in self._views:
+            lo[sel], hi[sel] = fn.log_factor_bounds(epsilon)
+        return lo, hi
 
     def feasibility_residual(self, p):
         p = p.ravel()

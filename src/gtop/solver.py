@@ -23,7 +23,9 @@ g_j - x_j.  Over the last ``_MIX_DEPTH`` + 1 exact sweeps after the first
 the trial is g_k - dG gamma, gamma minimizing |f_k - dF gamma|^2 plus
 ``_MIX_REGULARIZATION`` times the largest diagonal entry of dF'dF times
 |gamma|^2, on the entries finite in every sweep; the others keep g_k, so
--inf stays -inf, and a factor whose outputs did not change stays.  As a
+-inf stays -inf, and a factor whose outputs did not change stays.  The
+trial is clipped to each part's ``log_factor_bounds``, widened to g_k: past
+them the conjugate is flat or infinite, so the dual only loses.  As a
 safeguard (Zhang, O'Donoghue and Boyd, arXiv 1808.03971) the backward
 messages are rebuilt and the dual taken at ``engine.order[0]``.  Outside
 ``_ROUNDOFF_BAND`` of the sweep's dual the try is kept if the dual rose.  A
@@ -40,7 +42,7 @@ sweeps after the last try enter the rate, and only exact sweeps the mixing,
 the stop decision, the callback, ``dual_values`` and ``max_residuals``.
 ``extrapolations`` lists each try as ``(sweep, rho, kept)``.  On the
 benchmark's seed-0 instances the tries take dense_cycle to 19 sweeps (82
-without), chain_steer to 23 (31), mfg_hub to 13 (17) and flow_od to 111
+without), chain_steer to 20 (31), mfg_hub to 13 (17) and flow_od to 118
 (1644).
 """
 
@@ -63,7 +65,7 @@ _MONOTONE_SLACK = 1e-9
 _LOG_POTENTIAL_BOUND = 1e5
 # The trigger and the mixing of a try, as the module docstring describes them.
 _RATE_RATIOS = 3
-_RATE_SPREAD = 0.2
+_RATE_SPREAD = 0.3
 _MIN_SWEEPS_LEFT = 4.0
 _MIX_DEPTH = 5
 _MIX_REGULARIZATION = 1e-12
@@ -326,10 +328,16 @@ def _try_extrapolation(spec, pots, engine, replaced, dual, proposal):
     says so (module docstring); else put back the factors and message lists."""
     slots = [(_factors(pots, block), k) for block, k, _ in replaced]
     swept = [fs[k] for fs, k in slots]
-    for (fs, k), log_u in zip(slots, proposal):
+    for (fs, k), (block, _, _), log_u in zip(slots, replaced, proposal):
+        g = fs[k].log_value()
+        if log_u is g:
+            continue
+        # The part's range, widened to the sweep's output (module docstring).
+        lo, hi = spec.blocks[block][k].log_factor_bounds(spec.epsilon)
+        log_u = np.clip(log_u.ravel(), np.minimum(lo, g.ravel()), np.maximum(hi, g.ravel()))
         peak = float(np.max(log_u, initial=-math.inf))
-        if log_u is not fs[k].log_value() and math.isfinite(peak):
-            fs[k] = ScaledArray(np.exp(log_u - peak), peak)
+        if math.isfinite(peak):
+            fs[k] = ScaledArray(np.exp(log_u - peak).reshape(g.shape), peak)
     trial = [fs[k] for fs, k in slots]
     lists = [getattr(engine, name) for name in ("fwd", "bwd") if hasattr(engine, name)]
     saved = [list(msgs) for msgs in lists]

@@ -818,3 +818,29 @@ class TestMassBounds:
     ], ids=repr)
     def test_mass_bounds(self, fn, bounds):
         assert fn.mass_bounds(2) == bounds
+
+
+class TestLogFactorBounds:
+    """``log_factor_bounds`` holds every factor an update returns for a positive weight."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_updates_stay_within_the_bounds(self, seed):
+        rng = np.random.default_rng(seed)
+        fn = random_blockwise(rng, contiguous=bool(seed % 2))
+        eps = rng.uniform(0.05, 1.0)
+        lo, hi = fn.log_factor_bounds(eps)
+        for _ in range(5):
+            w = np.exp(rng.uniform(-8.0, 8.0, fn.size))
+            log_u = fn.solve_inclusion(ScaledArray.from_values(w), eps).log_value()
+            # log_value() reads back an exact 0 to within a few ulps
+            assert np.all(lo - 1e-15 <= log_u) and np.all(log_u <= hi + 1e-15)
+
+    def test_box_congestion_and_unbounded_entries(self):
+        lo, hi = Box([0.0, 0.0, 0.2, 0.2], [1.0, np.inf, 1.0, np.inf]).log_factor_bounds(0.5)
+        np.testing.assert_array_equal(lo, [-np.inf, 0.0, -np.inf, 0.0])
+        np.testing.assert_array_equal(hi, [0.0, 0.0, np.inf, np.inf])
+        lo, hi = Congestion([1.0, 4.0]).log_factor_bounds(0.5)
+        assert lo == -math.inf
+        np.testing.assert_array_equal(hi, [-2.0, -0.5])
+        for fn in (Equality([0.5]), QuadraticDistance(1.0, [0.1]), Linear([1.0]), Zero()):
+            assert fn.log_factor_bounds(0.5) == (-math.inf, math.inf)

@@ -1072,11 +1072,12 @@ class TestExtrapolation:
         monkeypatch.setattr(solver_module, "dual_objective", recorded)
         monkeypatch.setattr(solver_module, "_try_extrapolation", checked_trial)
         spec = slow_spec(np.random.default_rng(5), 1)
-        _, report = solve(spec)
+        # the verifier checks every update after a restore as well
+        _, report = solve(spec, SolverConfig(verify=True))
         assert checked and [k for _, _, k in report.extrapolations] == [False] * len(checked)
         # every trial was undone, so the solve is the plain one bit for bit
         extrapolation_off(monkeypatch)
-        _, plain = solve(spec)
+        _, plain = solve(spec, SolverConfig(verify=True))
         assert plain.extrapolations == []
         assert report.dual_values == plain.dual_values
         assert report.max_residuals == plain.max_residuals
@@ -1223,7 +1224,9 @@ class TestExtrapolation:
             tried += len(report.extrapolations)
             kept += sum(k for _, _, k in report.extrapolations)
             finals.append(report)
-        assert kept >= len(specs) and tried > kept
+        # trials clipped to the updates' ranges are kept on every instance;
+        # the forced-rejection test restores under verification
+        assert kept >= len(specs) and tried == kept
         extrapolation_off(monkeypatch)
         for spec, report in zip(specs, finals):
             _, plain = solve(spec, SolverConfig(verify=True, max_sweeps=3000))
@@ -1232,7 +1235,9 @@ class TestExtrapolation:
             assert report.dual_objective == pytest.approx(plain.dual_objective, rel=1e-12,
                                                           abs=1e-12)
 
-    def test_minus_inf_potentials_pass_a_trial_without_warnings(self):
+    @staticmethod
+    def capped_chain():
+        """A 4-node chain: an equality, a box closing state 1, congestion and a box."""
         rng = np.random.default_rng(8)
         n = 4
         topo = GraphTopology.chain(4)
@@ -1241,16 +1246,60 @@ class TestExtrapolation:
         mu = rng.uniform(0.2, 1.0, n)
         closed = np.full(n, 0.6 * float(mu.sum()))
         closed[1] = 0.0
-        spec = ProblemSpec(topo, kernels,
+        return ProblemSpec(topo, kernels,
                            {0: Equality(mu), 1: Box(0.0, closed),
                             2: Congestion(np.full(n, 0.5 * float(mu.sum()))),
                             3: Box(0.0, np.full(n, 0.6 * float(mu.sum())))}, {}, 0.4)
+
+    def test_minus_inf_potentials_pass_a_trial_without_warnings(self):
+        spec = self.capped_chain()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         assert any(k for _, _, k in report.extrapolations)
         assert np.isneginf(pots.nodes[1][0].log_value()[1])
+
+    def test_trials_stay_in_the_updates_log_ranges(self, monkeypatch):
+        # A proposal 1 above every sweep output in log: the box and
+        # congestion factors stop at their parts' log_factor_bounds (or at
+        # the sweep's output, where that lies beyond), the equality moves.
+        monkeypatch.setattr(_Mixer, "proposal",
+                            lambda self: [g + 1.0 for g in self.pairs[-1][1]])
+        trial = solver_module._try_extrapolation
+        moved = []
+
+        def checked_trial(spec, pots, engine, replaced, dual, proposal):
+            slots = [(solver_module._factors(pots, block), k, spec.blocks[block][k])
+                     for block, k, _ in replaced]
+            swept = [fs[k].log_value() for fs, k, _ in slots]
+            rebuild = engine.rebuild_backward
+
+            def at_trial(p):
+                for (fs, k, part), g in zip(slots, swept):
+                    t = fs[k].log_value()
+                    lo, hi = part.log_factor_bounds(spec.epsilon)
+                    assert np.all(t <= np.maximum(hi, g) + 1e-12)
+                    assert np.all(t >= np.minimum(lo, g) - 1e-12)
+                    if isinstance(part, Equality):
+                        np.testing.assert_allclose(t, g + 1.0, rtol=1e-14)
+                    moved.append(type(part))
+                rebuild(p)
+
+            monkeypatch.setattr(engine, "rebuild_backward", at_trial)
+            try:
+                return trial(spec, pots, engine, replaced, dual, proposal)
+            finally:
+                monkeypatch.setattr(engine, "rebuild_backward", rebuild)
+
+        monkeypatch.setattr(solver_module, "_try_extrapolation", checked_trial)
+        spec = self.capped_chain()
+        _, report = solve(spec, SolverConfig(verify=True))
+        assert report.termination == "converged" and report.extrapolations
+        assert {Equality, Box, Congestion} <= set(moved)
+        extrapolation_off(monkeypatch)
+        _, plain = solve(spec)
+        assert report.dual_objective == pytest.approx(plain.dual_objective, rel=1e-12)
 
     @staticmethod
     def affine_mixer(side_outputs):
