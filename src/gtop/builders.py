@@ -258,11 +258,7 @@ class MFGSetup:
             self.dt = 1.0 / self.n_steps
         if not isinstance(self.dt, numbers.Real) or not 0 < self.dt < math.inf:
             raise InvalidInput("dt must be a positive finite number, got %r" % (self.dt,))
-        outside = [k for k in self.total_running
-                   if not (isinstance(k, numbers.Integral) and 1 <= k < self.n_steps)]
-        if outside:
-            raise InvalidInput("total_running keys must be interior time indices 1 .. %d, "
-                               "got %r" % (self.n_steps - 1, outside))
+        self._interior_running()
         self.initial_densities = [np.asarray(m, dtype=float) for m in self.initial_densities]
         n = self.grid.shape[0]
         for idx, mu in enumerate(self.initial_densities):
@@ -271,6 +267,15 @@ class MFGSetup:
             if np.any(mu < 0) or float(mu.sum()) <= 0:
                 raise InvalidInput("initial density %d must be nonnegative with positive mass"
                                    % idx)
+
+    def _interior_running(self):
+        """``total_running``, whose keys must be interior time indices."""
+        outside = [k for k in self.total_running
+                   if not (isinstance(k, numbers.Integral) and 1 <= k < self.n_steps)]
+        if outside:
+            raise InvalidInput("total_running keys must be interior time indices 1 .. %d, "
+                               "got %r" % (self.n_steps - 1, outside))
+        return self.total_running
 
     @property
     def n_species(self):
@@ -358,14 +363,10 @@ def _time_kernels(setup):
 def _total_node_functions(setup):
     """Costs on the total density per time node: running ones scaled by ``dt``
     (indicators scale to themselves), the terminal one as given."""
-    tc = setup.n_steps + 1
-    node_functions = {}
-    for j in range(1, tc - 1):
-        fn = setup.total_running.get(j)
-        if fn is not None:
-            node_functions[j] = fn.scaled(setup.dt)
+    node_functions = {j: fn.scaled(setup.dt) for j, fn in setup._interior_running().items()
+                      if fn is not None}
     if setup.total_terminal is not None:
-        node_functions[tc - 1] = setup.total_terminal
+        node_functions[setup.n_steps] = setup.total_terminal
     return node_functions
 
 

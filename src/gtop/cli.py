@@ -2,8 +2,9 @@
 
 The configuration schema is documented in the repository README.  Top level
 keys: "problem" (with "kind" one of "flow", "mfg", "raw"), "epsilon",
-"solver", "output".  Matrices may be written inline as row-major nested
-arrays or referenced as {"csv": "relative/path.csv"}.
+"solver", "output", "label"; a key that an object does not accept is an
+error.  Matrices may be written inline as row-major nested arrays or
+referenced as {"csv": "relative/path.csv"}.
 """
 
 import argparse
@@ -38,10 +39,26 @@ def _fail(path, message):
     raise ConfigError("%s: %s" % (path, message))
 
 
-def _expect_map(obj, path):
+def _expect_map(obj, path, keys=None):
+    """A JSON object holding no key outside ``keys`` (None: any key)."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
+    for key in obj:
+        if keys is not None and key not in keys:
+            _fail(key if path == "config" else "%s.%s" % (path, key),
+                  "unknown key; expected one of %s" % ", ".join(sorted(keys)))
     return obj
+
+
+def _variant(obj, path, tag, table, message):
+    """``obj[tag]``, a key of ``table``; ``obj`` holds ``tag`` and the keys
+    that ``table`` lists for it (for any variant while the tag names none)."""
+    kind = _expect_map(obj, path).get(tag)
+    keys = table.get(kind) if isinstance(kind, str) else None
+    _expect_map(obj, path, (tag,) + tuple(set().union(*table.values()) if keys is None else keys))
+    if keys is None:
+        _fail("%s.%s" % (path, tag), message % (kind,))
+    return kind
 
 
 def _number(obj, path, positive=False, finite=False):
@@ -105,7 +122,7 @@ def _name_list(obj, path):
 
 def _load_matrix(obj, path, base_dir):
     if isinstance(obj, dict):
-        ref = obj.get("csv")
+        ref = _expect_map(obj, path, ("csv",)).get("csv")
         if ref is None:
             _fail(path, "matrix objects need a \"csv\" file reference")
         fname = os.path.join(base_dir, ref)
@@ -138,10 +155,16 @@ def _flag(cfg, key, default, path):
     return value
 
 
+# The keys of a function object besides "type", by type.
+_FUNCTION_KEYS = {"zero": (), "equality": ("target",), "box": ("lower", "upper"),
+                  "linear": ("cost",), "quadratic": ("weight", "anchor", "exponent"),
+                  "congestion": ("capacity",), "blockwise": ("size", "blocks"),
+                  "composite": ("parts",)}
+
+
 def function_from_config(obj, path, base_dir):
     """Build a catalog function from its JSON form."""
-    obj = _expect_map(obj, path)
-    kind = obj.get("type")
+    kind = _variant(obj, path, "type", _FUNCTION_KEYS, "unknown function type %r")
     if kind == "zero":
         return fx.Zero()
     if kind == "equality":
@@ -176,7 +199,7 @@ def function_from_config(obj, path, base_dir):
         size = _integer(obj.get("size"), path + ".size", 1)
         parsed = []
         for i, blk in enumerate(blocks):
-            blk = _expect_map(blk, "%s.blocks[%d]" % (path, i))
+            blk = _expect_map(blk, "%s.blocks[%d]" % (path, i), ("indices", "function"))
             idx = _integer_list(blk.get("indices"), "%s.blocks[%d].indices" % (path, i), 0)
             fn = function_from_config(blk.get("function"), "%s.blocks[%d].function" % (path, i),
                                       base_dir)
@@ -192,7 +215,6 @@ def function_from_config(obj, path, base_dir):
         return fx.CompositeFunction([
             function_from_config(p, "%s.parts[%d]" % (path, i), base_dir)
             for i, p in enumerate(parts)])
-    _fail(path + ".type", "unknown function type %r" % (kind,))
 
 
 def _parse_flow(problem, epsilon, path, base_dir):
@@ -205,7 +227,7 @@ def _parse_flow(problem, epsilon, path, base_dir):
     edges = []
     for i, e in enumerate(edges_cfg):
         where = "%s.edges[%d]" % (path, i)
-        e = _expect_map(e, where)
+        e = _expect_map(e, where, ("from", "to", "capacity", "length"))
         cap = e.get("capacity", math.inf)
         if cap != math.inf:
             cap = _number(cap, where + ".capacity", positive=True)
@@ -217,7 +239,8 @@ def _parse_flow(problem, epsilon, path, base_dir):
     net = bld.FlowNetwork(nodes, edges, _name_list(problem.get("sources", []), path + ".sources"),
                           _name_list(problem.get("sinks", []), path + ".sinks"), horizon)
 
-    constraint = _expect_map(problem.get("constraint"), path + ".constraint")
+    constraint = _expect_map(problem.get("constraint"), path + ".constraint",
+                             ("od", "initial", "final"))
     od = terminals = None
     if "od" in constraint:
         od = _load_matrix(constraint["od"], path + ".constraint.od", base_dir)
@@ -245,7 +268,7 @@ def _parse_flow(problem, epsilon, path, base_dir):
 
 def _parse_mfg(problem, epsilon, path, base_dir):
     if "grid" in problem and isinstance(problem["grid"], dict):
-        g = problem["grid"]
+        g = _expect_map(problem["grid"], path + ".grid", ("shape", "extent"))
         extent = g.get("extent", [])
         if not isinstance(extent, list):
             _fail(path + ".grid.extent", "expected a list of numbers")
@@ -260,7 +283,7 @@ def _parse_mfg(problem, epsilon, path, base_dir):
         _fail(path + ".species", "expected a nonempty list")
     initials, running_rows, terminal_rows = [], [], []
     for i, sp in enumerate(species_cfg):
-        sp = _expect_map(sp, "%s.species[%d]" % (path, i))
+        sp = _expect_map(sp, "%s.species[%d]" % (path, i), ("initial", "running", "terminal"))
         initials.append(_load_matrix(sp.get("initial"), "%s.species[%d].initial" % (path, i),
                                      base_dir).ravel())
         run = sp.get("running")
@@ -285,7 +308,7 @@ def _parse_mfg(problem, epsilon, path, base_dir):
         total_terminal = function_from_config(total_terminal, path + ".total_terminal", base_dir)
 
     cost_cfg = problem.get("cost", {"mode": "squared_distance"})
-    cost_cfg = _expect_map(cost_cfg, path + ".cost")
+    cost_cfg = _expect_map(cost_cfg, path + ".cost", ("mode", "scale", "values"))
     cost_matrix = None
     scale = _number(cost_cfg.get("scale", 1.0), path + ".cost.scale", positive=True)
     if cost_cfg.get("mode", "squared_distance") == "matrix":
@@ -310,7 +333,8 @@ def _parse_mfg(problem, epsilon, path, base_dir):
 
 
 def _parse_raw(problem, epsilon, path, base_dir):
-    topo_cfg = _expect_map(problem.get("topology"), path + ".topology")
+    topo_cfg = _expect_map(problem.get("topology"), path + ".topology",
+                           ("class", "sizes", "edges", "species"))
     kind = topo_cfg.get("class")
     sizes = _integer_list(topo_cfg.get("sizes"), path + ".topology.sizes", 1)
     if not sizes:
@@ -338,7 +362,7 @@ def _parse_raw(problem, epsilon, path, base_dir):
     if not isinstance(problem.get("kernels", []), list):
         _fail(path + ".kernels", "expected a list")
     for i, k in enumerate(problem.get("kernels", [])):
-        k = _expect_map(k, "%s.kernels[%d]" % (path, i))
+        k = _expect_map(k, "%s.kernels[%d]" % (path, i), ("edge", "cost"))
         edge = _node_pair(k.get("edge"), "%s.kernels[%d].edge" % (path, i))
         cost = _load_matrix(k.get("cost"), "%s.kernels[%d].cost" % (path, i), base_dir)
         kernels[edge] = md.build_kernel(cost, epsilon)
@@ -364,6 +388,14 @@ def _parse_raw(problem, epsilon, path, base_dir):
     return spec, None
 
 
+# The keys of a problem object besides "kind", by kind.
+_PROBLEM_KEYS = {
+    "flow": ("nodes", "edges", "sources", "sinks", "horizon", "constraint", "edge_cost"),
+    "mfg": ("grid", "steps", "dt", "species", "total_running", "total_terminal", "cost"),
+    "raw": ("topology", "kernels", "node_functions", "edge_functions"),
+}
+
+
 def parse_config(config_path):
     """Read and validate a JSON run configuration."""
     if not os.path.exists(config_path):
@@ -375,22 +407,16 @@ def parse_config(config_path):
         except json.JSONDecodeError as exc:
             raise ConfigError("config is not valid JSON: %s" % (exc,)) from exc
 
-    raw = _expect_map(raw, "config")
+    raw = _expect_map(raw, "config", ("problem", "epsilon", "solver", "output", "label"))
     problem = _expect_map(raw.get("problem"), "problem")
     epsilon = _number(raw.get("epsilon", 0.05), "epsilon", positive=True)
+    kind = _variant(problem, "problem", "kind", _PROBLEM_KEYS,
+                    "expected one of \"flow\", \"mfg\", \"raw\", got %r")
+    parse = {"flow": _parse_flow, "mfg": _parse_mfg, "raw": _parse_raw}[kind]
+    spec, flow_net = parse(problem, epsilon, "problem", base_dir)
 
-    kind = problem.get("kind")
-    flow_net = None
-    if kind == "flow":
-        spec, flow_net = _parse_flow(problem, epsilon, "problem", base_dir)
-    elif kind == "mfg":
-        spec, _ = _parse_mfg(problem, epsilon, "problem", base_dir)
-    elif kind == "raw":
-        spec, _ = _parse_raw(problem, epsilon, "problem", base_dir)
-    else:
-        _fail("problem.kind", "expected one of \"flow\", \"mfg\", \"raw\", got %r" % (kind,))
-
-    solver_cfg = _expect_map(raw.get("solver", {}), "solver")
+    solver_cfg = _expect_map(raw.get("solver", {}), "solver",
+                             ("feasibility_tol", "potential_tol", "max_sweeps", "verify"))
     kwargs = {}
     if "feasibility_tol" in solver_cfg:
         kwargs["feasibility_tol"] = _number(solver_cfg["feasibility_tol"],
@@ -403,10 +429,10 @@ def parse_config(config_path):
     kwargs["verify"] = _flag(solver_cfg, "verify", False, "solver.verify")
     config = solver.SolverConfig(**kwargs)
 
-    out_cfg = _expect_map(raw.get("output", {}), "output")
+    files = ("marginals", "bimarginals", "dual_trace", "summary")
+    out_cfg = _expect_map(raw.get("output", {}), "output", ("directory",) + files)
     out_dir = _string(out_cfg.get("directory", "gtop_out"), "output.directory")
-    emit = {key: _flag(out_cfg, key, True, "output." + key)
-            for key in ("marginals", "bimarginals", "dual_trace", "summary")}
+    emit = {key: _flag(out_cfg, key, True, "output." + key) for key in files}
     label = _string(raw.get("label", os.path.splitext(os.path.basename(config_path))[0]),
                     "label")
     return RunConfig(spec, config, out_dir, emit, flow_net=flow_net, label=label)

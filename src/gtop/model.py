@@ -345,46 +345,33 @@ def build_kernel(cost, epsilon):
 
 
 class DualPotentials:
-    """Scaling factors of the plan, one list per node and per functional edge.
+    """Scaling factors of the plan, keyed like ``ProblemSpec.blocks``.
 
-    A node or edge carrying several stacked costs holds one factor per cost;
+    ``factors[block]`` holds one factor per stacked cost part of the block;
     the factor acting on the plan is their elementwise product.
     """
 
-    def __init__(self, nodes, edges):
-        self.nodes = nodes
-        self.edges = edges
+    def __init__(self, factors):
+        self.factors = factors
 
     @classmethod
     def ones_for(cls, spec):
-        nodes, edges = {}, {}
-        for (kind, where), parts in spec.blocks.items():
-            if kind == "node":
-                nodes[where] = [ScaledArray.ones(spec.node_sizes[where]) for _ in parts]
-            else:
-                shape = (spec.node_sizes[where[0]], spec.node_sizes[where[1]])
-                edges[where] = [ScaledArray.ones(shape) for _ in parts]
-        return cls(nodes, edges)
+        return cls({block: [ScaledArray.ones(spec.block_shape(block)) for _ in parts]
+                    for block, parts in spec.blocks.items()})
 
     def node_value(self, j):
-        factors = self.nodes[j]
-        if len(factors) == 1:
-            return factors[0]
-        return smul(*factors)
+        factors = self.factors[("node", j)]
+        return factors[0] if len(factors) == 1 else smul(*factors)
 
     def edge_value(self, e):
-        factors = self.edges.get(e)
+        """The product of the edge's factors; None for an edge with no cost."""
+        factors = self.factors.get(("edge", e))
         if factors is None:
             return None
-        if len(factors) == 1:
-            return factors[0]
-        return smul(*factors)
+        return factors[0] if len(factors) == 1 else smul(*factors)
 
     def copy(self):
-        return DualPotentials(
-            {j: [f.copy() for f in fs] for j, fs in self.nodes.items()},
-            {e: [f.copy() for f in fs] for e, fs in self.edges.items()},
-        )
+        return DualPotentials({b: [f.copy() for f in fs] for b, fs in self.factors.items()})
 
 
 class ProblemSpec:
@@ -430,17 +417,21 @@ class ProblemSpec:
                                    % (e, k.shape, shape))
             self.kernels[e] = k
 
-        self._zero = Zero()
-        self.node_functions = {j: node_functions.get(j, self._zero)
-                               for j in range(topology.node_count)}
-        self.edge_functions = {e: edge_functions.get(e, self._zero)
-                               for e in topology.edges}
-        self._validate_functions()
         # The stacked cost parts of every block, keyed by ("node", j) or
-        # ("edge", e): each node, then each edge whose cost is not zero.
-        costs = [(("node", j), fn) for j, fn in self.node_functions.items()]
-        costs += [(("edge", e), fn) for e, fn in self.edge_functions.items() if not fn.is_zero]
-        self.blocks = {key: tuple(getattr(fn, "parts", (fn,))) for key, fn in costs}
+        # ("edge", e): each node, then each edge whose cost is not zero.  Every
+        # given function is size-checked, zero-cost edges included.
+        given = {("node", j): node_functions.get(j, Zero()) for j in range(topology.node_count)}
+        given.update((("edge", e), edge_functions[e]) for e in topology.edges
+                     if e in edge_functions)
+        for block, fn in given.items():
+            fn.validate_size(math.prod(self.block_shape(block)), where="%s %r" % block)
+        self.blocks = {block: tuple(getattr(fn, "parts", (fn,))) for block, fn in given.items()
+                       if block[0] == "node" or not fn.is_zero}
+
+    def block_shape(self, block):
+        """The shape of a ("node", j) or ("edge", (a, b)) block's factors."""
+        kind, where = block
+        return tuple(self.node_sizes[j] for j in ((where,) if kind == "node" else where))
 
     @staticmethod
     def _infer_sizes(topology, kernels):
@@ -457,14 +448,6 @@ class ProblemSpec:
                                % (missing,))
         return [sizes[j] for j in range(topology.node_count)]
 
-    def _validate_functions(self):
-        """Checks every node and edge function, zero-cost edges included."""
-        for j, fn in self.node_functions.items():
-            fn.validate_size(self.node_sizes[j], where="node %d" % j)
-        for e, fn in self.edge_functions.items():
-            fn.validate_size(self.node_sizes[e[0]] * self.node_sizes[e[1]],
-                             where="edge %r" % (e,))
-
 
 def dual_objective(potentials, spec, engine, block=("node", 0)):
     """Concave objective the coordinate updates ascend.
@@ -477,15 +460,12 @@ def dual_objective(potentials, spec, engine, block=("node", 0)):
     and no full tensor is formed.  Returns ``-inf`` when some multiplier sits
     outside its conjugate's domain (a dual-infeasible point).
     """
-    kind, where = block
-    project = engine.marginal if kind == "node" else engine.bimarginal
-    mass = project(where, potentials).total()
+    mass = engine.projection(block, potentials).total()
     if not math.isfinite(mass):
         return -math.inf
     val = -spec.epsilon * mass
-    for (kind, where), parts in spec.blocks.items():
-        factors = (potentials.nodes if kind == "node" else potentials.edges)[where]
-        for part, factor in zip(parts, factors):
+    for block, parts in spec.blocks.items():
+        for part, factor in zip(parts, potentials.factors[block]):
             with np.errstate(invalid="ignore"):
                 s = -spec.epsilon * factor.log_value()
             c = part.conjugate(s)

@@ -51,6 +51,11 @@ class _EngineBase:
             self.rescale_events += 1
         return arr
 
+    def projection(self, block, pots):
+        """The marginal of a ("node", j) block, the bimarginal of an ("edge", e) one."""
+        kind, where = block
+        return (self.marginal if kind == "node" else self.bimarginal)(where, pots)
+
     def _kernel_with_edge_factor(self, e, pots):
         """Kernel times any potential factor living on the same edge, as one matrix."""
         k = self.spec.kernels[e]
@@ -136,7 +141,7 @@ class ChainEngine(_EngineBase):
         kernel of path edge ``e`` or its transpose.  A bare kernel applies
         itself; one times an edge potential is formed as one matrix."""
         m, ls = self._absorb(msg, i, pots)
-        if e not in pots.edges:
+        if ("edge", e) not in pots.factors:
             k = self.spec.kernels[e]
             return self._fin(k.apply(m, transpose), ls + k.log_scale)
         km, kls = self._kernel_with_edge_factor(e, pots)

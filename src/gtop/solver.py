@@ -136,8 +136,7 @@ def residual_map(potentials, spec, engine):
                 out[name] = 0.0
                 continue
             if p is None:
-                project = engine.marginal if kind == "node" else engine.bimarginal
-                p = project(where, potentials).value()
+                p = engine.projection((kind, where), potentials).value()
             out[name] = part.feasibility_residual(p)
     return out
 
@@ -174,11 +173,9 @@ class _Verifier:
     def check_projections(self, pots, engine, sweep):
         if self.oracle is None:
             return
-        for kind, where in self.spec.blocks:
-            name = "marginal" if kind == "node" else "bimarginal"
-            a = getattr(engine, name)(where, pots)
-            b = getattr(self.oracle, name)(where, pots)
-            _assert_scaled_close(a, b, 1e-8, "%s %r at sweep %d" % (name, where, sweep))
+        for block in self.spec.blocks:
+            a, b = engine.projection(block, pots), self.oracle.projection(block, pots)
+            _assert_scaled_close(a, b, 1e-8, "%s %r at sweep %d" % (*block, sweep))
 
 
 def _assert_scaled_close(a, b, rtol, label):
@@ -223,21 +220,18 @@ class _Updater:
         """
         pots = self.pots
         first = self.sweep_no == 1
-        for kind, where in engine.order:
+        for block in engine.order:
+            kind, where = block
             if kind == "push":
                 engine.push_forward(where, pots)
                 continue
-            parts = self.spec.blocks.get((kind, where))
-            if parts is None:
-                continue
-            todo = [(k, part) for k, part in enumerate(parts)
+            todo = [(k, part) for k, part in enumerate(self.spec.blocks.get(block, ()))
                     if first or not part.ignores_weight]
             if not todo:
                 continue
             w = (engine.w_node if kind == "node" else engine.w_edge)(where, pots)
-            factors = _factors(pots, (kind, where))
             for k, part in todo:
-                self._apply(factors, k, part, w, (kind, where))
+                self._apply(pots.factors[block], k, part, w, block)
         engine.rebuild_backward(pots)
 
     def _apply(self, factors, k, part, w, block):
@@ -276,7 +270,7 @@ class _Mixer:
         change, replaced = upd.max_change, upd.replaced
         if upd.sweep_no > 1:
             self.pairs = self.pairs[-_MIX_DEPTH:] + [([old for *_, old in replaced], [
-                _factors(pots, block)[k].log_value() for block, k, _ in replaced])]
+                pots.factors[block][k].log_value() for block, k, _ in replaced])]
         self.changes.append(change)
         window = self.changes[-_RATE_RATIOS - 1:]
         if len(window) <= _RATE_RATIOS or not all(0.0 < c < math.inf for c in window):
@@ -326,7 +320,7 @@ def _try_extrapolation(spec, pots, engine, replaced, dual, proposal):
     """Move the factors in ``replaced`` to the log arrays of ``proposal`` and
     keep the move if the dual rose, or inside the roundoff band if its slope
     says so (module docstring); else put back the factors and message lists."""
-    slots = [(_factors(pots, block), k) for block, k, _ in replaced]
+    slots = [(pots.factors[block], k) for block, k, _ in replaced]
     swept = [fs[k] for fs, k in slots]
     for (fs, k), (block, _, _), log_u in zip(slots, replaced, proposal):
         g = fs[k].log_value()
@@ -382,21 +376,13 @@ def _dual_slope(spec, pots, engine, moves):
     for block, k, d in moves:
         p = projected.get(block)
         if p is None:
-            kind, where = block
-            project = engine.marginal if kind == "node" else engine.bimarginal
-            p = projected[block] = project(where, pots).value().ravel()
-        s = -eps * _factors(pots, block)[k].log_value().ravel()
+            p = projected[block] = engine.projection(block, pots).value().ravel()
+        s = -eps * pots.factors[block][k].log_value().ravel()
         lower, upper = spec.blocks[block][k].conjugate_subgradient(s)
         end = np.where(d > 0.0, lower, upper)
         end[~np.isfinite(end)] = 0.0
         slope += eps * float(np.dot(end - p, d))
     return slope
-
-
-def _factors(pots, block):
-    """The factor list of a ("node", j) or ("edge", e) block."""
-    kind, where = block
-    return (pots.nodes if kind == "node" else pots.edges)[where]
 
 
 def _log_diff(a, b):
@@ -412,7 +398,7 @@ def _sanity_checks(spec):
     of all parts must meet (relative slack 1e-9), or the two blocks are named."""
     lo, hi = (0.0, None), (math.inf, None)
     for block, parts in spec.blocks.items():
-        n = math.prod(spec.node_sizes[j] for j in np.atleast_1d(block[1]))
+        n = math.prod(spec.block_shape(block))
         for part in parts:
             a, b = part.mass_bounds(n)
             if a > lo[0]:

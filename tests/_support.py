@@ -5,9 +5,10 @@ import pathlib
 
 import numpy as np
 
-from gtop import (Box, Congestion, DualPotentials, Equality, GraphTopology, Linear,
-                  MFGSetup, ProblemSpec, QuadraticDistance, ScaledArray, SeparableKernel,
-                  Zero, build_kernel, build_mfg_cost_matrix, build_mfg_problem)
+from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality, GraphTopology,
+                  Linear, MFGSetup, ProblemSpec, QuadraticDistance, ScaledArray,
+                  SeparableKernel, Zero, build_kernel, build_mfg_cost_matrix,
+                  build_mfg_problem)
 
 
 def load_workloads():
@@ -101,26 +102,23 @@ def dense_tensor(spec, pots, exclude=None):
 def random_potentials(spec, rng, zero_rate=0.0, log_spread=1.0):
     """Positive potentials with optional exact zeros and varied magnitudes."""
     pots = DualPotentials.ones_for(spec)
-    for j in pots.nodes:
-        for i in range(len(pots.nodes[j])):
-            vals = np.exp(rng.uniform(-log_spread, log_spread, spec.node_sizes[j]))
+    for block, factors in pots.factors.items():
+        for i in range(len(factors)):
+            vals = np.exp(rng.uniform(-log_spread, log_spread, spec.block_shape(block)))
             if zero_rate > 0:
                 mask = rng.uniform(size=vals.shape) < zero_rate
                 if mask.all():
-                    mask[0] = False
+                    mask.flat[0] = False
                 vals[mask] = 0.0
-            pots.nodes[j][i] = ScaledArray.from_values(vals)
-    for e in pots.edges:
-        shape = (spec.node_sizes[e[0]], spec.node_sizes[e[1]])
-        for i in range(len(pots.edges[e])):
-            vals = np.exp(rng.uniform(-log_spread, log_spread, shape))
-            if zero_rate > 0:
-                mask = rng.uniform(size=vals.shape) < zero_rate
-                if mask.all():
-                    mask[0, 0] = False
-                vals[mask] = 0.0
-            pots.edges[e][i] = ScaledArray.from_values(vals)
+            factors[i] = ScaledArray.from_values(vals)
     return pots
+
+
+def block_functions(spec, kind):
+    """The cost of each ``kind`` ("node" or "edge") block of ``spec`` in the
+    form ``ProblemSpec`` takes: its one part, or a composite of its parts."""
+    return {where: parts[0] if len(parts) == 1 else CompositeFunction(parts)
+            for (k, where), parts in spec.blocks.items() if k == kind}
 
 
 def random_chain_spec(rng, n_nodes=None, sizes=None, epsilon=1.0, with_edge_fn=False,
@@ -178,8 +176,8 @@ def as_general(spec):
     engine.  ``solve_dense`` solves any spec on the dense engine.
     """
     topo = GraphTopology.general(spec.topology.node_count, spec.topology.edges)
-    return ProblemSpec(topo, spec.kernels, spec.node_functions, spec.edge_functions,
-                       spec.epsilon)
+    return ProblemSpec(topo, spec.kernels, block_functions(spec, "node"),
+                       block_functions(spec, "edge"), spec.epsilon)
 
 
 def solve_dense(spec, config=None, initial=None):
@@ -221,11 +219,12 @@ def grid_mfg_specs(rng, sizes, steps=3, species=2, epsilon=0.3, cost_scale=1.7,
                      total_terminal=QuadraticDistance(2.0, np.full(n, 1.0 / n)))
     spec = build_mfg_problem(setup)
     assert isinstance(spec.kernels[(0, 1)], SeparableKernel)
-    edge_fns = dict(spec.edge_functions)
+    edge_fns = block_functions(spec, "edge")
     if path_edge_cost:
         edge_fns[(1, 2)] = QuadraticDistance(1.0, rng.uniform(0.0, 0.1, (n, n)))
     dense = build_kernel(build_mfg_cost_matrix(grid, scale=cost_scale), epsilon)
     dense_kernels = {e: dense if isinstance(k, SeparableKernel) else k
                      for e, k in spec.kernels.items()}
-    return tuple(ProblemSpec(spec.topology, kernels, spec.node_functions, edge_fns, epsilon)
+    return tuple(ProblemSpec(spec.topology, kernels, block_functions(spec, "node"), edge_fns,
+                             epsilon)
                  for kernels in (spec.kernels, dense_kernels))

@@ -453,7 +453,7 @@ def test_criterion_8_multiple_costs_extension():
         eng = make_engine(spec)
         eng.refresh(pots)
         w = eng.w_node(1, pots)
-        factors = pots.nodes[1]
+        factors = pots.factors[("node", 1)]
         for idx, part in enumerate(comp.parts):
             others = [factors[i] for i in range(len(factors)) if i != idx]
             res = inclusion_residual(part, factors[idx], smul(w, *others), spec.epsilon)

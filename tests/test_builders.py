@@ -84,7 +84,8 @@ def interior_cost(capacities, sources):
              FlowEdge("X", "B", capacity=capacities[1])]
     net = FlowNetwork(["A", "X", "B"], edges, sources=sources, sinks=["B"], horizon=3)
     spec = build_flow_problem(net, od=np.full((len(sources), 1), 1.0 / len(sources)))
-    return spec.node_functions[1]
+    (fn,) = spec.blocks[("node", 1)]
+    return fn
 
 
 class TestBuildCongestion:
@@ -293,6 +294,30 @@ class TestMFGProblem:
                          total_running={1: box, 2: box})
         assert set(build_mfg_problem(setup).blocks) >= {("node", 1), ("node", 2)}
 
+    @pytest.mark.parametrize("key", [3, 0, "x"], ids=repr)
+    @pytest.mark.parametrize("build", [build_mfg_problem, build_mfg_chain_problem])
+    def test_total_running_keys_added_after_construction_are_rejected(self, key, build):
+        # The builders check the keys they read, not only the constructor.
+        grid = grid_points((2, 2), (0.0, 1.0, 0.0, 1.0))
+        box = Box(0.0, np.full(4, 0.5))
+        setup = MFGSetup(grid=grid, n_steps=3, initial_densities=[np.full(4, 0.25)],
+                         total_running={1: box})
+        setup.total_running[key] = box
+        with pytest.raises(InvalidInput, match=r"interior time indices 1 \.\. 2, got \[%r\]"
+                           % (key,)):
+            build(setup)
+
+    @pytest.mark.parametrize("table", ["running", "terminal"])
+    def test_species_table_shorter_than_the_species_is_rejected(self, table):
+        setup = small_mfg_setup(np.random.default_rng(7), L=3)
+        rows = [Linear(np.linspace(0.0, 1.0, setup.n_points))] * 2
+        if table == "running":
+            setup.species_running = {1: rows}
+        else:
+            setup.species_terminal = rows
+        with pytest.raises(InvalidInput, match="one entry per species"):
+            build_mfg_problem(setup)
+
     def test_single_species_matches_chain(self):
         rng = np.random.default_rng(1)
         setup = small_mfg_setup(rng, L=1)
@@ -385,12 +410,12 @@ class TestMFGProblem:
         setup.species_terminal = [None, QuadraticDistance(0.5, np.full(n, 0.5 / n))]
         shared = build_mfg_problem(setup)
         hub = shared.topology.hub
-        rows = [shared.edge_functions[(hub, j)] for j in range(1, 5)]
+        rows = [shared.blocks[("edge", (hub, j))][0] for j in range(1, 5)]
         assert rows[0] is rows[1] is rows[2] and rows[3] is not rows[0]
         setup.species_running = {j: [Box(box.lower, box.upper), Linear(table[1].cost)]
                                  for j, table in setup.species_running.items()}
         distinct = build_mfg_problem(setup)
-        assert len({id(distinct.edge_functions[(hub, j)]) for j in range(1, 5)}) == 4
+        assert len({id(distinct.blocks[("edge", (hub, j))][0]) for j in range(1, 5)}) == 4
         reports = [solve(spec, SolverConfig())[1] for spec in (shared, distinct)]
         assert reports[0].termination == "converged"
         assert reports[0].dual_values == reports[1].dual_values
@@ -401,7 +426,7 @@ class TestMFGProblem:
         setup = small_mfg_setup(rng, L=1)
         setup.total_running = {1: QuadraticDistance(1.0, np.full(setup.n_points, 0.1))}
         spec = build_mfg_problem(setup)
-        fn = spec.node_functions[1]
+        (fn,) = spec.blocks[("node", 1)]
         assert fn.weight == pytest.approx(setup.dt * 1.0)
 
     def test_initial_density_validation(self):

@@ -167,7 +167,7 @@ class TestRun:
             "blocks": [{"indices": [1, 0], "function": {"type": "equality",
                                                          "target": [0.4, 0.6]}}]}
         cfg = parse_config(write_config(tmp_path, body))
-        assert not isinstance(cfg.spec.node_functions[1]._views[0][0], slice)
+        assert not isinstance(cfg.spec.blocks[("node", 1)][0]._views[0][0], slice)
         assert run(cfg) == 0
         marg = np.loadtxt(os.path.join(out, "marginals.csv"), delimiter=",")
         np.testing.assert_allclose(marg, [[0.3, 0.7], [0.6, 0.4]], atol=1e-9)
@@ -594,6 +594,44 @@ class TestConfigTypes:
         edit(body["problem"])
         assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
+
+
+class TestUnknownKeys:
+    """A key the parser does not read is an error at its own path, never ignored."""
+
+    @pytest.mark.parametrize("edit,path,allowed", [
+        (lambda b: b["problem"]["node_functions"].update(
+            {"1": {"type": "box", "lowr": 0.1, "upper": [1.0, 1.0]}}),
+         "problem.node_functions[1].lowr", "lower, type, upper"),
+        (lambda b: b["problem"].update(kernals=b["problem"].pop("kernels")),
+         "problem.kernals", "edge_functions, kernels, kind, node_functions, topology"),
+        (lambda b: b["solver"].update(max_sweep=50), "solver.max_sweep",
+         "feasibility_tol, max_sweeps, potential_tol, verify"),
+        (lambda b: b["solver"].update(feasibilty_tol=1e-8), "solver.feasibilty_tol",
+         "feasibility_tol, max_sweeps, potential_tol, verify"),
+        (lambda b: b.update(outptu=b.pop("output")), "outptu",
+         "epsilon, label, output, problem, solver"),
+        (lambda b: b["problem"]["kernels"][0].update(cost={"cs": "cost.csv"}),
+         "problem.kernels[0].cost.cs", "csv"),
+        (lambda b: b["problem"]["kernels"][0].update(cost={"csv": "cost.csv", "rows": 2}),
+         "problem.kernels[0].cost.rows", "csv"),
+    ], ids=["box_lower", "kernels", "max_sweeps", "feasibility_tol", "output", "csv",
+            "csv_stray"])
+    def test_misspelled_key_exit_code(self, tmp_path, capsys, edit, path, allowed):
+        np.savetxt(tmp_path / "cost.csv", np.zeros((2, 2)), delimiter=",")
+        body = minimal_raw_config(str(tmp_path / "out"))
+        edit(body)
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "error: %s: unknown key; expected one of %s\n" % (
+            path, allowed)
+
+    @pytest.mark.parametrize("kind", [["box"], {"box": 1}, 3, None])
+    def test_function_type_other_than_a_string_exit_code(self, tmp_path, capsys, kind):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["node_functions"]["0"]["type"] = kind
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == (
+            "error: problem.node_functions[0].type: unknown function type %r\n" % (kind,))
 
 
 class TestFlowInputs:

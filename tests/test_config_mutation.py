@@ -10,6 +10,11 @@ composite, a blockwise cost and an edge box, and a species hub.  Lists are
 followed to their first three items.  Each case runs ``parse_config`` and then
 ``cli.run`` with a budget of 3 sweeps, inside the test's own directory, so
 that a mutated output directory lands there too.
+
+Key mutations rename each key of each object of the same configs, the maps
+keyed by node or time index aside, by dropping its last character, and add
+one stray key per object: every such config exits 2 with an error at the
+path of that key.
 """
 
 import json
@@ -117,3 +122,60 @@ def test_every_mutated_field_fails_cleanly(name, tmp_path, monkeypatch):
             assert seen[-1] in ("GtopError", "max_sweeps", 0, 1, 2), (path, value, seen[-1])
     # some case solves to the end: converged (0) or out of sweeps
     assert len(seen) > 500 and "GtopError" in seen and {0, "max_sweeps"} & set(seen)
+
+
+# Maps keyed by node or time index: any integer key is allowed there.
+FREE_KEYS = ("node_functions", "edge_functions", "total_running")
+
+
+def fixed_key_objects(node, path=()):
+    """``(path, object)`` for ``node`` and every JSON object below it whose
+    keys are a fixed set, not a map keyed by node or time index."""
+    if isinstance(node, dict):
+        if not path or path[-1] not in FREE_KEYS:
+            yield path, node
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node[:LIST_ITEMS]))
+    else:
+        return
+    for key, child in items:
+        yield from fixed_key_objects(child, path + (key,))
+
+
+def shown(path):
+    """``path`` the way the CLI names it, such as problem.edges[0].from or
+    problem.node_functions[1].upper."""
+    out = ""
+    for i, key in enumerate(path):
+        if isinstance(key, int) or (i and path[i - 1] in FREE_KEYS):
+            out += "[%s]" % key
+        else:
+            out += "." + key if out else key
+    return out
+
+
+@pytest.mark.parametrize("name", ["flow_od", "mfg_hub", *RAW])
+def test_every_misspelled_or_stray_key_is_named(name, tmp_path, monkeypatch, capsys):
+    # Each key of each object with its last character dropped, then one
+    # stray key per object: exit status 2, and the message starts with the
+    # path of that key.
+    config = base_config(name, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    cases = 0
+    for path, obj in fixed_key_objects(config):
+        saved = dict(obj)
+        for old, new in [(key, key[:-1]) for key in saved] + [(None, "stray")]:
+            obj.clear()
+            obj.update((new if k == old else k, v) for k, v in saved.items())
+            if old is None:
+                obj[new] = 1
+            (tmp_path / "case.json").write_text(json.dumps(config))
+            obj.clear()
+            obj.update(saved)
+            status = cli.main(["solve", "--config", "case.json"])
+            err = capsys.readouterr().err
+            assert status == 2 and err.startswith("error: %s: " % shown(path + (new,))), \
+                (path, old, new, status, err)
+            cases += 1
+    assert cases > 30

@@ -208,6 +208,15 @@ class TestSolveInclusion:
             with pytest.raises(InvalidInput, match="finite and nonnegative"):
                 fn.solve_inclusion(w, 1.0)
 
+    def test_raw_weights_give_the_scaled_weights_factor(self):
+        w = [0.2, 0.0, 0.5, 0.3]
+        for fn in (Box(0.0, 0.4), Equality([0.1, 0.0, 0.6, 0.3]), QuadraticDistance(0.5, 0.2),
+                   Congestion(0.4), Linear([0.1, 0.2, 0.3, 0.4]), Zero()):
+            raw = fn.solve_inclusion(w, 0.7)
+            scaled = fn.solve_inclusion(ScaledArray.from_values(w), 0.7)
+            assert raw.m.tobytes() == scaled.m.tobytes(), fn
+            assert raw.log_scale == scaled.log_scale, fn
+
     def test_quadratic_against_bisection_oracle(self):
         # u * w = y - eps*log(u)/(2*sigma), here u = -ln(u)
         fn = QuadraticDistance(0.5, [0.0])

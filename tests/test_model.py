@@ -292,7 +292,7 @@ class TestTotalMass:
     def test_zero_potential_annihilates(self):
         spec = all_ones_chain(3, 2)
         pots = DualPotentials.ones_for(spec)
-        pots.nodes[1] = [ScaledArray(np.zeros(2), 0.0)]
+        pots.factors[("node", 1)] = [ScaledArray(np.zeros(2), 0.0)]
         assert refreshed(spec, pots).marginal(0, pots).total() == 0.0
 
     def test_matches_dense_sum(self):
@@ -340,11 +340,11 @@ class TestDualObjective:
         mu2 = rng.uniform(0.1, 1, n)
         spec = ProblemSpec(topo, kernels, {0: Equality(mu0), 2: Equality(mu2)}, {}, 0.7)
         pots = random_potentials(spec, rng)
-        pots.nodes[1] = [ScaledArray.ones(n)]  # the free node keeps a unit factor
+        pots.factors[("node", 1)] = [ScaledArray.ones(n)]  # the free node keeps a unit factor
         # independent evaluation, straight from the closed forms
         mass = dense_tensor(spec, pots).total()
-        lam0 = 0.7 * pots.nodes[0][0].log_value()
-        lam2 = 0.7 * pots.nodes[2][0].log_value()
+        lam0 = 0.7 * pots.factors[("node", 0)][0].log_value()
+        lam2 = 0.7 * pots.factors[("node", 2)][0].log_value()
         expected = -0.7 * mass - float(np.dot(-lam0, mu0)) - float(np.dot(-lam2, mu2))
         got = dual_objective(pots, spec, refreshed(spec, pots))
         assert got == pytest.approx(expected, rel=1e-10)
@@ -354,7 +354,7 @@ class TestDualObjective:
         spec = ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)},
                            {0: Zero()}, {}, 1.0)
         pots = DualPotentials.ones_for(spec)
-        pots.nodes[0] = [ScaledArray.from_values([2.0, 1.0])]  # multiplier off zero
+        pots.factors[("node", 0)] = [ScaledArray.from_values([2.0, 1.0])]  # multiplier off zero
         assert dual_objective(pots, spec, refreshed(spec, pots)) == -math.inf
 
 
@@ -365,10 +365,20 @@ class TestProblemSpecValidation:
             ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 3)), 1.0)},
                         {0: Equality([1.0, 1.0, 1.0])}, {}, 1.0)
 
+    def test_kernel_of_the_wrong_shape_is_named(self):
+        # node sizes come from the first two axes; a third axis is left over
+        with pytest.raises(InvalidInput, match=r"kernel on edge \(0, 1\) has shape "
+                                               r"\(2, 2, 2\), expected \(2, 2\)"):
+            ProblemSpec(GraphTopology.chain(2), {(0, 1): ScaledArray.ones((2, 2, 2))})
+
+    def test_node_with_no_kernel_to_size_it_is_named(self):
+        with pytest.raises(InvalidInput, match=r"cannot infer sizes for nodes \[2\]"):
+            ProblemSpec(GraphTopology.chain(3), {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)})
+
     def test_composite_potentials_get_one_factor_each(self):
         topo = GraphTopology.chain(2)
         spec = ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)},
                            {1: CompositeFunction([Equality([1.0, 1.0]),
                                                   Zero()])}, {}, 1.0)
         pots = DualPotentials.ones_for(spec)
-        assert len(pots.nodes[1]) == 2
+        assert len(pots.factors[("node", 1)]) == 2

@@ -33,8 +33,8 @@ class TestDenseOracle:
         topo = GraphTopology.general(2, [(0, 1)])
         spec = ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)}, {}, {}, 1.0)
         pots = DualPotentials.ones_for(spec)
-        pots.nodes[0] = [ScaledArray.from_values([0.3, 0.7])]
-        pots.nodes[1] = [ScaledArray.from_values([0.6, 0.4])]
+        pots.factors[("node", 0)] = [ScaledArray.from_values([0.3, 0.7])]
+        pots.factors[("node", 1)] = [ScaledArray.from_values([0.6, 0.4])]
         den = DenseEngine(spec)
         t = dense_tensor(spec, pots)
         np.testing.assert_allclose(t.value(), [[0.18, 0.12], [0.42, 0.28]], rtol=1e-14)
@@ -142,7 +142,7 @@ class TestDenseContraction:
             sizes = [int(rng.integers(2, 5)) for _ in range(n)]
             spec = random_general_spec(rng, cycle_with_chord(n), sizes)
             pots = random_potentials(spec, rng, zero_rate=0.2 if trial % 2 else 0.0)
-            assert len(pots.nodes[0]) == 2
+            assert len(pots.factors[("node", 0)]) == 2
             self.check_all(spec, pots, "cycle trial %d" % trial)
 
     def test_hub_declared_general(self):
@@ -161,7 +161,7 @@ class TestDenseContraction:
         vals = pots.edge_value(e).value()
         vals[0, :] = 0.0
         vals[1, 1] = 0.0
-        pots.edges[e] = [ScaledArray.from_values(vals)]
+        pots.factors[("edge", e)] = [ScaledArray.from_values(vals)]
         self.check_all(spec, pots, "zeroed edge potential")
 
     def test_peak_memory_below_one_plan(self):
@@ -231,7 +231,7 @@ class TestChainProjections:
     def test_zero_potential_annihilates_bimarginal(self):
         spec = ones_chain(3, 2)
         pots = DualPotentials.ones_for(spec)
-        pots.nodes[2] = [ScaledArray(np.zeros(2), 0.0)]
+        pots.factors[("node", 2)] = [ScaledArray(np.zeros(2), 0.0)]
         np.testing.assert_array_equal(refreshed(spec, pots).bimarginal((0, 1), pots).value(),
                                       np.zeros((2, 2)))
 
@@ -239,7 +239,7 @@ class TestChainProjections:
         rng = np.random.default_rng(1)
         spec = random_chain_spec(rng, n_nodes=4, sizes=[3, 3, 3, 3])
         pots = random_potentials(spec, rng)
-        pots.nodes[0] = [ScaledArray.from_values([1.0, 0.0, 0.0])]
+        pots.factors[("node", 0)] = [ScaledArray.from_values([1.0, 0.0, 0.0])]
         eng = refreshed(spec, pots)
         den = DenseEngine(spec)
         for j in range(4):
@@ -367,7 +367,8 @@ class TestPathChordRouting:
             sizes = [int(rng.integers(2, 6)) for _ in range(n)]
             spec = random_general_spec(rng, path_chord_edges(rng, n), sizes)
             pots = random_potentials(spec, rng, zero_rate=0.2 if trial % 2 else 0.0)
-            assert len(pots.nodes[0]) == 2 and len(pots.edges) == 2
+            assert len(pots.factors[("node", 0)]) == 2
+            assert sum(kind == "edge" for kind, _ in pots.factors) == 2
             eng = refreshed(spec, pots)
             assert type(eng) is ChainEngine
             den = DenseEngine(spec)
@@ -413,8 +414,8 @@ class TestHubProjections:
         chain_pots = DualPotentials.ones_for(chain_spec)
         for j in range(tc):
             u = np.exp(rng.uniform(-1, 1, n))
-            hub_pots.nodes[j] = [ScaledArray.from_values(u)]
-            chain_pots.nodes[j] = [ScaledArray.from_values(u)]
+            hub_pots.factors[("node", j)] = [ScaledArray.from_values(u)]
+            chain_pots.factors[("node", j)] = [ScaledArray.from_values(u)]
         hub_eng = refreshed(hub_spec, hub_pots)
         chain_eng = refreshed(chain_spec, chain_pots)
         for j in range(tc):
@@ -482,7 +483,7 @@ class TestMessageReuse:
         eng = make_engine(spec)
         eng.refresh(pots)
         # change one node potential, push forward incrementally from it
-        pots.nodes[touch] = [ScaledArray.from_values(
+        pots.factors[("node", touch)] = [ScaledArray.from_values(
             np.exp(rng.uniform(-1, 1, spec.node_sizes[touch])))]
         hi = spec.topology.hub
         last = (hi if hi is not None else spec.topology.node_count) - 1

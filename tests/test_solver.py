@@ -9,15 +9,16 @@ import pytest
 
 from gtop import (Blockwise, Box, ChainEngine, CompositeFunction, Congestion, DualPotentials,
                   EdgeKernel, Equality, GraphTopology, Infeasible, InvalidInput, Linear,
-                  ProblemSpec, QuadraticDistance, ScaledArray, SolverConfig, Zero, build_kernel,
-                  dual_objective, inclusion_residual, make_engine, solve, stack_rows)
+                  ProblemSpec, QuadraticDistance, ScaledArray, SolverConfig, VerificationFailure,
+                  Zero, build_kernel, dual_objective, inclusion_residual, make_engine, solve,
+                  stack_rows)
 from gtop import solver as solver_module
 from gtop.model import smul
 from gtop.projections import DenseEngine
 from gtop.solver import _Mixer, _Updater, _Verifier, residual_map
 
-from _support import (as_general, assert_maxnorm_close, dense_tensor, random_hub_spec,
-                      random_potentials, solve_dense)
+from _support import (as_general, assert_maxnorm_close, block_functions, dense_tensor,
+                      random_hub_spec, random_potentials, solve_dense)
 
 
 def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
@@ -34,8 +35,8 @@ def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
 def update_node(j, pots, eng, spec):
     """One exact node update against freshly rebuilt projections."""
     eng.refresh(pots)
-    fn = spec.node_functions[j]
-    pots.nodes[j] = [fn.solve_inclusion(eng.w_node(j, pots), spec.epsilon)]
+    (fn,) = spec.blocks[("node", j)]
+    pots.factors[("node", j)] = [fn.solve_inclusion(eng.w_node(j, pots), spec.epsilon)]
 
 
 class TestSingleUpdates:
@@ -47,7 +48,7 @@ class TestSingleUpdates:
         update_node(0, pots, eng, spec)
         eng.refresh(pots)
         np.testing.assert_allclose(eng.marginal(0, pots).value(),
-                                   spec.node_functions[0].target, rtol=1e-12)
+                                   spec.blocks[("node", 0)][0].target, rtol=1e-12)
 
     def test_box_update_complementary_slackness(self):
         rng = np.random.default_rng(1)
@@ -63,7 +64,7 @@ class TestSingleUpdates:
         update_node(1, pots, eng, spec)
         eng.refresh(pots)
         p = eng.marginal(1, pots).value()
-        u = pots.nodes[1][0].value()
+        u = pots.factors[("node", 1)][0].value()
         assert np.all(p <= cap + 1e-12)
         active = u < 1.0 - 1e-12
         np.testing.assert_allclose(p[active], cap[active], rtol=1e-10)
@@ -94,8 +95,9 @@ class TestSingleUpdates:
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
         eng.refresh(pots)
-        pots.edges[topo.chord] = [spec.edge_functions[topo.chord].solve_inclusion(
-            eng.w_edge(topo.chord, pots), spec.epsilon)]
+        (fn,) = spec.blocks[("edge", topo.chord)]
+        pots.factors[("edge", topo.chord)] = [fn.solve_inclusion(eng.w_edge(topo.chord, pots),
+                                                                 spec.epsilon)]
         eng.refresh(pots)
         np.testing.assert_allclose(eng.bimarginal(topo.chord, pots).value(), R, rtol=1e-12)
 
@@ -110,13 +112,13 @@ class TestSingleUpdates:
                            {(topo.hub, 0): Equality(rng.uniform(0.1, 1, (L, n))),
                             (topo.hub, 1): Linear(c)}, 0.5)
         pots, report = solve(spec, SolverConfig(max_sweeps=60))
-        np.testing.assert_allclose(pots.edges[(topo.hub, 1)][0].value(),
+        np.testing.assert_allclose(pots.factors[("edge", (topo.hub, 1))][0].value(),
                                    np.exp(-c / 0.5), rtol=1e-12)
 
     def test_composite_single_part_reduces_to_plain(self):
         rng = np.random.default_rng(5)
         spec = two_node_spec(rng)
-        fns = spec.node_functions
+        fns = block_functions(spec, "node")
         comp_spec = ProblemSpec(spec.topology, spec.kernels,
                                 {0: fns[0], 1: CompositeFunction([fns[1]])}, {}, spec.epsilon)
         p1, _ = solve(spec, SolverConfig())
@@ -191,7 +193,7 @@ class TestSolve:
                                                        spec.epsilon)
         return ProblemSpec(spec.topology, kernels,
                            {2: QuadraticDistance(0.8, rng.uniform(0.2, 0.6, 3))},
-                           spec.edge_functions, spec.epsilon)
+                           block_functions(spec, "edge"), spec.epsilon)
 
     @staticmethod
     def _stacked_chain_spec(n=3, epsilon=0.7):
@@ -256,14 +258,14 @@ class TestSolve:
     @staticmethod
     def _reversed_edge(spec, e):
         """``spec`` declared general with the cost-free edge ``e`` given high to low."""
-        assert e not in spec.edge_functions or spec.edge_functions[e].is_zero
+        assert ("edge", e) not in spec.blocks
         edges = [f[::-1] if f == e else f for f in spec.topology.edges]
         kernels = dict(spec.kernels)
         k = kernels.pop(e)
         kernels[e[::-1]] = EdgeKernel(k.m.T, k.log_scale)
-        efns = {f: fn for f, fn in spec.edge_functions.items() if f != e}
         return ProblemSpec(GraphTopology.general(spec.topology.node_count, edges), kernels,
-                           spec.node_functions, efns, spec.epsilon)
+                           block_functions(spec, "node"), block_functions(spec, "edge"),
+                           spec.epsilon)
 
     @pytest.mark.parametrize("instance", ["hub_edge_kernel", "stacked_chain",
                                           "path_chord_costs", "hub_node_cost",
@@ -507,11 +509,11 @@ class TestComposite:
         eng.refresh(pots)
         np.testing.assert_allclose(eng.marginal(1, pots).value(), mu1, rtol=1e-7)
         # the box multiplier is inactive: its factor pins at one
-        np.testing.assert_allclose(pots.nodes[1][1].value(), np.ones(3), atol=1e-7)
+        np.testing.assert_allclose(pots.factors[("node", 1)][1].value(), np.ones(3), atol=1e-7)
         # and both sub-inclusions hold
         w = eng.w_node(1, pots)
         parts = spec.blocks[("node", 1)]
-        factors = pots.nodes[1]
+        factors = pots.factors[("node", 1)]
         for k_idx, part in enumerate(parts):
             others = [factors[i] for i in range(len(factors)) if i != k_idx]
             w_eff = smul(w, *others)
@@ -529,7 +531,7 @@ class TestComposite:
         # which the mass bounds cannot see
         cap[0] = np.inf
         comp = CompositeFunction([Equality(mu1), Box(0.0, cap)])
-        spec = ProblemSpec(spec.topology, spec.kernels, {0: spec.node_functions[0], 1: comp},
+        spec = ProblemSpec(spec.topology, spec.kernels, {0: spec.blocks[("node", 0)][0], 1: comp},
                            {}, spec.epsilon)
         pots, report = solve(spec, SolverConfig(max_sweeps=200))
         assert report.termination == "max_sweeps"
@@ -540,15 +542,14 @@ class TestComposite:
         spec, mu1, cap = self._composite_spec(rng, cap_slack=0.4)
         pots = DualPotentials.ones_for(spec)
         eng = make_engine(spec)
-        comp = spec.node_functions[1]
+        parts = spec.blocks[("node", 1)]
         eng.refresh(pots)
         w = eng.w_node(1, pots)
-        pots.nodes[1][0] = comp.parts[0].solve_inclusion(smul(w, pots.nodes[1][1]),
-                                                         spec.epsilon)
+        factors = pots.factors[("node", 1)]
+        factors[0] = parts[0].solve_inclusion(smul(w, factors[1]), spec.epsilon)
         eng.refresh(pots)
         w = eng.w_node(1, pots)
-        res = inclusion_residual(comp.parts[0], pots.nodes[1][0],
-                                 smul(w, pots.nodes[1][1]), spec.epsilon)
+        res = inclusion_residual(parts[0], factors[0], smul(w, factors[1]), spec.epsilon)
         assert np.max(res) <= 1e-10
 
 
@@ -585,12 +586,12 @@ class TestKeptLogs:
                            {(1, 2): Box(0.0, np.full((n, n), 0.4))}, 0.5)
         pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
-        for fs in list(pots.nodes.values()) + list(pots.edges.values()):
+        for fs in pots.factors.values():
             for f in fs:
                 with np.errstate(divide="ignore"):
                     fresh = np.log(f.m) + f.log_scale
                 assert f.log_value().tobytes() == fresh.tobytes()
-        assert np.isneginf(pots.nodes[0][0].log_value()[1])
+        assert np.isneginf(pots.factors[("node", 0)][0].log_value()[1])
 
 
 class TestCompositeEdge:
@@ -605,7 +606,7 @@ class TestCompositeEdge:
         spec = ProblemSpec(topo, kernels, {}, {topo.chord: comp}, 0.6)
         pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
-        assert len(pots.edges[topo.chord]) == 2
+        assert len(pots.factors[("edge", topo.chord)]) == 2
         eng = make_engine(spec)
         eng.refresh(pots)
         np.testing.assert_allclose(eng.bimarginal(topo.chord, pots).value(), R,
@@ -680,7 +681,7 @@ class TestResiduals:
         res = residual_map(pots, spec, eng)
         den = DenseEngine(spec)
         for j in (0, 1):
-            fn = spec.node_functions[j]
+            (fn,) = spec.blocks[("node", j)]
             expected = fn.feasibility_residual(den.marginal(j, pots).value())
             assert res["node:%d" % j] == pytest.approx(expected, rel=1e-12)
 
@@ -704,8 +705,8 @@ class TestKKTAtTermination:
         eng.refresh(pots)
         for j in range(3):
             w = eng.w_node(j, pots)
-            fn = spec.node_functions[j]
-            res = inclusion_residual(fn, pots.nodes[j][0], w, spec.epsilon)
+            (fn,) = spec.blocks[("node", j)]
+            res = inclusion_residual(fn, pots.factors[("node", j)][0], w, spec.epsilon)
             assert np.max(res) <= 10 * cfg.feasibility_tol
 
 
@@ -742,6 +743,54 @@ class TestRLinearTrend:
         rho10 = float(np.max(ratios))
         assert rho10 < 1.0
         assert np.all(ratios <= rho10)
+
+
+class TestChecksThatFire:
+    """The verifier's checks and the dual warning fire on a faulty update or
+    projection, not only stay quiet on correct ones."""
+
+    @staticmethod
+    def _skewed_update(monkeypatch, at_call):
+        """Make the ``at_call``-th equality update return its factor times a
+        nonconstant vector: the update misses the block's maximum."""
+        exact = Equality.solve_inclusion
+        calls = []
+
+        def skewed(self, w, epsilon):
+            u = exact(self, w, epsilon)
+            calls.append(1)
+            if len(calls) == at_call:
+                u = ScaledArray(u.m * np.linspace(1.0, 3.0, u.m.size).reshape(u.shape),
+                                u.log_scale)
+            return u
+
+        monkeypatch.setattr(Equality, "solve_inclusion", skewed)
+
+    def test_verified_solve_fails_when_an_update_lowers_the_dual(self, monkeypatch):
+        spec = two_node_spec(np.random.default_rng(50))
+        self._skewed_update(monkeypatch, at_call=3)  # sweep 2, node 0
+        with pytest.raises(VerificationFailure, match="dual objective dropped .* at node 0"):
+            solve(spec, SolverConfig(verify=True))
+
+    def test_plain_solve_warns_when_a_sweep_lowers_the_dual(self, monkeypatch):
+        spec = two_node_spec(np.random.default_rng(50))
+        self._skewed_update(monkeypatch, at_call=4)  # sweep 2, node 1
+        _, report = solve(spec, SolverConfig(max_sweeps=50))
+        assert report.dual_values[1] < report.dual_values[0]
+        assert "dual objective decreased at sweep 2" in report.warnings
+
+    def test_verified_solve_fails_on_a_projection_off_the_dense_oracle(self, monkeypatch):
+        spec = two_node_spec(np.random.default_rng(50))
+        exact = DenseEngine.marginal
+
+        def perturbed(self, j, pots):
+            p = exact(self, j, pots)
+            return ScaledArray(p.m * (1.0 + 1e-6 * np.arange(p.m.size)), p.log_scale)
+
+        monkeypatch.setattr(DenseEngine, "marginal", perturbed)
+        with pytest.raises(VerificationFailure, match=r"projection mismatch .* for node 0 at "
+                                                      r"sweep 1"):
+            solve(spec, SolverConfig(verify=True))
 
 
 class TestDivergenceWarning:
@@ -783,7 +832,7 @@ class TestDivergenceWarning:
 
         def rescan(sweep, dual, res):
             worst = 0.0
-            for fs in list(live[0].nodes.values()) + list(live[0].edges.values()):
+            for fs in live[0].factors.values():
                 for f in fs:
                     with np.errstate(divide="ignore"):
                         lv = np.log(f.m) + f.log_scale
@@ -977,7 +1026,7 @@ class TestSpecHoldsNoSolveState:
         # A zero-cost edge has no block, but its function is still checked.
         spec = marked_spec(0, "chain")
         with pytest.raises(InvalidInput):
-            ProblemSpec(spec.topology, spec.kernels, spec.node_functions,
+            ProblemSpec(spec.topology, spec.kernels, block_functions(spec, "node"),
                         {(0, 1): Blockwise(4, [([0, 1, 2, 3], Zero())])}, spec.epsilon)
 
 
@@ -1028,8 +1077,7 @@ def solver_state(pots, engine):
     """Every potential factor and engine message: identity, mantissa bytes, log scale."""
     def entry(arr):
         return None if arr is None else (id(arr), arr.m.tobytes(), arr.log_scale)
-    factors = [[entry(f) for f in fs] for fs in list(pots.nodes.values())
-               + list(pots.edges.values())]
+    factors = [[entry(f) for f in fs] for fs in pots.factors.values()]
     return factors, [entry(a) for a in engine.fwd], [entry(a) for a in engine.bwd]
 
 
@@ -1194,7 +1242,7 @@ class TestExtrapolation:
             assert math.isfinite(value)
             for block, k, d in moves:
                 if block == ("node", 2):
-                    s = -epsilon * pots.nodes[2][k].log_value().ravel()
+                    s = -epsilon * pots.factors[("node", 2)][k].log_value().ravel()
                     lower, upper = mixed.conjugate_subgradient(s)
                     end = np.where(d > 0, lower, upper)
                     flat.append(np.count_nonzero(~np.isfinite(end) & (d != 0)))
@@ -1258,7 +1306,7 @@ class TestExtrapolation:
             pots, report = solve(spec, SolverConfig(verify=True))
         assert report.termination == "converged"
         assert any(k for _, _, k in report.extrapolations)
-        assert np.isneginf(pots.nodes[1][0].log_value()[1])
+        assert np.isneginf(pots.factors[("node", 1)][0].log_value()[1])
 
     def test_trials_stay_in_the_updates_log_ranges(self, monkeypatch):
         # A proposal 1 above every sweep output in log: the box and
@@ -1270,7 +1318,7 @@ class TestExtrapolation:
         moved = []
 
         def checked_trial(spec, pots, engine, replaced, dual, proposal):
-            slots = [(solver_module._factors(pots, block), k, spec.blocks[block][k])
+            slots = [(pots.factors[block], k, spec.blocks[block][k])
                      for block, k, _ in replaced]
             swept = [fs[k].log_value() for fs, k, _ in slots]
             rebuild = engine.rebuild_backward
@@ -1359,8 +1407,7 @@ class TestExtrapolation:
         assert len(pairs) == solver_module._MIX_DEPTH + 1
         for (_, g), (x, _) in zip(pairs, pairs[1:]):
             assert all(a is b for a, b in zip(g, x))
-        live = [f.log_value() for fs in list(pots.nodes.values()) + list(pots.edges.values())
-                for f in fs]
+        live = [f.log_value() for fs in pots.factors.values() for f in fs]
         assert all(any(g is f for f in live) for g in pairs[-1][1])
 
     def test_rate_needs_three_agreeing_ratios(self):

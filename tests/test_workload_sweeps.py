@@ -118,7 +118,8 @@ def test_mfg_hub_projects_only_its_equality_hub_edge(workloads, tmp_path, monkey
 def test_mfg_hub_shares_its_species_rows(workloads, tmp_path):
     # 8 running hub edges share one row table, the terminal edge has its own
     spec = workloads.WORKLOADS["mfg_hub"](0, str(tmp_path)).setup().spec
-    rows = [fn for (a, b), fn in spec.edge_functions.items() if a == spec.topology.hub and b > 0]
+    rows = [fn for (kind, e), parts in spec.blocks.items()
+            if kind == "edge" and e[0] == spec.topology.hub and e[1] > 0 for fn in parts]
     assert len(rows) == 9 and len({id(fn) for fn in rows}) == 2
 
 
