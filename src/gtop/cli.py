@@ -267,8 +267,9 @@ def _parse_flow(problem, epsilon, path, base_dir):
 
 
 def _parse_mfg(problem, epsilon, path, base_dir):
-    if "grid" in problem and isinstance(problem["grid"], dict):
-        g = _expect_map(problem["grid"], path + ".grid", ("shape", "extent"))
+    g = problem.get("grid")
+    if isinstance(g, dict) and "csv" not in g:
+        _expect_map(g, path + ".grid", ("shape", "extent"))
         extent = g.get("extent", [])
         if not isinstance(extent, list):
             _fail(path + ".grid.extent", "expected a list of numbers")
@@ -276,7 +277,7 @@ def _parse_mfg(problem, epsilon, path, base_dir):
                                [_number(v, "%s.grid.extent[%d]" % (path, i), finite=True)
                                 for i, v in enumerate(extent)])
     else:
-        grid = _load_matrix(problem.get("grid"), path + ".grid", base_dir)
+        grid = _load_matrix(g, path + ".grid", base_dir)
     steps = _integer(problem.get("steps"), path + ".steps", 1)
     species_cfg = problem.get("species")
     if not isinstance(species_cfg, list) or not species_cfg:

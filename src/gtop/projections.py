@@ -1,5 +1,11 @@
 """Marginal and bimarginal projections of the structured plan.
 
+Every projection is its block's update weight times its own factor,
+``P_b = u_b * w_b``, where ``w_b`` is the plan summed onto the block's modes
+with ``u_b`` left out.  ``_EngineBase`` forms that product once.  An engine
+implements its weights ``w_node``/``w_edge``, its sweep ``order`` and, if it
+passes messages, ``refresh``, ``rebuild_backward`` and ``push_forward``.
+
 Every structured graph is one recursion: a path whose messages carry one
 extra mode, the separator of a junction tree (Haasler, Ringh, Chen and
 Karlsson, arXiv 2004.06909).  ``GraphTopology.path_chords`` names the path
@@ -9,7 +15,7 @@ chords the forward seed is the identity, and each chord, kernel times
 potential, is the carried factor of its node b.  Which graphs are such a
 path, and in which node order, is the topology's decision alone.
 
-The engine computes projections by passing these messages along the path,
+The path engine computes its weights by passing these messages along the path,
 never materializing the tensor.  A dense engine sums out one variable at a
 time (variable elimination) on every other graph.  It is also the
 reference the path recursion is tested against, and is itself tested
@@ -39,7 +45,7 @@ _RESCALE_THRESHOLD = 200.0
 
 
 class _EngineBase:
-    """Every projection and message ends in ``_fin``, counting ``rescale_events``."""
+    """Projections from the engine's weights; all ends in ``_fin``, counting ``rescale_events``."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -50,6 +56,16 @@ class _EngineBase:
         if arr.renormalize() > _RESCALE_THRESHOLD:
             self.rescale_events += 1
         return arr
+
+    def marginal(self, j, pots):
+        return self._own_factor_times(self.w_node(j, pots), pots.node_value(j))
+
+    def bimarginal(self, e, pots):
+        return self._own_factor_times(self.w_edge(e, pots), pots.edge_value(e))
+
+    def _own_factor_times(self, w, u):
+        """P_b = u_b * w_b; an edge with no cost has no factor and returns its weight."""
+        return w if u is None else self._fin(w.m * u.m, w.log_scale + u.log_scale)
 
     def projection(self, block, pots):
         """The marginal of a ("node", j) block, the bimarginal of an ("edge", e) one."""
@@ -113,18 +129,6 @@ class ChainEngine(_EngineBase):
         u = pots.node_value(self.path[i])
         return m * u.m, ls + u.log_scale
 
-    def _joint(self, i, pots):
-        """Carried mode by the state at path position ``i``: the plan summed over the rest."""
-        u = pots.node_value(self.path[i])
-        fwd, bwd = self.fwd[i], self.bwd[i]
-        return self._times_carried(u.m * fwd.m * bwd.m,
-                                   u.log_scale + fwd.log_scale + bwd.log_scale, i, pots)
-
-    def _carried_pos(self, e):
-        """The path position whose carried factor edge ``e`` is, or None."""
-        i = self.pos.get(e[1])
-        return i if self.carried.get(i) == e else None
-
     def _step(self, e):
         i = self.steps.get(e)
         if i is None:
@@ -166,8 +170,8 @@ class ChainEngine(_EngineBase):
         return self._fin(m.sum(axis=0), ls)
 
     def w_edge(self, e, pots):
-        i = self._carried_pos(e)
-        if i is not None:
+        i = self.pos.get(e[1])
+        if self.carried.get(i) == e:  # a chord: its kernel is the carried factor at e[1]
             u = pots.node_value(e[1])
             k = self.spec.kernels[e]
             fwd, bwd = self.fwd[i], self.bwd[i]
@@ -179,20 +183,6 @@ class ChainEngine(_EngineBase):
         k = self.spec.kernels[e]
         return self._fin(k.times(left.m.T @ right.m),
                          k.log_scale + left.log_scale + right.log_scale)
-
-    def marginal(self, v, pots):
-        m, ls = self._joint(self.pos[v], pots)
-        return self._fin(m.sum(axis=0), ls)
-
-    def bimarginal(self, e, pots):
-        i = self._carried_pos(e)
-        if i is not None:
-            return self._fin(*self._joint(i, pots))
-        w = self.w_edge(e, pots)
-        u_edge = pots.edge_value(e)
-        if u_edge is None:
-            return w
-        return self._fin(w.m * u_edge.m, w.log_scale + u_edge.log_scale)
 
 
 class DenseEngine(_EngineBase):
@@ -270,12 +260,6 @@ class DenseEngine(_EngineBase):
 
     def w_edge(self, e, pots):
         return self.project(pots, e, exclude=("edge", e))
-
-    def marginal(self, j, pots):
-        return self.project(pots, (j,))
-
-    def bimarginal(self, e, pots):
-        return self.project(pots, e)
 
 
 def make_engine(spec):

@@ -146,9 +146,10 @@ class _Verifier:
 
     After an update the dual takes its plan mass from the solve engine's
     projection of the block just updated, whose messages the sweep keeps
-    current.  The projections are checked each sweep against a dense oracle
-    when the solve engine is not dense (a second copy of it would check
-    nothing) and the instance fits the dense budget.
+    current.  The projections are checked each sweep against a dense oracle's
+    full contraction, which includes the block's own factor, when the solve
+    engine is not dense (a second copy of it would check nothing) and the
+    instance fits the dense budget.
     """
 
     def __init__(self, spec, engine):
@@ -173,9 +174,10 @@ class _Verifier:
     def check_projections(self, pots, engine, sweep):
         if self.oracle is None:
             return
-        for block in self.spec.blocks:
-            a, b = engine.projection(block, pots), self.oracle.projection(block, pots)
-            _assert_scaled_close(a, b, 1e-8, "%s %r at sweep %d" % (*block, sweep))
+        for kind, where in self.spec.blocks:
+            keep = (where,) if kind == "node" else where
+            a, b = engine.projection((kind, where), pots), self.oracle.project(pots, keep)
+            _assert_scaled_close(a, b, 1e-8, "%s %r at sweep %d" % (kind, where, sweep))
 
 
 def _assert_scaled_close(a, b, rtol, label):

@@ -1,14 +1,15 @@
 """Shared helpers for the test suite: instance generators and comparisons."""
 
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
 
-from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality, GraphTopology,
-                  Linear, MFGSetup, ProblemSpec, QuadraticDistance, ScaledArray,
+from gtop import (Blockwise, Box, CompositeFunction, Congestion, DualPotentials, Equality,
+                  GraphTopology, Linear, MFGSetup, ProblemSpec, QuadraticDistance, ScaledArray,
                   SeparableKernel, Zero, build_kernel, build_mfg_cost_matrix,
-                  build_mfg_problem)
+                  build_mfg_problem, stack_rows)
 
 
 def load_workloads():
@@ -228,3 +229,66 @@ def grid_mfg_specs(rng, sizes, steps=3, species=2, epsilon=0.3, cost_scale=1.7,
     return tuple(ProblemSpec(spec.topology, kernels, block_functions(spec, "node"), edge_fns,
                              epsilon)
                  for kernels in (spec.kernels, dense_kernels))
+
+
+def _random_part(rng, shape, mass, nested=True):
+    """One catalog cost on a block of ``shape`` in a plan of total ``mass``:
+    zero, linear, box (a third of them indicators of a support), distance
+    with p in {1.5, 2, 3}, congestion, and, if ``nested``, blockwise rows or
+    a composite of two parts."""
+    n = math.prod(shape)
+    kind = int(rng.integers(7 if nested else 5))
+    if kind == 0:
+        return Zero()
+    if kind == 1:
+        return Linear(rng.uniform(0.0, 1.0, shape))
+    if kind == 2:
+        if rng.uniform() < 1.0 / 3.0:
+            upper = np.where(rng.uniform(size=shape) < 0.25, 0.0, np.inf)
+            return Box(0.0, upper)
+        upper = np.where(rng.uniform(size=shape) < 0.5, np.inf,
+                         rng.uniform(0.5, 2.0, shape) * mass)
+        return Box(rng.uniform(0.0, 0.2, shape) * mass / n, upper)
+    if kind == 3:
+        return QuadraticDistance(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * mass / n, shape),
+                                 exponent=float(rng.choice([1.5, 2.0, 3.0])))
+    if kind == 4:
+        return Congestion(rng.uniform(1.0, 3.0, shape) * mass)
+    if kind == 5:
+        if len(shape) == 2:
+            return stack_rows([_random_part(rng, (shape[1],), mass, nested=False)
+                               for _ in range(shape[0])], shape[1])
+        cut = int(rng.integers(1, n))
+        return Blockwise(n, [(np.arange(cut), _random_part(rng, (cut,), mass, nested=False)),
+                             (np.arange(cut, n),
+                              _random_part(rng, (n - cut,), mass, nested=False))])
+    return CompositeFunction([_random_part(rng, shape, mass, nested=False) for _ in range(2)])
+
+
+def random_problem(rng):
+    """A random small instance for the engine cross-checks.
+
+    The graph is a path plus random chords from node 0, or a species hub,
+    with 3-6 nodes of 2-5 states and epsilon in {0.5, 0.2, 0.1, 0.05}.
+    Every other node, and two edges in three, draw a cost from the whole
+    catalog (``_random_part``); an equality at node 0 fixes the plan mass.
+    """
+    n_nodes = int(rng.integers(3, 7))
+    if rng.uniform() < 0.5:
+        chords = [(0, b) for b in range(2, n_nodes) if rng.uniform() < 0.5]
+        topo = GraphTopology.general(n_nodes, [(j, j + 1) for j in range(n_nodes - 1)] + chords)
+        sizes = [int(rng.integers(2, 6)) for _ in range(n_nodes)]
+    else:
+        species = int(rng.integers(2, 6))
+        topo = GraphTopology.species_hub(n_nodes - 1, species)
+        sizes = [int(rng.integers(2, 6)) for _ in range(n_nodes - 1)] + [species]
+    epsilon = float(rng.choice([0.5, 0.2, 0.1, 0.05]))
+    mass = rng.uniform(0.5, 2.0)
+    kernels = {e: build_kernel(rng.uniform(0.0, 1.0, (sizes[e[0]], sizes[e[1]])), epsilon)
+               for e in topo.edges}
+    target = rng.uniform(0.1, 1.0, sizes[0])
+    node_fns = {0: Equality(target * mass / target.sum())}
+    node_fns.update({j: _random_part(rng, (sizes[j],), mass) for j in range(1, n_nodes)})
+    edge_fns = {e: _random_part(rng, (sizes[e[0]], sizes[e[1]]), mass)
+                for e in topo.edges if rng.uniform() < 2.0 / 3.0}
+    return ProblemSpec(topo, kernels, node_fns, edge_fns, epsilon)

@@ -60,12 +60,12 @@ def test_criterion_1_oracle_projection_equivalence():
                 eng.refresh(pots)
                 den = DenseEngine(spec)
                 for j in range(spec.topology.node_count):
-                    assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-10,
+                    assert_maxnorm_close(eng.marginal(j, pots), den.project(pots, (j,)), 1e-10,
                                          "trial %d %s marginal %d"
                                          % (trial, spec.topology.edges, j))
                 for e in spec.topology.edges:
                     assert_maxnorm_close(eng.bimarginal(e, pots),
-                                         den.bimarginal(e, pots), 1e-10,
+                                         den.project(pots, e), 1e-10,
                                          "trial %d %s bimarginal %r"
                                          % (trial, spec.topology.edges, e))
         assert time.perf_counter() - started < 30.0
@@ -466,5 +466,5 @@ def test_criterion_8_multiple_costs_extension():
                                                       potential_tol=1e-12))
         assert creport.termination == "converged"
         ours = eng.bimarginal((0, 1), pots).value()
-        ref = DenseEngine(combined).bimarginal((0, 1), cpots).value()
+        ref = DenseEngine(combined).project(cpots, (0, 1)).value()
         assert np.max(np.abs(ours - ref)) <= 1e-6

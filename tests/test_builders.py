@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gtop import (Box, CompositeFunction, Congestion, DualPotentials, EdgeKernel, Equality,
-                  FlowEdge, FlowNetwork, InvalidInput, Linear, MFGSetup,
+from gtop import (Blockwise, Box, CompositeFunction, Congestion, DualPotentials, EdgeKernel,
+                  Equality, FlowEdge, FlowNetwork, InvalidInput, Linear, MFGSetup,
                   QuadraticDistance, SeparableKernel, SolverConfig, Zero,
                   build_flow_cost_matrix, build_flow_problem, build_kernel,
                   build_mfg_chain_problem, build_mfg_cost_matrix, build_mfg_problem,
@@ -76,6 +76,16 @@ class TestFlowCostMatrix:
             FlowNetwork(["A", "B", "C"], [FlowEdge("A", "B")],
                         sources=["A", "C"], sinks=["B"], horizon=3)
 
+    def test_dangling_sink_warns(self):
+        with pytest.warns(UserWarning, match="^sink 'C' has no incident edge; it cannot "
+                                             "receive mass$"):
+            FlowNetwork(["A", "B", "C"], [FlowEdge("A", "B")],
+                        sources=["A"], sinks=["B", "C"], horizon=3)
+
+    def test_horizon_below_two_rejected(self):
+        with pytest.raises(InvalidInput, match="^the horizon needs at least two time points$"):
+            tiny_net(horizon=1)
+
 
 def interior_cost(capacities, sources):
     """The cost build_flow_problem puts on node 1: a path A -> X -> B with
@@ -131,6 +141,12 @@ class TestFlowProblem:
         eng.refresh(pots)
         coupling = eng.bimarginal(spec.topology.chord, pots).value()
         np.testing.assert_allclose(coupling, embed_od_matrix(net, od), atol=1e-8)
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 4)])
+    def test_terminals_of_the_wrong_length_rejected(self, sizes):
+        with pytest.raises(InvalidInput, match=r"^terminal marginals must have one entry per "
+                                               r"state \(3\)$"):
+            build_flow_problem(tiny_net(), terminals=tuple(np.ones(n) for n in sizes))
 
     def test_terminal_variant_is_chain(self):
         net = tiny_net(horizon=3)
@@ -209,6 +225,19 @@ class TestFlowProblem:
 
 
 class TestMFGCostMatrix:
+    @pytest.mark.parametrize("inputs", [{}, {"grid": np.zeros(2), "matrix": np.zeros((2, 2))}],
+                             ids=["neither", "both"])
+    def test_exactly_one_input(self, inputs):
+        with pytest.raises(InvalidInput, match="^give exactly one of grid coordinates or a "
+                                               "cost matrix$"):
+            build_mfg_cost_matrix(**inputs)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))],
+                             ids=["2x3", "vector", "3d"])
+    def test_matrix_must_be_square(self, matrix):
+        with pytest.raises(InvalidInput, match="^cost matrix must be square$"):
+            build_mfg_cost_matrix(matrix=matrix)
+
     def test_two_points(self):
         c = build_mfg_cost_matrix(grid=np.array([[0.0, 0.0], [1.0, 0.0]]))
         np.testing.assert_allclose(c, [[0.0, 1.0], [1.0, 0.0]])
@@ -306,6 +335,40 @@ class TestMFGProblem:
         with pytest.raises(InvalidInput, match=r"interior time indices 1 \.\. 2, got \[%r\]"
                            % (key,)):
             build(setup)
+
+    def test_all_zero_species_table_puts_no_cost_on_its_hub_edge(self):
+        setup = small_mfg_setup(np.random.default_rng(7), L=2)
+        setup.species_running = {1: [Zero(), None],
+                                 2: [Linear(np.linspace(0.0, 1.0, setup.n_points)), None]}
+        spec = build_mfg_problem(setup)
+        hub = spec.topology.hub
+        assert ("edge", (hub, 1)) not in spec.blocks
+        assert ("edge", (hub, 2)) in spec.blocks
+
+    def test_running_costs_scale_by_dt_per_type(self):
+        # An equality is the same constraint at any scale, a blockwise cost
+        # scales block by block, and a congestion cost only at dt = 1.
+        n = 4
+        c, target = np.linspace(0.0, 1.0, 2), np.full(2, 0.125)
+        species = Blockwise(n, [(np.arange(2), Linear(c)), (np.arange(2, 4), Equality(target))])
+        pinned, congestion = Equality(np.full(n, 0.125)), Congestion(np.full(n, 2.0))
+        setup = small_mfg_setup(np.random.default_rng(8), L=2)
+        setup.dt = 0.5
+        setup.species_running = {1: [species, pinned]}
+        spec = build_mfg_problem(setup)
+        rows = spec.blocks[("edge", (spec.topology.hub, 1))][0].blocks
+        scaled, same = rows[0][1], rows[1][1]
+        assert same is pinned
+        assert isinstance(scaled, Blockwise) and scaled is not species
+        np.testing.assert_array_equal(scaled.blocks[0][1].cost, 0.5 * c)
+        assert scaled.blocks[1][1] is species.blocks[1][1]
+        setup.dt = 1.0
+        setup.species_running = {}
+        setup.total_running = {1: congestion}
+        assert build_mfg_problem(setup).blocks[("node", 1)] == (congestion,)
+        setup.dt = 0.5
+        with pytest.raises(InvalidInput, match="^congestion costs cannot be rescaled"):
+            build_mfg_problem(setup)
 
     @pytest.mark.parametrize("table", ["running", "terminal"])
     def test_species_table_shorter_than_the_species_is_rejected(self, table):

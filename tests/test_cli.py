@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from gtop import ConfigError
+from gtop import (ConfigError, DenseEngine, EdgeKernel, Equality, FlowEdge, FlowNetwork,
+                  GraphTopology, MFGSetup, ProblemSpec, QuadraticDistance, SolverConfig, Zero,
+                  build_flow_problem, build_kernel, build_mfg_problem, grid_points)
 from gtop.cli import main, parse_config, run
 
 from _support import assert_maxnorm_close
@@ -682,6 +684,184 @@ class TestFlowInputs:
             main(["solve", "--config", path, "--tol", tol])
         assert err.value.code == 2
         assert not os.path.exists(str(tmp_path / "out"))
+
+
+def read_rows(path):
+    """CSV rows as lists of floats, read as text: rows may differ in length."""
+    with open(path, encoding="utf-8") as fh:
+        return [[float(v) for v in line.split(",")] for line in fh.read().splitlines()]
+
+
+def assert_outputs_of(out, spec, config=None):
+    """The CLI's result files in ``out`` hold a library solve of ``spec``, bit for bit."""
+    from gtop import make_engine, solve
+    pots, report = solve(spec, config)
+    eng = make_engine(spec)
+    eng.refresh(pots)
+    topo = spec.topology
+    assert read_rows(os.path.join(out, "marginals.csv")) == \
+        [eng.marginal(j, pots).value().tolist() for j in topo.time_nodes]
+    steps = set(zip(topo.time_nodes, topo.time_nodes[1:]))
+    for e in topo.edges:
+        name = os.path.join(out, "bimarg_%d_%d" % e)
+        saved = (np.load(name + ".npy") if e in steps
+                 else np.loadtxt(name + ".csv", delimiter=",", ndmin=2))
+        assert np.array_equal(saved, eng.bimarginal(e, pots).value()), e
+    summary = read_strict_json(os.path.join(out, "summary.json"))
+    assert summary["termination"] == report.termination == "converged"
+    assert (summary["sweeps"], summary["dual_objective"]) == (report.sweeps,
+                                                              report.dual_objective)
+    return eng
+
+
+def line_mfg_config(out_dir, grid):
+    """One species on a 3-point line grid."""
+    return {
+        "problem": {
+            "kind": "mfg", "grid": grid, "steps": 2,
+            "species": [{"initial": [0.2, 0.3, 0.5]}],
+            "total_terminal": {"type": "quadratic", "weight": 1.0, "anchor": [0.3, 0.3, 0.4]},
+        },
+        "epsilon": 0.4,
+        "output": {"directory": out_dir},
+    }
+
+
+class TestLessUsedForms:
+    """Config forms that the other tests do not take: each that solves gives
+    the outputs of the same problem built with the library, and each error
+    exits 2 naming its path."""
+
+    def solve(self, tmp_path, body, name="run.json"):
+        assert main(["solve", "--config", write_config(tmp_path, body, name)]) == 0
+        return body["output"]["directory"]
+
+    def rejected(self, tmp_path, capsys, body):
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        return capsys.readouterr().err
+
+    def test_flow_terminals(self, tmp_path):
+        body = flow_config(str(tmp_path / "out"))
+        body["problem"]["constraint"] = {"initial": [0.0, 1.0, 0.0], "final": [0.0, 0.0, 1.0]}
+        net = FlowNetwork(["A", "B"], [FlowEdge("A", "B", capacity=5.0)], ["A"], ["B"], 3)
+        spec = build_flow_problem(net, terminals=(np.array([0.0, 1.0, 0.0]),
+                                                  np.array([0.0, 0.0, 1.0])), epsilon=0.5)
+        assert_outputs_of(self.solve(tmp_path, body), spec)
+
+    def test_flow_zero_edge_cost(self, tmp_path):
+        body = flow_config(str(tmp_path / "out"))
+        body["problem"]["edge_cost"] = "zero"
+        net = FlowNetwork(["A", "B"], [FlowEdge("A", "B", capacity=5.0)], ["A"], ["B"], 3)
+        spec = build_flow_problem(net, od=np.array([[1.0]]), edge_cost=Zero(), epsilon=0.5)
+        assert_outputs_of(self.solve(tmp_path, body), spec)
+
+    def test_flow_unknown_edge_cost(self, tmp_path, capsys):
+        body = flow_config(str(tmp_path / "out"))
+        body["problem"]["edge_cost"] = "toll"
+        assert self.rejected(tmp_path, capsys, body) == \
+            "error: problem.edge_cost: unknown edge cost kind 'toll'\n"
+
+    def test_mfg_cost_matrix(self, tmp_path):
+        cost = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+        body = mfg_config(str(tmp_path / "out"))
+        body["problem"]["cost"] = {"mode": "matrix", "values": cost.tolist(), "scale": 2.0}
+        setup = MFGSetup(grid=grid_points([2, 2], [0.0, 1.0, 0.0, 1.0]), n_steps=2,
+                         initial_densities=[np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4])],
+                         epsilon=0.4, cost_scale=2.0, cost_matrix=cost,
+                         total_terminal=QuadraticDistance(1.0, np.full(4, 0.5)),
+                         species_terminal=[None, QuadraticDistance(0.5, np.full(4, 0.25))])
+        assert_outputs_of(self.solve(tmp_path, body), build_mfg_problem(setup))
+
+    def test_mfg_unknown_cost_mode(self, tmp_path, capsys):
+        body = mfg_config(str(tmp_path / "out"))
+        body["problem"]["cost"] = {"mode": "manhattan"}
+        assert self.rejected(tmp_path, capsys, body) == \
+            "error: problem.cost.mode: unknown mode 'manhattan'\n"
+
+    def test_mfg_grid_csv_equals_the_inline_grid(self, tmp_path):
+        (tmp_path / "points.csv").write_text("0\n0.5\n1\n")
+        csv_body = line_mfg_config(str(tmp_path / "csv"), {"csv": "points.csv"})
+        inline_body = line_mfg_config(str(tmp_path / "inline"), [0.0, 0.5, 1.0])
+        by_csv = self.solve(tmp_path, csv_body)
+        inline = self.solve(tmp_path, inline_body, name="inline.json")
+        assert sorted(os.listdir(by_csv)) == sorted(os.listdir(inline))
+        for name in os.listdir(by_csv):
+            a, b = (open(os.path.join(d, name), "rb").read() for d in (by_csv, inline))
+            if name == "summary.json":
+                a, b = ({k: v for k, v in json.loads(x).items()
+                         if k not in ("wall_time_s", "label")} for x in (a, b))
+            assert a == b, name
+        setup = MFGSetup(grid=np.array([0.0, 0.5, 1.0]), n_steps=2,
+                         initial_densities=[np.array([0.2, 0.3, 0.5])], epsilon=0.4,
+                         total_terminal=QuadraticDistance(1.0, np.array([0.3, 0.3, 0.4])))
+        assert_outputs_of(by_csv, build_mfg_problem(setup))
+
+    def test_mfg_grid_csv_missing(self, tmp_path, capsys):
+        body = line_mfg_config(str(tmp_path / "out"), {"csv": "points.csv"})
+        assert self.rejected(tmp_path, capsys, body) == \
+            "error: problem.grid: csv file 'points.csv' not found\n"
+
+    def test_raw_od_cycle(self, tmp_path):
+        c01, c12 = [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]]
+        od = [[0.2, 0.1], [0.3, 0.4]]
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"].update(
+            topology={"class": "od_cycle", "sizes": [2, 2, 2]},
+            kernels=[{"edge": [0, 1], "cost": c01}, {"edge": [1, 2], "cost": c12}],
+            node_functions={}, edge_functions={"0-2": {"type": "equality", "target": od}})
+        topo = GraphTopology.od_cycle(3)
+        kernels = {(0, 1): build_kernel(np.array(c01), 1.0),
+                   (1, 2): build_kernel(np.array(c12), 1.0), (0, 2): EdgeKernel.ones((2, 2))}
+        spec = ProblemSpec(topo, kernels, {}, {(0, 2): Equality(np.array(od))}, 1.0)
+        assert_outputs_of(self.solve(tmp_path, body), spec, SolverConfig(feasibility_tol=1e-10))
+
+    def test_raw_general_graph_on_the_dense_engine(self, tmp_path):
+        edges = [(0, 1), (1, 2), (2, 3), (1, 3)]
+        cost = [[0.0, 1.0], [1.0, 0.0]]
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"].update(
+            topology={"class": "general", "sizes": [2, 2, 2, 2],
+                      "edges": [list(e) for e in edges]},
+            kernels=[{"edge": [1, 3], "cost": cost}],
+            node_functions={"0": {"type": "equality", "target": [0.3, 0.7]},
+                            "3": {"type": "equality", "target": [0.6, 0.4]}})
+        kernels = {e: EdgeKernel.ones((2, 2)) for e in edges}
+        kernels[(1, 3)] = build_kernel(np.array(cost), 1.0)
+        spec = ProblemSpec(GraphTopology.general(4, edges), kernels,
+                           {0: Equality(np.array([0.3, 0.7])), 3: Equality(np.array([0.6, 0.4]))},
+                           {}, 1.0)
+        eng = assert_outputs_of(self.solve(tmp_path, body), spec,
+                                SolverConfig(feasibility_tol=1e-10))
+        assert type(eng) is DenseEngine
+
+    def test_raw_hub_whose_last_size_is_not_the_species_count(self, tmp_path, capsys):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        _hub_topology(body, species=2)
+        assert self.rejected(tmp_path, capsys, body) == \
+            "error: problem.topology.sizes: last size must equal the species count\n"
+
+    def test_csv_reference_to_a_missing_file(self, tmp_path, capsys):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["kernels"][0]["cost"] = {"csv": "cost.csv"}
+        assert self.rejected(tmp_path, capsys, body) == \
+            "error: problem.kernels[0].cost: csv file 'cost.csv' not found\n"
+
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("{")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: config is not valid JSON: Expecting property " \
+            "name enclosed in double quotes: line 1 column 2 (char 1)\n"
+
+    def test_max_sweeps_zero_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        path = write_config(tmp_path, minimal_raw_config(out))
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--config", path, "--max-sweeps", "0"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "gtop: error: --max-sweeps must be at least 1"
+        assert not os.path.exists(out)
 
 
 class TestThreadCap:

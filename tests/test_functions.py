@@ -76,6 +76,19 @@ class TestConjugateValues:
         assert Equality([0.0, 1.0]).conjugate([np.inf, 0.5]) == pytest.approx(0.5)
         assert Box(0.0, np.array([0.0, 2.0])).conjugate([np.inf, 0.0]) == 0.0
 
+    @pytest.mark.parametrize("fn", [QuadraticDistance(1.0, [0.2, 0.3]),
+                                    QuadraticDistance(2.0, [0.2, 0.3], exponent=3.0),
+                                    Congestion([1.0, 2.0])], ids=repr)
+    def test_infinite_multiplier_past_the_domain_costs_inf(self, fn):
+        assert fn.conjugate([0.1, math.inf]) == math.inf
+
+    def test_distance_conjugate_is_inf_at_minus_inf_too(self):
+        assert QuadraticDistance(1.0, [0.2, 0.3]).conjugate([-math.inf, 0.0]) == math.inf
+
+    def test_congestion_conjugate_is_flat_below_its_kink(self):
+        # s <= 1 / capacity gives a zero flow and costs nothing, s = -inf included
+        assert Congestion([1.0, 2.0]).conjugate([-math.inf, 0.5]) == 0.0
+
 
 class TestBiconjugation:
     """f** computed by brute sup over a fine grid must reproduce f."""
@@ -624,6 +637,15 @@ class TestWeightMark:
 
 
 class TestSizesCheckedAtConstruction:
+    def test_box_lower_bound_must_be_finite(self):
+        with pytest.raises(InvalidInput, match="^box lower bounds must be finite$"):
+            Box(np.array([0.0, math.inf]), math.inf)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+    def test_distance_weight_must_be_positive_and_finite(self, weight):
+        with pytest.raises(InvalidInput, match="^distance weight must be positive and finite$"):
+            QuadraticDistance(weight, [0.5, 0.5])
+
     def test_blockwise_checks_each_block_against_its_indices(self):
         with pytest.raises(InvalidInput, match="blockwise block 0"):
             Blockwise(4, [([0, 1], Box(0.0, [1.0, 2.0, 3.0])), ([2, 3], Zero())])

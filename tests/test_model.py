@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gtop import (CompositeFunction, DualPotentials, EdgeKernel, Equality, GraphTopology,
-                  InvalidInput, ProblemSpec, ScaledArray, Zero, build_kernel,
+                  InvalidInput, NumericalFailure, ProblemSpec, ScaledArray, Zero, build_kernel,
                   dual_objective, make_engine)
 
 from _support import dense_tensor, masked_kernel, random_chain_spec, random_potentials
@@ -33,6 +33,13 @@ class TestScaledArray:
             np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
             assert np.max(np.abs(arr.m)) <= 2.0 ** 512
             assert np.max(np.abs(arr.m)) >= 2.0 ** -512
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_mantissa_fails_loudly(self, bad):
+        arr = ScaledArray(np.array([0.5, bad]), 0.0)
+        with pytest.raises(NumericalFailure,
+                           match="^non-finite mantissa encountered during renormalization$"):
+            arr.renormalize()
 
     def test_kept_log_is_read_only(self):
         arr = ScaledArray(np.array([0.5, 0.0, 1.0]), 3.0)
@@ -275,6 +282,13 @@ class TestTopology:
         with pytest.raises(InvalidInput):
             GraphTopology.general(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (1, [], r"a graph needs at least two nodes, got 1"),
+        (2, [(0, 2)], r"edge \(0, 2\) references a missing node")], ids=["one_node", "no_node_2"])
+    def test_missing_nodes_named(self, n, edges, message):
+        with pytest.raises(InvalidInput, match="^%s$" % message):
+            GraphTopology.general(n, edges)
+
 
 def refreshed(spec, pots):
     """An engine whose messages are current for ``pots``."""
@@ -374,6 +388,20 @@ class TestProblemSpecValidation:
     def test_node_with_no_kernel_to_size_it_is_named(self):
         with pytest.raises(InvalidInput, match=r"cannot infer sizes for nodes \[2\]"):
             ProblemSpec(GraphTopology.chain(3), {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)})
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(InvalidInput, match="^epsilon must be a positive finite scalar$"):
+            ProblemSpec(GraphTopology.chain(2), {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)},
+                        {}, {}, epsilon)
+
+    def test_functions_off_the_graph_are_named(self):
+        topo = GraphTopology.chain(3)
+        kernels = {e: build_kernel(np.zeros((2, 2)), 1.0) for e in topo.edges}
+        with pytest.raises(InvalidInput, match="^node function given for missing node 3$"):
+            ProblemSpec(topo, kernels, {3: Zero()}, {}, 1.0)
+        with pytest.raises(InvalidInput, match=r"^edge function given for non-edge \(0, 2\)$"):
+            ProblemSpec(topo, kernels, {}, {(0, 2): Zero()}, 1.0)
 
     def test_composite_potentials_get_one_factor_each(self):
         topo = GraphTopology.chain(2)

@@ -205,7 +205,7 @@ class TestDenseContraction:
                 den.w_edge(e, pots)
                 den.bimarginal(e, pots)
 
-        signatures = 10 + 2 * len(spec.topology.edges)
+        signatures = 5 + len(spec.topology.edges)
         every_projection()
         assert len(planned) == signatures
         every_projection()
@@ -235,6 +235,16 @@ class TestChainProjections:
         np.testing.assert_array_equal(refreshed(spec, pots).bimarginal((0, 1), pots).value(),
                                       np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("e", [(0, 2), (1, 0)])
+    def test_weight_of_a_non_edge_is_named(self, e):
+        spec = ones_chain(3, 2)
+        pots = DualPotentials.ones_for(spec)
+        eng = refreshed(spec, pots)
+        message = r"^no path or carried edge \(%d, %d\) in the path engine$" % e
+        for method in (eng.w_edge, eng.bimarginal):
+            with pytest.raises(TopologyMismatch, match=message):
+                method(e, pots)
+
     def test_point_mass_matches_oracle(self):
         rng = np.random.default_rng(1)
         spec = random_chain_spec(rng, n_nodes=4, sizes=[3, 3, 3, 3])
@@ -244,7 +254,7 @@ class TestChainProjections:
         den = DenseEngine(spec)
         for j in range(4):
             assert_maxnorm_close(eng.marginal(j, pots),
-                                 den.marginal(j, pots), 1e-12, "point-mass marginal")
+                                 den.project(pots, (j,)), 1e-12, "point-mass marginal")
 
     def test_row_and_column_sums_match_marginals(self):
         rng = np.random.default_rng(2)
@@ -271,10 +281,10 @@ class TestChainProjections:
             eng.refresh(pots)
             den = DenseEngine(spec)
             for j in range(spec.topology.node_count):
-                assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-10,
+                assert_maxnorm_close(eng.marginal(j, pots), den.project(pots, (j,)), 1e-10,
                                      "chain marginal %d trial %d" % (j, trial))
             for e in spec.topology.edges:
-                assert_maxnorm_close(eng.bimarginal(e, pots), den.bimarginal(e, pots), 1e-10,
+                assert_maxnorm_close(eng.bimarginal(e, pots), den.project(pots, e), 1e-10,
                                      "chain bimarginal %r trial %d" % (e, trial))
 
 
@@ -324,10 +334,10 @@ class TestODProjections:
             eng.refresh(pots)
             den = DenseEngine(spec)
             for j in range(spec.topology.node_count):
-                assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-10,
+                assert_maxnorm_close(eng.marginal(j, pots), den.project(pots, (j,)), 1e-10,
                                      "od marginal %d trial %d" % (j, trial))
             for e in spec.topology.edges:
-                assert_maxnorm_close(eng.bimarginal(e, pots), den.bimarginal(e, pots), 1e-10,
+                assert_maxnorm_close(eng.bimarginal(e, pots), den.project(pots, e), 1e-10,
                                      "od bimarginal %r trial %d" % (e, trial))
 
     def test_endpoint_functionals_supported(self):
@@ -345,7 +355,7 @@ class TestODProjections:
         eng.refresh(pots)
         den = DenseEngine(spec)
         for j in range(4):
-            assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-11,
+            assert_maxnorm_close(eng.marginal(j, pots), den.project(pots, (j,)), 1e-11,
                                  "od endpoint marginal %d" % j)
 
     def test_topology_guard(self):
@@ -375,12 +385,12 @@ class TestPathChordRouting:
             for j in range(n):
                 assert_maxnorm_close(eng.w_node(j, pots), den.w_node(j, pots), 1e-12,
                                      "w_node %d trial %d" % (j, trial))
-                assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-12,
+                assert_maxnorm_close(eng.marginal(j, pots), den.project(pots, (j,)), 1e-12,
                                      "marginal %d trial %d" % (j, trial))
             for e in spec.topology.edges:
                 assert_maxnorm_close(eng.w_edge(e, pots), den.w_edge(e, pots), 1e-12,
                                      "w_edge %r trial %d" % (e, trial))
-                assert_maxnorm_close(eng.bimarginal(e, pots), den.bimarginal(e, pots), 1e-12,
+                assert_maxnorm_close(eng.bimarginal(e, pots), den.project(pots, e), 1e-12,
                                      "bimarginal %r trial %d" % (e, trial))
 
     @pytest.mark.parametrize("edges", [
@@ -433,10 +443,10 @@ class TestHubProjections:
             den = DenseEngine(spec)
             hub = spec.topology.hub
             for j in range(hub + 1):
-                assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, pots), 1e-10,
+                assert_maxnorm_close(eng.marginal(j, pots), den.project(pots, (j,)), 1e-10,
                                      "hub marginal %d trial %d" % (j, trial))
             for e in spec.topology.edges:
-                assert_maxnorm_close(eng.bimarginal(e, pots), den.bimarginal(e, pots), 1e-10,
+                assert_maxnorm_close(eng.bimarginal(e, pots), den.project(pots, e), 1e-10,
                                      "hub bimarginal %r trial %d" % (e, trial))
 
     def test_species_rows_sum_to_time_marginal(self):
@@ -569,18 +579,24 @@ class TestSeparableKernel:
 
 class TestSeparableProjections:
     """Every projection on a grid MFG with separable kernels equals the same
-    instance with the dense kernel, at 1e-12."""
+    instance with the dense kernel, at 1e-12.  A dense reference ``b`` gives
+    its projections by the full contraction, ``project``."""
 
     def check_all(self, a, b, pots, context):
+        def reference(kind, where):
+            if isinstance(b, DenseEngine):
+                return b.project(pots, (where,) if kind == "node" else where)
+            return b.projection((kind, where), pots)
+
         for j in range(a.spec.topology.node_count):
             assert_maxnorm_close(a.w_node(j, pots), b.w_node(j, pots), 1e-12,
                                  "%s w_node %d" % (context, j))
-            assert_maxnorm_close(a.marginal(j, pots), b.marginal(j, pots), 1e-12,
+            assert_maxnorm_close(a.marginal(j, pots), reference("node", j), 1e-12,
                                  "%s marginal %d" % (context, j))
         for e in a.spec.topology.edges:
             assert_maxnorm_close(a.w_edge(e, pots), b.w_edge(e, pots), 1e-12,
                                  "%s w_edge %r" % (context, e))
-            assert_maxnorm_close(a.bimarginal(e, pots), b.bimarginal(e, pots), 1e-12,
+            assert_maxnorm_close(a.bimarginal(e, pots), reference("edge", e), 1e-12,
                                  "%s bimarginal %r" % (context, e))
 
     @pytest.mark.parametrize("sizes", [(3, 4), (4, 2), (2, 3, 2)])

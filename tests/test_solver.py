@@ -181,7 +181,7 @@ class TestSolve:
         eng.refresh(pots)
         den = DenseEngine(dense_spec)
         for j in range(tc):
-            assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-6,
+            assert_maxnorm_close(eng.marginal(j, pots), den.project(dense_pots, (j,)), 1e-6,
                                  "hub vs dense marginal %d" % j)
 
     @staticmethod
@@ -280,7 +280,7 @@ class TestSolve:
         eng.refresh(pots)
         den = DenseEngine(spec)
         for j in range(spec.topology.node_count):
-            assert_maxnorm_close(eng.marginal(j, pots), den.marginal(j, dense_pots), 1e-8,
+            assert_maxnorm_close(eng.marginal(j, pots), den.project(dense_pots, (j,)), 1e-8,
                                  "%s vs dense marginal %d" % (instance, j))
 
     @pytest.mark.parametrize("declared", ["structured", "general", "path_chords"])
@@ -682,7 +682,7 @@ class TestResiduals:
         den = DenseEngine(spec)
         for j in (0, 1):
             (fn,) = spec.blocks[("node", j)]
-            expected = fn.feasibility_residual(den.marginal(j, pots).value())
+            expected = fn.feasibility_residual(den.project(pots, (j,)).value())
             assert res["node:%d" % j] == pytest.approx(expected, rel=1e-12)
 
 
@@ -781,13 +781,14 @@ class TestChecksThatFire:
 
     def test_verified_solve_fails_on_a_projection_off_the_dense_oracle(self, monkeypatch):
         spec = two_node_spec(np.random.default_rng(50))
-        exact = DenseEngine.marginal
+        exact = DenseEngine.project
 
-        def perturbed(self, j, pots):
-            p = exact(self, j, pots)
-            return ScaledArray(p.m * (1.0 + 1e-6 * np.arange(p.m.size)), p.log_scale)
+        def perturbed(self, pots, keep, exclude=None):
+            p = exact(self, pots, keep, exclude)
+            return ScaledArray(p.m * (1.0 + 1e-6 * np.arange(p.m.size).reshape(p.shape)),
+                               p.log_scale)
 
-        monkeypatch.setattr(DenseEngine, "marginal", perturbed)
+        monkeypatch.setattr(DenseEngine, "project", perturbed)
         with pytest.raises(VerificationFailure, match=r"projection mismatch .* for node 0 at "
                                                       r"sweep 1"):
             solve(spec, SolverConfig(verify=True))

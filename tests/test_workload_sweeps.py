@@ -170,7 +170,8 @@ def test_what_a_try_costs(workloads, tmp_path, monkeypatch, name, in_band):
     assert [used["_dual_slope"] > 0 for used, _ in tries] == in_band
     for used, pushes in tries:
         assert used["rebuild_backward"] == used["dual_objective"] == 1
-        assert used["w_node"] == used["w_edge"] == 0
+        # the dual's projections are the only weights a try takes
+        assert used["w_node"] + used["w_edge"] == used["marginal"] + used["bimarginal"] > 0
         if used["_dual_slope"]:
             assert used["_dual_slope"] == 2 and used["push_forward"] == pushes > 0
         else:
