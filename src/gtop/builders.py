@@ -225,6 +225,15 @@ def build_mfg_cost_matrix(grid=None, matrix=None, scale=1.0):
     return cost
 
 
+def check_cost_matrix(matrix, n_points):
+    """``matrix`` as a float array: one row and one column per grid point."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (n_points, n_points):
+        raise InvalidInput("cost matrix of shape %r, but the grid has %d points"
+                           % (matrix.shape, n_points))
+    return matrix
+
+
 @dataclass
 class MFGSetup:
     """Inputs of a multi-species density steering problem.
@@ -349,11 +358,13 @@ def _time_kernels(setup):
     one cost per axis, so its kernel is a :class:`SeparableKernel`; any other
     grid and a given cost matrix get the dense kernel.
     """
-    grid = None if setup.cost_matrix is not None else setup.grid
+    matrix = setup.cost_matrix
+    if matrix is not None:
+        matrix = check_cost_matrix(matrix, setup.n_points)
+    grid = None if matrix is not None else setup.grid
     axes = None if grid is None else _grid_axes(grid)
     if axes is None:
-        kernel = build_kernel(build_mfg_cost_matrix(grid, setup.cost_matrix, setup.cost_scale),
-                              setup.epsilon)
+        kernel = build_kernel(build_mfg_cost_matrix(grid, matrix, setup.cost_scale), setup.epsilon)
     else:
         kernel = SeparableKernel([build_kernel(build_mfg_cost_matrix(x, scale=setup.cost_scale),
                                                setup.epsilon) for x in axes])

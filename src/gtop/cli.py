@@ -1,13 +1,15 @@
 """Batch front end: JSON run configurations in, CSV/NPY/JSON results out.
 
-The configuration schema is documented in the repository README.  Top level
-keys: "problem" (with "kind" one of "flow", "mfg", "raw"), "epsilon",
-"solver", "output", "label"; a key that an object does not accept is an
-error.  Matrices may be written inline as row-major nested arrays or
-referenced as {"csv": "relative/path.csv"}.
+The configuration schema, documented in the repository README, is held here
+as data: one table per config object maps each key to its reader and
+default, and so decides the keys the object accepts, what a missing key
+reads as and the config path that an error names.
 """
 
 import argparse
+import contextlib
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -23,20 +25,33 @@ from .errors import ConfigError, GtopError, InvalidInput
 from .projections import make_engine
 
 
+@dataclasses.dataclass
 class RunConfig:
     """Validated run description: one problem, solver knobs, output plan."""
 
-    def __init__(self, spec, solver_config, out_dir, emit, flow_net=None, label="run"):
-        self.spec = spec
-        self.solver_config = solver_config
-        self.out_dir = out_dir
-        self.emit = emit
-        self.flow_net = flow_net
-        self.label = label
+    spec: md.ProblemSpec
+    solver_config: solver.SolverConfig
+    out_dir: str
+    emit: dict
+    flow_net: bld.FlowNetwork = None
+    label: str = "run"
 
 
 def _fail(path, message):
     raise ConfigError("%s: %s" % (path, message))
+
+
+@contextlib.contextmanager
+def _blame(path):
+    """Report the model's ``InvalidInput`` in the block as a config error at ``path``."""
+    try:
+        yield
+    except InvalidInput as exc:
+        _fail(path, exc)
+
+
+def _at(path, key):
+    return key if path == "config" else "%s.%s" % (path, key)
 
 
 def _expect_map(obj, path, keys=None):
@@ -45,45 +60,177 @@ def _expect_map(obj, path, keys=None):
         _fail(path, "expected an object")
     for key in obj:
         if keys is not None and key not in keys:
-            _fail(key if path == "config" else "%s.%s" % (path, key),
-                  "unknown key; expected one of %s" % ", ".join(sorted(keys)))
+            _fail(_at(path, key), "unknown key; expected one of %s" % ", ".join(sorted(keys)))
     return obj
 
 
-def _variant(obj, path, tag, table, message):
-    """``obj[tag]``, a key of ``table``; ``obj`` holds ``tag`` and the keys
-    that ``table`` lists for it (for any variant while the tag names none)."""
+# A table maps each key of a config object to (reader, default).  A reader
+# takes (value, path, base_dir).  A missing key reads its default, or is left
+# out when its default is _ABSENT.
+_ABSENT = object()
+
+
+def _read(obj, path, table, base_dir, tag=None):
+    """The values of ``obj`` by ``table``; ``obj`` holds no other key but ``tag``."""
+    _expect_map(obj, path, (*table, tag) if tag else table)
+    return {key: reader(obj.get(key, default), _at(path, key), base_dir)
+            for key, (reader, default) in table.items() if key in obj or default is not _ABSENT}
+
+
+def _object(table, build=dict):
+    """A reader of a JSON object: ``build`` of its values by ``table``."""
+    def read(obj, path, base_dir):
+        values = _read(obj, path, table, base_dir)
+        with _blame(path):
+            return build(**values)
+    return read
+
+
+def _variant(obj, path, base_dir, tag, variants, message, *args):
+    """``make(*args, **values)``, where ``variants[obj[tag]]`` is ``(make, table)``
+    and ``values`` are ``obj`` read by ``table``.  While the tag names no
+    variant, ``obj`` may hold any variant's keys until the tag is rejected."""
     kind = _expect_map(obj, path).get(tag)
-    keys = table.get(kind) if isinstance(kind, str) else None
-    _expect_map(obj, path, (tag,) + tuple(set().union(*table.values()) if keys is None else keys))
-    if keys is None:
-        _fail("%s.%s" % (path, tag), message % (kind,))
-    return kind
+    variant = variants.get(kind) if isinstance(kind, str) else None
+    if variant is None:
+        _expect_map(obj, path, {tag, *(key for _, table in variants.values() for key in table)})
+        _fail(_at(path, tag), message % (kind,))
+    values = _read(obj, path, variant[1], base_dir, tag)
+    with _blame(path):
+        return variant[0](*args, **values)
 
 
-def _number(obj, path, positive=False, finite=False):
-    """A JSON number; a positive one must also be finite."""
+def _any(obj, path, base_dir):
+    """The value as it is, for a key that its object's builder reads."""
+    return obj
+
+
+def _number(obj, path, base_dir=None, positive=False, finite=False):
+    """A JSON number, as a float."""
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         _fail(path, "expected a number")
-    v = float(obj)
-    if (finite or positive) and not math.isfinite(v):
+    try:
+        obj = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        obj = math.inf if obj > 0 else -math.inf
+    if finite and not math.isfinite(obj):
         _fail(path, "must be finite")
-    if positive and not v > 0:
+    if positive and not obj > 0:
         _fail(path, "must be positive")
-    return v
+    return obj
 
 
-def _integer(obj, path, minimum):
+def _integer(obj, path, base_dir=None, minimum=0):
     """A JSON integer of at least ``minimum``; booleans and floats are errors."""
     if not isinstance(obj, int) or isinstance(obj, bool) or obj < minimum:
         _fail(path, "expected an integer of at least %d" % minimum)
     return obj
 
 
-def _integer_list(obj, path, minimum):
-    if not isinstance(obj, list):
-        _fail(path, "expected a list of integers")
-    return [_integer(v, "%s[%d]" % (path, i), minimum) for i, v in enumerate(obj)]
+def _typed(what, *types):
+    """A reader of a JSON value of one of ``types``; a boolean is one only of bool."""
+    def read(obj, path, base_dir=None):
+        if not isinstance(obj, types) or isinstance(obj, bool) and bool not in types:
+            _fail(path, "expected " + what)
+        return obj
+    return read
+
+
+def _list(item, what, empty=None):
+    """A reader of a JSON list, ``what`` in errors, whose entries ``item`` reads;
+    ``empty`` names the error of an empty list (None: it may be empty)."""
+    def read(obj, path, base_dir):
+        if not isinstance(obj, list):
+            _fail(path, "expected " + what)
+        if empty and not obj:
+            _fail(path, "expected " + empty)
+        return [item(v, "%s[%d]" % (path, i), base_dir) for i, v in enumerate(obj)]
+    return read
+
+
+def _choice(*options, message):
+    """A reader of one of ``options``; ``message`` % value names any other value."""
+    def read(obj, path, base_dir):
+        if obj not in options:
+            _fail(path, message % (obj,))
+        return obj
+    return read
+
+
+def _optional(read):
+    """``read``, or None for a JSON null."""
+    return lambda obj, path, base_dir: None if obj is None else read(obj, path, base_dir)
+
+
+_positive = functools.partial(_number, positive=True, finite=True)
+_count = functools.partial(_integer, minimum=1)
+_string = _typed("a string", str)
+_name = _typed("a node name (a string or an integer)", str, int)
+_flag = _typed("true or false", bool)  # never a truth test
+_integers = _list(_integer, "a list of integers")
+_NONEMPTY = "a nonempty list"
+
+
+def _node_pair(obj, path, base_dir=None):
+    pair = _integers(obj, path, base_dir)
+    if len(pair) != 2:
+        _fail(path, "expected a node pair")
+    return tuple(pair)
+
+
+_CSV = {"csv": (_string, None)}
+
+
+def _matrix(obj, path, base_dir):
+    """An inline array or a csv file reference, as floats."""
+    if isinstance(obj, dict):
+        ref = _read(obj, path, _CSV, base_dir)["csv"]
+        fname = os.path.join(base_dir, ref)
+        if not os.path.exists(fname):
+            _fail(path, "csv file %r not found" % ref)
+        try:
+            return np.loadtxt(fname, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            _fail(path, "csv file %r: %s" % (ref, exc))
+    if isinstance(obj, list):
+        try:
+            return np.array(obj, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            _fail(path, "could not read a numeric array")
+    _fail(path, "expected an inline array or a csv reference")
+
+
+def _bound(obj, path, base_dir):
+    """A box bound: a number, a matrix, or +inf for null or "inf"."""
+    if obj is None or obj == "inf":
+        return math.inf
+    return _matrix(obj, path, base_dir) if isinstance(obj, (list, dict)) else _number(obj, path)
+
+
+def function_from_config(obj, path, base_dir):
+    """Build a catalog function from its JSON form; its constructor's
+    ``InvalidInput`` is a config error at ``path``."""
+    return _variant(obj, path, base_dir, "type", _FUNCTIONS, "unknown function type %r")
+
+
+_BLOCK = {"indices": (_integers, None), "function": (function_from_config, None)}
+
+# The function catalog: type -> (constructor, table of its arguments).
+_FUNCTIONS = {
+    "zero": (fx.Zero, {}),
+    "equality": (fx.Equality, {"target": (_matrix, None)}),
+    "box": (fx.Box, {"lower": (_bound, 0.0), "upper": (_bound, None)}),
+    "linear": (fx.Linear, {"cost": (_matrix, None)}),
+    "quadratic": (fx.QuadraticDistance, {"weight": (_positive, 1.0), "anchor": (_matrix, None),
+                                         "exponent": (_positive, 2.0)}),
+    "congestion": (fx.Congestion, {"capacity": (_matrix, None)}),
+    "blockwise": (fx.Blockwise, {
+        "size": (_count, None),
+        "blocks": (_list(_object(_BLOCK, lambda indices, function: (indices, function)),
+                         _NONEMPTY, _NONEMPTY), None)}),
+    "composite": (fx.CompositeFunction, {
+        "parts": (_list(function_from_config, _NONEMPTY, _NONEMPTY), None)}),
+}
 
 
 def _integer_key(key, path):
@@ -94,311 +241,164 @@ def _integer_key(key, path):
         _fail(path, "expected integer keys, got %r" % (key,))
 
 
-def _node_pair(obj, path):
-    pair = _integer_list(obj, path, 0)
-    if len(pair) != 2:
-        _fail(path, "expected a node pair")
-    return tuple(pair)
+def _edge_key(key, path):
+    """A map key naming an edge, such as "0-1"."""
+    parts = key.split("-")
+    if len(parts) != 2:
+        _fail(path, "edge keys look like \"0-1\", got %r" % (key,))
+    return tuple(_integer_key(p, path) for p in parts)
 
 
-def _string(obj, path):
-    if not isinstance(obj, str):
-        _fail(path, "expected a string")
+def _function_map(key_of, noun):
+    """A reader of a map from node, edge or time index (``key_of`` reads each
+    key) to a function; two keys naming one index are an error."""
+    def read(obj, path, base_dir):
+        found = {}
+        for key, cfg in _expect_map(obj, path).items():
+            index = key_of(key, path)
+            if index in found:
+                _fail("%s[%s]" % (path, key), "%s %s is given twice" % (noun, index))
+            found[index] = function_from_config(cfg, "%s[%s]" % (path, key), base_dir)
+        return found
+    return read
+
+
+def _unit_length(obj, path, base_dir=None):
+    if _number(obj, path) != 1:
+        _fail(path, "must be 1: every edge takes one time step")
     return obj
 
 
-def _name(obj, path):
-    """A node name: a JSON string or integer."""
-    if not isinstance(obj, (str, int)) or isinstance(obj, bool):
-        _fail(path, "expected a node name (a string or an integer)")
-    return obj
+def _constraint(od=None, initial=None, final=None):
+    """The constraint arguments of ``build_flow_problem``: od, else terminals."""
+    if od is not None:
+        return {"od": od}
+    if initial is None or final is None:
+        raise InvalidInput("need either \"od\" or \"initial\"/\"final\"")
+    return {"terminals": (initial, final)}
 
 
-def _name_list(obj, path):
-    if not isinstance(obj, list):
-        _fail(path, "expected a list of node names")
-    return [_name(v, "%s[%d]" % (path, i)) for i, v in enumerate(obj)]
+def _flow(epsilon, base_dir, nodes, edges, sources, sinks, horizon, constraint, edge_cost):
+    net = bld.FlowNetwork(nodes, edges, sources, sinks, horizon)
+    if edge_cost == "congestion" and not np.all(np.isfinite(net.capacities())):
+        _fail("problem.edges", "congestion edge costs need finite capacities everywhere")
+    edge_cost = None if edge_cost == "congestion" else fx.Zero()
+    return bld.build_flow_problem(net, **constraint, edge_cost=edge_cost, epsilon=epsilon), net
 
 
-def _load_matrix(obj, path, base_dir):
-    if isinstance(obj, dict):
-        ref = _expect_map(obj, path, ("csv",)).get("csv")
-        if ref is None:
-            _fail(path, "matrix objects need a \"csv\" file reference")
-        fname = os.path.join(base_dir, ref)
-        if not os.path.exists(fname):
-            _fail(path, "csv file %r not found" % ref)
-        try:
-            return np.loadtxt(fname, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            _fail(path, "csv file %r: %s" % (ref, exc))
-    if isinstance(obj, list):
-        try:
-            return np.array(obj, dtype=float)
-        except (TypeError, ValueError):
-            _fail(path, "could not read a numeric array")
-    _fail(path, "expected an inline array or a csv reference")
-
-
-def _bound(obj, path, base_dir):
-    """A box bound: a number, an inline array or a csv reference."""
-    if isinstance(obj, (list, dict)):
-        return _load_matrix(obj, path, base_dir)
-    return _number(obj, path)
-
-
-def _flag(cfg, key, default, path):
-    """A boolean option; any other JSON value is an error, never a truth test."""
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        _fail(path, "expected true or false")
-    return value
-
-
-# The keys of a function object besides "type", by type.
-_FUNCTION_KEYS = {"zero": (), "equality": ("target",), "box": ("lower", "upper"),
-                  "linear": ("cost",), "quadratic": ("weight", "anchor", "exponent"),
-                  "congestion": ("capacity",), "blockwise": ("size", "blocks"),
-                  "composite": ("parts",)}
-
-
-def function_from_config(obj, path, base_dir):
-    """Build a catalog function from its JSON form."""
-    kind = _variant(obj, path, "type", _FUNCTION_KEYS, "unknown function type %r")
-    if kind == "zero":
-        return fx.Zero()
-    if kind == "equality":
-        target = _load_matrix(obj.get("target"), path + ".target", base_dir)
-        return fx.Equality(target)
-    if kind == "box":
-        lower = _bound(obj.get("lower", 0.0), path + ".lower", base_dir)
-        upper = obj.get("upper")
-        if upper is None or upper == "inf":
-            upper = math.inf
-        else:
-            upper = _bound(upper, path + ".upper", base_dir)
-        if np.any(lower < 0):
-            _fail(path + ".lower", "must be nonnegative")
-        return fx.Box(lower, upper)
-    if kind == "linear":
-        return fx.Linear(_load_matrix(obj.get("cost"), path + ".cost", base_dir))
-    if kind == "quadratic":
-        weight = _number(obj.get("weight", 1.0), path + ".weight", positive=True)
-        anchor = _load_matrix(obj.get("anchor"), path + ".anchor", base_dir)
-        exponent = _number(obj.get("exponent", 2.0), path + ".exponent", positive=True)
-        return fx.QuadraticDistance(weight, anchor, exponent)
-    if kind == "congestion":
-        cap = _load_matrix(obj.get("capacity"), path + ".capacity", base_dir)
-        if np.any(np.asarray(cap, dtype=float) <= 0):
-            _fail(path + ".capacity", "must be positive")
-        return fx.Congestion(cap)
-    if kind == "blockwise":
-        blocks = obj.get("blocks")
-        if not isinstance(blocks, list) or not blocks:
-            _fail(path + ".blocks", "expected a nonempty list")
-        size = _integer(obj.get("size"), path + ".size", 1)
-        parsed = []
-        for i, blk in enumerate(blocks):
-            blk = _expect_map(blk, "%s.blocks[%d]" % (path, i), ("indices", "function"))
-            idx = _integer_list(blk.get("indices"), "%s.blocks[%d].indices" % (path, i), 0)
-            fn = function_from_config(blk.get("function"), "%s.blocks[%d].function" % (path, i),
-                                      base_dir)
-            parsed.append((np.asarray(idx, dtype=int), fn))
-        try:
-            return fx.Blockwise(size, parsed)
-        except InvalidInput as exc:
-            _fail(path, str(exc))
-    if kind == "composite":
-        parts = obj.get("parts")
-        if not isinstance(parts, list) or not parts:
-            _fail(path + ".parts", "expected a nonempty list")
-        return fx.CompositeFunction([
-            function_from_config(p, "%s.parts[%d]" % (path, i), base_dir)
-            for i, p in enumerate(parts)])
-
-
-def _parse_flow(problem, epsilon, path, base_dir):
-    nodes = _name_list(problem.get("nodes"), path + ".nodes")
-    if not nodes:
-        _fail(path + ".nodes", "expected a nonempty list")
-    edges_cfg = problem.get("edges")
-    if not isinstance(edges_cfg, list) or not edges_cfg:
-        _fail(path + ".edges", "expected a nonempty list")
-    edges = []
-    for i, e in enumerate(edges_cfg):
-        where = "%s.edges[%d]" % (path, i)
-        e = _expect_map(e, where, ("from", "to", "capacity", "length"))
-        cap = e.get("capacity", math.inf)
-        if cap != math.inf:
-            cap = _number(cap, where + ".capacity", positive=True)
-        if _number(e.get("length", 1.0), where + ".length") != 1:
-            _fail(where + ".length", "must be 1: every edge takes one time step")
-        edges.append(bld.FlowEdge(_name(e.get("from"), where + ".from"),
-                                  _name(e.get("to"), where + ".to"), capacity=cap))
-    horizon = _integer(problem.get("horizon"), path + ".horizon", 2)
-    net = bld.FlowNetwork(nodes, edges, _name_list(problem.get("sources", []), path + ".sources"),
-                          _name_list(problem.get("sinks", []), path + ".sinks"), horizon)
-
-    constraint = _expect_map(problem.get("constraint"), path + ".constraint",
-                             ("od", "initial", "final"))
-    od = terminals = None
-    if "od" in constraint:
-        od = _load_matrix(constraint["od"], path + ".constraint.od", base_dir)
-    elif "initial" in constraint and "final" in constraint:
-        terminals = (_load_matrix(constraint["initial"], path + ".constraint.initial", base_dir),
-                     _load_matrix(constraint["final"], path + ".constraint.final", base_dir))
-    else:
-        _fail(path + ".constraint", "need either \"od\" or \"initial\"/\"final\"")
-
-    cost_kind = problem.get("edge_cost", "congestion")
-    if cost_kind == "congestion":
-        caps = net.capacities()
-        if not np.all(np.isfinite(caps)):
-            _fail(path + ".edges", "congestion edge costs need finite capacities everywhere")
-        edge_cost = None
-    elif cost_kind == "zero":
-        edge_cost = fx.Zero()
-    else:
-        _fail(path + ".edge_cost", "unknown edge cost kind %r" % (cost_kind,))
-
-    spec = bld.build_flow_problem(net, od=od, terminals=terminals, edge_cost=edge_cost,
-                                  epsilon=epsilon)
-    return spec, net
-
-
-def _parse_mfg(problem, epsilon, path, base_dir):
-    g = problem.get("grid")
-    if isinstance(g, dict) and "csv" not in g:
-        _expect_map(g, path + ".grid", ("shape", "extent"))
-        extent = g.get("extent", [])
-        if not isinstance(extent, list):
-            _fail(path + ".grid.extent", "expected a list of numbers")
-        grid = bld.grid_points(_integer_list(g.get("shape"), path + ".grid.shape", 1),
-                               [_number(v, "%s.grid.extent[%d]" % (path, i), finite=True)
-                                for i, v in enumerate(extent)])
-    else:
-        grid = _load_matrix(g, path + ".grid", base_dir)
-    steps = _integer(problem.get("steps"), path + ".steps", 1)
-    species_cfg = problem.get("species")
-    if not isinstance(species_cfg, list) or not species_cfg:
-        _fail(path + ".species", "expected a nonempty list")
-    initials, running_rows, terminal_rows = [], [], []
-    for i, sp in enumerate(species_cfg):
-        sp = _expect_map(sp, "%s.species[%d]" % (path, i), ("initial", "running", "terminal"))
-        initials.append(_load_matrix(sp.get("initial"), "%s.species[%d].initial" % (path, i),
-                                     base_dir).ravel())
-        run = sp.get("running")
-        running_rows.append(None if run is None else
-                            function_from_config(run, "%s.species[%d].running" % (path, i),
-                                                 base_dir))
-        term = sp.get("terminal")
-        terminal_rows.append(None if term is None else
-                             function_from_config(term, "%s.species[%d].terminal" % (path, i),
-                                                  base_dir))
-    total_running = {}
-    for key, fn_cfg in _expect_map(problem.get("total_running", {}),
-                                   path + ".total_running").items():
-        j = _integer_key(key, path + ".total_running")
+def _mfg(epsilon, base_dir, grid, steps, dt, species, total_running, total_terminal, cost):
+    for j in total_running:
         if not 1 <= j < steps:
-            _fail("%s.total_running[%s]" % (path, key),
+            _fail("problem.total_running[%d]" % j,
                   "expected an interior time index 1 .. %d" % (steps - 1))
-        total_running[j] = function_from_config(fn_cfg, "%s.total_running[%s]" % (path, key),
-                                                base_dir)
-    total_terminal = problem.get("total_terminal")
-    if total_terminal is not None:
-        total_terminal = function_from_config(total_terminal, path + ".total_terminal", base_dir)
-
-    cost_cfg = problem.get("cost", {"mode": "squared_distance"})
-    cost_cfg = _expect_map(cost_cfg, path + ".cost", ("mode", "scale", "values"))
     cost_matrix = None
-    scale = _number(cost_cfg.get("scale", 1.0), path + ".cost.scale", positive=True)
-    if cost_cfg.get("mode", "squared_distance") == "matrix":
-        cost_matrix = _load_matrix(cost_cfg.get("values"), path + ".cost.values", base_dir)
-    elif cost_cfg.get("mode", "squared_distance") != "squared_distance":
-        _fail(path + ".cost.mode", "unknown mode %r" % (cost_cfg.get("mode"),))
-
-    dt = problem.get("dt")
-    if dt is not None:
-        dt = _number(dt, path + ".dt", positive=True)
-    running = {j: list(running_rows) for j in range(1, steps)} if any(
-        fn is not None for fn in running_rows) else {}
+    if cost["mode"] == "matrix":
+        with _blame("problem.cost.values"):
+            cost_matrix = bld.check_cost_matrix(
+                _matrix(cost["values"], "problem.cost.values", base_dir), len(grid))
+    running, terminal = ([sp[key] for sp in species] for key in ("running", "terminal"))
     setup = bld.MFGSetup(
-        grid=grid, n_steps=steps, initial_densities=initials,
-        dt=dt, epsilon=epsilon, cost_scale=scale, cost_matrix=cost_matrix,
+        grid=grid, n_steps=steps, initial_densities=[sp["initial"].ravel() for sp in species],
+        dt=dt, epsilon=epsilon, cost_scale=cost["scale"], cost_matrix=cost_matrix,
         total_running=total_running, total_terminal=total_terminal,
-        species_running=running,
-        species_terminal=(list(terminal_rows)
-                          if any(fn is not None for fn in terminal_rows) else None),
-    )
+        species_running=({j: list(running) for j in range(1, steps)}
+                         if any(fn is not None for fn in running) else {}),
+        species_terminal=terminal if any(fn is not None for fn in terminal) else None)
     return bld.build_mfg_problem(setup), None
 
 
-def _parse_raw(problem, epsilon, path, base_dir):
-    topo_cfg = _expect_map(problem.get("topology"), path + ".topology",
-                           ("class", "sizes", "edges", "species"))
-    kind = topo_cfg.get("class")
-    sizes = _integer_list(topo_cfg.get("sizes"), path + ".topology.sizes", 1)
-    if not sizes:
-        _fail(path + ".topology.sizes", "expected a nonempty list of node sizes")
-    n = len(sizes)
-    if kind == "chain":
-        topo = md.GraphTopology.chain(n)
-    elif kind == "od_cycle":
-        topo = md.GraphTopology.od_cycle(n)
-    elif kind == "hub":
-        species = _integer(topo_cfg.get("species"), path + ".topology.species", 1)
-        topo = md.GraphTopology.species_hub(n - 1, species)
-        if sizes[-1] != species:
-            _fail(path + ".topology.sizes", "last size must equal the species count")
-    elif kind == "general":
-        edges = topo_cfg.get("edges")
-        if not isinstance(edges, list) or not edges:
-            _fail(path + ".topology.edges", "expected an edge list")
-        topo = md.GraphTopology.general(n, [
-            _node_pair(e, "%s.topology.edges[%d]" % (path, i)) for i, e in enumerate(edges)])
-    else:
-        _fail(path + ".topology.class", "unknown topology class %r" % (kind,))
-
-    kernels = {}
-    if not isinstance(problem.get("kernels", []), list):
-        _fail(path + ".kernels", "expected a list")
-    for i, k in enumerate(problem.get("kernels", [])):
-        k = _expect_map(k, "%s.kernels[%d]" % (path, i), ("edge", "cost"))
-        edge = _node_pair(k.get("edge"), "%s.kernels[%d].edge" % (path, i))
-        cost = _load_matrix(k.get("cost"), "%s.kernels[%d].cost" % (path, i), base_dir)
-        kernels[edge] = md.build_kernel(cost, epsilon)
-    for e in topo.edges:
-        if e not in kernels:
-            kernels[e] = md.EdgeKernel.ones((sizes[e[0]], sizes[e[1]]))
-
-    node_functions = {}
-    for key, cfg in _expect_map(problem.get("node_functions", {}),
-                                path + ".node_functions").items():
-        node_functions[_integer_key(key, path + ".node_functions")] = function_from_config(
-            cfg, "%s.node_functions[%s]" % (path, key), base_dir)
-    edge_functions = {}
-    for key, cfg in _expect_map(problem.get("edge_functions", {}),
-                                path + ".edge_functions").items():
-        parts = key.split("-")
-        if len(parts) != 2:
-            _fail(path + ".edge_functions", "edge keys look like \"0-1\", got %r" % (key,))
-        edge = tuple(_integer_key(p, path + ".edge_functions") for p in parts)
-        edge_functions[edge] = function_from_config(
-            cfg, "%s.edge_functions[%s]" % (path, key), base_dir)
-    spec = md.ProblemSpec(topo, kernels, node_functions, edge_functions, epsilon)
+def _raw(epsilon, base_dir, topology, kernels, node_functions, edge_functions):
+    sizes, kind, where = topology["sizes"], topology["class"], "problem.topology"
+    with _blame(where):
+        if kind == "hub":
+            species = _count(topology["species"], where + ".species")
+            topo = md.GraphTopology.species_hub(len(sizes) - 1, species)
+            if sizes[-1] != species:
+                _fail(where + ".sizes", "last size must equal the species count")
+        elif kind == "general":
+            edges = _list(_node_pair, "an edge list", "an edge list")
+            topo = md.GraphTopology.general(len(sizes), edges(topology["edges"], where + ".edges",
+                                                             base_dir))
+        else:
+            topo = (md.GraphTopology.chain if kind == "chain" else md.GraphTopology.od_cycle)(
+                len(sizes))
+    by_edge = {}
+    for i, k in enumerate(kernels):
+        if k["edge"] in by_edge:
+            _fail("problem.kernels[%d].edge" % i, "edge %r has a kernel already" % (k["edge"],))
+        with _blame("problem.kernels[%d].cost" % i):
+            by_edge[k["edge"]] = md.build_kernel(k["cost"], epsilon)
+    for a, b in topo.edges:
+        by_edge.setdefault((a, b), md.EdgeKernel.ones((sizes[a], sizes[b])))
+    spec = md.ProblemSpec(topo, by_edge, node_functions, edge_functions, epsilon)
+    if spec.node_sizes != sizes:
+        _fail(where + ".sizes", "the kernels give the node sizes %s" % (spec.node_sizes,))
     return spec, None
 
 
-# The keys of a problem object besides "kind", by kind.
-_PROBLEM_KEYS = {
-    "flow": ("nodes", "edges", "sources", "sinks", "horizon", "constraint", "edge_cost"),
-    "mfg": ("grid", "steps", "dt", "species", "total_running", "total_terminal", "cost"),
-    "raw": ("topology", "kernels", "node_functions", "edge_functions"),
+_FLOW_EDGE = {"from": (_name, None), "to": (_name, None),
+              "capacity": (functools.partial(_number, positive=True), math.inf),  # inf: none
+              "length": (_unit_length, 1.0)}
+_CONSTRAINT = {"od": (_matrix, _ABSENT), "initial": (_matrix, _ABSENT),
+               "final": (_matrix, _ABSENT)}
+_GRID = {"shape": (_list(_count, "a list of integers"), None),
+         "extent": (_list(functools.partial(_number, finite=True), "a list of numbers"), [])}
+
+
+def _grid(obj, path, base_dir):
+    """Grid points: a matrix, or ``{"shape", "extent"}`` for a box's cell centres."""
+    if isinstance(obj, dict) and "csv" not in obj:
+        return _object(_GRID, bld.grid_points)(obj, path, base_dir)
+    return _matrix(obj, path, base_dir)
+
+
+_SPECIES = {"initial": (_matrix, None), "running": (_optional(function_from_config), None),
+            "terminal": (_optional(function_from_config), None)}
+_MFG_COST = {"mode": (_choice("squared_distance", "matrix", message="unknown mode %r"),
+                      "squared_distance"),
+             "scale": (_positive, 1.0), "values": (_any, None)}
+_TOPOLOGY = {"class": (_choice("chain", "od_cycle", "hub", "general",
+                               message="unknown topology class %r"), None),
+             "sizes": (_list(_count, "a list of integers", "a nonempty list of node sizes"), None),
+             "edges": (_any, None), "species": (_any, None)}
+_KERNEL = {"edge": (_node_pair, None), "cost": (_matrix, None)}
+
+# The problem kinds: kind -> (builder, table of the problem's other keys).
+_PROBLEMS = {
+    "flow": (_flow, {
+        "nodes": (_list(_name, "a list of node names", _NONEMPTY), None),
+        "edges": (_list(_object(_FLOW_EDGE, lambda **e: bld.FlowEdge(
+            e["from"], e["to"], capacity=e["capacity"])), _NONEMPTY, _NONEMPTY), None),
+        "sources": (_list(_name, "a list of node names"), []),
+        "sinks": (_list(_name, "a list of node names"), []),
+        "horizon": (functools.partial(_integer, minimum=2), None),
+        "constraint": (_object(_CONSTRAINT, _constraint), None),
+        "edge_cost": (_choice("congestion", "zero", message="unknown edge cost kind %r"),
+                      "congestion")}),
+    "mfg": (_mfg, {
+        "grid": (_grid, None), "steps": (_count, None), "dt": (_optional(_positive), None),
+        "species": (_list(_object(_SPECIES), _NONEMPTY, _NONEMPTY), None),
+        "total_running": (_function_map(_integer_key, "time index"), {}),
+        "total_terminal": (_optional(function_from_config), None),
+        "cost": (_object(_MFG_COST), {})}),
+    "raw": (_raw, {
+        "topology": (_object(_TOPOLOGY), None),
+        "kernels": (_list(_object(_KERNEL), "a list"), []),
+        "node_functions": (_function_map(_integer_key, "node"), {}),
+        "edge_functions": (_function_map(_edge_key, "edge"), {})}),
 }
+_SOLVER = {"feasibility_tol": (_positive, _ABSENT), "potential_tol": (_positive, _ABSENT),
+           "max_sweeps": (_count, _ABSENT), "verify": (_flag, False)}
+_OUTPUT = {"directory": (_string, "gtop_out"), "marginals": (_flag, True),
+           "bimarginals": (_flag, True), "dual_trace": (_flag, True), "summary": (_flag, True)}
+_TOP = {"problem": (_any, None), "epsilon": (_positive, 0.05),
+        "solver": (_object(_SOLVER, solver.SolverConfig), {}), "output": (_object(_OUTPUT), {}),
+        "label": (_string, _ABSENT)}
 
 
 def parse_config(config_path):
-    """Read and validate a JSON run configuration."""
+    """Read and validate a JSON run configuration; each value it rejects, the
+    model's included, raises ``ConfigError`` naming its config path."""
     if not os.path.exists(config_path):
         raise ConfigError("config file %r not found" % (config_path,))
     base_dir = os.path.dirname(os.path.abspath(config_path))
@@ -408,35 +408,13 @@ def parse_config(config_path):
         except json.JSONDecodeError as exc:
             raise ConfigError("config is not valid JSON: %s" % (exc,)) from exc
 
-    raw = _expect_map(raw, "config", ("problem", "epsilon", "solver", "output", "label"))
-    problem = _expect_map(raw.get("problem"), "problem")
-    epsilon = _number(raw.get("epsilon", 0.05), "epsilon", positive=True)
-    kind = _variant(problem, "problem", "kind", _PROBLEM_KEYS,
-                    "expected one of \"flow\", \"mfg\", \"raw\", got %r")
-    parse = {"flow": _parse_flow, "mfg": _parse_mfg, "raw": _parse_raw}[kind]
-    spec, flow_net = parse(problem, epsilon, "problem", base_dir)
-
-    solver_cfg = _expect_map(raw.get("solver", {}), "solver",
-                             ("feasibility_tol", "potential_tol", "max_sweeps", "verify"))
-    kwargs = {}
-    if "feasibility_tol" in solver_cfg:
-        kwargs["feasibility_tol"] = _number(solver_cfg["feasibility_tol"],
-                                            "solver.feasibility_tol", positive=True)
-    if "potential_tol" in solver_cfg:
-        kwargs["potential_tol"] = _number(solver_cfg["potential_tol"],
-                                          "solver.potential_tol", positive=True)
-    if "max_sweeps" in solver_cfg:
-        kwargs["max_sweeps"] = _integer(solver_cfg["max_sweeps"], "solver.max_sweeps", 1)
-    kwargs["verify"] = _flag(solver_cfg, "verify", False, "solver.verify")
-    config = solver.SolverConfig(**kwargs)
-
-    files = ("marginals", "bimarginals", "dual_trace", "summary")
-    out_cfg = _expect_map(raw.get("output", {}), "output", ("directory",) + files)
-    out_dir = _string(out_cfg.get("directory", "gtop_out"), "output.directory")
-    emit = {key: _flag(out_cfg, key, True, "output." + key) for key in files}
-    label = _string(raw.get("label", os.path.splitext(os.path.basename(config_path))[0]),
-                    "label")
-    return RunConfig(spec, config, out_dir, emit, flow_net=flow_net, label=label)
+    top = _read(raw, "config", _TOP, base_dir)
+    spec, flow_net = _variant(top["problem"], "problem", base_dir, "kind", _PROBLEMS,
+                              "expected one of \"flow\", \"mfg\", \"raw\", got %r",
+                              top["epsilon"], base_dir)
+    output = top["output"]
+    label = top.get("label", os.path.splitext(os.path.basename(config_path))[0])
+    return RunConfig(spec, top["solver"], output.pop("directory"), output, flow_net, label)
 
 
 def _fresh(path):
@@ -469,7 +447,10 @@ def run(run_config):
     """Solve the configured problem and write result files; returns the exit
     status, 1 when the solve failed or stopped at ``max_sweeps`` unconverged."""
     spec = run_config.spec
-    os.makedirs(run_config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(run_config.out_dir, exist_ok=True)
+    except OSError as exc:
+        _fail("output.directory", exc)
 
     pots = report = failure = None
     try:
@@ -554,18 +535,14 @@ def main(argv=None):
     solve_p.add_argument("--verify", action="store_true",
                          help="enable per-update dual checks and dense cross-checks "
                               "on small instances")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # "solve" is the only command
 
-    if args.command == "solve":
-        if args.tol is not None and not 0 < args.tol < math.inf:
-            parser.error("--tol must be finite and positive")
-        if args.max_sweeps is not None and args.max_sweeps < 1:
-            parser.error("--max-sweeps must be at least 1")
-        try:
-            run_config = parse_config(args.config)
-        except GtopError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        parser.error("--tol must be finite and positive")
+    if args.max_sweeps is not None and args.max_sweeps < 1:
+        parser.error("--max-sweeps must be at least 1")
+    try:
+        run_config = parse_config(args.config)
         if args.tol is not None:
             run_config.solver_config.feasibility_tol = args.tol
         if args.max_sweeps is not None:
@@ -575,7 +552,9 @@ def main(argv=None):
         if args.verify:
             run_config.solver_config.verify = True
         return run(run_config)
-    return 2
+    except ConfigError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

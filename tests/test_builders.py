@@ -336,6 +336,14 @@ class TestMFGProblem:
                            % (key,)):
             build(setup)
 
+    @pytest.mark.parametrize("build", [build_mfg_problem, build_mfg_chain_problem])
+    def test_cost_matrix_of_the_wrong_size_names_both_sizes(self, build):
+        setup = MFGSetup(grid=grid_points((3, 3), (0.0, 1.0, 0.0, 1.0)), n_steps=2,
+                         initial_densities=[np.full(9, 1.0 / 9)], cost_matrix=np.zeros((8, 8)))
+        with pytest.raises(InvalidInput, match=r"^cost matrix of shape \(8, 8\), but the grid "
+                                               r"has 9 points$"):
+            build(setup)
+
     def test_all_zero_species_table_puts_no_cost_on_its_hub_edge(self):
         setup = small_mfg_setup(np.random.default_rng(7), L=2)
         setup.species_running = {1: [Zero(), None],

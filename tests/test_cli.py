@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from gtop import (ConfigError, DenseEngine, EdgeKernel, Equality, FlowEdge, FlowNetwork,
                   GraphTopology, MFGSetup, ProblemSpec, QuadraticDistance, SolverConfig, Zero,
                   build_flow_problem, build_kernel, build_mfg_problem, grid_points)
+from gtop import cli
 from gtop.cli import main, parse_config, run
 
 from _support import assert_maxnorm_close
@@ -377,7 +379,7 @@ class TestMainEntry:
                                        "edges": [[0, 1], [2, 3]]}
         path = write_config(tmp_path, body)
         assert main(["solve", "--config", path]) == 2
-        assert capsys.readouterr().err == "error: graph is not connected\n"
+        assert capsys.readouterr().err == "error: problem.topology: graph is not connected\n"
 
     def test_composite_block_rejected_with_config_path(self, tmp_path, capsys):
         body = minimal_raw_config(str(tmp_path / "out"))
@@ -405,7 +407,7 @@ class TestMainEntry:
         path = write_config(tmp_path, body)
         assert main(["solve", "--config", path]) == 2
         assert capsys.readouterr().err == \
-            "error: blockwise block 0: function expects 2 entries, marginal has 4\n"
+            "error: problem: blockwise block 0: function expects 2 entries, marginal has 4\n"
 
 
 def mfg_config(out_dir):
@@ -571,10 +573,10 @@ class TestConfigTypes:
          "problem.grid.extent[0]"),
         (mfg_config, lambda b: b["problem"]["grid"].update(extent="0 1 0 1"),
          "problem.grid.extent"),
-    ], ids=["max_sweeps_bool", "steps_bool", "grid_shape_float", "blockwise_size_bool", "index_float",
-            "index_string", "species_bool", "size_float", "edge_float", "kernel_edge_float",
-            "node_key", "edge_key", "directory_number", "label_list", "dt_string",
-            "extent_string", "extent_not_list"])
+    ], ids=["max_sweeps_bool", "steps_bool", "grid_shape_float", "blockwise_size_bool",
+            "index_float", "index_string", "species_bool", "size_float", "edge_float",
+            "kernel_edge_float", "node_key", "edge_key", "directory_number", "label_list",
+            "dt_string", "extent_string", "extent_not_list"])
     def test_rejected_with_config_path(self, tmp_path, capsys, make, edit, path):
         body = make(str(tmp_path / "out"))
         edit(body)
@@ -862,6 +864,179 @@ class TestLessUsedForms:
         assert capsys.readouterr().err.splitlines()[-1] == \
             "gtop: error: --max-sweeps must be at least 1"
         assert not os.path.exists(out)
+
+
+def _node_0(fn):
+    return lambda b: b["problem"]["node_functions"].update({"0": fn})
+
+
+class TestRejectedValuesNamePaths:
+    """A value the model rejects exits 2 at its config path: a function's at
+    the function's own path, anything else at ``problem`` or narrower."""
+
+    def rejected(self, tmp_path, capsys, body):
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (_node_0({"type": "box", "lower": [math.nan, 0.0], "upper": [1.0, 1.0]}),
+         "problem.node_functions[0]: box lower bounds must be nonnegative"),
+        (_node_0({"type": "box", "lower": [-0.1, 0.0], "upper": [1.0, 1.0]}),
+         "problem.node_functions[0]: box lower bounds must be nonnegative"),
+        (_node_0({"type": "equality", "target": [-0.3, 1.3]}),
+         "problem.node_functions[0]: equality target must be finite and nonnegative"),
+        (_node_0({"type": "quadratic", "anchor": [0.5, 0.5], "exponent": 1}),
+         "problem.node_functions[0]: distance exponent must be finite and exceed 1, got 1.0"),
+        (_node_0({"type": "linear", "cost": [math.inf, 0.0]}),
+         "problem.node_functions[0]: linear cost vector must be finite"),
+        (_node_0({"type": "congestion", "capacity": [math.nan, 1.0]}),
+         "problem.node_functions[0]: congestion capacities must be positive and finite"),
+        (_node_0({"type": "congestion", "capacity": [0.0, 1.0]}),
+         "problem.node_functions[0]: congestion capacities must be positive and finite"),
+        (_node_0({"type": "composite", "parts": [
+            {"type": "zero"}, {"type": "linear", "cost": [0.0, math.nan]}]}),
+         "problem.node_functions[0].parts[1]: linear cost vector must be finite"),
+        (lambda b: _raw(b, edge_functions={"1-0": {"type": "zero"}}),
+         "problem: edge function given for non-edge (1, 0)"),
+        (lambda b: _raw(b, topology={"class": "od_cycle", "sizes": [2, 2]}),
+         "problem.topology: a cycle over the endpoints needs at least 3 nodes"),
+        (lambda b: b["problem"]["kernels"][0].update(cost=[[0.0, math.nan], [0.0, 0.0]]),
+         "problem.kernels[0].cost: cost entries must be > -inf and not NaN"),
+    ], ids=["box_nan_lower", "box_negative_lower", "equality_negative", "exponent_1",
+            "linear_inf", "capacity_nan", "capacity_zero", "composite_part", "non_edge",
+            "short_cycle", "kernel_nan"])
+    def test_raw_chain(self, tmp_path, capsys, edit, message):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        edit(body)
+        assert self.rejected(tmp_path, capsys, body) == "error: %s\n" % message
+
+    def test_mfg_cost_matrix_of_the_wrong_size(self, tmp_path, capsys):
+        body = line_mfg_config(str(tmp_path / "out"), {"shape": [3, 3],
+                                                       "extent": [0.0, 1.0, 0.0, 1.0]})
+        body["problem"]["species"][0]["initial"] = [1.0 / 9] * 9
+        body["problem"]["total_terminal"]["anchor"] = [1.0 / 9] * 9
+        body["problem"]["cost"] = {"mode": "matrix", "values": np.zeros((8, 8)).tolist()}
+        assert self.rejected(tmp_path, capsys, body) == "error: problem.cost.values: cost " \
+            "matrix of shape (8, 8), but the grid has 9 points\n"
+
+    def test_flow_edge_to_an_unknown_node(self, tmp_path, capsys):
+        body = flow_config(str(tmp_path / "out"))
+        body["problem"]["edges"][0]["to"] = "C"
+        assert self.rejected(tmp_path, capsys, body) == \
+            "error: problem: edge 0 references unknown nodes ('A', 'C')\n"
+
+    @pytest.mark.parametrize("directory", ["", "taken/out"], ids=["empty", "under_a_file"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, monkeypatch,
+                                                  directory):
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        monkeypatch.chdir(tmp_path)
+        err = self.rejected(tmp_path, capsys, minimal_raw_config(directory))
+        assert err.startswith("error: output.directory: [Errno ")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda b: b.update(epsilon=10 ** 400), "epsilon: must be finite"),
+        (lambda b: b["problem"]["kernels"][0].update(cost=[[10 ** 400, 0], [0, 0]]),
+         "problem.kernels[0].cost: could not read a numeric array"),
+        (lambda b: b["problem"]["kernels"][0].update(cost={"csv": "."}),
+         "problem.kernels[0].cost: csv file '.': [Errno 21] Is a directory: "),
+    ], ids=["huge_integer", "huge_integer_entry", "csv_directory"])
+    def test_values_that_cannot_be_read(self, tmp_path, capsys, edit, message):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        edit(body)
+        assert self.rejected(tmp_path, capsys, body).startswith("error: " + message)
+
+    def test_csv_reference_that_is_not_a_string(self, tmp_path, capsys):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        body["problem"]["kernels"][0]["cost"] = {"csv": 5}
+        assert self.rejected(tmp_path, capsys, body) == \
+            "error: problem.kernels[0].cost.csv: expected a string\n"
+
+
+class TestNothingSilentlyChanges:
+    """Raw and mfg configs that once solved a problem other than the one
+    written: two entries for one edge, node or time index, and node sizes
+    that the kernels contradict."""
+
+    @pytest.mark.parametrize("make,edit,message", [
+        (minimal_raw_config,
+         lambda b: b["problem"]["kernels"].append({"edge": [0, 1], "cost": [[0, 1], [1, 0]]}),
+         "problem.kernels[1].edge: edge (0, 1) has a kernel already"),
+        (minimal_raw_config,
+         lambda b: b["problem"]["node_functions"].update(
+             {"00": {"type": "equality", "target": [0.5, 0.5]}}),
+         "problem.node_functions[00]: node 0 is given twice"),
+        (minimal_raw_config,
+         lambda b: _raw(b, edge_functions={"0-1": {"type": "zero"}, "00-1": {
+             "type": "box", "upper": [[1.0, 1.0], [1.0, 1.0]]}}),
+         "problem.edge_functions[00-1]: edge (0, 1) is given twice"),
+        (mfg_config,
+         lambda b: b["problem"].update(steps=3, total_running={
+             "1": {"type": "box", "upper": [1.0] * 4},
+             "01": {"type": "box", "upper": [0.5] * 4}}),
+         "problem.total_running[01]: time index 1 is given twice"),
+        (minimal_raw_config, lambda b: b["problem"]["topology"].update(sizes=[2, 3]),
+         "problem.topology.sizes: the kernels give the node sizes [2, 2]"),
+    ], ids=["kernel_twice", "node_key_twice", "edge_key_twice", "time_key_twice",
+            "sizes_against_kernels"])
+    def test_exit_code(self, tmp_path, capsys, make, edit, message):
+        body = make(str(tmp_path / "out"))
+        edit(body)
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_key_list():
+    """README's key list: ``{object: [keys]}``, a variant's object named by its
+    parent's and its own label, such as "a function, by `type` `box`"."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("Each object accepts exactly the keys below")
+    lines = text[start:].split("\n\n")[1].splitlines()
+    objects, parent = {}, None
+    for line in lines:
+        assert line.startswith(("- ", "  - ")), line
+        label, _, keys = line.strip(" -").partition(":")
+        if not line.startswith("  "):
+            parent = label
+        else:
+            label = "%s %s" % (parent, label)
+        objects[label] = re.findall(r"`([^`]+)`", keys)
+    return objects
+
+
+class TestSchemaDocs:
+    """README's key list is the one written copy of the config tables."""
+
+    @staticmethod
+    def tables():
+        """README's name of each object and the table that reads it; then of
+        each object whose keys depend on a tag and its variants."""
+        return {
+            "top level": cli._TOP, "`solver`": cli._SOLVER, "`output`": cli._OUTPUT,
+            "flow `edges[i]`": cli._FLOW_EDGE, "flow `constraint`": cli._CONSTRAINT,
+            "mfg `grid` (the object form)": cli._GRID, "mfg `species[i]`": cli._SPECIES,
+            "mfg `cost`": cli._MFG_COST, "raw `topology`": cli._TOPOLOGY,
+            "raw `kernels[i]`": cli._KERNEL, "a blockwise `blocks[i]`": cli._BLOCK,
+            "a matrix reference": cli._CSV,
+        }, {"`problem`, by `kind`": cli._PROBLEMS, "a function, by `type`": cli._FUNCTIONS}
+
+    def test_readme_lists_the_keys_of_every_table(self):
+        tables, variants = self.tables()
+        expected = {label: list(table) for label, table in tables.items()}
+        for label, by_tag in variants.items():
+            expected[label] = []
+            expected.update(("%s `%s`" % (label, name), list(table))
+                            for name, (_, table) in by_tag.items())
+        assert readme_key_list() == expected
+
+    def test_every_table_is_named(self):
+        named = [*self.tables()[0].values(), *self.tables()[1].values()]
+        tables = [value for name, value in vars(cli).items()
+                  if name.isupper() and isinstance(value, dict)]
+        assert len(tables) == len(named) and all(any(t is n for n in named) for t in tables)
 
 
 class TestThreadCap:

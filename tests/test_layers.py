@@ -1,5 +1,6 @@
 """Import layers: a gtop module imports only modules of earlier layers, and
-takes no underscore-prefixed name from another gtop module.
+takes no underscore-prefixed name from another gtop module.  Also the line
+length: no line of the package or of the tests is over 99 characters.
 
 Every import is read with ``ast``, at module level and inside function and
 class bodies, so an import deferred into a function cannot hide a cycle.
@@ -11,6 +12,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gtop"
+TESTS = pathlib.Path(__file__).resolve().parent
 LAYERS = ("errors", "model", "functions", "projections", "solver", "builders", "cli")
 # (module, imported module, enclosing scope) of the deferred imports allowed.
 ALLOWED = {("model", "functions", "ProblemSpec.__init__")}
@@ -133,3 +135,10 @@ def test_no_private_name_from_another_module(name):
 ])
 def test_private_checker_sees_every_form(source, found):
     assert private_names(source) == found
+
+
+def test_no_line_over_99_characters():
+    long = [(path.name, number) for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 99]
+    assert long == []
