@@ -154,7 +154,7 @@ def build_flow_problem(net, od=None, terminals=None, edge_cost=None, epsilon=0.0
 
     if edge_cost is None:
         edge_cost = Congestion(net.capacities())
-    interior = Zero() if edge_cost.is_zero else _on_edge_states(edge_cost, net.edge_count, n)
+    interior = _on_edge_states(edge_cost, net.edge_count, n)
 
     node_functions = {j: interior for j in range(1, T - 1)}
     if od is not None:
@@ -296,19 +296,10 @@ class MFGSetup:
 
 
 def _species_edge_function(setup, table, terminal):
-    fns = []
-    nontrivial = False
-    for fn in table:
-        if fn is None or fn.is_zero:
-            fns.append(Zero())
-            continue
-        fns.append(fn if terminal else fn.scaled(setup.dt))
-        nontrivial = True
-    if not nontrivial:
-        return None
-    if len(fns) != setup.n_species:
+    if len(table) != setup.n_species:
         raise InvalidInput("species cost tables need one entry per species")
-    return stack_rows(fns, setup.n_points)
+    return stack_rows([fn if fn is None or terminal else fn.scaled(setup.dt) for fn in table],
+                      setup.n_points)
 
 
 def build_mfg_problem(setup):
@@ -317,7 +308,8 @@ def build_mfg_problem(setup):
     The hub bimarginal at time zero is pinned to the stacked initial
     densities; later hub edges carry the per-species costs and the time
     nodes carry the shared costs on total densities.  Hub edges whose row
-    tables hold the same functions share one species-row cost.
+    tables hold the same functions share one species-row cost; a row with no
+    cost is zero, and a hub edge whose rows all are has no block.
     """
     tc = setup.n_steps + 1
     topo = GraphTopology.species_hub(tc, setup.n_species)
@@ -333,8 +325,7 @@ def build_mfg_problem(setup):
         key = (terminal, *map(id, table))
         if key not in built:
             built[key] = _species_edge_function(setup, table, terminal)
-        if built[key] is not None:
-            edge_functions[(topo.hub, j)] = built[key]
+        edge_functions[(topo.hub, j)] = built[key]
 
     return ProblemSpec(topo, _time_kernels(setup), _total_node_functions(setup),
                        edge_functions, setup.epsilon)

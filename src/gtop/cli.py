@@ -3,7 +3,9 @@
 The configuration schema, documented in the repository README, is held here
 as data: one table per config object maps each key to its reader and
 default, and so decides the keys the object accepts, what a missing key
-reads as and the config path that an error names.
+reads as and the config path that an error names.  An object whose keys
+depend on a tag (a problem's kind, a function's type, a raw topology's
+class, an mfg cost's mode) has one table per variant.
 """
 
 import argparse
@@ -86,11 +88,12 @@ def _object(table, build=dict):
     return read
 
 
-def _variant(obj, path, base_dir, tag, variants, message, *args):
+def _variant(obj, path, base_dir, tag, variants, message, *args, default=None):
     """``make(*args, **values)``, where ``variants[obj[tag]]`` is ``(make, table)``
-    and ``values`` are ``obj`` read by ``table``.  While the tag names no
-    variant, ``obj`` may hold any variant's keys until the tag is rejected."""
-    kind = _expect_map(obj, path).get(tag)
+    and ``values`` are ``obj`` read by ``table``; an absent tag reads ``default``.
+    While the tag names no variant, ``obj`` may hold any variant's keys until
+    the tag is rejected."""
+    kind = _expect_map(obj, path).get(tag, default)
     variant = variants.get(kind) if isinstance(kind, str) else None
     if variant is None:
         _expect_map(obj, path, {tag, *(key for _, table in variants.values() for key in table)})
@@ -100,8 +103,14 @@ def _variant(obj, path, base_dir, tag, variants, message, *args):
         return variant[0](*args, **values)
 
 
+def _tagged(tag, variants, message, default=None):
+    """A reader of a JSON object whose ``tag`` names its variant (``_variant``)."""
+    return lambda obj, path, base_dir: _variant(obj, path, base_dir, tag, variants, message,
+                                                default=default)
+
+
 def _any(obj, path, base_dir):
-    """The value as it is, for a key that its object's builder reads."""
+    """The value as it is, for the problem, which ``parse_config`` reads."""
     return obj
 
 
@@ -270,12 +279,15 @@ def _unit_length(obj, path, base_dir=None):
 
 
 def _constraint(od=None, initial=None, final=None):
-    """The constraint arguments of ``build_flow_problem``: od, else terminals."""
-    if od is not None:
-        return {"od": od}
-    if initial is None or final is None:
-        raise InvalidInput("need either \"od\" or \"initial\"/\"final\"")
-    return {"terminals": (initial, final)}
+    """The constraint arguments of ``build_flow_problem``: od or terminals."""
+    if od is None:
+        if initial is None or final is None:
+            raise InvalidInput("need either \"od\" or \"initial\"/\"final\"")
+        return {"terminals": (initial, final)}
+    for key, value in (("initial", initial), ("final", final)):
+        if value is not None:
+            _fail("problem.constraint." + key, "not read with \"od\"; give od or initial/final")
+    return {"od": od}
 
 
 def _flow(epsilon, base_dir, nodes, edges, sources, sinks, horizon, constraint, edge_cost):
@@ -291,11 +303,10 @@ def _mfg(epsilon, base_dir, grid, steps, dt, species, total_running, total_termi
         if not 1 <= j < steps:
             _fail("problem.total_running[%d]" % j,
                   "expected an interior time index 1 .. %d" % (steps - 1))
-    cost_matrix = None
-    if cost["mode"] == "matrix":
+    cost_matrix = cost.get("values")
+    if cost_matrix is not None:
         with _blame("problem.cost.values"):
-            cost_matrix = bld.check_cost_matrix(
-                _matrix(cost["values"], "problem.cost.values", base_dir), len(grid))
+            cost_matrix = bld.check_cost_matrix(cost_matrix, len(grid))
     running, terminal = ([sp[key] for sp in species] for key in ("running", "terminal"))
     setup = bld.MFGSetup(
         grid=grid, n_steps=steps, initial_densities=[sp["initial"].ravel() for sp in species],
@@ -307,21 +318,20 @@ def _mfg(epsilon, base_dir, grid, steps, dt, species, total_running, total_termi
     return bld.build_mfg_problem(setup), None
 
 
+def _topology(make):
+    """A maker of ``(topology, sizes)``: ``make`` of the node count and the rest."""
+    return lambda sizes, **rest: (make(len(sizes), **rest), sizes)
+
+
+def _hub(sizes, species):
+    topo = md.GraphTopology.species_hub(len(sizes) - 1, species)
+    if sizes[-1] != species:
+        _fail("problem.topology.sizes", "last size must equal the species count")
+    return topo, sizes
+
+
 def _raw(epsilon, base_dir, topology, kernels, node_functions, edge_functions):
-    sizes, kind, where = topology["sizes"], topology["class"], "problem.topology"
-    with _blame(where):
-        if kind == "hub":
-            species = _count(topology["species"], where + ".species")
-            topo = md.GraphTopology.species_hub(len(sizes) - 1, species)
-            if sizes[-1] != species:
-                _fail(where + ".sizes", "last size must equal the species count")
-        elif kind == "general":
-            edges = _list(_node_pair, "an edge list", "an edge list")
-            topo = md.GraphTopology.general(len(sizes), edges(topology["edges"], where + ".edges",
-                                                             base_dir))
-        else:
-            topo = (md.GraphTopology.chain if kind == "chain" else md.GraphTopology.od_cycle)(
-                len(sizes))
+    topo, sizes = topology
     by_edge = {}
     for i, k in enumerate(kernels):
         if k["edge"] in by_edge:
@@ -332,7 +342,8 @@ def _raw(epsilon, base_dir, topology, kernels, node_functions, edge_functions):
         by_edge.setdefault((a, b), md.EdgeKernel.ones((sizes[a], sizes[b])))
     spec = md.ProblemSpec(topo, by_edge, node_functions, edge_functions, epsilon)
     if spec.node_sizes != sizes:
-        _fail(where + ".sizes", "the kernels give the node sizes %s" % (spec.node_sizes,))
+        _fail("problem.topology.sizes", "the kernels give the node sizes %s"
+              % (spec.node_sizes,))
     return spec, None
 
 
@@ -354,13 +365,19 @@ def _grid(obj, path, base_dir):
 
 _SPECIES = {"initial": (_matrix, None), "running": (_optional(function_from_config), None),
             "terminal": (_optional(function_from_config), None)}
-_MFG_COST = {"mode": (_choice("squared_distance", "matrix", message="unknown mode %r"),
-                      "squared_distance"),
-             "scale": (_positive, 1.0), "values": (_any, None)}
-_TOPOLOGY = {"class": (_choice("chain", "od_cycle", "hub", "general",
-                               message="unknown topology class %r"), None),
-             "sizes": (_list(_count, "a list of integers", "a nonempty list of node sizes"), None),
-             "edges": (_any, None), "species": (_any, None)}
+# The mfg cost modes: mode -> (maker, table of the cost's other keys).
+_MFG_COSTS = {"squared_distance": (dict, {"scale": (_positive, 1.0)}),
+              "matrix": (dict, {"scale": (_positive, 1.0), "values": (_matrix, None)})}
+_sizes = _list(_count, "a list of integers", "a nonempty list of node sizes")
+# The raw topology classes: class -> (maker of (topology, sizes), table).
+_TOPOLOGIES = {
+    "chain": (_topology(md.GraphTopology.chain), {"sizes": (_sizes, None)}),
+    "od_cycle": (_topology(md.GraphTopology.od_cycle), {"sizes": (_sizes, None)}),
+    "hub": (_hub, {"sizes": (_sizes, None), "species": (_count, None)}),
+    "general": (_topology(md.GraphTopology.general),
+                {"sizes": (_sizes, None),
+                 "edges": (_list(_node_pair, "an edge list", "an edge list"), None)}),
+}
 _KERNEL = {"edge": (_node_pair, None), "cost": (_matrix, None)}
 
 # The problem kinds: kind -> (builder, table of the problem's other keys).
@@ -380,9 +397,9 @@ _PROBLEMS = {
         "species": (_list(_object(_SPECIES), _NONEMPTY, _NONEMPTY), None),
         "total_running": (_function_map(_integer_key, "time index"), {}),
         "total_terminal": (_optional(function_from_config), None),
-        "cost": (_object(_MFG_COST), {})}),
+        "cost": (_tagged("mode", _MFG_COSTS, "unknown mode %r", "squared_distance"), {})}),
     "raw": (_raw, {
-        "topology": (_object(_TOPOLOGY), None),
+        "topology": (_tagged("class", _TOPOLOGIES, "unknown topology class %r"), None),
         "kernels": (_list(_object(_KERNEL), "a list"), []),
         "node_functions": (_function_map(_integer_key, "node"), {}),
         "edge_functions": (_function_map(_edge_key, "edge"), {})}),

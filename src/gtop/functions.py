@@ -700,10 +700,6 @@ class CompositeFunction:
         if not self.parts:
             raise InvalidInput("a composite needs at least one part")
 
-    @property
-    def is_zero(self):
-        return all(p.is_zero for p in self.parts)
-
     def validate_size(self, n, where=""):
         for p in self.parts:
             p.validate_size(n, where)

@@ -6,9 +6,9 @@ a float mantissa array paired with a single log-scale offset so that products
 of many small kernel entries survive strong regularization.
 
 A :class:`ProblemSpec` is data only: its ``blocks`` table lists the stacked
-cost parts of every node and functional edge, resolved once at construction,
-and no solve writes into it.  The dual objective is the plain formula,
-exact for any potentials.
+nonzero cost parts of every node and edge that has any, resolved once at
+construction, and no solve writes into it.  The dual objective is the plain
+formula, exact for any potentials.
 """
 
 import functools
@@ -359,15 +359,11 @@ class DualPotentials:
         return cls({block: [ScaledArray.ones(spec.block_shape(block)) for _ in parts]
                     for block, parts in spec.blocks.items()})
 
-    def node_value(self, j):
-        factors = self.factors[("node", j)]
-        return factors[0] if len(factors) == 1 else smul(*factors)
-
-    def edge_value(self, e):
-        """The product of the edge's factors; None for an edge with no cost."""
-        factors = self.factors.get(("edge", e))
+    def value(self, block, default=None):
+        """The product of the block's factors, or ``default`` where there is none."""
+        factors = self.factors.get(block)
         if factors is None:
-            return None
+            return default
         return factors[0] if len(factors) == 1 else smul(*factors)
 
     def copy(self):
@@ -379,14 +375,12 @@ class ProblemSpec:
 
     Holds the graph, a kernel per edge, one convex cost per node and per
     edge, and the regularization strength.  Construction validates the
-    shapes and fills ``blocks``, the tuple of stacked cost parts of each
-    node and of each edge whose cost is not zero.
+    shapes and fills ``blocks``, the stacked nonzero cost parts of each node
+    and edge that has any; any other has no multiplier and is summed out.
     """
 
     def __init__(self, topology, kernels, node_functions=None, edge_functions=None,
                  epsilon=1.0):
-        from .functions import Zero  # deferred to avoid an import cycle
-
         self.topology = topology
         self.epsilon = float(epsilon)
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
@@ -417,16 +411,17 @@ class ProblemSpec:
                                    % (e, k.shape, shape))
             self.kernels[e] = k
 
-        # The stacked cost parts of every block, keyed by ("node", j) or
-        # ("edge", e): each node, then each edge whose cost is not zero.  Every
-        # given function is size-checked, zero-cost edges included.
-        given = {("node", j): node_functions.get(j, Zero()) for j in range(topology.node_count)}
-        given.update((("edge", e), edge_functions[e]) for e in topology.edges
-                     if e in edge_functions)
-        for block, fn in given.items():
-            fn.validate_size(math.prod(self.block_shape(block)), where="%s %r" % block)
-        self.blocks = {block: tuple(getattr(fn, "parts", (fn,))) for block, fn in given.items()
-                       if block[0] == "node" or not fn.is_zero}
+        # Keyed by ("node", j) or ("edge", e), nodes first.  Every given
+        # function is size-checked, zero costs included.
+        given = [(("node", j), node_functions.get(j)) for j in range(topology.node_count)]
+        given += [(("edge", e), edge_functions.get(e)) for e in topology.edges]
+        self.blocks = {}
+        for block, fn in given:
+            if fn is not None:
+                fn.validate_size(math.prod(self.block_shape(block)), where="%s %r" % block)
+                parts = tuple(p for p in getattr(fn, "parts", (fn,)) if not p.is_zero)
+                if parts:
+                    self.blocks[block] = parts
 
     def block_shape(self, block):
         """The shape of a ("node", j) or ("edge", (a, b)) block's factors."""

@@ -58,14 +58,19 @@ class _EngineBase:
         return arr
 
     def marginal(self, j, pots):
-        return self._own_factor_times(self.w_node(j, pots), pots.node_value(j))
+        return self._own_factor_times(self.w_node(j, pots), pots.value(("node", j)))
 
     def bimarginal(self, e, pots):
-        return self._own_factor_times(self.w_edge(e, pots), pots.edge_value(e))
+        return self._own_factor_times(self.w_edge(e, pots), pots.value(("edge", e)))
 
     def _own_factor_times(self, w, u):
-        """P_b = u_b * w_b; an edge with no cost has no factor and returns its weight."""
+        """P_b = u_b * w_b; a block with no cost has no factor and returns its weight."""
         return w if u is None else self._fin(w.m * u.m, w.log_scale + u.log_scale)
+
+    @staticmethod
+    def _times(m, ls, u):
+        """``(m, ls)`` times the factor ``u``; unchanged if there is none (None)."""
+        return (m, ls) if u is None else (m * u.m, ls + u.log_scale)
 
     def projection(self, block, pots):
         """The marginal of a ("node", j) block, the bimarginal of an ("edge", e) one."""
@@ -75,10 +80,7 @@ class _EngineBase:
     def _kernel_with_edge_factor(self, e, pots):
         """Kernel times any potential factor living on the same edge, as one matrix."""
         k = self.spec.kernels[e]
-        u_edge = pots.edge_value(e)
-        if u_edge is None:
-            return k.full(), k.log_scale
-        return k.full() * u_edge.m, k.log_scale + u_edge.log_scale
+        return self._times(k.full(), k.log_scale, pots.value(("edge", e)))
 
 
 class ChainEngine(_EngineBase):
@@ -126,8 +128,7 @@ class ChainEngine(_EngineBase):
     def _absorb(self, msg, i, pots):
         """A message times the carried factor and the potential at position ``i``."""
         m, ls = self._times_carried(msg.m, msg.log_scale, i, pots)
-        u = pots.node_value(self.path[i])
-        return m * u.m, ls + u.log_scale
+        return self._times(m, ls, pots.value(("node", self.path[i])))
 
     def _step(self, e):
         i = self.steps.get(e)
@@ -172,11 +173,11 @@ class ChainEngine(_EngineBase):
     def w_edge(self, e, pots):
         i = self.pos.get(e[1])
         if self.carried.get(i) == e:  # a chord: its kernel is the carried factor at e[1]
-            u = pots.node_value(e[1])
             k = self.spec.kernels[e]
             fwd, bwd = self.fwd[i], self.bwd[i]
-            return self._fin(fwd.m * bwd.m * u.m * k.full(),
-                             fwd.log_scale + bwd.log_scale + u.log_scale + k.log_scale)
+            m, ls = self._times(fwd.m * bwd.m, fwd.log_scale + bwd.log_scale,
+                                pots.value(("node", e[1])))
+            return self._fin(m * k.full(), ls + k.log_scale)
         i = self._step(e)
         left = self._fin(*self._absorb(self.fwd[i], i, pots))
         right = self._fin(*self._absorb(self.bwd[i + 1], i + 1, pots))
@@ -191,11 +192,12 @@ class DenseEngine(_EngineBase):
     ``make_engine`` picks it for every graph the path engine does not fit;
     on any graph it is the oracle the path engine is checked against.
 
-    A projection contracts the node potentials and, per edge, the kernel
-    times any edge potential, leaving an excluded factor out.  The pairwise
-    order of each ``(keep, exclude)`` signature comes from ``np.einsum_path``
-    once per engine and is replayed with plain ``np.einsum``, so the plan
-    tensor is never formed.  ``order``: every node, then every edge.
+    A projection contracts the node potentials (ones at a node with no
+    cost) and, per edge, the kernel times any edge potential, leaving an
+    excluded factor out.  The pairwise order of each ``(keep, exclude)``
+    signature comes from ``np.einsum_path`` once per engine and is replayed
+    with plain ``np.einsum``, so the plan tensor is never formed.
+    ``order``: every node, then every edge.
     """
 
     def __init__(self, spec):
@@ -210,6 +212,7 @@ class DenseEngine(_EngineBase):
         self.order = ([("node", j) for j in range(len(self.sizes))]
                       + [("edge", e) for e in spec.topology.edges])
         self._plans = {}
+        self._units = [ScaledArray.ones(n) for n in self.sizes]
 
     def rebuild_backward(self, pots):
         pass
@@ -243,7 +246,8 @@ class DenseEngine(_EngineBase):
         key = (tuple(keep), exclude)
         if key not in self._plans:
             self._plans[key] = self._plan(*key)
-        nodes = [pots.node_value(j) for j in range(len(self.sizes)) if exclude != ("node", j)]
+        nodes = [pots.value(("node", j), self._units[j]) for j in range(len(self.sizes))
+                 if exclude != ("node", j)]
         ops, ls = [u.m for u in nodes], sum(u.log_scale for u in nodes)
         for e in self.spec.topology.edges:
             k = self.spec.kernels[e]

@@ -6,12 +6,12 @@ order (``engine.order``): the path engine updates the blocks at each path
 node and pushes the forward message past it, the dense engine updates every
 node and then every edge.  A backward rebuild closes the sweep so
 end-of-sweep projections are current.  A cost part whose update ignores its
-weight (``ignores_weight``: zero, linear, indicator box) gets the same
-factor in every sweep, so it is solved in the first sweep only, which also
-resets a warm start's factor.  A node or edge made only of such parts is
-then not projected at all, and such a part reports a residual of 0.  The
-updater records the largest log change and finite |log| of the factors it
-writes, and the factors they replace; the engine counts its rescales.
+weight (``ignores_weight``: linear, indicator box) gets the same factor in
+every sweep, so it is solved in the first sweep only, which also resets a
+warm start's factor.  A node or edge made only of such parts is then not
+projected at all, and such a part reports a residual of 0.  The updater
+records the largest log change and finite |log| of the factors it writes,
+and the factors they replace; the engine counts its rescales.
 
 Between exact sweeps the solver may try one safeguarded Anderson-mixed
 point (type II; Walker and Ni, SIAM J. Numer. Anal. 49(4), 2011).  A try
@@ -35,8 +35,8 @@ roundoff, so inside the band it is kept if the trapezoid (g'(0) + g'(1)) /
 sum_b eps <grad f*_b(s_b) - P_b, d_b> over the moved factors, with s_b =
 -eps log u_b, P_b the block's projection and grad f*_b the end of its
 conjugate subgradient that the sign of d_b picks, 0 where that end is
-infinite (a roundoff-level move in the tolerance band of a zero, linear or
-box cost).  g'(1) needs the forward messages pushed at the trial point too.
+infinite (a roundoff-level move in the tolerance band of a linear or box
+cost).  g'(1) needs the forward messages pushed at the trial point too.
 A rejected try puts back the replaced factors and the message lists.  Only
 sweeps after the last try enter the rate, and only exact sweeps the mixing,
 the stop decision, the callback, ``dual_values`` and ``max_residuals``.
@@ -120,17 +120,14 @@ def residual_map(potentials, spec, engine):
     (an indicator box): its own update satisfies it exactly whatever the
     other blocks do, and ``solve`` makes that update in the first sweep,
     before any residual is read; a blockwise cost is hard only through blocks
-    that do not ignore their weight.  Zero costs report nothing.  A node or
-    edge is projected at most once, however many hard parts it stacks;
-    stacked parts get keys ``key#k``.
+    that do not ignore their weight.  A node or edge is projected at most
+    once, however many hard parts it stacks; stacked parts get keys ``key#k``.
     """
     out = {}
     for (kind, where), parts in spec.blocks.items():
         key = "node:%d" % where if kind == "node" else "edge:%d-%d" % where
         p = None
         for k, part in enumerate(parts):
-            if part.is_zero:
-                continue
             name = key if len(parts) == 1 else "%s#%d" % (key, k)
             if not part.hard or part.ignores_weight:
                 out[name] = 0.0
@@ -146,10 +143,11 @@ class _Verifier:
 
     After an update the dual takes its plan mass from the solve engine's
     projection of the block just updated, whose messages the sweep keeps
-    current.  The projections are checked each sweep against a dense oracle's
-    full contraction, which includes the block's own factor, when the solve
-    engine is not dense (a second copy of it would check nothing) and the
-    instance fits the dense budget.
+    current.  The projections of every node and edge, blocks or not, are
+    checked each sweep against a dense oracle's full contraction, which
+    includes the block's own factor, when the solve engine is not dense (a
+    second copy of it would check nothing) and the instance fits the dense
+    budget.
     """
 
     def __init__(self, spec, engine):
@@ -174,7 +172,7 @@ class _Verifier:
     def check_projections(self, pots, engine, sweep):
         if self.oracle is None:
             return
-        for kind, where in self.spec.blocks:
+        for kind, where in self.oracle.order:
             keep = (where,) if kind == "node" else where
             a, b = engine.projection((kind, where), pots), self.oracle.project(pots, keep)
             _assert_scaled_close(a, b, 1e-8, "%s %r at sweep %d" % (kind, where, sweep))
@@ -412,6 +410,22 @@ def _sanity_checks(spec):
                          "%s %r allows at most %.12g" % (*lo[1], lo[0], *hi[1], hi[0]))
 
 
+def _check_warm_start(spec, initial):
+    """``InvalidInput`` naming the first block where ``initial`` differs from
+    ``spec.blocks``: factors where there is no block, which no sweep would
+    update, or a block's factor count or shapes, which numpy would broadcast."""
+    for block in initial.factors:
+        if block not in spec.blocks:
+            raise InvalidInput("warm start has factors for %r, which is not a block of the "
+                               "spec (no cost there)" % (block,))
+    for block, parts in spec.blocks.items():
+        shapes = [f.shape for f in initial.factors.get(block, ())]
+        if shapes != [spec.block_shape(block)] * len(parts):
+            raise InvalidInput("warm start: %s %r has factors of shapes %r, its cost needs %d "
+                               "of shape %r" % (*block, shapes, len(parts),
+                                                spec.block_shape(block)))
+
+
 def _close(report, termination, sweep, res, t0, rescale_events):
     """Fill the report fields that a finished and a failed solve share."""
     report.termination = termination
@@ -430,16 +444,19 @@ def solve(spec, config=None, initial=None):
     sweep at or below the potential tolerance; a solve that stops at
     ``max_sweeps`` short of feasibility warns with its worst block.  Between
     sweeps the solver may try an Anderson-mixed point (module docstring).
-    Every projection comes from the one engine built here.  An
-    :class:`Infeasible` raised by an update carries the partial report as
-    ``exc.report``: the sweeps begun, the per-sweep history, the rescale
-    events, and the residuals of the potentials as the failed update left
-    them, from the refreshed engine.  When the update fails in the first
-    sweep, the parts that ignore their weight and were not reached yet count
-    as satisfied in those residuals.
+    ``initial``, a warm start, must be keyed and shaped like ``spec.blocks``
+    (``InvalidInput`` otherwise).  Every projection comes from the one engine
+    built here.  An :class:`Infeasible` raised by an update carries the
+    partial report as ``exc.report``: the sweeps begun, the per-sweep
+    history, the rescale events, and the residuals of the potentials as the
+    failed update left them, from the refreshed engine.  When the update
+    fails in the first sweep, the parts that ignore their weight and were not
+    reached yet count as satisfied in those residuals.
     """
     config = config or SolverConfig()
     _sanity_checks(spec)
+    if initial is not None:
+        _check_warm_start(spec, initial)
     engine = make_engine(spec)
     pots = initial.copy() if initial is not None else DualPotentials.ones_for(spec)
     verifier = _Verifier(spec, engine) if config.verify else None

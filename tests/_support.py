@@ -68,7 +68,8 @@ def dense_tensor(spec, pots, exclude=None):
 
     ``exclude`` leaves out one node potential (``("node", j)``) or one edge
     potential (``("edge", e)``; the kernel stays), as the projection weights
-    do.  The ground truth the contraction engines are checked against.
+    do.  A node or edge with no factor reads it as 1.  The ground truth the
+    contraction engines are checked against.
     """
     sizes = spec.node_sizes
 
@@ -84,14 +85,14 @@ def dense_tensor(spec, pots, exclude=None):
     m = np.ones(sizes)
     ls = 0.0
     for j in range(len(sizes)):
-        if exclude != ("node", j):
-            u = pots.node_value(j)
+        u = None if exclude == ("node", j) else pots.value(("node", j))
+        if u is not None:
             m = m * along(u.m, (j,))
             ls += u.log_scale
     for e in spec.topology.edges:
         k = spec.kernels[e]
         km, ls = k.full(), ls + k.log_scale
-        u_edge = None if exclude == ("edge", e) else pots.edge_value(e)
+        u_edge = None if exclude == ("edge", e) else pots.value(("edge", e))
         if u_edge is not None:
             km, ls = km * u_edge.m, ls + u_edge.log_scale
         m = m * along(km, e)

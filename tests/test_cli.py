@@ -629,6 +629,45 @@ class TestUnknownKeys:
         assert capsys.readouterr().err == "error: %s: unknown key; expected one of %s\n" % (
             path, allowed)
 
+    @pytest.mark.parametrize("make,edit,message", [
+        (minimal_raw_config, lambda b: b["problem"]["topology"].update(edges=[[0, 1]]),
+         "problem.topology.edges: unknown key; expected one of class, sizes"),
+        (minimal_raw_config, lambda b: b["problem"]["topology"].update(species=2),
+         "problem.topology.species: unknown key; expected one of class, sizes"),
+        (mfg_config, lambda b: b["problem"].update(
+            cost={"mode": "squared_distance", "values": [[0.0] * 4] * 4}),
+         "problem.cost.values: unknown key; expected one of mode, scale"),
+        (mfg_config, lambda b: b["problem"].update(cost={"values": [[0.0] * 4] * 4}),
+         "problem.cost.values: unknown key; expected one of mode, scale"),
+        (flow_config, lambda b: b["problem"]["constraint"].update(initial=[0.0, 1.0, 0.0]),
+         "problem.constraint.initial: not read with \"od\"; give od or initial/final"),
+        (flow_config, lambda b: b["problem"]["constraint"].update(
+            initial=[0.0, 1.0, 0.0], final=[0.0, 0.0, 1.0]),
+         "problem.constraint.initial: not read with \"od\"; give od or initial/final"),
+        (flow_config, lambda b: b["problem"]["constraint"].update(final=[0.0, 0.0, 1.0]),
+         "problem.constraint.final: not read with \"od\"; give od or initial/final"),
+    ], ids=["chain_edges", "chain_species", "squared_distance_values", "no_mode_values",
+            "od_initial", "od_terminals", "od_final"])
+    def test_a_key_that_the_chosen_variant_does_not_read(self, tmp_path, capsys, make, edit,
+                                                         message):
+        body = make(str(tmp_path / "out"))
+        edit(body)
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("cost", [None, {}, {"scale": 2.0}])
+    def test_an_absent_mfg_cost_or_mode_reads_as_squared_distance(self, tmp_path, cost):
+        given, named = mfg_config(str(tmp_path / "out")), mfg_config(str(tmp_path / "out"))
+        if cost is not None:
+            given["problem"]["cost"] = cost
+        named["problem"]["cost"] = {"mode": "squared_distance", **(cost or {})}
+        kernels = [parse_config(write_config(tmp_path, body, name)).spec.kernels
+                   for body, name in ((given, "given.json"), (named, "named.json"))]
+        assert kernels[0].keys() == kernels[1].keys()
+        for e, k in kernels[0].items():
+            np.testing.assert_array_equal(k.full(), kernels[1][e].full())
+            assert k.log_scale == kernels[1][e].log_scale
+
     @pytest.mark.parametrize("kind", [["box"], {"box": 1}, 3, None])
     def test_function_type_other_than_a_string_exit_code(self, tmp_path, capsys, kind):
         body = minimal_raw_config(str(tmp_path / "out"))
@@ -1018,10 +1057,11 @@ class TestSchemaDocs:
             "top level": cli._TOP, "`solver`": cli._SOLVER, "`output`": cli._OUTPUT,
             "flow `edges[i]`": cli._FLOW_EDGE, "flow `constraint`": cli._CONSTRAINT,
             "mfg `grid` (the object form)": cli._GRID, "mfg `species[i]`": cli._SPECIES,
-            "mfg `cost`": cli._MFG_COST, "raw `topology`": cli._TOPOLOGY,
             "raw `kernels[i]`": cli._KERNEL, "a blockwise `blocks[i]`": cli._BLOCK,
             "a matrix reference": cli._CSV,
-        }, {"`problem`, by `kind`": cli._PROBLEMS, "a function, by `type`": cli._FUNCTIONS}
+        }, {"`problem`, by `kind`": cli._PROBLEMS, "mfg `cost`, by `mode`": cli._MFG_COSTS,
+            "raw `topology`, by `class`": cli._TOPOLOGIES,
+            "a function, by `type`": cli._FUNCTIONS}
 
     def test_readme_lists_the_keys_of_every_table(self):
         tables, variants = self.tables()

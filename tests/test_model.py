@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gtop import (CompositeFunction, DualPotentials, EdgeKernel, Equality, GraphTopology,
-                  InvalidInput, NumericalFailure, ProblemSpec, ScaledArray, Zero, build_kernel,
-                  dual_objective, make_engine)
+from gtop import (Blockwise, Box, CompositeFunction, DualPotentials, EdgeKernel, Equality,
+                  GraphTopology, InvalidInput, Linear, NumericalFailure, ProblemSpec, ScaledArray,
+                  Zero, build_kernel, dual_objective, make_engine)
 
 from _support import dense_tensor, masked_kernel, random_chain_spec, random_potentials
 
@@ -354,7 +354,6 @@ class TestDualObjective:
         mu2 = rng.uniform(0.1, 1, n)
         spec = ProblemSpec(topo, kernels, {0: Equality(mu0), 2: Equality(mu2)}, {}, 0.7)
         pots = random_potentials(spec, rng)
-        pots.factors[("node", 1)] = [ScaledArray.ones(n)]  # the free node keeps a unit factor
         # independent evaluation, straight from the closed forms
         mass = dense_tensor(spec, pots).total()
         lam0 = 0.7 * pots.factors[("node", 0)][0].log_value()
@@ -366,9 +365,9 @@ class TestDualObjective:
     def test_infeasible_multiplier_gives_minus_inf(self):
         topo = GraphTopology.chain(2)
         spec = ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)},
-                           {0: Zero()}, {}, 1.0)
+                           {0: Linear([0.0, 0.0])}, {}, 1.0)
         pots = DualPotentials.ones_for(spec)
-        pots.factors[("node", 0)] = [ScaledArray.from_values([2.0, 1.0])]  # multiplier off zero
+        pots.factors[("node", 0)] = [ScaledArray.from_values([2.0, 1.0])]  # multiplier off 0
         assert dual_objective(pots, spec, refreshed(spec, pots)) == -math.inf
 
 
@@ -407,6 +406,18 @@ class TestProblemSpecValidation:
         topo = GraphTopology.chain(2)
         spec = ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)},
                            {1: CompositeFunction([Equality([1.0, 1.0]),
-                                                  Zero()])}, {}, 1.0)
+                                                  Box(0.0, [1.0, np.inf])])}, {}, 1.0)
         pots = DualPotentials.ones_for(spec)
         assert len(pots.factors[("node", 1)]) == 2
+
+    def test_zero_costs_make_no_block(self):
+        # A zero cost, alone or stacked, gets no factor; it is still size-checked.
+        topo = GraphTopology.chain(3)
+        kernels = {e: build_kernel(np.zeros((2, 2)), 1.0) for e in topo.edges}
+        node_box, edge_box = Box(0.0, [1.0, np.inf]), Box(0.0, np.full(4, 2.0))
+        spec = ProblemSpec(topo, kernels, {0: Zero(), 1: CompositeFunction([Zero(), node_box])},
+                           {(0, 1): Zero(), (1, 2): CompositeFunction([edge_box, Zero()])}, 1.0)
+        assert spec.blocks == {("node", 1): (node_box,), ("edge", (1, 2)): (edge_box,)}
+        zero_of_three = Blockwise(3, [(np.arange(3), Zero())])
+        with pytest.raises(InvalidInput, match="node 0: function expects 3 entries"):
+            ProblemSpec(topo, kernels, {0: zero_of_three}, {}, 1.0)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from gtop import (Box, ChainEngine, CompositeFunction, DenseEngine, DualPotentials,
-                  EdgeKernel, Equality, GraphTopology, InvalidInput, ProblemSpec,
+                  EdgeKernel, Equality, GraphTopology, InvalidInput, Linear, ProblemSpec,
                   QuadraticDistance, ScaledArray, SeparableKernel, SizeBoundExceeded,
                   TopologyMismatch, Zero, build_kernel, make_engine)
 
-from _support import (as_general, assert_maxnorm_close, dense_tensor, grid_mfg_specs,
-                      random_chain_spec, random_hub_spec, random_od_spec, random_potentials)
+from _support import (as_general, assert_maxnorm_close, block_functions, dense_tensor,
+                      grid_mfg_specs, random_chain_spec, random_hub_spec, random_od_spec,
+                      random_potentials)
 
 
 def refreshed(spec, pots):
@@ -158,7 +159,7 @@ class TestDenseContraction:
         spec = random_general_spec(rng, cycle_with_chord(5), [3, 2, 4, 3, 2])
         pots = random_potentials(spec, rng)
         e = spec.topology.edges[-1]
-        vals = pots.edge_value(e).value()
+        vals = pots.value(("edge", e)).value()
         vals[0, :] = 0.0
         vals[1, 1] = 0.0
         pots.factors[("edge", e)] = [ScaledArray.from_values(vals)]
@@ -309,16 +310,20 @@ class TestODProjections:
 
     def test_message_seeds_are_kernels(self):
         rng = np.random.default_rng(4)
-        spec = random_od_spec(rng, n_nodes=5, n_states=3)
+        od = random_od_spec(rng, n_nodes=5, n_states=3)
+        # costs at nodes 0 and 4, so that they have potentials
+        spec = ProblemSpec(od.topology, od.kernels, {0: Linear(np.zeros(3)),
+                                                     4: Linear(np.ones(3))},
+                           block_functions(od, "edge"), od.epsilon)
         pots = random_potentials(spec, rng)
         eng = refreshed(spec, pots)
         np.testing.assert_array_equal(eng.fwd[0].value(), np.eye(3))
         np.testing.assert_array_equal(eng.bwd[4].value(), np.ones((3, 3)))
         # one step from the seeds: the kernels, scaled by the node-0 potential
         # on the left and by the chord factor and node-4 potential on the right
-        u0 = pots.node_value(0).value()
-        u4 = pots.node_value(4).value()
-        chord = spec.kernels[(0, 4)].value() * pots.edge_value((0, 4)).value()
+        u0 = pots.value(("node", 0)).value()
+        u4 = pots.value(("node", 4)).value()
+        chord = spec.kernels[(0, 4)].value() * pots.value(("edge", (0, 4))).value()
         k01 = spec.kernels[(0, 1)].value()
         k34 = spec.kernels[(3, 4)].value()
         np.testing.assert_allclose(eng.fwd[1].value(), u0[:, None] * k01, rtol=1e-13)

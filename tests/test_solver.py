@@ -1,6 +1,7 @@
 """Solver tests: single updates, full solves, reports, and convergence traits."""
 
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -416,6 +417,42 @@ class TestSolve:
         assert residual_map(pots, spec, eng)["node:0"] <= 1e-8
 
 
+class TestWarmStartChecks:
+    """A warm start must be keyed and shaped like the spec's blocks."""
+
+    @staticmethod
+    def chain_and_start():
+        # Equality at nodes 0 and 2; node 1 has no cost and so no factor.
+        rng = np.random.default_rng(12)
+        kernels = {e: build_kernel(rng.uniform(0.0, 1.0, (3, 3)), 1.0) for e in [(0, 1), (1, 2)]}
+        spec = ProblemSpec(GraphTopology.chain(3), kernels,
+                           {0: Equality(np.full(3, 1 / 3)), 2: Equality([0.2, 0.3, 0.5])}, {}, 1.0)
+        return spec, solve(spec, SolverConfig(max_sweeps=2))[0]
+
+    @pytest.mark.parametrize("block,factors,message", [
+        (("node", 2), None, r"warm start: node 2 has factors of shapes \[\], its cost needs 1 "
+                            r"of shape \(3,\)$"),
+        (("node", 0), [(4,)], r"warm start: node 0 has factors of shapes \[\(4,\)\]"),
+        (("node", 2), [(1,)], r"warm start: node 2 has factors of shapes \[\(1,\)\]"),
+        (("node", 0), [(3,), (3,)], r"warm start: node 0 has factors of shapes "
+                                    r"\[\(3,\), \(3,\)\], its cost needs 1"),
+        # No sweep would update it, so it would act on the plan unchecked.
+        (("node", 1), [(3,)], r"^warm start has factors for \('node', 1\), which is not a "
+                              r"block"),
+    ], ids=["missing", "wrong_shape", "size_one", "extra_part", "no_cost"])
+    def test_a_start_unlike_the_blocks_is_named(self, block, factors, message):
+        spec, start = self.chain_and_start()
+        start.factors.pop(block, None)
+        if factors is not None:
+            start.factors[block] = [ScaledArray.ones(shape) for shape in factors]
+        with pytest.raises(InvalidInput, match=message):
+            solve(spec, initial=start)
+
+    def test_a_matching_start_is_taken(self):
+        spec, start = self.chain_and_start()
+        assert solve(spec, initial=start)[1].termination == "converged"
+
+
 def cycle_with_chord_spec(n=3, epsilon=0.5):
     """A 6-cycle plus the chord (0, 3), declared general, with Equality, Box,
     QuadraticDistance and Congestion node costs drawn from one positive plan."""
@@ -793,6 +830,29 @@ class TestChecksThatFire:
                                                       r"sweep 1"):
             solve(spec, SolverConfig(verify=True))
 
+    @pytest.mark.parametrize("block", [("node", 1), ("edge", (1, 2))])
+    def test_verified_solve_checks_the_nodes_and_edges_with_no_cost(self, monkeypatch, block):
+        # Only the verifier projects them, so a fault in their path-engine
+        # weight shows nowhere else.
+        rng = np.random.default_rng(51)
+        kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 1.0, (3, 3)), 1.0) for j in range(3)}
+        spec = ProblemSpec(GraphTopology.chain(4), kernels,
+                           {0: Equality(np.full(3, 0.3)), 3: Equality([0.2, 0.3, 0.4])}, {}, 1.0)
+        assert block not in spec.blocks
+        kind, where = block
+        exact = getattr(ChainEngine, "w_" + kind)
+
+        def faulty(self, at, pots):
+            w = exact(self, at, pots)
+            return ScaledArray(w.m * (1.0 + 1e-6 * np.arange(w.m.size).reshape(w.shape)),
+                               w.log_scale) if at == where else w
+
+        monkeypatch.setattr(ChainEngine, "w_" + kind, faulty)
+        assert solve(spec)[1].termination == "converged"
+        with pytest.raises(VerificationFailure, match=r"projection mismatch .* for %s %s at "
+                                                      r"sweep 1" % (kind, re.escape(repr(where)))):
+            solve(spec, SolverConfig(verify=True))
+
 
 class TestDivergenceWarning:
     def test_unattained_dual_warns_not_errors(self, monkeypatch):
@@ -952,19 +1012,20 @@ class TestWeightIndependentParts:
         monkeypatch.setattr(_Updater, "_apply", counted)
         _, report = solve(spec)
         assert report.sweeps > 2
-        # node 1 is an indicator box, node 2 linear, node 3 both, node 4
-        # zero, edge (2, 3) indicator, zero and linear rows: only the first
-        # sweep updates them
-        fixed = {("node", 1), ("node", 2), ("node", 3), ("node", 4), ("edge", (2, 3))}
+        # node 1 is an indicator box, node 2 linear, node 3 both, edge (2, 3)
+        # indicator, zero and linear rows: only the first sweep updates them.
+        # Node 4 has a zero cost, so no block, and no sweep updates it.
+        fixed = {("node", 1), ("node", 2), ("node", 3), ("edge", (2, 3))}
         first = {(b, k) for s, b, k in updates if s == 1}
         later = {(b, k) for s, b, k in updates if s > 1}
         assert {b for b, _ in first} >= fixed
         assert not {b for b, _ in later} & fixed
         assert later == first - {(b, k) for b, k in first if b in fixed}
+        assert spec.topology.node_count > 5 and ("node", 4) not in {b for _, b, _ in updates}
 
     def test_random_warm_start_resets_the_marked_factors(self):
-        # The first sweep gives every marked part, zero costs included, its
-        # only factor, so no stray starting factor survives.
+        # The first sweep gives every marked part its only factor, so no
+        # stray starting factor survives.
         spec = marked_spec(0, "chain")
         _, cold = solve(spec)
         start = random_potentials(spec, np.random.default_rng(0))

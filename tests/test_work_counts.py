@@ -32,28 +32,27 @@ COUNTS = {
         "sweeps": 20, "tries": 3,
     },
     "dense_cycle": {
-        "apply.EdgeKernel": 220, "rebuild_backward": 24, "push_forward": 100, "w_node": 186,
+        "apply.EdgeKernel": 220, "rebuild_backward": 24, "push_forward": 100, "w_node": 185,
         "w_edge": 0, "marginal": 90, "bimarginal": 0, "solve_inclusion.Box": 19,
         "solve_inclusion.Congestion": 19, "solve_inclusion.Equality": 38,
-        "solve_inclusion.QuadraticDistance": 19, "solve_inclusion.Zero": 1, "conjugate.Box": 23,
+        "solve_inclusion.QuadraticDistance": 19, "conjugate.Box": 23,
         "conjugate.Congestion": 23, "conjugate.Equality": 46, "conjugate.QuadraticDistance": 23,
-        "conjugate.Zero": 23, "sweeps": 19, "tries": 4,
+        "sweeps": 19, "tries": 4,
     },
     "flow_od": {
-        "apply.EdgeKernel": 1897, "rebuild_backward": 147, "push_forward": 868, "w_node": 928,
+        "apply.EdgeKernel": 1897, "rebuild_backward": 147, "push_forward": 868, "w_node": 926,
         "w_edge": 248, "marginal": 218, "bimarginal": 130, "solve_inclusion.Blockwise": 708,
-        "solve_inclusion.Equality": 118, "solve_inclusion.Zero": 2, "conjugate.Blockwise": 876,
-        "conjugate.Congestion": 876, "conjugate.Equality": 146, "conjugate.Zero": 1168,
+        "solve_inclusion.Equality": 118, "conjugate.Blockwise": 876,
+        "conjugate.Congestion": 876, "conjugate.Equality": 146, "conjugate.Zero": 876,
         "sweeps": 118, "tries": 28,
     },
     "mfg_hub": {
-        "apply.SeparableKernel": 252, "rebuild_backward": 15, "push_forward": 130, "w_node": 49,
+        "apply.SeparableKernel": 252, "rebuild_backward": 15, "push_forward": 130, "w_node": 47,
         "w_edge": 143, "marginal": 14, "bimarginal": 13, "solve_inclusion.Blockwise": 117,
         "solve_inclusion.Box": 8, "solve_inclusion.Equality": 13,
-        "solve_inclusion.QuadraticDistance": 26, "solve_inclusion.Zero": 2,
-        "conjugate.Blockwise": 126, "conjugate.Box": 238, "conjugate.Equality": 14,
-        "conjugate.Linear": 126, "conjugate.QuadraticDistance": 154, "conjugate.Zero": 154,
-        "sweeps": 13, "tries": 1,
+        "solve_inclusion.QuadraticDistance": 26, "conjugate.Blockwise": 126, "conjugate.Box": 238,
+        "conjugate.Equality": 14, "conjugate.Linear": 126, "conjugate.QuadraticDistance": 154,
+        "conjugate.Zero": 126, "sweeps": 13, "tries": 1,
     },
 }
 
