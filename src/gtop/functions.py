@@ -8,7 +8,7 @@ solve the scalar stationarity condition
 
 entrywise for ``u >= 0`` given a nonnegative weight vector ``w``.  All solves
 run in log space so extreme weight magnitudes cost nothing in accuracy.  Each
-also bounds the total of its marginal (``mass_bounds``) for the presolve, and
+also bounds each entry of its marginal (``entry_bounds``) for the presolve, and
 the log factors its update can return (``log_factor_bounds``) for the
 solver's mixed tries.
 
@@ -45,6 +45,12 @@ from .model import ScaledArray
 _MAX_NEWTON_STEPS = 100
 # Newton stops once no entry moves by more than a few ulps of max(|l|, 1).
 _ULPS = 4.0 * np.finfo(float).eps
+
+
+def _entries(x, n):
+    """A parameter given as one value or as n values, as n values."""
+    x = x.ravel()
+    return x if x.size == n else np.full(n, x[0])
 
 
 def _log_u_to_scaled(log_u, shape):
@@ -177,10 +183,11 @@ class MarginalFunction:
         """Normalized violation of the hard constraint, or None if soft."""
         return None
 
-    def mass_bounds(self, n):
-        """Bounds ``(lo, hi)`` that the cost puts on the total of an n-entry
-        marginal; a soft cost allows any nonnegative total."""
-        return 0.0, math.inf
+    def entry_bounds(self, n):
+        """Bounds ``(lo, hi)``, each of shape ``(n,)``, that the cost puts on
+        every entry of an n-entry marginal; a soft cost allows any
+        nonnegative entry."""
+        return np.zeros(n), np.full(n, math.inf)
 
     def scaled(self, factor):
         """The function multiplied by a positive scalar."""
@@ -275,8 +282,8 @@ class Equality(MarginalFunction):
         t = self.target.ravel()
         return float(np.abs(p.ravel() - t).sum() / max(np.abs(t).sum(), 1.0))
 
-    def mass_bounds(self, n):
-        return (float(np.sum(self.target)),) * 2
+    def entry_bounds(self, n):
+        return (self.target.ravel(),) * 2
 
     def scaled(self, factor):
         return self
@@ -374,9 +381,8 @@ class Box(MarginalFunction):
         under = np.maximum(self.lower.ravel() - p, 0.0)
         return float((over.sum() + under.sum()) / max(np.abs(p).sum(), 1.0))
 
-    def mass_bounds(self, n):
-        return (float(np.broadcast_to(self.lower.ravel(), n).sum()),
-                float(np.broadcast_to(self.upper.ravel(), n).sum()))
+    def entry_bounds(self, n):
+        return _entries(self.lower, n), _entries(self.upper, n)
 
     def scaled(self, factor):
         return self
@@ -565,8 +571,8 @@ class Congestion(MarginalFunction):
         # s = -eps * l must pass the kink 1 / b for u * w to be positive.
         return -math.inf, -1.0 / (epsilon * self.capacity.ravel())
 
-    def mass_bounds(self, n):
-        return 0.0, float(np.broadcast_to(self.capacity.ravel(), n).sum())
+    def entry_bounds(self, n):
+        return np.zeros(n), _entries(self.capacity, n)
 
     def scaled(self, factor):
         if float(factor) == 1.0:
@@ -668,9 +674,11 @@ class Blockwise(MarginalFunction):
         found = [fn.feasibility_residual(p[sel]) for sel, fn in self._views]
         return max((r for r in found if r is not None), default=None)
 
-    def mass_bounds(self, n):
-        bounds = [fn.mass_bounds(idx.size) for idx, fn in self.blocks]
-        return sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
+    def entry_bounds(self, n):
+        lo, hi = np.empty(self.size), np.empty(self.size)
+        for (idx, fn), (sel, _) in zip(self.blocks, self._views):
+            lo[sel], hi[sel] = fn.entry_bounds(idx.size)
+        return lo, hi
 
     def scaled(self, factor):
         return Blockwise(self.size, [(idx, fn.scaled(factor)) for idx, fn in self.blocks])

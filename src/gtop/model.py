@@ -11,9 +11,11 @@ construction, and no solve writes into it.  The dual objective is the plain
 formula, exact for any potentials.
 """
 
+import ctypes
 import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import InvalidInput, NumericalFailure
 
 # exp(-x) may round to zero only for x beyond this spread.
 _UNDERFLOW_SPREAD = -math.log(np.finfo(float).smallest_subnormal)
+_SYMV_MIN_SIDE = 512  # for dsymv in ``EdgeKernel.apply``; matmul wins below about 400
 
 
 class ScaledArray:
@@ -242,7 +245,7 @@ class EdgeKernel(ScaledArray):
     through every operation.
     """
 
-    __slots__ = ()
+    __slots__ = ("_symmetric",)
 
     def __init__(self, mantissa, log_scale=0.0):
         super().__init__(mantissa, log_scale)
@@ -250,10 +253,35 @@ class EdgeKernel(ScaledArray):
             raise InvalidInput("kernel must be a matrix")
         if self.m.size and not (self.m.min() >= 0 and self.m.max() < math.inf):
             raise InvalidInput("kernel entries must be finite and nonnegative")
+        self._symmetric = None
+
+    @classmethod
+    def _of_exp(cls, mantissa, log_scale):
+        """A kernel from ``build_kernel``'s matrix of exp of non-positive numbers
+        (or 0), which holds no entry that ``__init__`` would reject."""
+        k = cls.__new__(cls)
+        ScaledArray.__init__(k, mantissa, log_scale)
+        k._symmetric = None
+        return k
 
     def apply(self, m, transpose=False):
-        """``m @ K``, or ``m @ K.T``: the rows of ``m`` times the kernel."""
-        return m @ (self.m.T if transpose else self.m)
+        """``m @ K``, or ``m @ K.T``: the rows of ``m`` times the kernel.
+
+        A one-row float64 message times an exactly symmetric C-ordered kernel
+        of side ``_SYMV_MIN_SIDE`` or more takes ``dsymv`` of numpy's OpenBLAS,
+        if any: it reads half the kernel, differs from matmul at roundoff, and
+        checks the symmetry once, on the first such apply."""
+        k, n = self.m, self.m.shape[0]
+        if (m.shape == (1, n) and k.shape[1] == n >= _SYMV_MIN_SIDE and m.dtype == k.dtype == float
+                and k.flags.c_contiguous and _dsymv() is not None):
+            if self._symmetric is None:
+                self._symmetric = bool(np.array_equal(k, k.T))
+            if self._symmetric:
+                x, y = np.ascontiguousarray(m), np.zeros((1, n))
+                _dsymv()(101, 121, n, 1.0, k.ctypes.data, n, x.ctypes.data, 1, 0.0,
+                         y.ctypes.data, 1)  # 101, 121: CblasRowMajor, CblasUpper
+                return y
+        return m @ (k.T if transpose else k)
 
     def times(self, x):
         """``x * K`` elementwise, written into ``x``."""
@@ -262,6 +290,27 @@ class EdgeKernel(ScaledArray):
 
     def full(self):
         return self.m
+
+
+@functools.cache
+def _dsymv():
+    """``cblas_dsymv(order, uplo, n, alpha, a, lda, x, incx, beta, y, incy)``,
+    int64 sizes, of the scipy-openblas numpy loaded from its own install, else None."""
+    root = Path(np.__file__).parent
+    libs = [*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
+            *root.glob(".dylibs/libscipy_openblas64_*")]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if (blas["name"] != "scipy-openblas" or "USE64BITINT" not in blas["openblas configuration"]
+                or len(libs) != 1):
+            return None
+        fn = ctypes.CDLL(str(libs[0])).scipy_cblas_dsymv64_
+    except (KeyError, TypeError, OSError, AttributeError):
+        return None
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, i64, dbl, ptr, i64, ptr, i64, dbl, ptr, i64]
+    fn.restype = None
+    return fn
 
 
 class SeparableKernel:
@@ -326,7 +375,7 @@ def build_kernel(cost, epsilon):
     if not cmin > -math.inf:
         raise InvalidInput("cost entries must be > -inf and not NaN")
     if cmin == math.inf:
-        return EdgeKernel(np.zeros(m.shape), 0.0)
+        return EdgeKernel._of_exp(np.zeros(m.shape), 0.0)
     # With +inf costs the spread is +inf and the zeros are counted: a finite
     # entry can only underflow when the finite spread exceeds the bound too.
     spread = (float(m.max()) - cmin) / epsilon
@@ -341,7 +390,7 @@ def build_kernel(cost, epsilon):
                           "transitions) at epsilon=%g: their cost exceeds the smallest by "
                           "more than %.0f * epsilon" % (lost, epsilon, _UNDERFLOW_SPREAD),
                           RuntimeWarning, stacklevel=2)
-    return EdgeKernel(m, -cmin / epsilon)
+    return EdgeKernel._of_exp(m, -cmin / epsilon)
 
 
 class DualPotentials:

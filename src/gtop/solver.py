@@ -46,6 +46,7 @@ without), chain_steer to 20 (31), mfg_hub to 13 (17) and flow_od to 118
 (1644).
 """
 
+import functools
 import math
 import numbers
 import time
@@ -394,17 +395,26 @@ def _log_diff(a, b):
 
 
 def _sanity_checks(spec):
-    """Presolve: every marginal carries the one plan mass, so the mass bounds
-    of all parts must meet (relative slack 1e-9), or the two blocks are named."""
+    """Presolve, with a relative slack of 1e-9.  The stacked parts of a block
+    bound every entry of its projection, so their entry bounds must meet, or
+    the block and the entry are named.  Every marginal carries the one plan
+    mass, so the blocks' summed entry bounds must meet, or two blocks are named."""
     lo, hi = (0.0, None), (math.inf, None)
     for block, parts in spec.blocks.items():
-        n = math.prod(spec.block_shape(block))
-        for part in parts:
-            a, b = part.mass_bounds(n)
-            if a > lo[0]:
-                lo = (a, block)
-            if b < hi[0]:
-                hi = (b, block)
+        shape = spec.block_shape(block)
+        lows, highs = zip(*[part.entry_bounds(math.prod(shape)) for part in parts])
+        a, b = functools.reduce(np.maximum, lows), functools.reduce(np.minimum, highs)
+        crossed = np.flatnonzero(a > b + 1e-9 * np.maximum(1.0, np.abs(b))) if parts[1:] else ()
+        if len(crossed):
+            i = int(crossed[0])
+            raise Infeasible("%s %r has no feasible value at entry %r: its parts need at least "
+                             "%.12g there and allow at most %.12g"
+                             % (*block, divmod(i, shape[1]) if len(shape) == 2 else i, a[i], b[i]))
+        a, b = float(np.sum(a)), float(np.sum(b))
+        if a > lo[0]:
+            lo = (a, block)
+        if b < hi[0]:
+            hi = (b, block)
     if lo[0] - hi[0] > 1e-9 * max(1.0, abs(hi[0])):
         raise Infeasible("the plan mass has no feasible value: %s %r needs at least %.12g, "
                          "%s %r allows at most %.12g" % (*lo[1], lo[0], *hi[1], hi[0]))

@@ -832,7 +832,8 @@ class TestBlockwiseViews:
 
 
 class TestMassBounds:
-    """Bounds each catalog entry puts on the total of its marginal."""
+    """Bounds each catalog entry puts on the total of its marginal: its entry
+    bounds, summed."""
 
     @pytest.mark.parametrize("fn, bounds", [
         (Equality([0.2, 0.3]), (0.5, 0.5)),
@@ -848,7 +849,22 @@ class TestMassBounds:
         (Blockwise(2, [([0], Equality([0.4])), ([1], Linear([1.0]))]), (0.4, np.inf)),
     ], ids=repr)
     def test_mass_bounds(self, fn, bounds):
-        assert fn.mass_bounds(2) == bounds
+        lo, hi = fn.entry_bounds(2)
+        assert (float(np.sum(lo)), float(np.sum(hi))) == bounds
+
+    @pytest.mark.parametrize("fn, lo, hi", [
+        (Equality([0.2, 0.3]), [0.2, 0.3], [0.2, 0.3]),
+        (Box(0.1, 0.5), [0.1, 0.1], [0.5, 0.5]),
+        (Box(0.0, [1.0, np.inf]), [0.0, 0.0], [1.0, np.inf]),
+        (Congestion(1.5), [0.0, 0.0], [1.5, 1.5]),
+        (Linear([1.0, -2.0]), [0.0, 0.0], [np.inf, np.inf]),
+        (Blockwise(2, [([1], Equality([0.4])), ([0], Box(0.1, 0.3))]), [0.1, 0.4], [0.3, 0.4]),
+        (Blockwise(2, [([0, 1], Congestion([1.0, 2.0]))]), [0.0, 0.0], [1.0, 2.0]),
+    ], ids=repr)
+    def test_entry_bounds(self, fn, lo, hi):
+        bounds = fn.entry_bounds(2)
+        assert [b.shape for b in bounds] == [(2,), (2,)]
+        assert [b.tolist() for b in bounds] == [lo, hi]
 
 
 class TestLogFactorBounds:

@@ -1,17 +1,21 @@
 """Core model tests: scaled storage, kernels, mass, and the dual objective."""
 
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from gtop import (Blockwise, Box, CompositeFunction, DualPotentials, EdgeKernel, Equality,
                   GraphTopology, InvalidInput, Linear, NumericalFailure, ProblemSpec, ScaledArray,
-                  Zero, build_kernel, dual_objective, make_engine)
+                  SeparableKernel, Zero, build_kernel, dual_objective, make_engine, solve)
+from gtop import model
 
-from _support import dense_tensor, masked_kernel, random_chain_spec, random_potentials
+from _support import (assert_maxnorm_close, dense_tensor, masked_kernel, random_chain_spec,
+                      random_potentials)
 
 
 def all_ones_chain(n_nodes=3, n=2, epsilon=1.0):
@@ -235,6 +239,132 @@ class TestEdgeKernel:
 
     def test_empty_mantissa(self):
         assert EdgeKernel(np.zeros((0, 3))).shape == (0, 3)
+
+
+def symmetric_kernel(n, epsilon=0.05):
+    """``exp(-(x_i - x_j)^2 / epsilon)`` on n grid points: exactly symmetric."""
+    x = (np.arange(n) + 0.5) / n
+    return build_kernel((x[:, None] - x[None, :]) ** 2, epsilon)
+
+
+def symmetric_chain(n=600, nodes=4, epsilon=0.05):
+    """A chain on one symmetric kernel of side n: Gaussian ends, a capped corridor."""
+    x = (np.arange(n) + 0.5) / n
+    ends = [np.exp(-(x - c) ** 2 / 0.005) for c in (0.25, 0.75)]
+    cap = np.where(np.abs(x - 0.5) < 0.15, 2.0 / n, np.inf)
+    functions = {j: Box(0.0, cap) for j in range(1, nodes - 1)}
+    functions[0], functions[nodes - 1] = (Equality(e / e.sum()) for e in ends)
+    kernel = symmetric_kernel(n, epsilon)
+    return ProblemSpec(GraphTopology.chain(nodes), {(j, j + 1): kernel for j in range(nodes - 1)},
+                       functions, {}, epsilon)
+
+
+def scipy_openblas_ilp64():
+    """Whether numpy reports a scipy-openblas built with 64-bit integers."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (blas.get("name") == "scipy-openblas"
+            and "USE64BITINT" in str(blas.get("openblas configuration")))
+
+
+class TestSymmetricApply:
+    """``EdgeKernel.apply`` takes BLAS dsymv for a one-row message times a large,
+    exactly symmetric kernel, and matmul for everything else."""
+
+    @pytest.fixture
+    def dsymv_calls(self, monkeypatch):
+        handle = model._dsymv()
+        if handle is None:
+            pytest.skip("numpy bundles no ILP64 scipy-openblas with dsymv")
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return handle(*args)
+
+        monkeypatch.setattr(model, "_dsymv", lambda: counted)
+        return calls
+
+    def test_handle_loads_with_numpys_ilp64_openblas(self):
+        if not scipy_openblas_ilp64():
+            pytest.skip("numpy's BLAS is not scipy-openblas built with USE64BITINT")
+        assert model._dsymv() is not None
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_fast_apply_is_matmul_at_roundoff(self, dsymv_calls, transpose):
+        k = symmetric_kernel(600)
+        m = np.random.default_rng(0).uniform(0.0, 1.0, (1, 600))
+        out = k.apply(m, transpose)
+        assert dsymv_calls == [600]
+        assert out.shape == (1, 600)
+        err = np.max(np.abs(out - m @ (k.m.T if transpose else k.m)))
+        assert err <= 1e-14 * np.max(np.abs(out))
+
+    @pytest.mark.parametrize("case", ["one_ulp_off", "two_rows", "side_511", "separable"])
+    def test_every_other_case_is_matmul_bit_for_bit(self, dsymv_calls, monkeypatch, case):
+        rng = np.random.default_rng(1)
+        k = symmetric_kernel(511 if case == "side_511" else 600)
+        rows = 2 if case == "two_rows" else 1
+        if case == "one_ulp_off":
+            mantissa = k.m.copy()
+            mantissa[3, 7] = np.nextafter(mantissa[3, 7], 0.0)
+            k = EdgeKernel(mantissa, k.log_scale)
+        elif case == "separable":
+            k = SeparableKernel([symmetric_kernel(24), symmetric_kernel(25)])
+        m = rng.uniform(0.0, 1.0, (rows, k.shape[0]))
+        outs = [k.apply(m, transpose) for transpose in (False, True)]
+        assert dsymv_calls == []
+        monkeypatch.setattr(model, "_dsymv", lambda: None)
+        for transpose, out in zip((False, True), outs):
+            assert out.tobytes() == k.apply(m, transpose).tobytes()
+            if case != "separable":
+                assert out.tobytes() == (m @ (k.m.T if transpose else k.m)).tobytes()
+
+    def test_both_paths_solve_alike(self, dsymv_calls, monkeypatch):
+        reports, margs = [], []
+        for _ in range(2):
+            spec = symmetric_chain()
+            pots, report = solve(spec)
+            engine = make_engine(spec)
+            engine.refresh(pots)
+            reports.append(report)
+            margs.append([engine.marginal(j, pots) for j in range(4)])
+            monkeypatch.setattr(model, "_dsymv", lambda: None)
+        assert dsymv_calls
+        fast, plain = reports
+        assert fast.termination == plain.termination == "converged"
+        assert fast.sweeps == plain.sweeps
+        tries = [[(sweep, kept) for sweep, _, kept in r.extrapolations] for r in reports]
+        assert tries[0] == tries[1] and tries[0]
+        np.testing.assert_allclose(fast.dual_values, plain.dual_values, rtol=1e-12, atol=0)
+        for a, b in zip(*margs):
+            assert_maxnorm_close(a, b, 1e-12)
+
+    def test_kernel_outlives_no_solve(self, dsymv_calls):
+        spec = symmetric_chain()
+        solve(spec)
+        assert dsymv_calls
+        mantissa = weakref.ref(spec.kernels[(0, 1)].m)
+        del spec
+        gc.collect()
+        assert mantissa() is None
+
+    def test_symmetry_is_checked_once_per_kernel(self, dsymv_calls, monkeypatch):
+        spec = symmetric_chain()
+        kernel = spec.kernels[(0, 1)]
+        checks = []
+        array_equal = np.array_equal
+
+        def counted(a, b, *args, **kwargs):
+            checks.append(a is kernel.m)
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        pots, _ = solve(spec)
+        make_engine(spec).refresh(pots)
+        output = make_engine(spec)
+        output.refresh(pots)
+        [output.marginal(j, pots).value() for j in range(4)]
+        assert checks.count(True) == 1
 
 
 class TestTopology:

@@ -557,22 +557,23 @@ class TestComposite:
             assert np.max(inclusion_residual(part, factors[k_idx], w_eff,
                                              spec.epsilon)) <= 1e-8
 
-    def test_contradictory_composite_plateaus(self):
+    def test_contradictory_composite_fails_in_the_presolve(self):
         rng = np.random.default_rng(13)
         spec, mu1, cap = self._composite_spec(rng, cap_slack=-0.3)
         assert np.any(cap < mu1)
-        # the cap's total is below the target's: the presolve sees it
-        with pytest.raises(Infeasible, match="node 1 allows at most"):
+        # the cap's total is below the target's, and so is an entry's
+        with pytest.raises(Infeasible, match="node 1 has no feasible value at entry"):
             solve(spec)
-        # with one entry uncapped only the entrywise contradiction is left,
-        # which the mass bounds cannot see
+        # with one entry uncapped the totals meet: only an entry is left
         cap[0] = np.inf
         comp = CompositeFunction([Equality(mu1), Box(0.0, cap)])
         spec = ProblemSpec(spec.topology, spec.kernels, {0: spec.blocks[("node", 0)][0], 1: comp},
                            {}, spec.epsilon)
-        pots, report = solve(spec, SolverConfig(max_sweeps=200))
-        assert report.termination == "max_sweeps"
-        assert report.max_residual > 1e-6
+        entry = int(np.flatnonzero(cap < mu1)[0])
+        with pytest.raises(Infeasible, match="node 1 has no feasible value at entry %d: its "
+                           "parts need at least %.12g there and allow at most %.12g"
+                           % (entry, mu1[entry], cap[entry])):
+            solve(spec)
 
     def test_update_composite_matches_manual(self):
         rng = np.random.default_rng(14)
@@ -1543,6 +1544,34 @@ class TestPresolve:
             solve(three_node_steering(middle))
         assert sweeps == []
 
+    def test_stacked_parts_that_no_entry_satisfies_fail_before_sweep_1(self, sweeps):
+        # Each part on node 1 allows a plan mass of 1, but their stack leaves
+        # only states 2 and 3 open, capped at .465 + .184 = .649.
+        k = build_kernel(np.random.default_rng(0).uniform(0.0, 1.0, (4, 4)), 0.5)
+        node1 = CompositeFunction([Box(0.0, [0.598, 0.481, 0.465, 0.184]),
+                                   Box(0.0, [0.0, 0.0, np.inf, np.inf])])
+        spec = ProblemSpec(GraphTopology.chain(2), {(0, 1): k},
+                           {0: Equality(np.full(4, 0.25)), 1: node1}, {}, 0.5)
+        with pytest.raises(Infeasible,
+                           match="node 0 needs at least 1, node 1 allows at most 0.649"):
+            solve(spec, SolverConfig(max_sweeps=300))
+        assert sweeps == []
+
+    @pytest.mark.parametrize("middle, edges, message", [
+        (CompositeFunction([Equality([0.1, 0.2, 0.3, 0.2, 0.2]), Box(0.0, 0.25)]), {},
+         "node 1 has no feasible value at entry 2: its parts need at least 0.3 there and "
+         "allow at most 0.25"),
+        (Zero(), {(0, 1): CompositeFunction([Box(0.02, np.inf),
+                                             Box(0.0, np.where(np.eye(5, k=2) > 0, 0.01,
+                                                               np.inf))])},
+         r"edge \(0, 1\) has no feasible value at entry \(0, 2\): its parts need at least 0.02 "
+         "there and allow at most 0.01"),
+    ], ids=["node", "edge"])
+    def test_crossed_entry_bounds_name_the_block_and_entry(self, sweeps, middle, edges, message):
+        with pytest.raises(Infeasible, match=message):
+            solve(three_node_steering(middle, edge_functions=edges))
+        assert sweeps == []
+
     def test_unequal_equality_masses_name_both_nodes(self, sweeps):
         with pytest.raises(Infeasible, match="node 2 needs at least 1.5, node 0 allows at most 1"):
             solve(three_node_steering(Zero(), end=Equality(np.full(5, 0.3))))
@@ -1572,24 +1601,24 @@ class TestStoppedShortOfFeasibility:
     feasibility tolerance says so, naming the block with the largest one."""
 
     @staticmethod
-    def stacked_infeasible_chain():
-        # Each part on node 4 allows a plan mass of 1, but their stack
-        # leaves only states 2 and 3 open, capped at .465 + .184 = .649:
-        # the presolve passes, and node 0's equality stays short by .351.
+    def support_against_edge_box_chain():
+        # Node 2 keeps states 2 and 3 only, and the box on edge (2, 3) caps
+        # each entry at 0.1, so those two rows carry at most 0.8 of the plan
+        # mass 1.  Every block's own bounds allow a mass of 1: the presolve
+        # passes, and node 0's equality stays short by 0.2.
         rng = np.random.default_rng(0)
         n, epsilon = 4, 0.05
         kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 1.0, (n, n)), epsilon)
                    for j in range(4)}
-        node4 = CompositeFunction([Box(0.0, [0.598, 0.481, 0.465, 0.184]),
-                                   Box(0.0, [0.0, 0.0, np.inf, np.inf])])
-        return ProblemSpec(GraphTopology.chain(5), kernels,
-                           {0: Equality(np.full(n, 0.25)), 4: node4}, {}, epsilon)
+        nodes = {0: Equality(np.full(n, 0.25)), 2: Box(0.0, [0.0, 0.0, np.inf, np.inf])}
+        return ProblemSpec(GraphTopology.chain(5), kernels, nodes,
+                           {(2, 3): Box(0.0, np.full((n, n), 0.1))}, epsilon)
 
-    def test_infeasible_stack_warns_and_the_dual_never_drops(self):
-        _, report = solve(self.stacked_infeasible_chain(), SolverConfig(max_sweeps=300))
+    def test_infeasible_data_warns_and_the_dual_never_drops(self):
+        _, report = solve(self.support_against_edge_box_chain(), SolverConfig(max_sweeps=300))
         assert report.termination == "max_sweeps" and not report.feasible
-        assert report.residuals["node:0"] == pytest.approx(0.351, abs=1e-9)
-        assert report.warnings == ["stopped at max_sweeps with residual 0.351 at node:0, "
+        assert report.residuals["node:0"] == pytest.approx(0.2, abs=1e-9)
+        assert report.warnings == ["stopped at max_sweeps with residual 0.2 at node:0, "
                                    "above feasibility_tol 1e-08"]
         # the dual climbs the infeasible ray; every try on it was safeguarded
         assert report.extrapolations
