@@ -12,8 +12,9 @@ also bounds each entry of its marginal (``entry_bounds``) for the presolve, and
 the log factors its update can return (``log_factor_bounds``) for the
 solver's mixed tries.
 
-Equality, box, linear and zero costs solve in closed form, and so does the
-quadratic distance with p = 2, through the Wright omega function.  The
+Two updates serve four costs in closed form: an equality is the box [t, t]
+and a zero cost the linear cost with c = 0.  The quadratic distance with
+p = 2 solves in closed form too, through the Wright omega function.  The
 congestion update and the other distance exponents solve
 ``exp(l + log w) = phi(l)`` in ``l = log u`` by a safeguarded Newton
 iteration: it starts at a closed-form point right of the root, keeps a
@@ -22,8 +23,8 @@ of ``max(|l|, 1)``.  For congestion the iteration descends monotonically and
 needs a handful of evaluations; the other distance exponents fall back to
 bisection inside the bracket whenever a Newton step would leave it.
 
-Some updates ignore the weight altogether.  A zero cost gives the factor 1,
-a linear cost ``exp(-c / epsilon)``, and a box whose lower bounds are all 0
+Some updates ignore the weight altogether.  A linear cost gives the factor
+``exp(-c / epsilon)`` (1 for a zero cost), and a box whose lower bounds are all 0
 and whose upper bounds are all 0 or +inf (an indicator of a support: an
 obstacle, a forbidden zone) gives 1 on the support and 0 off it.  The
 read-only property ``ignores_weight`` marks these entries, and a blockwise
@@ -215,86 +216,6 @@ def inclusion_residual(fn, u, w, epsilon):
     return np.maximum(np.maximum(lower - p, p - upper), 0.0)
 
 
-class Zero(MarginalFunction):
-    """The identically zero cost; pins its multiplier at zero.
-
-    Membership of the conjugate domain is tested with a small absolute
-    tolerance because multipliers recovered from mantissa storage carry
-    roundoff of order 1e-16 per rescaling.
-    """
-
-    is_zero = True
-    ignores_weight = True
-    _atol = 1e-8
-
-    def conjugate(self, s):
-        s = np.asarray(s, dtype=float).ravel()
-        return 0.0 if (np.abs(s) <= self._atol).all() else math.inf
-
-    def conjugate_subgradient(self, s):
-        s = np.asarray(s, dtype=float).ravel()
-        at_zero = np.abs(s) <= self._atol
-        return np.where(at_zero, -np.inf, np.inf), np.where(at_zero, np.inf, -np.inf)
-
-    def _solve_log(self, log_w, epsilon):
-        return np.zeros_like(log_w)
-
-    def scaled(self, factor):
-        return self
-
-    def __repr__(self):
-        return "Zero()"
-
-
-class Equality(MarginalFunction):
-    """Hard equality with a fixed nonnegative target."""
-
-    hard = True
-
-    def __init__(self, target):
-        self.target = np.asarray(target, dtype=float)
-        if not np.all(np.isfinite(self.target)) or np.any(self.target < 0):
-            raise InvalidInput("equality target must be finite and nonnegative")
-
-    def conjugate(self, s):
-        s = np.asarray(s, dtype=float).ravel()
-        t = self.target.ravel()
-        with np.errstate(invalid="ignore"):
-            terms = np.where(t == 0.0, 0.0, s * t)
-        return float(np.sum(terms))
-
-    def conjugate_subgradient(self, s):
-        t = np.broadcast_to(self.target.ravel(), np.asarray(s).ravel().shape)
-        return t, t
-
-    def _solve_log(self, log_w, epsilon):
-        t = self.target.ravel()
-        out = np.full(log_w.shape, -np.inf)
-        pos = t > 0
-        starved = pos & np.isneginf(log_w)
-        if starved.any():
-            raise Infeasible("equality target is positive at entries %s where no plan "
-                             "mass can arrive" % (np.flatnonzero(starved)[:8].tolist(),))
-        out[pos] = np.log(t[pos]) - log_w[pos]
-        return out
-
-    def feasibility_residual(self, p):
-        t = self.target.ravel()
-        return float(np.abs(p.ravel() - t).sum() / max(np.abs(t).sum(), 1.0))
-
-    def entry_bounds(self, n):
-        return (self.target.ravel(),) * 2
-
-    def scaled(self, factor):
-        return self
-
-    def _expected_size(self):
-        return self.target.size
-
-    def __repr__(self):
-        return "Equality(mass=%.6g)" % float(self.target.sum())
-
-
 class Box(MarginalFunction):
     """Elementwise bounds ``lower <= x <= upper`` (upper may be infinite)."""
 
@@ -303,26 +224,30 @@ class Box(MarginalFunction):
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
-        try:
-            lower, upper = np.broadcast_arrays(lower, upper)
-        except ValueError:
-            raise InvalidInput("box bounds of shapes %r and %r do not broadcast"
-                               % (lower.shape, upper.shape)) from None
+        if lower.shape != upper.shape:
+            try:
+                lower, upper = np.broadcast_arrays(lower, upper)
+            except ValueError:
+                raise InvalidInput("box bounds of shapes %r and %r do not broadcast"
+                                   % (lower.shape, upper.shape)) from None
         self.lower = np.array(lower, dtype=float)
         self.upper = np.array(upper, dtype=float)
-        if np.any(self.lower < 0) or np.any(np.isnan(self.lower)):
+        if not (self.lower >= 0).all():  # a NaN fails every comparison
             raise InvalidInput("box lower bounds must be nonnegative")
-        if np.any(self.upper < self.lower) or np.any(np.isnan(self.upper)):
+        if not (self.upper >= self.lower).all():
             raise InvalidInput("box bounds must satisfy lower <= upper")
-        if np.any(np.isinf(self.lower)):
+        if not (self.lower < math.inf).all():
             raise InvalidInput("box lower bounds must be finite")
+        self._derive()
+
+    def _derive(self):
         # Logs of the bounds, fixed for every update: -inf at 0, +inf at inf.
         with np.errstate(divide="ignore"):
             self._log_lower = np.log(self.lower).ravel()
             self._log_upper = np.log(self.upper).ravel()
         self._lower_pos = (self.lower > 0).ravel()
         self._upper_zero = (self.upper == 0).ravel()
-        self._upper_inf = np.isposinf(self.upper).ravel()
+        self._upper_inf = (self.upper == math.inf).ravel()
 
     # Multipliers recovered from mantissa storage wobble by ~1e-16 around
     # exact zero; the kink at s = 0 is resolved with a small tolerance.
@@ -349,20 +274,15 @@ class Box(MarginalFunction):
 
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        lo = np.broadcast_to(self.lower.ravel(), s.shape)
-        hi = np.broadcast_to(self.upper.ravel(), s.shape)
-        pos = s > self._atol
-        neg = s < -self._atol
-        lower = np.where(pos, hi, lo)
-        upper = np.where(neg, lo, hi)
-        return lower, upper
+        lo, hi = self.lower.ravel(), self.upper.ravel()
+        return np.where(s > self._atol, hi, lo), np.where(s < -self._atol, lo, hi)
 
     def _solve_log(self, log_w, epsilon):
         w_zero = np.isneginf(log_w)
         starved = w_zero & self._lower_pos
         if starved.any():
-            raise Infeasible("box lower bound is positive at entries %s where no plan "
-                             "mass can arrive" % (np.flatnonzero(starved)[:8].tolist(),))
+            raise Infeasible("%r needs mass at entries %s where no plan mass can arrive"
+                             % (self, np.flatnonzero(starved)[:8].tolist()))
         with np.errstate(invalid="ignore"):
             out = np.minimum(np.maximum(self._log_lower - log_w, 0.0), self._log_upper - log_w)
         out = np.where(w_zero, 0.0, out)
@@ -394,6 +314,39 @@ class Box(MarginalFunction):
         return "Box(n=%d)" % self.lower.size
 
 
+class Equality(Box):
+    """Hard equality with a fixed nonnegative target: the box ``[t, t]``, with
+    an exact conjugate ``<s, t>`` (no kink tolerance) and a residual relative
+    to the target.  An all-zero target is solved every sweep, like any other."""
+
+    ignores_weight = False
+
+    def __init__(self, target):
+        self.target = np.asarray(target, dtype=float)
+        if not ((self.target >= 0) & (self.target < math.inf)).all():  # NaN fails too
+            raise InvalidInput("equality target must be finite and nonnegative")
+        # Box.__init__'s checks would only repeat this one, at twice its cost.
+        self.lower = self.upper = self.target
+        self._derive()
+
+    def conjugate(self, s):
+        s = np.asarray(s, dtype=float).ravel()
+        t = self.target.ravel()
+        with np.errstate(invalid="ignore"):
+            terms = np.where(t == 0.0, 0.0, s * t)
+        return float(np.sum(terms))
+
+    def feasibility_residual(self, p):
+        t = self.target.ravel()
+        return float(np.abs(p.ravel() - t).sum() / max(np.abs(t).sum(), 1.0))
+
+    def _expected_size(self):
+        return self.target.size
+
+    def __repr__(self):
+        return "Equality(mass=%.6g)" % float(self.target.sum())
+
+
 class Linear(MarginalFunction):
     """Linear cost ``<c, x>``; forces the multiplier to equal ``c``."""
 
@@ -407,9 +360,7 @@ class Linear(MarginalFunction):
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        if (np.abs(s - self.cost.ravel()) <= self._tol).all():
-            return 0.0
-        return math.inf
+        return 0.0 if (np.abs(s - self.cost.ravel()) <= self._tol).all() else math.inf
 
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
@@ -427,6 +378,25 @@ class Linear(MarginalFunction):
 
     def __repr__(self):
         return "Linear(n=%d)" % self.cost.size
+
+
+class Zero(Linear):
+    """The identically zero cost: the linear cost with ``c = 0``, which pins
+    its multiplier at zero within the linear cost's tolerance."""
+
+    is_zero = True
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def scaled(self, factor):
+        return self
+
+    def _expected_size(self):
+        return None
+
+    def __repr__(self):
+        return "Zero()"
 
 
 class QuadraticDistance(MarginalFunction):
@@ -475,11 +445,7 @@ class QuadraticDistance(MarginalFunction):
         a = (self.weight * self.exponent) ** r
         c = epsilon / a
         pos = ~np.isneginf(log_w)
-        if self.exponent == 2.0 and pos.all():
-            return _quadratic_log(y, log_w, c)
         out = np.sign(y) * (a * np.abs(y)) ** (1.0 / r) / epsilon
-        if not pos.any():
-            return out
         yp = y[pos]
         lwp = log_w[pos]
         if self.exponent == 2.0:
@@ -550,8 +516,6 @@ class Congestion(MarginalFunction):
         b = np.broadcast_to(self.capacity.ravel(), log_w.shape)
         out = np.zeros(log_w.shape)
         pos = ~np.isneginf(log_w)
-        if not pos.any():
-            return out
         bp = b[pos]
         lwp = log_w[pos]
         c = np.sqrt(bp / epsilon)
@@ -599,17 +563,20 @@ class Blockwise(MarginalFunction):
         self._views = []
         cover = np.zeros(self.size, dtype=bool)
         for idx, fn in blocks:
-            idx = np.asarray(idx, dtype=int).ravel()
+            idx = np.asarray(idx).ravel()
             if idx.size == 0:
                 continue
-            if np.any(idx < 0) or np.any(idx >= self.size) or cover[idx].any():
+            if idx.dtype.kind not in "iu":
+                raise InvalidInput("blockwise indices must be integers, not %s" % idx.dtype)
+            contiguous = bool((np.diff(idx) == 1).all())
+            if (np.any(idx < 0) or np.any(idx >= self.size) or cover[idx].any()
+                    or not contiguous and np.unique(idx).size < idx.size):
                 raise InvalidInput("blockwise indices must partition 0..%d" % (self.size - 1))
             if isinstance(fn, CompositeFunction):
                 raise InvalidInput("blockwise block %d is a composite" % len(self.blocks))
             fn.validate_size(idx.size, where="blockwise block %d" % len(self.blocks))
             cover[idx] = True
             self.blocks.append((idx, fn))
-            contiguous = bool((np.diff(idx) == 1).all())
             self._views.append((slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx, fn))
         if not cover.all():
             raise InvalidInput("blockwise blocks must cover every entry")

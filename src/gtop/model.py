@@ -14,6 +14,7 @@ formula, exact for any potentials.
 import ctypes
 import functools
 import math
+import operator
 import warnings
 from pathlib import Path
 
@@ -135,6 +136,13 @@ def smul(*factors):
     return out
 
 
+def _integer(x, what):
+    """``x`` as an int: a Python or numpy integer, never a bool, float or string."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise InvalidInput("%s must be an integer, got %r" % (what, x))
+    return operator.index(x)
+
+
 class GraphTopology:
     """Connected marginal graph, given by its edge list.
 
@@ -145,20 +153,20 @@ class GraphTopology:
     """
 
     def __init__(self, node_count, edges, hub=None, species_count=None):
-        self.node_count = int(node_count)
-        self.edges = tuple((int(a), int(b)) for a, b in edges)
-        self.hub = None if hub is None else int(hub)
-        self.species_count = None if species_count is None else int(species_count)
+        self.node_count = _integer(node_count, "node count")
+        self.edges = tuple((_integer(a, "edge end"), _integer(b, "edge end")) for a, b in edges)
+        self.hub = None if hub is None else _integer(hub, "hub")
+        self.species_count = None if species_count is None else _integer(species_count, "species")
         self._validate()
 
     @classmethod
     def chain(cls, node_count):
-        edges = [(t, t + 1) for t in range(node_count - 1)]
+        edges = [(t, t + 1) for t in range(_integer(node_count, "node count") - 1)]
         return cls(node_count, edges)
 
     @classmethod
     def od_cycle(cls, node_count):
-        if node_count < 3:
+        if _integer(node_count, "node count") < 3:
             raise InvalidInput("a cycle over the endpoints needs at least 3 nodes")
         edges = [(t, t + 1) for t in range(node_count - 1)]
         edges.append((0, node_count - 1))
@@ -166,9 +174,9 @@ class GraphTopology:
 
     @classmethod
     def species_hub(cls, time_node_count, species_count):
-        if time_node_count < 2:
+        hub = _integer(time_node_count, "time node count")
+        if hub < 2:
             raise InvalidInput("a species hub needs at least two time nodes")
-        hub = int(time_node_count)
         edges = [(t, t + 1) for t in range(time_node_count - 1)]
         edges += [(hub, j) for j in range(time_node_count)]
         return cls(time_node_count + 1, edges, hub=hub, species_count=species_count)
@@ -442,7 +450,7 @@ class ProblemSpec:
             if tuple(key) not in topology.edges:
                 raise InvalidInput("kernel given for non-edge %r" % (key,))
         for key in node_functions:
-            if not (0 <= key < topology.node_count):
+            if not 0 <= _integer(key, "node function key") < topology.node_count:
                 raise InvalidInput("node function given for missing node %r" % (key,))
         for key in edge_functions:
             if tuple(key) not in topology.edges:

@@ -392,6 +392,21 @@ class TestMainEntry:
         assert capsys.readouterr().err == \
             "error: problem.node_functions[1]: blockwise block 0 is a composite\n"
 
+    def test_blockwise_repeated_index_rejected_with_config_path(self, tmp_path, capsys):
+        body = minimal_raw_config(str(tmp_path / "out"))
+        problem = body["problem"]
+        problem["topology"]["sizes"] = [3, 3]
+        problem["kernels"][0]["cost"] = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+        problem["node_functions"] = {
+            "0": {"type": "equality", "target": [0.2, 0.3, 0.5]},
+            "1": {"type": "blockwise", "size": 3, "blocks": [
+                {"indices": [0, 0, 1, 2],
+                 "function": {"type": "quadratic", "anchor": [0.1, 0.1, 0.4, 0.4]}}]}}
+        path = write_config(tmp_path, body)
+        assert main(["solve", "--config", path]) == 2
+        assert capsys.readouterr().err == \
+            "error: problem.node_functions[1]: blockwise indices must partition 0..2\n"
+
     @pytest.mark.parametrize("kernels", [None, 3, True, {"edge": [0, 1]}])
     def test_kernels_other_than_a_list_exit_code(self, tmp_path, capsys, kernels):
         body = minimal_raw_config(str(tmp_path / "out"))

@@ -520,6 +520,22 @@ class TestBlockwiseAndComposite:
         with pytest.raises(InvalidInput):
             Blockwise(3, [(np.array([0, 1]), Zero()), (np.array([1, 2]), Zero())])
 
+    @pytest.mark.parametrize("size, idx", [
+        (3, [0, 0, 1, 2]),
+        (4, np.array([True, True, False, False])),
+        (2, [0.7, 1.2]),
+        (2, np.array([0.0, 1.0])),
+        (2, ["0", "1"]),
+    ], ids=["repeat_in_a_block", "boolean_mask", "floats", "integral_floats", "strings"])
+    def test_blockwise_indices_must_be_distinct_integers(self, size, idx):
+        with pytest.raises(InvalidInput, match="blockwise"):
+            Blockwise(size, [(idx, Box(0.0, 1.0))])
+
+    def test_blockwise_accepts_integer_arrays_and_skips_empty_blocks(self):
+        fn = Blockwise(3, [(np.array([2, 0], dtype=np.uint8), Zero()), ([], Zero()),
+                           (np.array([[1]], dtype=np.int32), Box(0.0, 1.0))])
+        assert [idx.tolist() for idx, _ in fn.blocks] == [[2, 0], [1]]
+
     def test_blockwise_dispatch(self):
         fn = Blockwise(4, [(np.array([0, 1]), Equality([1.0, 2.0])),
                            (np.array([2, 3]), Box(0.0, np.array([0.5, 0.5])))])
@@ -891,3 +907,86 @@ class TestLogFactorBounds:
         np.testing.assert_array_equal(hi, [-2.0, -0.5])
         for fn in (Equality([0.5]), QuadraticDistance(1.0, [0.1]), Linear([1.0]), Zero()):
             assert fn.log_factor_bounds(0.5) == (-math.inf, math.inf)
+
+
+class TestOneUpdatePerKind:
+    """An equality is the box [t, t] and a zero cost the linear cost c = 0:
+    each takes the other's update, subgradient and bounds, bit for bit."""
+
+    @staticmethod
+    def weights(rng, n):
+        w = np.exp(rng.uniform(-30.0, 30.0, n))
+        w[rng.uniform(size=n) < 0.3] = 0.0
+        return w
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equality_is_the_box_of_its_target(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        t = rng.uniform(0.0, 3.0, n) * (rng.uniform(size=n) < 0.6)
+        w = self.weights(rng, n)
+        w[(t > 0) & (w == 0.0)] = 1.0  # no starved entry
+        eq, box = Equality(t), Box(t, t)
+        eps = rng.uniform(0.05, 2.0)
+        u_eq = eq.solve_inclusion(w, eps)
+        u_box = box.solve_inclusion(w, eps)
+        assert same_bits(u_eq.m, u_box.m) and same_bits(u_eq.log_scale, u_box.log_scale)
+        s = rng.normal(size=n) * np.where(rng.uniform(size=n) < 0.3, 1e-12, 1.0)
+        assert same_bits(eq.conjugate_subgradient(s), box.conjugate_subgradient(s))
+        assert same_bits(eq.entry_bounds(n), box.entry_bounds(n))
+        lo, hi = eq.log_factor_bounds(eps)
+        assert same_bits((lo, hi), box.log_factor_bounds(eps))
+        log_u = u_eq.log_value().ravel()
+        assert same_bits(np.clip(log_u, lo, hi), log_u)
+
+    def test_equality_and_box_raise_alike_where_no_mass_can_arrive(self):
+        t = np.array([0.0, 0.5, 0.2])
+        w = np.array([1.0, 0.0, 2.0])
+        for fn in (Equality(t), Box(t, t)):
+            with pytest.raises(Infeasible, match=r"needs mass at entries \[1\] where no plan"):
+                fn.solve_inclusion(w, 1.0)
+        with pytest.raises(Infeasible, match=r"^Equality\(mass=0\.7\) needs mass"):
+            Equality(t).solve_inclusion(w, 1.0)
+
+    def test_a_scalar_equality_is_still_one_entry(self):
+        with pytest.raises(InvalidInput, match="expects 1 entries, marginal has 3"):
+            Equality(0.5).validate_size(3)
+        Box(0.5, 0.5).validate_size(3)
+
+    def test_an_all_zero_equality_reads_its_weight(self):
+        assert not Equality(np.zeros(3)).ignores_weight
+        assert Box(np.zeros(3), np.zeros(3)).ignores_weight
+
+    @pytest.mark.parametrize("s", [0.0, 1e-9, -1e-9, 1e-7, -1e-7, math.nan])
+    def test_zero_is_the_linear_cost_of_zero(self, s):
+        zero, lin = Zero(), Linear(0.0)
+        v = np.array([s, 0.0, s])
+        assert same_bits(zero.conjugate(v), lin.conjugate(v))
+        assert same_bits(zero.conjugate_subgradient(v), lin.conjugate_subgradient(v))
+        log_w = np.log(np.array([1e-300, 1.0, 1e300]))
+        assert same_bits(zero._solve_log(log_w, 0.5), lin._solve_log(log_w, 0.5))
+        assert zero.conjugate(v) == (0.0 if abs(s) <= 1e-8 else math.inf)
+        assert np.all(zero._solve_log(log_w, 0.5) == 0.0)
+
+    def test_zero_stays_shape_agnostic_and_unscaled(self):
+        zero = Zero()
+        zero.validate_size(7)
+        assert zero.scaled(3.0) is zero and zero.is_zero and repr(zero) == "Zero()"
+        with pytest.raises(InvalidInput):
+            Linear(0.0).validate_size(7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_p2_update_is_the_closed_form_entry_by_entry(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 64
+        fn = QuadraticDistance(rng.uniform(0.1, 5.0), rng.uniform(-1.0, 2.0, n))
+        eps = rng.uniform(0.01, 1.0)
+        c = eps / (2.0 * fn.weight)
+        log_w = rng.uniform(-40.0, 40.0, n)
+        full = fn._solve_log(log_w, eps)
+        assert same_bits(full, functions._quadratic_log(fn.anchor, log_w, c))
+        zero = rng.uniform(size=n) < 0.4
+        part = fn._solve_log(np.where(zero, -np.inf, log_w), eps)
+        assert same_bits(part[~zero], full[~zero])
+        # where w = 0 the root is where the right side vanishes: l = y / c
+        assert same_bits(part[zero], 2.0 * fn.weight * fn.anchor[zero] / eps)

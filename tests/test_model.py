@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -419,6 +420,28 @@ class TestTopology:
         with pytest.raises(InvalidInput, match="^%s$" % message):
             GraphTopology.general(n, edges)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GraphTopology(3, [(0, 1.5), (1, 2)]), r"edge end must be an integer, got 1\.5"),
+        (lambda: GraphTopology(3.7, [(0, 1), (1, 2)]), r"node count must be an integer, got 3\.7"),
+        (lambda: GraphTopology(2, [(0, True)]), r"edge end must be an integer, got True"),
+        (lambda: GraphTopology(3, [(0, 1), (1, 2)], hub="2", species_count=2),
+         r"hub must be an integer, got '2'"),
+        (lambda: GraphTopology(3, [(0, 1), (1, 2)], hub=2, species_count=2.0),
+         r"species must be an integer, got 2\.0"),
+        (lambda: GraphTopology.chain(3.0), r"node count must be an integer, got 3\.0"),
+        (lambda: GraphTopology.od_cycle("4"), r"node count must be an integer, got '4'"),
+        (lambda: GraphTopology.species_hub(2.5, 2), r"time node count must be an integer"),
+    ], ids=["float_edge_end", "float_node_count", "bool_edge_end", "string_hub",
+            "float_species_count", "float_chain", "string_cycle", "float_hub"])
+    def test_ids_must_be_integers(self, build, message):
+        with pytest.raises(InvalidInput, match="^%s" % message):
+            build()
+
+    def test_numpy_integer_ids_are_accepted(self):
+        topo = GraphTopology(np.int64(3), [(np.int32(0), np.uint8(1)), (1, np.int64(2))])
+        assert topo.node_count == 3 and topo.edges == ((0, 1), (1, 2))
+        assert all(type(v) is int for e in topo.edges for v in e)
+
 
 def refreshed(spec, pots):
     """An engine whose messages are current for ``pots``."""
@@ -531,6 +554,16 @@ class TestProblemSpecValidation:
             ProblemSpec(topo, kernels, {3: Zero()}, {}, 1.0)
         with pytest.raises(InvalidInput, match=r"^edge function given for non-edge \(0, 2\)$"):
             ProblemSpec(topo, kernels, {}, {(0, 2): Zero()}, 1.0)
+
+    @pytest.mark.parametrize("key", ["0", 1.5, 1.0, None])
+    def test_node_function_keys_must_be_integers(self, key):
+        topo = GraphTopology.chain(2)
+        kernels = {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)}
+        with pytest.raises(InvalidInput, match="^node function key must be an integer, got %s$"
+                           % re.escape(repr(key))):
+            ProblemSpec(topo, kernels, {key: Equality([0.5, 0.5])}, {}, 1.0)
+        spec = ProblemSpec(topo, kernels, {np.int64(1): Equality([0.5, 0.5])}, {}, 1.0)
+        assert list(spec.blocks) == [("node", 1)]
 
     def test_composite_potentials_get_one_factor_each(self):
         topo = GraphTopology.chain(2)
