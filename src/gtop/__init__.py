@@ -20,8 +20,7 @@ from .errors import (ConfigError, GtopError, Infeasible, InvalidInput,
                      NumericalFailure, SizeBoundExceeded, TopologyMismatch,
                      VerificationFailure)
 from .functions import (Blockwise, Box, CompositeFunction, Congestion, Equality,
-                        Linear, MarginalFunction, QuadraticDistance, Zero,
-                        inclusion_residual, stack_rows)
+                        Linear, MarginalFunction, QuadraticDistance, Zero, stack_rows)
 from .model import (DualPotentials, EdgeKernel, GraphTopology, ProblemSpec,
                     ScaledArray, SeparableKernel, build_kernel, dual_objective)
 from .projections import ChainEngine, DenseEngine, make_engine

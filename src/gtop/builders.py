@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .functions import Blockwise, Congestion, Equality, Zero, stack_rows
-from .model import GraphTopology, ProblemSpec, SeparableKernel, build_kernel
+from .model import GraphTopology, ProblemSpec, SeparableKernel, build_kernel, integer
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def edge_utilization(net, marginal):
 
 def grid_points(shape, extent):
     """Cell-centered grid coordinates over a rectangle, row-major order."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(integer(s, "grid shape entry") for s in shape)
     try:
         extent = np.asarray(extent, dtype=float)
     except (TypeError, ValueError):
@@ -308,8 +308,8 @@ def build_mfg_problem(setup):
     The hub bimarginal at time zero is pinned to the stacked initial
     densities; later hub edges carry the per-species costs and the time
     nodes carry the shared costs on total densities.  Hub edges whose row
-    tables hold the same functions share one species-row cost; a row with no
-    cost is zero, and a hub edge whose rows all are has no block.
+    tables hold the same functions share one species-row cost; the spec makes
+    its zero (no cost), linear and indicator rows constants of the plan.
     """
     tc = setup.n_steps + 1
     topo = GraphTopology.species_hub(tc, setup.n_species)

@@ -23,16 +23,13 @@ of ``max(|l|, 1)``.  For congestion the iteration descends monotonically and
 needs a handful of evaluations; the other distance exponents fall back to
 bisection inside the bracket whenever a Newton step would leave it.
 
-Some updates ignore the weight altogether.  A linear cost gives the factor
-``exp(-c / epsilon)`` (1 for a zero cost), and a box whose lower bounds are all 0
-and whose upper bounds are all 0 or +inf (an indicator of a support: an
-obstacle, a forbidden zone) gives 1 on the support and 0 off it.  The
-read-only property ``ignores_weight`` marks these entries, and a blockwise
-cost made only of them.  It is derived from the data the first time it is
-read.  The solver solves a marked part in its first sweep only, keeps its
-factor and counts its residual as 0; a blockwise cost keeps the
-log-factors of its marked blocks per epsilon, solves only the others and
-is hard only through them.  An indicator box's conjugate is 0 or +inf.
+Some updates ignore the weight: a linear cost gives ``exp(-c / epsilon)``
+(1 for a zero cost), and a box with lower bounds 0 and upper bounds 0 or
++inf (an indicator of a support: an obstacle) 1 on the support and 0 off
+it.  ``ignores_weight``, derived from the data when first read, marks them
+and a blockwise cost made only of them; ``fixed_factor`` is their factor.
+``ProblemSpec`` makes it a constant of the plan, as it does for the marked
+blocks of a blockwise cost (``Blockwise.restricted``), never a coordinate.
 """
 
 import functools
@@ -41,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import Infeasible, InvalidInput, NumericalFailure
-from .model import ScaledArray
+from .model import ScaledArray, integer
 
 _MAX_NEWTON_STEPS = 100
 # Newton stops once no entry moves by more than a few ulps of max(|l|, 1).
@@ -136,14 +133,8 @@ def _quadratic_log(y, log_w, c):
 
 
 class MarginalFunction:
-    """Base class; instances are immutable and shape-agnostic (flattened math).
+    """Base class; instances are immutable, shape-agnostic (flattened math), stateless."""
 
-    Instances hold no solve state.  :class:`Blockwise` keeps one memo, the
-    log-factors of its marked blocks for the last epsilon, which changes no
-    result.
-    """
-
-    is_zero = False
     # Hard constraints report a feasibility residual; soft costs never do.
     hard = False
     # Whether the update gives the same factor whatever the weight.
@@ -174,6 +165,10 @@ class MarginalFunction:
     def _solve_log(self, log_w, epsilon):
         raise NotImplementedError
 
+    def fixed_factor(self, shape, epsilon):
+        """The factor, of ``shape``, that a cost that ``ignores_weight`` gives."""
+        return _log_u_to_scaled(self._solve_log(np.zeros(math.prod(shape)), float(epsilon)), shape)
+
     def log_factor_bounds(self, epsilon):
         """Entrywise bounds ``(lo, hi)`` on the log of any factor the update
         returns for a positive weight.  Past them the conjugate is flat or
@@ -202,18 +197,6 @@ class MarginalFunction:
 
     def _expected_size(self):
         return None
-
-
-def inclusion_residual(fn, u, w, epsilon):
-    """Entrywise distance of ``u * w`` from the conjugate subdifferential
-    (inf where it is empty)."""
-    p = (u.m * w.m).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a zero entry stays zero even where the scale overflows (0 * inf)
-        p = np.where(p == 0.0, 0.0, p * np.exp(u.log_scale + w.log_scale))
-    s = -epsilon * u.log_value().ravel()
-    lower, upper = fn.conjugate_subgradient(s)
-    return np.maximum(np.maximum(lower - p, p - upper), 0.0)
 
 
 class Box(MarginalFunction):
@@ -255,16 +238,15 @@ class Box(MarginalFunction):
 
     @functools.cached_property
     def ignores_weight(self):
-        """An indicator box: lower bounds 0 and upper bounds 0 or +inf, so the
-        update is 1 where the upper bound is +inf and 0 where it is 0."""
+        """An indicator box: lower bounds 0, upper bounds 0 or +inf."""
         return not self._lower_pos.any() and bool((self._upper_zero | self._upper_inf).all())
+
+    def fixed_factor(self, shape, epsilon):
+        return ScaledArray(np.where(self._upper_zero, 0.0, np.ones(shape).ravel()).reshape(shape))
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
         pos = s > self._atol
-        if self.ignores_weight:
-            # every term s * bound is 0, or +inf where s > 0 meets upper = +inf
-            return math.inf if (pos & self._upper_inf).any() else 0.0
         neg = s < -self._atol
         with np.errstate(invalid="ignore"):
             up = np.where(self._upper_zero, 0.0, s * self.upper.ravel())
@@ -383,8 +365,6 @@ class Linear(MarginalFunction):
 class Zero(Linear):
     """The identically zero cost: the linear cost with ``c = 0``, which pins
     its multiplier at zero within the linear cost's tolerance."""
-
-    is_zero = True
 
     def __init__(self):
         super().__init__(0.0)
@@ -558,7 +538,7 @@ class Blockwise(MarginalFunction):
     """
 
     def __init__(self, size, blocks):
-        self.size = int(size)
+        self.size = integer(size, "blockwise size")
         self.blocks = []
         self._views = []
         cover = np.zeros(self.size, dtype=bool)
@@ -580,21 +560,18 @@ class Blockwise(MarginalFunction):
             self._views.append((slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx, fn))
         if not cover.all():
             raise InvalidInput("blockwise blocks must cover every entry")
-        # (epsilon, log-factors with the marked blocks filled in), set by
-        # the first update.
-        self._fixed_log = None
+
+    def restricted(self, keep):
+        """The cost of its blocks whose function passes ``keep``; elsewhere the factor is 1."""
+        out = object.__new__(Blockwise)
+        out.size = self.size
+        out.blocks = [(idx, fn) for idx, fn in self.blocks if keep(fn)]
+        out._views = [(sel, fn) for sel, fn in self._views if keep(fn)]
+        return out
 
     @functools.cached_property
     def ignores_weight(self):
         return all(fn.ignores_weight for _, fn in self.blocks)
-
-    @functools.cached_property
-    def _weighted_blocks(self):
-        return [(sel, fn) for sel, fn in self._views if not fn.ignores_weight]
-
-    @property
-    def is_zero(self):
-        return all(fn.is_zero for _, fn in self.blocks)
 
     @functools.cached_property
     def hard(self):
@@ -612,21 +589,15 @@ class Blockwise(MarginalFunction):
 
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        lower = np.empty(self.size)
-        upper = np.empty(self.size)
+        lower = np.full(self.size, -math.inf)
+        upper = np.full(self.size, math.inf)
         for sel, fn in self._views:
             lower[sel], upper[sel] = fn.conjugate_subgradient(s[sel])
         return lower, upper
 
     def _solve_log(self, log_w, epsilon):
-        if self._fixed_log is None or self._fixed_log[0] != epsilon:
-            out = np.empty(log_w.shape)
-            for sel, fn in self._views:
-                if fn.ignores_weight:
-                    out[sel] = fn._solve_log(log_w[sel], epsilon)
-            self._fixed_log = (epsilon, out)
-        out = self._fixed_log[1].copy()
-        for sel, fn in self._weighted_blocks:
+        out = np.zeros(log_w.shape)
+        for sel, fn in self._views:
             out[sel] = fn._solve_log(log_w[sel], epsilon)
         return out
 
@@ -642,7 +613,7 @@ class Blockwise(MarginalFunction):
         return max((r for r in found if r is not None), default=None)
 
     def entry_bounds(self, n):
-        lo, hi = np.empty(self.size), np.empty(self.size)
+        lo, hi = np.zeros(self.size), np.full(self.size, math.inf)
         for (idx, fn), (sel, _) in zip(self.blocks, self._views):
             lo[sel], hi[sel] = fn.entry_bounds(idx.size)
         return lo, hi

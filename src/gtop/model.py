@@ -5,10 +5,11 @@ edge kernels and rank-structured potential factors; all magnitudes are kept as
 a float mantissa array paired with a single log-scale offset so that products
 of many small kernel entries survive strong regularization.
 
-A :class:`ProblemSpec` is data only: its ``blocks`` table lists the stacked
-nonzero cost parts of every node and edge that has any, resolved once at
-construction, and no solve writes into it.  The dual objective is the plain
-formula, exact for any potentials.
+A :class:`ProblemSpec` is data only, resolved once at construction, and no
+solve writes into it: a cost part whose update ignores its weight is a
+constant of the plan, and ``blocks`` lists the other parts, the coordinates
+of the dual.  The dual objective is the plain formula, exact for any
+potentials.
 """
 
 import ctypes
@@ -136,7 +137,7 @@ def smul(*factors):
     return out
 
 
-def _integer(x, what):
+def integer(x, what):
     """``x`` as an int: a Python or numpy integer, never a bool, float or string."""
     if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise InvalidInput("%s must be an integer, got %r" % (what, x))
@@ -153,20 +154,20 @@ class GraphTopology:
     """
 
     def __init__(self, node_count, edges, hub=None, species_count=None):
-        self.node_count = _integer(node_count, "node count")
-        self.edges = tuple((_integer(a, "edge end"), _integer(b, "edge end")) for a, b in edges)
-        self.hub = None if hub is None else _integer(hub, "hub")
-        self.species_count = None if species_count is None else _integer(species_count, "species")
+        self.node_count = integer(node_count, "node count")
+        self.edges = tuple((integer(a, "edge end"), integer(b, "edge end")) for a, b in edges)
+        self.hub = None if hub is None else integer(hub, "hub")
+        self.species_count = None if species_count is None else integer(species_count, "species")
         self._validate()
 
     @classmethod
     def chain(cls, node_count):
-        edges = [(t, t + 1) for t in range(_integer(node_count, "node count") - 1)]
+        edges = [(t, t + 1) for t in range(integer(node_count, "node count") - 1)]
         return cls(node_count, edges)
 
     @classmethod
     def od_cycle(cls, node_count):
-        if _integer(node_count, "node count") < 3:
+        if integer(node_count, "node count") < 3:
             raise InvalidInput("a cycle over the endpoints needs at least 3 nodes")
         edges = [(t, t + 1) for t in range(node_count - 1)]
         edges.append((0, node_count - 1))
@@ -174,7 +175,7 @@ class GraphTopology:
 
     @classmethod
     def species_hub(cls, time_node_count, species_count):
-        hub = _integer(time_node_count, "time node count")
+        hub = integer(time_node_count, "time node count")
         if hub < 2:
             raise InvalidInput("a species hub needs at least two time nodes")
         edges = [(t, t + 1) for t in range(time_node_count - 1)]
@@ -402,29 +403,29 @@ def build_kernel(cost, epsilon):
 
 
 class DualPotentials:
-    """Scaling factors of the plan, keyed like ``ProblemSpec.blocks``.
+    """Scaling factors of the plan: ``factors[block]``, one per stacked cost
+    part of each block of ``ProblemSpec.blocks``, and ``constants``, the spec's
+    node constants (an edge's is in its kernel); their product acts on the plan."""
 
-    ``factors[block]`` holds one factor per stacked cost part of the block;
-    the factor acting on the plan is their elementwise product.
-    """
-
-    def __init__(self, factors):
+    def __init__(self, factors, constants=None):
         self.factors = factors
+        self.constants = constants or {}
 
     @classmethod
     def ones_for(cls, spec):
         return cls({block: [ScaledArray.ones(spec.block_shape(block)) for _ in parts]
-                    for block, parts in spec.blocks.items()})
+                    for block, parts in spec.blocks.items()},
+                   {b: c for b, c in spec.constants.items() if b[0] == "node"})
 
     def value(self, block, default=None):
-        """The product of the block's factors, or ``default`` where there is none."""
-        factors = self.factors.get(block)
-        if factors is None:
+        """The product of the block's factors and constant, or ``default``
+        where there is neither."""
+        factors = self.factors.get(block, ())
+        if block in self.constants:
+            factors = [*factors, self.constants[block]]
+        if not factors:
             return default
         return factors[0] if len(factors) == 1 else smul(*factors)
-
-    def copy(self):
-        return DualPotentials({b: [f.copy() for f in fs] for b, fs in self.factors.items()})
 
 
 class ProblemSpec:
@@ -432,8 +433,10 @@ class ProblemSpec:
 
     Holds the graph, a kernel per edge, one convex cost per node and per
     edge, and the regularization strength.  Construction validates the
-    shapes and fills ``blocks``, the stacked nonzero cost parts of each node
-    and edge that has any; any other has no multiplier and is summed out.
+    shapes and splits each distinct cost part once (:func:`_split`): fixed
+    factors multiply into the ``constants`` of a node or edge, an edge's
+    also into its kernel (exp(-C / epsilon) * K), and ``blocks`` holds the
+    parts left to update; any other node or edge is summed out.
     """
 
     def __init__(self, topology, kernels, node_functions=None, edge_functions=None,
@@ -450,7 +453,7 @@ class ProblemSpec:
             if tuple(key) not in topology.edges:
                 raise InvalidInput("kernel given for non-edge %r" % (key,))
         for key in node_functions:
-            if not 0 <= _integer(key, "node function key") < topology.node_count:
+            if not 0 <= integer(key, "node function key") < topology.node_count:
                 raise InvalidInput("node function given for missing node %r" % (key,))
         for key in edge_functions:
             if tuple(key) not in topology.edges:
@@ -469,16 +472,26 @@ class ProblemSpec:
             self.kernels[e] = k
 
         # Keyed by ("node", j) or ("edge", e), nodes first.  Every given
-        # function is size-checked, zero costs included.
+        # function is size-checked, zero costs included, and split once.
         given = [(("node", j), node_functions.get(j)) for j in range(topology.node_count)]
         given += [(("edge", e), edge_functions.get(e)) for e in topology.edges]
-        self.blocks = {}
-        for block, fn in given:
-            if fn is not None:
-                fn.validate_size(math.prod(self.block_shape(block)), where="%s %r" % block)
-                parts = tuple(p for p in getattr(fn, "parts", (fn,)) if not p.is_zero)
-                if parts:
-                    self.blocks[block] = parts
+        self.blocks, self.constants = {}, {}
+        split = functools.cache(functools.partial(_split, epsilon=self.epsilon))
+        for (kind, where), fn in given:
+            if fn is None:
+                continue
+            shape = self.block_shape((kind, where))
+            fn.validate_size(math.prod(shape), where="%s %r" % (kind, where))
+            c, rest = split(fn, shape)
+            if rest:
+                self.blocks[kind, where] = rest
+            if c is not None:
+                self.constants[kind, where] = c
+                if kind == "edge":
+                    k = self.kernels[where]
+                    k = self.kernels[where] = EdgeKernel._of_exp(k.full() * c.m,
+                                                                 k.log_scale + c.log_scale)
+                    k.renormalize()
 
     def block_shape(self, block):
         """The shape of a ("node", j) or ("edge", (a, b)) block's factors."""
@@ -499,6 +512,23 @@ class ProblemSpec:
             raise InvalidInput("cannot infer sizes for nodes %r; give kernels covering them"
                                % (missing,))
         return [sizes[j] for j in range(topology.node_count)]
+
+
+def _split(fn, shape, epsilon):
+    """``(constant, parts)`` of a node's or edge's cost on ``shape``: the factors
+    its parts give whatever the weight, multiplied (None if all are ones, as a
+    zero cost's), and the parts left to update; a blockwise part splits by block."""
+    fixed, rest = [], []
+    for part in getattr(fn, "parts", (fn,)):
+        if part.ignores_weight:
+            fixed.append(part.fixed_factor(shape, epsilon))
+        elif any(f.ignores_weight for _, f in getattr(part, "blocks", ())):
+            fixed.append(part.restricted(lambda f: f.ignores_weight).fixed_factor(shape, epsilon))
+            rest.append(part.restricted(lambda f: not f.ignores_weight))
+        else:
+            rest.append(part)
+    fixed = [c for c in fixed if c.log_scale != 0.0 or not (c.m == 1.0).all()]
+    return (fixed[0] if len(fixed) == 1 else smul(*fixed) if fixed else None), tuple(rest)
 
 
 def dual_objective(potentials, spec, engine, block=("node", 0)):

@@ -5,19 +5,19 @@ objective never decreases.  Each sweep walks the engine's fixed update
 order (``engine.order``): the path engine updates the blocks at each path
 node and pushes the forward message past it, the dense engine updates every
 node and then every edge.  A backward rebuild closes the sweep so
-end-of-sweep projections are current.  A cost part whose update ignores its
-weight (``ignores_weight``: linear, indicator box) gets the same factor in
-every sweep, so it is solved in the first sweep only, which also resets a
-warm start's factor.  A node or edge made only of such parts is then not
-projected at all, and such a part reports a residual of 0.  The updater
-records the largest log change and finite |log| of the factors it writes,
-and the factors they replace; the engine counts its rescales.
+end-of-sweep projections are current.  Only ``spec.blocks`` are coordinates:
+a cost whose update ignores its weight is a constant of the spec, which no
+sweep, residual, dual term, try or warm start sees.  The updater records
+the largest log change and finite |log| of the factors it writes, and the
+factors they replace; the engine counts its rescales.
 
 Between exact sweeps the solver may try one safeguarded Anderson-mixed
 point (type II; Walker and Ni, SIAM J. Numer. Anal. 49(4), 2011).  A try
 is due once the sweeps' largest log changes settle: ``_RATE_RATIOS`` ratios
 agree within ``_RATE_SPREAD``, the last, rho, is below 1 and the tail still
-projects ``_MIN_SWEEPS_LEFT`` sweeps to the potential tolerance.  A sweep
+projects ``_MIN_SWEEPS_LEFT`` sweeps to the potential tolerance; none is
+made while the largest residual stays flat above the feasibility tolerance
+(``_stalled``), as on the dual ray of infeasible data.  A sweep
 maps the log factors x_j it replaces to outputs g_j, with residuals f_j =
 g_j - x_j.  Over the last ``_MIX_DEPTH`` + 1 exact sweeps after the first
 the trial is g_k - dG gamma, gamma minimizing |f_k - dF gamma|^2 plus
@@ -42,7 +42,7 @@ sweeps after the last try enter the rate, and only exact sweeps the mixing,
 the stop decision, the callback, ``dual_values`` and ``max_residuals``.
 ``extrapolations`` lists each try as ``(sweep, rho, kept)``.  On the
 benchmark's seed-0 instances the tries take dense_cycle to 19 sweeps (82
-without), chain_steer to 20 (31), mfg_hub to 13 (17) and flow_od to 118
+without), chain_steer to 20 (31), mfg_hub to 12 (16) and flow_od to 118
 (1644).
 """
 
@@ -54,12 +54,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Infeasible, InvalidInput, SizeBoundExceeded, VerificationFailure
+from .errors import GtopError, Infeasible, InvalidInput, SizeBoundExceeded, VerificationFailure
 from .model import DualPotentials, ScaledArray, dual_objective, smul
 from .projections import DenseEngine, make_engine
 
-# Relative drop of the dual objective tolerated as roundoff before a
-# verified solve fails or a report warns.
+# Relative change read as roundoff: of the dual, before a verified solve
+# fails or a report warns; of the largest residual over the rate window,
+# which then stays flat (``_stalled``).
 _MONOTONE_SLACK = 1e-9
 # Largest |log| of a dual iterate before a solve warns that the dual may
 # not attain its supremum.
@@ -116,26 +117,20 @@ class SolveReport:
 def residual_map(potentials, spec, engine):
     """Feasibility residual per cost block, from current projections.
 
-    Hard blocks (equality, box) report their violation.  Soft costs report
-    zero without a projection, and so does a part that ignores its weight
-    (an indicator box): its own update satisfies it exactly whatever the
-    other blocks do, and ``solve`` makes that update in the first sweep,
-    before any residual is read; a blockwise cost is hard only through blocks
-    that do not ignore their weight.  A node or edge is projected at most
-    once, however many hard parts it stacks; stacked parts get keys ``key#k``.
+    Hard blocks (equality, box) report their violation; soft costs report
+    zero without a projection.  A node or edge is projected at most once,
+    however many hard parts it stacks; stacked parts get keys ``key#k``.
+    The constants of the spec hold exactly and are not listed.
     """
     out = {}
     for (kind, where), parts in spec.blocks.items():
         key = "node:%d" % where if kind == "node" else "edge:%d-%d" % where
         p = None
         for k, part in enumerate(parts):
-            name = key if len(parts) == 1 else "%s#%d" % (key, k)
-            if not part.hard or part.ignores_weight:
-                out[name] = 0.0
-                continue
-            if p is None:
+            if part.hard and p is None:
                 p = engine.projection((kind, where), potentials).value()
-            out[name] = part.feasibility_residual(p)
+            name = key if len(parts) == 1 else "%s#%d" % (key, k)
+            out[name] = part.feasibility_residual(p) if part.hard else 0.0
     return out
 
 
@@ -211,40 +206,30 @@ class _Updater:
                                         axis=None, initial=0.0))
 
     def sweep(self, engine):
-        """Walk ``engine.order``, then rebuild the backward messages.
-
-        A node or edge step computes its projection weight once and updates
-        each stacked part against it times the other parts' factors.  Parts
-        that ignore their weight are skipped after the first sweep, which
-        has already given them their only factor; a step left with no part
-        to update computes no weight.
-        """
-        pots = self.pots
-        first = self.sweep_no == 1
-        for block in engine.order:
-            kind, where = block
-            if kind == "push":
-                engine.push_forward(where, pots)
-                continue
-            todo = [(k, part) for k, part in enumerate(self.spec.blocks.get(block, ()))
-                    if first or not part.ignores_weight]
-            if not todo:
-                continue
-            w = (engine.w_node if kind == "node" else engine.w_edge)(where, pots)
-            for k, part in todo:
-                self._apply(pots.factors[block], k, part, w, block)
-        engine.rebuild_backward(pots)
+        """Walk ``engine.order``, then rebuild the backward messages.  A block
+        step takes its projection weight once and updates each stacked part
+        against it times the block's other factors and its constant.  A
+        package error names the step and the sweep."""
+        try:
+            for block in engine.order:
+                kind, where = block
+                if kind == "push":
+                    engine.push_forward(where, self.pots)
+                elif block in self.spec.blocks:
+                    w = (engine.w_node if kind == "node" else engine.w_edge)(where, self.pots)
+                    for k, part in enumerate(self.spec.blocks[block]):
+                        self._apply(self.pots.factors[block], k, part, w, block)
+            block = None
+            engine.rebuild_backward(self.pots)
+        except GtopError as exc:
+            where = "" if block is None else "%s %r, " % block
+            raise type(exc)("%ssweep %d: %s" % (where, self.sweep_no, exc)) from exc
 
     def _apply(self, factors, k, part, w, block):
-        if len(factors) > 1:
-            others = [factors[i] for i in range(len(factors)) if i != k]
-            w_eff = smul(w, *others)
-        else:
-            w_eff = w
-        try:
-            new = part.solve_inclusion(w_eff, self.spec.epsilon)
-        except Infeasible as exc:
-            raise Infeasible("%s %r, sweep %d: %s" % (*block, self.sweep_no, exc)) from exc
+        others = [f for i, f in enumerate(factors) if i != k]
+        if block in self.pots.constants:
+            others.append(self.pots.constants[block])
+        new = part.solve_inclusion(smul(w, *others) if others else w, self.spec.epsilon)
         self.max_change = max(self.max_change, self._log_change(factors[k], new))
         self.max_abs_log = max(self.max_abs_log, new.max_abs_log())
         self.replaced.append((block, k, factors[k].log_value()))
@@ -266,8 +251,7 @@ class _Mixer:
 
     def record(self, pots, upd):
         """Record an exact sweep ``upd``; rho if a try is due, else None.
-        Sweep 1 also writes the parts that ignore their weight, and enters
-        the rate only."""
+        Sweep 1, whose inputs are the start, enters the rate only."""
         change, replaced = upd.max_change, upd.replaced
         if upd.sweep_no > 1:
             self.pairs = self.pairs[-_MIX_DEPTH:] + [([old for *_, old in replaced], [
@@ -315,6 +299,12 @@ class _Mixer:
             x[mask] -= step
             mixed.append(x.reshape(g.shape))
         return mixed
+
+
+def _stalled(residuals, tol):
+    """The largest residual stays flat above ``tol``, as along a dual ray."""
+    first, last = residuals[-1 - _RATE_RATIOS], residuals[-1]
+    return last > tol and abs(last - first) <= _MONOTONE_SLACK * first
 
 
 def _try_extrapolation(spec, pots, engine, replaced, dual, proposal):
@@ -396,15 +386,19 @@ def _log_diff(a, b):
 
 def _sanity_checks(spec):
     """Presolve, with a relative slack of 1e-9.  The stacked parts of a block
-    bound every entry of its projection, so their entry bounds must meet, or
-    the block and the entry are named.  Every marginal carries the one plan
-    mass, so the blocks' summed entry bounds must meet, or two blocks are named."""
+    and its constant's zeros bound every entry of its projection, so these
+    must meet, or the block and the entry are named.  Every marginal carries
+    the one plan mass, so the summed bounds must meet, or two blocks are named."""
     lo, hi = (0.0, None), (math.inf, None)
-    for block, parts in spec.blocks.items():
+    for block in {**spec.blocks, **spec.constants}:
         shape = spec.block_shape(block)
-        lows, highs = zip(*[part.entry_bounds(math.prod(shape)) for part in parts])
+        n = math.prod(shape)
+        bounds = [part.entry_bounds(n) for part in spec.blocks.get(block, ())]
+        if block in spec.constants:
+            bounds.append((np.zeros(n), np.where(spec.constants[block].m.ravel() > 0, np.inf, 0)))
+        lows, highs = zip(*bounds)
         a, b = functools.reduce(np.maximum, lows), functools.reduce(np.minimum, highs)
-        crossed = np.flatnonzero(a > b + 1e-9 * np.maximum(1.0, np.abs(b))) if parts[1:] else ()
+        crossed = np.flatnonzero(a > b + 1e-9 * np.maximum(1.0, np.abs(b))) if bounds[1:] else ()
         if len(crossed):
             i = int(crossed[0])
             raise Infeasible("%s %r has no feasible value at entry %r: its parts need at least "
@@ -427,22 +421,13 @@ def _check_warm_start(spec, initial):
     for block in initial.factors:
         if block not in spec.blocks:
             raise InvalidInput("warm start has factors for %r, which is not a block of the "
-                               "spec (no cost there)" % (block,))
+                               "spec (no cost there, or only constants)" % (block,))
     for block, parts in spec.blocks.items():
         shapes = [f.shape for f in initial.factors.get(block, ())]
         if shapes != [spec.block_shape(block)] * len(parts):
             raise InvalidInput("warm start: %s %r has factors of shapes %r, its cost needs %d "
                                "of shape %r" % (*block, shapes, len(parts),
                                                 spec.block_shape(block)))
-
-
-def _close(report, termination, sweep, res, t0, rescale_events):
-    """Fill the report fields that a finished and a failed solve share."""
-    report.termination = termination
-    report.sweeps = sweep
-    report.residuals = res
-    report.wall_time_s = time.perf_counter() - t0
-    report.rescale_events = rescale_events
 
 
 def solve(spec, config=None, initial=None):
@@ -456,38 +441,59 @@ def solve(spec, config=None, initial=None):
     sweeps the solver may try an Anderson-mixed point (module docstring).
     ``initial``, a warm start, must be keyed and shaped like ``spec.blocks``
     (``InvalidInput`` otherwise).  Every projection comes from the one engine
-    built here.  An :class:`Infeasible` raised by an update carries the
-    partial report as ``exc.report``: the sweeps begun, the per-sweep
-    history, the rescale events, and the residuals of the potentials as the
-    failed update left them, from the refreshed engine.  When the update
-    fails in the first sweep, the parts that ignore their weight and were not
-    reached yet count as satisfied in those residuals.
+    built here.  A package error raised once sweep 1 has begun carries the
+    partial report as ``exc.report`` (termination "infeasible" or "error"):
+    the sweeps begun, their history and rescales, and the residuals as the
+    failure left them, if the engine still refreshes.
     """
     config = config or SolverConfig()
     _sanity_checks(spec)
+    pots = DualPotentials.ones_for(spec)
     if initial is not None:
         _check_warm_start(spec, initial)
+        pots.factors = {b: [f.copy() for f in fs] for b, fs in initial.factors.items()}
     engine = make_engine(spec)
-    pots = initial.copy() if initial is not None else DualPotentials.ones_for(spec)
     verifier = _Verifier(spec, engine) if config.verify else None
 
     report = SolveReport()
     t0 = time.perf_counter()
     engine.rebuild_backward(pots)
-    warned_divergence = False
-    warned_dual = False
+    try:
+        done, res = _ascend(spec, config, engine, pots, verifier, report)
+    except GtopError as exc:
+        # The count is read first: this refresh's rescales are not the solve's.
+        report.rescale_events = engine.rescale_events
+        report.termination = "infeasible" if isinstance(exc, Infeasible) else "error"
+        try:
+            engine.refresh(pots)
+            report.residuals = residual_map(pots, spec, engine)
+        except GtopError:
+            pass
+        report.wall_time_s = time.perf_counter() - t0
+        exc.report = report
+        raise
+    report.termination = "converged" if done else "max_sweeps"
+    report.residuals, report.rescale_events = res, engine.rescale_events
+    report.wall_time_s = time.perf_counter() - t0
+    report.feasible = report.max_residual <= config.feasibility_tol
+    if not done and not report.feasible:
+        worst = max(res, key=res.get)
+        report.warnings.append("stopped at max_sweeps with residual %.6g at %s, above "
+                               "feasibility_tol %g" % (res[worst], worst, config.feasibility_tol))
+    if any(not math.isfinite(d) for d in report.dual_values):
+        report.warnings.append("dual objective was -inf at some sweeps "
+                               "(multiplier outside a conjugate domain)")
+    return pots, report
+
+
+def _ascend(spec, config, engine, pots, verifier, report):
+    """The sweeps and tries of :func:`solve`, recorded in ``report``; ``(done, residuals)``."""
+    warned_divergence = warned_dual = False
     mixer = _Mixer(config.potential_tol)
     for sweep in range(1, config.max_sweeps + 1):
+        report.sweeps = sweep
         upd = _Updater(spec, pots, verifier, sweep)
-        try:
-            upd.sweep(engine)
-        except Infeasible as exc:
-            # The count is read first: this refresh's rescales are not the solve's.
-            events = engine.rescale_events
-            engine.refresh(pots)
-            _close(report, "infeasible", sweep, residual_map(pots, spec, engine), t0, events)
-            exc.report = report
-            raise
+        upd.sweep(engine)
         res = residual_map(pots, spec, engine)
         max_res = max(res.values(), default=0.0)
         dual = dual_objective(pots, spec, engine)
@@ -506,24 +512,15 @@ def solve(spec, config=None, initial=None):
             warned_divergence = True
         if config.callback is not None:
             config.callback(sweep, dual, max_res)
-        done = max_res <= config.feasibility_tol and upd.max_change <= config.potential_tol
-        if done:
-            break
+        if max_res <= config.feasibility_tol and upd.max_change <= config.potential_tol:
+            return True, res
         rho = mixer.record(pots, upd)
         # A try is decided by the dual, which must be finite for that.
-        if rho is not None and sweep < config.max_sweeps and dual > -math.inf:
+        if (rho is not None and sweep < config.max_sweeps and dual > -math.inf
+                and not _stalled(report.max_residuals, config.feasibility_tol)):
             mixer.changes = []
             proposal = mixer.proposal()
             if proposal is not None:
                 kept = _try_extrapolation(spec, pots, engine, upd.replaced, dual, proposal)
                 report.extrapolations.append((sweep, rho, kept))
-    _close(report, "converged" if done else "max_sweeps", sweep, res, t0, engine.rescale_events)
-    report.feasible = report.max_residual <= config.feasibility_tol
-    if not done and not report.feasible:
-        worst = max(res, key=res.get)
-        report.warnings.append("stopped at max_sweeps with residual %.6g at %s, above "
-                               "feasibility_tol %g" % (res[worst], worst, config.feasibility_tol))
-    if any(not math.isfinite(d) for d in report.dual_values):
-        report.warnings.append("dual objective was -inf at some sweeps "
-                               "(multiplier outside a conjugate domain)")
-    return pots, report
+    return False, res

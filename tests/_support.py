@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: instance generators and comparisons."""
 
+import copy
 import importlib.util
 import math
 import pathlib
@@ -116,6 +117,18 @@ def random_potentials(spec, rng, zero_rate=0.0, log_spread=1.0):
     return pots
 
 
+def inclusion_residual(fn, u, w, epsilon):
+    """Entrywise distance of ``u * w`` from the conjugate subdifferential of
+    ``fn`` at ``s = -epsilon * log u`` (inf where it is empty)."""
+    p = (u.m * w.m).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a zero entry stays zero even where the scale overflows (0 * inf)
+        p = np.where(p == 0.0, 0.0, p * np.exp(u.log_scale + w.log_scale))
+    s = -epsilon * u.log_value().ravel()
+    lower, upper = fn.conjugate_subgradient(s)
+    return np.maximum(np.maximum(lower - p, p - upper), 0.0)
+
+
 def block_functions(spec, kind):
     """The cost of each ``kind`` ("node" or "edge") block of ``spec`` in the
     form ``ProblemSpec`` takes: its one part, or a composite of its parts."""
@@ -177,9 +190,9 @@ def as_general(spec):
     node 0, so it still runs on the path engine; only a hub gets the dense
     engine.  ``solve_dense`` solves any spec on the dense engine.
     """
-    topo = GraphTopology.general(spec.topology.node_count, spec.topology.edges)
-    return ProblemSpec(topo, spec.kernels, block_functions(spec, "node"),
-                       block_functions(spec, "edge"), spec.epsilon)
+    general = copy.copy(spec)
+    general.topology = GraphTopology.general(spec.topology.node_count, spec.topology.edges)
+    return general
 
 
 def solve_dense(spec, config=None, initial=None):
@@ -207,8 +220,8 @@ def grid_mfg_specs(rng, sizes, steps=3, species=2, epsilon=0.3, cost_scale=1.7,
     """A species-hub MFG on a random row-major grid, built with its separable
     kernels, and the same instance with the dense n x n kernel.
 
-    Species costs put potentials on the hub edges; ``path_edge_cost`` adds a
-    quadratic cost, and with it a potential, on the time edge (1, 2).
+    Species costs, linear, reweight the hub edges' kernels; ``path_edge_cost``
+    adds a quadratic cost, and with it a potential, on the time edge (1, 2).
     """
     grid = row_major_grid(rng, sizes)
     n = grid.shape[0]

@@ -20,7 +20,7 @@ from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
 from gtop.projections import DenseEngine
 from gtop.solver import _Updater
 
-from _support import (assert_maxnorm_close, dense_tensor, random_chain_spec,
+from _support import (assert_maxnorm_close, dense_tensor, inclusion_residual, random_chain_spec,
                       random_hub_spec, random_od_spec, random_potentials, solve_dense)
 
 
@@ -448,7 +448,6 @@ def test_criterion_8_multiple_costs_extension():
         assert report.termination == "converged"
 
         # both sub-inclusions satisfied at the fixed point
-        from gtop import inclusion_residual
         from gtop.model import smul
         eng = make_engine(spec)
         eng.refresh(pots)

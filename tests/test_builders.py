@@ -288,6 +288,16 @@ class TestMFGCostMatrix:
         np.testing.assert_allclose(pts, [[0.25, 0.25], [0.25, 0.75],
                                          [0.75, 0.25], [0.75, 0.75]])
 
+    @pytest.mark.parametrize("shape", [(2.7, 3.2), (2.0, 3), (True, 3), ("2", 3)], ids=repr)
+    def test_grid_points_shape_must_be_integers(self, shape):
+        with pytest.raises(InvalidInput, match="grid shape entry must be an integer"):
+            grid_points(shape, (0.0, 1.0, 0.0, 1.0))
+
+    def test_grid_points_shape_may_be_numpy_integers(self):
+        pts = grid_points(np.array([2, 3], dtype=np.int32), (0.0, 1.0, 0.0, 1.0))
+        assert pts.shape == (6, 2)
+        np.testing.assert_array_equal(pts, grid_points((2, 3), (0.0, 1.0, 0.0, 1.0)))
+
     @pytest.mark.parametrize("extent", [["a", 1, 0, 1], [0.0, math.inf, 0.0, 1.0],
                                         [0.0, math.nan, 0.0, 1.0], [0.0, 1.0, 0.0]])
     def test_grid_points_rejects_bad_extent(self, extent):
@@ -350,8 +360,9 @@ class TestMFGProblem:
                                  2: [Linear(np.linspace(0.0, 1.0, setup.n_points)), None]}
         spec = build_mfg_problem(setup)
         hub = spec.topology.hub
-        assert ("edge", (hub, 1)) not in spec.blocks
-        assert ("edge", (hub, 2)) in spec.blocks
+        assert ("edge", (hub, 1)) not in spec.blocks and ("edge", (hub, 1)) not in spec.constants
+        # a linear row is a constant of the spec, not a block
+        assert ("edge", (hub, 2)) in spec.constants and ("edge", (hub, 2)) not in spec.blocks
 
     def test_running_costs_scale_by_dt_per_type(self):
         # An equality is the same constraint at any scale, a blockwise cost
@@ -470,9 +481,10 @@ class TestMFGProblem:
         assert eng.marginal(2, pots).value()[n // 2] <= 1e-10  # total obstacle
 
     def test_equal_row_tables_share_one_species_cost(self):
-        # One cost per distinct table of row functions (by identity); a
-        # table of equal but distinct functions per time solves to the
-        # same bits.
+        # One cost per distinct table of row functions (by identity), whose
+        # constant (the indicator and linear rows) the spec computes once; a
+        # table of equal but distinct functions per time solves to the same
+        # bits.
         rng = np.random.default_rng(6)
         setup = small_mfg_setup(rng, L=2, steps=4, species_costs=True)
         n = setup.n_points
@@ -481,12 +493,13 @@ class TestMFGProblem:
         setup.species_terminal = [None, QuadraticDistance(0.5, np.full(n, 0.5 / n))]
         shared = build_mfg_problem(setup)
         hub = shared.topology.hub
-        rows = [shared.blocks[("edge", (hub, j))][0] for j in range(1, 5)]
-        assert rows[0] is rows[1] is rows[2] and rows[3] is not rows[0]
+        rows = [shared.constants[("edge", (hub, j))] for j in range(1, 4)]
+        assert rows[0] is rows[1] is rows[2]
+        assert ("edge", (hub, 4)) in shared.blocks and ("edge", (hub, 4)) not in shared.constants
         setup.species_running = {j: [Box(box.lower, box.upper), Linear(table[1].cost)]
                                  for j, table in setup.species_running.items()}
         distinct = build_mfg_problem(setup)
-        assert len({id(distinct.blocks[("edge", (hub, j))][0]) for j in range(1, 5)}) == 4
+        assert len({id(distinct.constants[("edge", (hub, j))]) for j in range(1, 4)}) == 3
         reports = [solve(spec, SolverConfig())[1] for spec in (shared, distinct)]
         assert reports[0].termination == "converged"
         assert reports[0].dual_values == reports[1].dual_values

@@ -284,6 +284,24 @@ class TestRun:
         assert summary["max_residual"] == pytest.approx(1.0, rel=1e-14)
         assert summary["dual_objective"] == "-inf"  # no sweep completed
 
+    def test_numerical_failure_keeps_partial_report(self, tmp_path, monkeypatch):
+        # The third equality update, node 0 in sweep 2, yields NaN logs.
+        exact, calls = Equality._solve_log, []
+
+        def nan_at_the_third(self, log_w, epsilon):
+            calls.append(1)
+            return exact(self, log_w, epsilon) * (math.nan if len(calls) == 3 else 1.0)
+
+        monkeypatch.setattr(Equality, "_solve_log", nan_at_the_third)
+        body = minimal_raw_config(str(tmp_path / "out"))
+        assert run(parse_config(write_config(tmp_path, body))) == 1
+        summary = read_strict_json(os.path.join(str(tmp_path / "out"), "summary.json"))
+        assert summary["termination"] == "error"
+        assert summary["error"].startswith("node 0, sweep 2: a coordinate update produced")
+        assert summary["sweeps"] == 2 and summary["feasible"] is False
+        assert math.isfinite(summary["dual_objective"])
+        assert set(summary["residuals"]) == {"node:0", "node:1"}
+
     def test_nonfinite_dual_is_written_as_strict_json(self, tmp_path, monkeypatch):
         import gtop.solver
         real_solve = gtop.solver.solve

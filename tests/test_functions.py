@@ -12,9 +12,9 @@ import pytest
 
 from gtop import (Blockwise, Box, CompositeFunction, Congestion, Equality,
                   Infeasible, InvalidInput, Linear, NumericalFailure, QuadraticDistance,
-                  ScaledArray, Zero, functions, inclusion_residual, stack_rows)
+                  ScaledArray, Zero, functions, stack_rows)
 
-from _support import masked_log_u_to_scaled
+from _support import inclusion_residual, masked_log_u_to_scaled
 
 
 def bisect_oracle(f, lo, hi, iters=200):
@@ -635,9 +635,9 @@ class TestWeightMark:
         assert "ignores_weight" not in vars(box) and "ignores_weight" not in vars(fn)
         assert fn.ignores_weight and vars(box)["ignores_weight"] is True
 
-    def test_blockwise_reuses_its_marked_blocks(self):
-        # A mixed blockwise cost keeps the log-factors of its marked blocks
-        # and solves the others against each new weight, per epsilon.
+    def test_blockwise_solves_each_block_on_its_entries(self):
+        # A mixed blockwise cost keeps no state: each update solves every
+        # block, marked or not, against the weight on its entries.
         rng = np.random.default_rng(62)
         blocks = [([0, 1], Box(0.0, [0.0, np.inf])), ([2, 3], Linear([0.4, 1.0])),
                   ([4, 5], Equality([0.3, 0.6])), ([6, 7], QuadraticDistance(1.0, [0.2, 0.1])),
@@ -650,6 +650,44 @@ class TestWeightMark:
                 expected[idx] = part._solve_log(log_w[idx], eps)
             got = fn._solve_log(log_w, eps)
             assert got.tobytes() == expected.tobytes()
+
+    def test_restricted_blockwise_keeps_the_factor_one_elsewhere(self):
+        # The spec splits a mixed blockwise cost: its marked blocks give a
+        # constant, the others remain to update; off its blocks, a restricted
+        # cost gives the factor 1, adds 0 to the conjugate, allows any
+        # multiplier and bounds no entry.
+        marked = [([0, 1], Box(0.0, [0.0, np.inf])), ([4], Linear([0.4]))]
+        weighted = [([2, 3], Equality([0.3, 0.6])), ([5, 6], QuadraticDistance(1.0, [0.2, 0.1]))]
+        fn = Blockwise(7, marked + weighted)
+        rest = fn.restricted(lambda part: not part.ignores_weight)
+        fixed = fn.restricted(lambda part: part.ignores_weight)
+        assert fixed.ignores_weight and not rest.ignores_weight and rest.hard
+        assert [idx.tolist() for idx, _ in rest.blocks] == [[2, 3], [5, 6]]
+        np.testing.assert_array_equal(fixed.fixed_factor((7,), 0.5).log_value(),
+                                      [-np.inf, 0.0, 0.0, 0.0, -0.8, 0.0, 0.0])
+        log_w = np.log([0.5, 2.0, 0.7, 1.3, 3.0, 0.4, 0.9])
+        out = rest._solve_log(log_w, 0.5)
+        assert same_bits(out[[0, 1, 4]], np.zeros(3))
+        assert same_bits(out, np.where(np.isin(np.arange(7), [0, 1, 4]), 0.0,
+                                       fn._solve_log(log_w, 0.5)))
+        s = np.array([0.0, 0.0, 0.1, -0.2, 0.0, 0.3, 0.1])
+        assert rest.conjugate(s) == (Equality([0.3, 0.6]).conjugate(s[2:4])
+                                     + QuadraticDistance(1.0, [0.2, 0.1]).conjugate(s[5:]))
+        lower, upper = rest.conjugate_subgradient(s)
+        assert np.all(lower[[0, 1, 4]] == -np.inf) and np.all(upper[[0, 1, 4]] == np.inf)
+        lo, hi = rest.entry_bounds(7)
+        assert lo.tolist() == [0.0, 0.0, 0.3, 0.6, 0.0, 0.0, 0.0]
+        assert hi.tolist() == [np.inf, np.inf, 0.3, 0.6, np.inf, np.inf, np.inf]
+
+    @pytest.mark.parametrize("size", [2.9, 2.0, True, "2", np.float64(2.0)], ids=repr)
+    def test_blockwise_size_must_be_an_integer(self, size):
+        with pytest.raises(InvalidInput, match="blockwise size must be an integer"):
+            Blockwise(size, [([0, 1], Zero())])
+
+    @pytest.mark.parametrize("size", [np.int64(2), np.uint8(2), 2], ids=repr)
+    def test_blockwise_size_may_be_a_numpy_integer(self, size):
+        fn = Blockwise(size, [([0, 1], Zero())])
+        assert fn.size == 2 and type(fn.size) is int
 
 
 class TestSizesCheckedAtConstruction:
@@ -971,7 +1009,7 @@ class TestOneUpdatePerKind:
     def test_zero_stays_shape_agnostic_and_unscaled(self):
         zero = Zero()
         zero.validate_size(7)
-        assert zero.scaled(3.0) is zero and zero.is_zero and repr(zero) == "Zero()"
+        assert zero.scaled(3.0) is zero and repr(zero) == "Zero()"
         with pytest.raises(InvalidInput):
             Linear(0.0).validate_size(7)
 

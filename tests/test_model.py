@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gtop import (Blockwise, Box, CompositeFunction, DualPotentials, EdgeKernel, Equality,
-                  GraphTopology, InvalidInput, Linear, NumericalFailure, ProblemSpec, ScaledArray,
+                  GraphTopology, InvalidInput, NumericalFailure, ProblemSpec, ScaledArray,
                   SeparableKernel, Zero, build_kernel, dual_objective, make_engine, solve)
 from gtop import model
 
@@ -517,10 +517,12 @@ class TestDualObjective:
 
     def test_infeasible_multiplier_gives_minus_inf(self):
         topo = GraphTopology.chain(2)
+        # A multiplier s > 0 where the upper bound is +inf; a linear cost,
+        # which pins its multiplier, is a constant of the spec, not a block.
         spec = ProblemSpec(topo, {(0, 1): build_kernel(np.zeros((2, 2)), 1.0)},
-                           {0: Linear([0.0, 0.0])}, {}, 1.0)
+                           {0: Box(0.0, [np.inf, 1.0])}, {}, 1.0)
         pots = DualPotentials.ones_for(spec)
-        pots.factors[("node", 0)] = [ScaledArray.from_values([2.0, 1.0])]  # multiplier off 0
+        pots.factors[("node", 0)] = [ScaledArray.from_values([0.5, 1.0])]
         assert dual_objective(pots, spec, refreshed(spec, pots)) == -math.inf
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gtop import (Box, ChainEngine, CompositeFunction, DenseEngine, DualPotentials,
-                  EdgeKernel, Equality, GraphTopology, InvalidInput, Linear, ProblemSpec,
+                  EdgeKernel, Equality, GraphTopology, InvalidInput, ProblemSpec,
                   QuadraticDistance, ScaledArray, SeparableKernel, SizeBoundExceeded,
                   TopologyMismatch, Zero, build_kernel, make_engine)
 
@@ -312,8 +312,8 @@ class TestODProjections:
         rng = np.random.default_rng(4)
         od = random_od_spec(rng, n_nodes=5, n_states=3)
         # costs at nodes 0 and 4, so that they have potentials
-        spec = ProblemSpec(od.topology, od.kernels, {0: Linear(np.zeros(3)),
-                                                     4: Linear(np.ones(3))},
+        spec = ProblemSpec(od.topology, od.kernels, {0: QuadraticDistance(1.0, np.zeros(3)),
+                                                     4: QuadraticDistance(1.0, np.ones(3))},
                            block_functions(od, "edge"), od.epsilon)
         pots = random_potentials(spec, rng)
         eng = refreshed(spec, pots)

@@ -10,16 +10,16 @@ import pytest
 
 from gtop import (Blockwise, Box, ChainEngine, CompositeFunction, Congestion, DualPotentials,
                   EdgeKernel, Equality, GraphTopology, Infeasible, InvalidInput, Linear,
-                  ProblemSpec, QuadraticDistance, ScaledArray, SolverConfig, VerificationFailure,
-                  Zero, build_kernel, dual_objective, inclusion_residual, make_engine, solve,
-                  stack_rows)
+                  NumericalFailure, ProblemSpec, QuadraticDistance, ScaledArray, SolverConfig,
+                  TopologyMismatch, VerificationFailure, Zero, build_kernel, dual_objective,
+                  make_engine, solve, stack_rows)
 from gtop import solver as solver_module
 from gtop.model import smul
 from gtop.projections import DenseEngine
 from gtop.solver import _Mixer, _Updater, _Verifier, residual_map
 
 from _support import (as_general, assert_maxnorm_close, block_functions, dense_tensor,
-                      random_hub_spec, random_potentials, solve_dense)
+                      inclusion_residual, random_hub_spec, random_potentials, solve_dense)
 
 
 def two_node_spec(rng, n=3, epsilon=0.7, mu0=None, mu1=None):
@@ -112,9 +112,12 @@ class TestSingleUpdates:
         spec = ProblemSpec(topo, kernels, {},
                            {(topo.hub, 0): Equality(rng.uniform(0.1, 1, (L, n))),
                             (topo.hub, 1): Linear(c)}, 0.5)
+        # The linear cost's factor exp(-c / epsilon) is a constant of the
+        # spec, folded into the kernel of its edge (all ones before).
         pots, report = solve(spec, SolverConfig(max_sweeps=60))
-        np.testing.assert_allclose(pots.factors[("edge", (topo.hub, 1))][0].value(),
-                                   np.exp(-c / 0.5), rtol=1e-12)
+        assert report.termination == "converged" and ("edge", (topo.hub, 1)) not in pots.factors
+        np.testing.assert_allclose(spec.kernels[(topo.hub, 1)].value(), np.exp(-c / 0.5),
+                                   rtol=1e-12)
 
     def test_composite_single_part_reduces_to_plain(self):
         rng = np.random.default_rng(5)
@@ -855,6 +858,87 @@ class TestChecksThatFire:
             solve(spec, SolverConfig(verify=True))
 
 
+class TestFailuresKeepTheirReport:
+    """Every package error raised once the first sweep has begun carries the
+    partial report: the sweeps begun, the duals so far and the residuals."""
+
+    @staticmethod
+    def failing_at(monkeypatch, owner, name, at_call, fault):
+        """Make the ``at_call``-th call of ``owner.name`` return ``fault(result)``."""
+        exact = getattr(owner, name)
+        calls = []
+
+        def patched(self, *args):
+            out = exact(self, *args)
+            calls.append(1)
+            return fault(out) if len(calls) == at_call else out
+
+        monkeypatch.setattr(owner, name, patched)
+
+    @staticmethod
+    def check_report(exc, sweeps, termination="error"):
+        report = exc.value.report
+        assert (report.termination, report.sweeps) == (termination, sweeps)
+        assert len(report.dual_values) == len(report.max_residuals) == sweeps - 1
+        assert all(math.isfinite(d) for d in report.dual_values)
+        assert set(report.residuals) == {"node:0", "node:1"}
+        assert report.wall_time_s > 0.0 and not report.feasible
+        return report
+
+    def test_numerical_failure_of_an_update(self, monkeypatch):
+        # The third equality update, node 0 in sweep 2, yields NaN log potentials.
+        spec = two_node_spec(np.random.default_rng(50))
+        self.failing_at(monkeypatch, Equality, "_solve_log", 3, lambda out: out * math.nan)
+        with pytest.raises(NumericalFailure, match=r"^node 0, sweep 2: a coordinate update "
+                                                   r"produced 3 NaN") as exc:
+            solve(spec)
+        self.check_report(exc, 2)
+
+    def test_numerical_failure_of_a_renormalization(self, monkeypatch):
+        # The backward rebuild that closes sweep 2 meets an infinite kernel
+        # product: the message names the sweep, and no block.
+        spec = two_node_spec(np.random.default_rng(50))
+        self.failing_at(monkeypatch, EdgeKernel, "apply", 5, lambda out: out * math.inf)
+        with pytest.raises(NumericalFailure, match=r"^sweep 2: non-finite mantissa encountered "
+                                                   r"during renormalization$") as exc:
+            solve(spec)
+        self.check_report(exc, 2)
+
+    def test_verification_failure(self, monkeypatch):
+        spec = two_node_spec(np.random.default_rng(50))
+        TestChecksThatFire._skewed_update(monkeypatch, at_call=3)  # sweep 2, node 0
+        with pytest.raises(VerificationFailure, match=r"^node 0, sweep 2: dual objective "
+                                                      r"dropped") as exc:
+            solve(spec, SolverConfig(verify=True))
+        self.check_report(exc, 2)
+
+    def test_engine_error(self, monkeypatch):
+        spec = two_node_spec(np.random.default_rng(50))
+        calls = []
+        exact = ChainEngine.w_node
+
+        def w_node(self, v, pots):
+            calls.append(v)
+            if len(calls) == 6:
+                raise TopologyMismatch("no node %r in the path" % (v,))
+            return exact(self, v, pots)
+
+        monkeypatch.setattr(ChainEngine, "w_node", w_node)
+        with pytest.raises(TopologyMismatch, match=r"^node 0, sweep 2: no node 0") as exc:
+            solve(spec)
+        report = self.check_report(exc, 2)
+        assert isinstance(exc.value.__cause__, TopologyMismatch)
+        assert report.residuals["node:0"] >= 0.0
+
+    def test_infeasible_keeps_its_termination(self):
+        spec = ProblemSpec(GraphTopology.chain(2), {(0, 1): build_kernel(
+            [[0.0, math.inf], [0.0, math.inf]], 1.0)}, {0: Equality([0.5, 0.5]),
+                                                          1: Equality([0.5, 0.5])}, {}, 1.0)
+        with pytest.raises(Infeasible, match=r"^node 1, sweep 1: ") as exc:
+            solve(spec)
+        assert (exc.value.report.termination, exc.value.report.sweeps) == ("infeasible", 1)
+
+
 class TestDivergenceWarning:
     def test_unattained_dual_warns_not_errors(self, monkeypatch):
         # two constraints that force a plan entry to zero: the optimal primal
@@ -977,10 +1061,14 @@ def marked_spec(seed, kind, epsilon=0.5):
 
 
 class TestWeightIndependentParts:
-    """Parts whose update ignores the weight are solved in the first sweep only."""
+    """Parts whose update ignores the weight are constants of the spec: in the
+    plan from the start, and never updated."""
 
     @pytest.mark.parametrize("kind", ["hub", "chain"])
-    def test_solves_match_the_solves_without_the_mark_bit_for_bit(self, kind, monkeypatch):
+    def test_solves_match_the_solves_without_the_marks(self, kind, monkeypatch):
+        # With the marks off every part is a block, updated in every sweep.
+        # The first sweep then differs, so the iterates differ at roundoff
+        # and the two ways meet at the optimum.
         runs = []
         for marked in (True, False):
             if not marked:
@@ -988,6 +1076,7 @@ class TestWeightIndependentParts:
             reports = []
             for seed in range(4):
                 spec = marked_spec(seed, kind)
+                assert bool(spec.constants) == marked
                 _, verified = solve(spec, SolverConfig(verify=True))
                 start, _ = solve(spec, SolverConfig(max_sweeps=3))
                 _, warm = solve(spec, initial=start)
@@ -995,13 +1084,11 @@ class TestWeightIndependentParts:
                 reports.append((verified, warm))
             runs.append(reports)
         for (v1, w1), (v0, w0) in zip(*runs):
-            assert v1.dual_values == v0.dual_values
-            assert w1.dual_values == w0.dual_values
-            assert v1.max_residuals == v0.max_residuals
-            assert v1.extrapolations == v0.extrapolations
-            assert w1.extrapolations == w0.extrapolations
+            assert v1.dual_objective == pytest.approx(v0.dual_objective, rel=1e-10)
+            assert w1.dual_objective == pytest.approx(v0.dual_objective, rel=1e-10)
+            assert w0.dual_objective == pytest.approx(v0.dual_objective, rel=1e-10)
 
-    def test_marked_parts_are_solved_in_the_first_sweep_only(self, monkeypatch):
+    def test_marked_parts_are_never_updated(self, monkeypatch):
         spec = marked_spec(0, "chain")
         updates = []
         apply = _Updater._apply
@@ -1014,19 +1101,23 @@ class TestWeightIndependentParts:
         _, report = solve(spec)
         assert report.sweeps > 2
         # node 1 is an indicator box, node 2 linear, node 3 both, edge (2, 3)
-        # indicator, zero and linear rows: only the first sweep updates them.
-        # Node 4 has a zero cost, so no block, and no sweep updates it.
+        # indicator, zero and linear rows: constants, never updated.  Edge
+        # (1, 2) mixes indicator and distance rows: only the distance rows
+        # remain a block.  Node 4 has a zero cost: neither block nor constant.
         fixed = {("node", 1), ("node", 2), ("node", 3), ("edge", (2, 3))}
+        assert set(spec.constants) == fixed | {("edge", (1, 2))}
+        assert not fixed & set(spec.blocks)
+        (rows,) = spec.blocks[("edge", (1, 2))]
+        assert [type(fn) for _, fn in rows.blocks] == [QuadraticDistance] * len(rows.blocks)
         first = {(b, k) for s, b, k in updates if s == 1}
-        later = {(b, k) for s, b, k in updates if s > 1}
-        assert {b for b, _ in first} >= fixed
-        assert not {b for b, _ in later} & fixed
-        assert later == first - {(b, k) for b, k in first if b in fixed}
+        assert first == {(b, k) for b, parts in spec.blocks.items() for k in range(len(parts))}
+        assert {(b, k) for s, b, k in updates if s > 1} == first
         assert spec.topology.node_count > 5 and ("node", 4) not in {b for _, b, _ in updates}
+        assert ("node", 4) not in spec.constants
 
-    def test_random_warm_start_resets_the_marked_factors(self):
-        # The first sweep gives every marked part its only factor, so no
-        # stray starting factor survives.
+    def test_warm_start_of_a_constant_is_rejected(self):
+        # A warm start has factors for the blocks only; node 1, an indicator
+        # box, is a constant.
         spec = marked_spec(0, "chain")
         _, cold = solve(spec)
         start = random_potentials(spec, np.random.default_rng(0))
@@ -1034,11 +1125,15 @@ class TestWeightIndependentParts:
         assert warm.termination == cold.termination == "converged"
         assert all(math.isfinite(d) for d in warm.dual_values)
         assert warm.dual_objective == pytest.approx(cold.dual_objective, rel=1e-12, abs=1e-12)
+        start.factors[("node", 1)] = [ScaledArray.ones(spec.block_shape(("node", 1)))]
+        with pytest.raises(InvalidInput, match=r"factors for \('node', 1\), which is not a "
+                                               r"block .*only constants"):
+            solve(spec, initial=start)
 
     def test_no_trial_while_the_dual_is_minus_inf(self, monkeypatch):
-        # exp(-200 / 0.1) underflows: the linear factor is 0 at the last
-        # state, where its conjugate is +inf, so the dual is -inf at every
-        # sweep although the change ratios call for trials.
+        # A conjugate that reads +inf, as at a multiplier outside its domain,
+        # makes the dual -inf at every sweep although the change ratios call
+        # for trials.
         rng = np.random.default_rng(3)
         n, epsilon = 4, 0.1
         topo = GraphTopology.chain(3)
@@ -1047,6 +1142,7 @@ class TestWeightIndependentParts:
         spec = ProblemSpec(topo, kernels,
                            {0: Equality(rng.uniform(0.2, 1.0, n)), 1: Linear([0, 0, 0, 200]),
                             2: QuadraticDistance(0.8, rng.uniform(0.1, 0.5, n))}, {}, epsilon)
+        monkeypatch.setattr(QuadraticDistance, "conjugate", lambda self, s: math.inf)
         due = []
         record = _Mixer.record
 
@@ -1058,9 +1154,35 @@ class TestWeightIndependentParts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, report = solve(spec, SolverConfig(max_sweeps=60))
-        assert report.dual_values == [-math.inf] * 60
+        assert report.dual_values == [-math.inf] * report.sweeps
         assert any(rho is not None for rho in due)
         assert report.extrapolations == []
+
+    def test_linear_edge_cost_is_its_kernel_reweighted(self):
+        # exp(-(C + c) / epsilon) by hand, against the linear cost c on the
+        # kernel exp(-C / epsilon): the same plan, verified against the dense
+        # oracle in every sweep.
+        rng = np.random.default_rng(12)
+        n, epsilon = 4, 0.4
+        topo = GraphTopology.chain(3)
+        costs = [rng.uniform(0.0, 1.5, (n, n)) for _ in range(2)]
+        c = rng.uniform(0.0, 2.0, (n, n))
+        nodes = {0: Equality(rng.uniform(0.2, 1.0, n)),
+                 2: QuadraticDistance(0.8, rng.uniform(0.1, 0.5, n))}
+        kernels = {e: build_kernel(cost, epsilon) for e, cost in zip(topo.edges, costs)}
+        linear = ProblemSpec(topo, kernels, nodes, {(0, 1): Linear(c)}, epsilon)
+        by_hand = ProblemSpec(topo, {**kernels, (0, 1): build_kernel(costs[0] + c, epsilon)},
+                              nodes, {}, epsilon)
+        assert ("edge", (0, 1)) not in linear.blocks
+        assert set(linear.constants) == {("edge", (0, 1))}
+        plans = []
+        for spec in (linear, by_hand):
+            pots, report = solve(spec, SolverConfig(verify=True, potential_tol=1e-12))
+            assert report.termination == "converged"
+            dense = DenseEngine(spec)
+            plans.append([dense.project(pots, e) for e in topo.edges])
+        for a, b, e in zip(*plans, topo.edges):
+            assert_maxnorm_close(a, b, 1e-10, "edge %r" % (e,))
 
 
 class TestSpecHoldsNoSolveState:
@@ -1623,6 +1745,23 @@ class TestStoppedShortOfFeasibility:
         # the dual climbs the infeasible ray; every try on it was safeguarded
         assert report.extrapolations
         assert np.all(np.diff(report.dual_values) >= 0.0)
+
+    def test_no_try_once_the_residual_stays_flat(self, monkeypatch):
+        # From about sweep 12 the residual stays at 0.2 to roundoff while the
+        # change ratios still call for tries: along the dual ray a try would
+        # only jump toward the end of the float range.
+        due = []
+        record = _Mixer.record
+
+        def spied(self, pots, upd):
+            due.append((upd.sweep_no, record(self, pots, upd)))
+            return due[-1][1]
+
+        monkeypatch.setattr(_Mixer, "record", spied)
+        _, report = solve(self.support_against_edge_box_chain(), SolverConfig(max_sweeps=300))
+        assert report.termination == "max_sweeps"
+        assert report.extrapolations and max(s for s, _, _ in report.extrapolations) < 15
+        assert any(rho is not None for sweep, rho in due if sweep >= 15)
 
     def test_feasible_stops_do_not_warn(self):
         spec = three_node_steering(QuadraticDistance(1.0, np.full(5, 0.2)))

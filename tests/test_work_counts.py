@@ -22,7 +22,9 @@ CATALOG = (functions.Zero, functions.Equality, functions.Box, functions.Linear,
 # Every workload routes to the path engine.  Per instance: kernel applies
 # by kernel type, the engine methods, coordinate updates and conjugates by
 # catalog type, then sweeps and tries.  ``w_node``/``w_edge`` include the
-# weight that each ``marginal``/``bimarginal`` takes.
+# weight that each ``marginal``/``bimarginal`` takes.  Costs that ignore
+# their weight (mfg_hub's indicator boxes and linear rows, the zero rows of
+# mfg_hub and flow_od) are constants of the spec: no update or conjugate.
 COUNTS = {
     "chain_steer": {
         "apply.EdgeKernel": 2205, "rebuild_backward": 24, "push_forward": 1029, "w_node": 2089,
@@ -43,16 +45,14 @@ COUNTS = {
         "apply.EdgeKernel": 1897, "rebuild_backward": 147, "push_forward": 868, "w_node": 926,
         "w_edge": 248, "marginal": 218, "bimarginal": 130, "solve_inclusion.Blockwise": 708,
         "solve_inclusion.Equality": 118, "conjugate.Blockwise": 876,
-        "conjugate.Congestion": 876, "conjugate.Equality": 146, "conjugate.Zero": 876,
-        "sweeps": 118, "tries": 28,
+        "conjugate.Congestion": 876, "conjugate.Equality": 146, "sweeps": 118, "tries": 28,
     },
     "mfg_hub": {
-        "apply.SeparableKernel": 252, "rebuild_backward": 15, "push_forward": 130, "w_node": 47,
-        "w_edge": 143, "marginal": 14, "bimarginal": 13, "solve_inclusion.Blockwise": 117,
-        "solve_inclusion.Box": 8, "solve_inclusion.Equality": 13,
-        "solve_inclusion.QuadraticDistance": 26, "conjugate.Blockwise": 126, "conjugate.Box": 238,
-        "conjugate.Equality": 14, "conjugate.Linear": 126, "conjugate.QuadraticDistance": 154,
-        "conjugate.Zero": 126, "sweeps": 13, "tries": 1,
+        "apply.SeparableKernel": 234, "rebuild_backward": 14, "push_forward": 120, "w_node": 37,
+        "w_edge": 132, "marginal": 13, "bimarginal": 12, "solve_inclusion.Blockwise": 108,
+        "solve_inclusion.Equality": 12, "solve_inclusion.QuadraticDistance": 24,
+        "conjugate.Blockwise": 117, "conjugate.Equality": 13, "conjugate.QuadraticDistance": 143,
+        "sweeps": 12, "tries": 1,
     },
 }
 

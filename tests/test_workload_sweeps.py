@@ -14,7 +14,6 @@ import pytest
 
 from gtop import Box, ChainEngine, solver
 from gtop.solver import _Mixer
-from gtop.functions import MarginalFunction
 
 from _support import load_workloads
 
@@ -47,27 +46,30 @@ def test_chain_steer_keeps_its_three_tries(workloads, tmp_path):
 def test_mfg_hub_keeps_one_fast_jump(workloads, tmp_path):
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
     assert report.termination == "converged"
-    assert report.sweeps == 13
+    assert report.sweeps == 12
     assert [(sweep, kept) for sweep, _, kept in report.extrapolations] == [(6, True)]
     ref = workloads.REFERENCE_DUAL["mfg_hub"]
     assert report.dual_objective == pytest.approx(ref, rel=1e-12)
 
 
 def test_mfg_hub_solves_its_indicator_boxes_once(workloads, tmp_path, monkeypatch):
-    # The obstacle box of each of the 8 running nodes ignores its weight,
-    # so only the first sweep solves it.
+    # The obstacle box of each of the 8 running nodes ignores its weight:
+    # the spec computes its factor once, and no sweep updates it.
     calls = []
-    solve_inclusion = MarginalFunction.solve_inclusion
+    methods = {name: getattr(Box, name) for name in ("solve_inclusion", "fixed_factor")}
 
-    def counted(self, w, epsilon):
-        if type(self) is Box:
-            calls.append(self)
-        return solve_inclusion(self, w, epsilon)
+    def spy(name):
+        def counted(self, *args):
+            if type(self) is Box:
+                calls.append(name)
+            return methods[name](self, *args)
+        return counted
 
-    monkeypatch.setattr(MarginalFunction, "solve_inclusion", counted)
+    for name in methods:
+        monkeypatch.setattr(Box, name, spy(name))
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
     assert report.termination == "converged"
-    assert len(calls) == 8
+    assert calls == ["fixed_factor"] * 8
 
 
 def test_dense_cycle_is_extrapolated(workloads, tmp_path):
@@ -82,9 +84,9 @@ def test_dense_cycle_is_extrapolated(workloads, tmp_path):
 
 
 def test_mfg_hub_projects_no_marginal_for_its_residuals(workloads, tmp_path, monkeypatch):
-    # Its hard node parts are indicator boxes, which report a residual of 0
-    # without a projection: the node marginals are the 13 sweep duals and
-    # the dual of the one try.
+    # Its hard node parts are indicator boxes, constants of the spec with
+    # no residual: the node marginals are the 12 sweep duals and the dual
+    # of the one try.
     calls = []
     marginal = ChainEngine.marginal
 
@@ -94,14 +96,15 @@ def test_mfg_hub_projects_no_marginal_for_its_residuals(workloads, tmp_path, mon
 
     monkeypatch.setattr(ChainEngine, "marginal", counted)
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
-    assert report.sweeps == 13 and len(report.extrapolations) == 1
-    assert len(calls) == 14
+    assert report.sweeps == 12 and len(report.extrapolations) == 1
+    assert len(calls) == 13
 
 
 def test_mfg_hub_projects_only_its_equality_hub_edge(workloads, tmp_path, monkeypatch):
     # The species rows of hub edges 1-9 are hard only through an indicator
-    # box, so their residuals need no projection: the one bimarginal per
-    # sweep is the residual of the equality on hub edge 0.
+    # box, a constant of the spec, so their residuals need no projection:
+    # the one bimarginal per sweep is the residual of the equality on hub
+    # edge 0.
     calls = []
     bimarginal = ChainEngine.bimarginal
 
@@ -111,8 +114,8 @@ def test_mfg_hub_projects_only_its_equality_hub_edge(workloads, tmp_path, monkey
 
     monkeypatch.setattr(ChainEngine, "bimarginal", counted)
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
-    assert report.sweeps == 13
-    assert len(calls) == 13 and set(calls) == {(10, 0)}
+    assert report.sweeps == 12
+    assert len(calls) == 12 and set(calls) == {(10, 0)}
 
 
 def test_mfg_hub_shares_its_species_rows(workloads, tmp_path):
