@@ -26,8 +26,8 @@ from .model import (DualPotentials, EdgeKernel, GraphTopology, ProblemSpec,
 from .projections import ChainEngine, DenseEngine, make_engine
 from .solver import SolveReport, SolverConfig, solve
 from .builders import (FlowEdge, FlowNetwork, MFGSetup, build_flow_cost_matrix,
-                       build_flow_problem, build_mfg_chain_problem, build_mfg_cost_matrix,
-                       build_mfg_problem, edge_utilization, embed_od_matrix, grid_points)
+                       build_flow_problem, build_mfg_cost_matrix, build_mfg_problem,
+                       edge_utilization, embed_od_matrix, grid_points)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

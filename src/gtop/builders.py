@@ -371,11 +371,3 @@ def _total_node_functions(setup):
         node_functions[setup.n_steps] = setup.total_terminal
     return node_functions
 
-
-def build_mfg_chain_problem(setup):
-    """Single-population variant on a plain path, with total costs only."""
-    total0 = np.sum(np.stack(setup.initial_densities, axis=0), axis=0)
-    node_functions = _total_node_functions(setup)
-    node_functions[0] = Equality(total0)
-    return ProblemSpec(GraphTopology.chain(setup.n_steps + 1), _time_kernels(setup),
-                       node_functions, {}, setup.epsilon)

@@ -45,23 +45,6 @@ _MAX_NEWTON_STEPS = 100
 _ULPS = 4.0 * np.finfo(float).eps
 
 
-def _entries(x, n):
-    """A parameter given as one value or as n values, as n values."""
-    x = x.ravel()
-    return x if x.size == n else np.full(n, x[0])
-
-
-def _log_u_to_scaled(log_u, shape):
-    """``exp(log_u)`` as a scaled array peaking at 1; -inf entries give exact zeros."""
-    peak = float(log_u.max()) if log_u.size else -math.inf
-    if not peak < math.inf:
-        raise NumericalFailure("a coordinate update produced %d NaN or +inf log potentials "
-                               "out of %d" % (np.count_nonzero(~(log_u < math.inf)), log_u.size))
-    if peak == -math.inf:
-        return ScaledArray(np.zeros(shape), 0.0)
-    return ScaledArray(np.exp(log_u - peak).reshape(shape), peak)
-
-
 def _newton_log(phi, log_w, lo, hi, fn):
     """Root in ``[lo, hi]`` of ``g(l) = exp(l + log_w) - phi(l)``, entrywise.
 
@@ -160,14 +143,15 @@ class MarginalFunction:
             w = ScaledArray.from_values(values)
         log_w = w.log_value().ravel()
         log_u = self._solve_log(log_w, float(epsilon))
-        return _log_u_to_scaled(log_u, w.m.shape)
+        return ScaledArray.from_log(log_u, w.m.shape)
 
     def _solve_log(self, log_w, epsilon):
         raise NotImplementedError
 
     def fixed_factor(self, shape, epsilon):
         """The factor, of ``shape``, that a cost that ``ignores_weight`` gives."""
-        return _log_u_to_scaled(self._solve_log(np.zeros(math.prod(shape)), float(epsilon)), shape)
+        log_u = self._solve_log(np.zeros(math.prod(shape)), float(epsilon))
+        return ScaledArray.from_log(log_u, shape)
 
     def log_factor_bounds(self, epsilon):
         """Entrywise bounds ``(lo, hi)`` on the log of any factor the update
@@ -284,7 +268,7 @@ class Box(MarginalFunction):
         return float((over.sum() + under.sum()) / max(np.abs(p).sum(), 1.0))
 
     def entry_bounds(self, n):
-        return _entries(self.lower, n), _entries(self.upper, n)
+        return np.broadcast_to(self.lower.ravel(), n), np.broadcast_to(self.upper.ravel(), n)
 
     def scaled(self, factor):
         return self
@@ -398,12 +382,6 @@ class QuadraticDistance(MarginalFunction):
         p = self.exponent
         return p / (p - 1.0)
 
-    def _grad_conj(self, s):
-        # d/ds of <s, y> + ||s||_q^q / (q * (weight*p)^(q-1))
-        q = self._dual_exponent()
-        a = (self.weight * self.exponent) ** (q - 1.0)
-        return self.anchor.ravel() + np.sign(s) * np.abs(s) ** (q - 1.0) / a
-
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
         if np.isinf(s).any():
@@ -413,8 +391,11 @@ class QuadraticDistance(MarginalFunction):
         return float(np.dot(s, self.anchor.ravel()) + np.sum(np.abs(s) ** q) / (q * a))
 
     def conjugate_subgradient(self, s):
+        # d/ds of <s, y> + ||s||_q^q / (q * (weight*p)^(q-1))
         s = np.asarray(s, dtype=float).ravel()
-        g = self._grad_conj(s)
+        q = self._dual_exponent()
+        a = (self.weight * self.exponent) ** (q - 1.0)
+        g = self.anchor.ravel() + np.sign(s) * np.abs(s) ** (q - 1.0) / a
         return g, g
 
     def _solve_log(self, log_w, epsilon):
@@ -516,7 +497,7 @@ class Congestion(MarginalFunction):
         return -math.inf, -1.0 / (epsilon * self.capacity.ravel())
 
     def entry_bounds(self, n):
-        return np.zeros(n), _entries(self.capacity, n)
+        return np.zeros(n), np.broadcast_to(self.capacity.ravel(), n)
 
     def scaled(self, factor):
         if float(factor) == 1.0:

@@ -54,6 +54,18 @@ class ScaledArray:
         return out
 
     @classmethod
+    def from_log(cls, log_values, shape):
+        """``exp(log_values)`` of ``shape``, peaking at 1; -inf gives exact zeros."""
+        peak = float(log_values.max(initial=-math.inf))
+        if not peak < math.inf:
+            raise NumericalFailure("a coordinate update produced %d NaN or +inf log potentials "
+                                   "out of %d" % (np.count_nonzero(~(log_values < math.inf)),
+                                                  log_values.size))
+        if peak == -math.inf:
+            return cls(np.zeros(shape), 0.0)
+        return cls(np.exp(log_values - peak).reshape(shape), peak)
+
+    @classmethod
     def ones(cls, shape):
         return cls(np.ones(shape), 0.0)
 
@@ -417,14 +429,14 @@ class DualPotentials:
                     for block, parts in spec.blocks.items()},
                    {b: c for b, c in spec.constants.items() if b[0] == "node"})
 
-    def value(self, block, default=None):
-        """The product of the block's factors and constant, or ``default``
-        where there is neither."""
+    def value(self, block):
+        """The product of the block's factors and constant, or None where
+        there is neither."""
         factors = self.factors.get(block, ())
         if block in self.constants:
             factors = [*factors, self.constants[block]]
         if not factors:
-            return default
+            return None
         return factors[0] if len(factors) == 1 else smul(*factors)
 
 

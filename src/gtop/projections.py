@@ -192,11 +192,12 @@ class DenseEngine(_EngineBase):
     ``make_engine`` picks it for every graph the path engine does not fit;
     on any graph it is the oracle the path engine is checked against.
 
-    A projection contracts the node potentials (ones at a node with no
-    cost) and, per edge, the kernel times any edge potential, leaving an
-    excluded factor out.  The pairwise order of each ``(keep, exclude)``
-    signature comes from ``np.einsum_path`` once per engine and is replayed
-    with plain ``np.einsum``, so the plan tensor is never formed.
+    A projection contracts the node factors that exist and, per edge, the
+    kernel times any edge potential, leaving an excluded factor out; a node
+    with no factor is summed out, as in the path engine.  The pairwise order
+    of each ``(keep, nodes with a factor)`` signature comes from
+    ``np.einsum_path`` once per engine and is replayed with plain
+    ``np.einsum``, so the plan tensor is never formed.
     ``order``: every node, then every edge.
     """
 
@@ -212,7 +213,6 @@ class DenseEngine(_EngineBase):
         self.order = ([("node", j) for j in range(len(self.sizes))]
                       + [("edge", e) for e in spec.topology.edges])
         self._plans = {}
-        self._units = [ScaledArray.ones(n) for n in self.sizes]
 
     def rebuild_backward(self, pots):
         pass
@@ -220,14 +220,14 @@ class DenseEngine(_EngineBase):
     def refresh(self, pots):
         pass
 
-    def _plan(self, keep, exclude):
+    def _plan(self, keep, nodes):
         """Contraction steps ``(positions, "ab,bc->ac")`` of one signature.
 
         A step pops the operands at ``positions`` and appends their
         contraction, which keeps only the modes ``keep`` or a later operand needs.
         """
         letter = [chr(ord("a") + j) for j in range(len(self.sizes))]
-        subs = [letter[j] for j in range(len(self.sizes)) if exclude != ("node", j)]
+        subs = [letter[j] for j in nodes]
         subs += [letter[a] + letter[b] for a, b in self.spec.topology.edges]
         out = "".join(letter[j] for j in keep)
         shapes = [np.empty([self.sizes[letter.index(c)] for c in s]) for s in subs]
@@ -243,12 +243,12 @@ class DenseEngine(_EngineBase):
 
     def project(self, pots, keep, exclude=None):
         """Sum the plan over every mode not listed in ``keep``, in ``keep`` order."""
-        key = (tuple(keep), exclude)
+        nodes = {j: u for j in range(len(self.sizes))
+                 if exclude != ("node", j) and (u := pots.value(("node", j))) is not None}
+        key = (tuple(keep), tuple(nodes))
         if key not in self._plans:
             self._plans[key] = self._plan(*key)
-        nodes = [pots.value(("node", j), self._units[j]) for j in range(len(self.sizes))
-                 if exclude != ("node", j)]
-        ops, ls = [u.m for u in nodes], sum(u.log_scale for u in nodes)
+        ops, ls = [u.m for u in nodes.values()], sum(u.log_scale for u in nodes.values())
         for e in self.spec.topology.edges:
             k = self.spec.kernels[e]
             m, kls = ((k.full(), k.log_scale) if exclude == ("edge", e)

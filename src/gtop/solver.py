@@ -46,6 +46,7 @@ without), chain_steer to 20 (31), mfg_hub to 12 (16) and flow_od to 118
 (1644).
 """
 
+import contextlib
 import functools
 import math
 import numbers
@@ -54,13 +55,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GtopError, Infeasible, InvalidInput, SizeBoundExceeded, VerificationFailure
+from .errors import (GtopError, Infeasible, InvalidInput, NumericalFailure, SizeBoundExceeded,
+                     VerificationFailure)
 from .model import DualPotentials, ScaledArray, dual_objective, smul
 from .projections import DenseEngine, make_engine
 
 # Relative change read as roundoff: of the dual, before a verified solve
 # fails or a report warns; of the largest residual over the rate window,
-# which then stays flat (``_stalled``).
+# which then stays flat (``_stalled``); of the plan mass between projections.
 _MONOTONE_SLACK = 1e-9
 # Largest |log| of a dual iterate before a solve warns that the dual may
 # not attain its supremum.
@@ -120,15 +122,22 @@ def residual_map(potentials, spec, engine):
     Hard blocks (equality, box) report their violation; soft costs report
     zero without a projection.  A node or edge is projected at most once,
     however many hard parts it stacks; stacked parts get keys ``key#k``.
-    The constants of the spec hold exactly and are not listed.
+    The constants of the spec hold exactly and are not listed.  Every
+    projection carries the one plan mass: a total that differs from the
+    first one's beyond roundoff raises ``NumericalFailure`` naming both.
     """
-    out = {}
+    out, first = {}, None
     for (kind, where), parts in spec.blocks.items():
         key = "node:%d" % where if kind == "node" else "edge:%d-%d" % where
         p = None
         for k, part in enumerate(parts):
             if part.hard and p is None:
                 p = engine.projection((kind, where), potentials).value()
+                mass = (kind, where, float(p.sum()))
+                first = first or mass
+                if abs(mass[2] - first[2]) > _MONOTONE_SLACK * max(1.0, first[2]):
+                    raise NumericalFailure("projections disagree on the plan mass: %s %r "
+                                           "carries %.12g, %s %r carries %.12g" % (*first, *mass))
             name = key if len(parts) == 1 else "%s#%d" % (key, k)
             out[name] = part.feasibility_residual(p) if part.hard else 0.0
     return out
@@ -170,16 +179,12 @@ class _Verifier:
             return
         for kind, where in self.oracle.order:
             keep = (where,) if kind == "node" else where
-            a, b = engine.projection((kind, where), pots), self.oracle.project(pots, keep)
-            _assert_scaled_close(a, b, 1e-8, "%s %r at sweep %d" % (kind, where, sweep))
-
-
-def _assert_scaled_close(a, b, rtol, label):
-    av, bv = a.value(), b.value()
-    scale = max(float(np.max(np.abs(bv))), 1e-300)
-    err = float(np.max(np.abs(av - bv))) / scale
-    if not err <= rtol:
-        raise VerificationFailure("projection mismatch (%.3g relative) for %s" % (err, label))
+            a = engine.projection((kind, where), pots).value()
+            b = self.oracle.project(pots, keep).value()
+            err = float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
+            if not err <= 1e-8:
+                raise VerificationFailure("projection mismatch (%.3g relative) for %s %r at "
+                                          "sweep %d" % (err, kind, where, sweep))
 
 
 class _Updater:
@@ -301,6 +306,15 @@ class _Mixer:
         return mixed
 
 
+@contextlib.contextmanager
+def _named(where):
+    """Prefix ``where`` to the message of a package error raised inside."""
+    try:
+        yield
+    except GtopError as exc:
+        raise type(exc)("%s: %s" % (where, exc)) from exc
+
+
 def _stalled(residuals, tol):
     """The largest residual stays flat above ``tol``, as along a dual ray."""
     first, last = residuals[-1 - _RATE_RATIOS], residuals[-1]
@@ -320,9 +334,7 @@ def _try_extrapolation(spec, pots, engine, replaced, dual, proposal):
         # The part's range, widened to the sweep's output (module docstring).
         lo, hi = spec.blocks[block][k].log_factor_bounds(spec.epsilon)
         log_u = np.clip(log_u.ravel(), np.minimum(lo, g.ravel()), np.maximum(hi, g.ravel()))
-        peak = float(np.max(log_u, initial=-math.inf))
-        if math.isfinite(peak):
-            fs[k] = ScaledArray(np.exp(log_u - peak).reshape(g.shape), peak)
+        fs[k] = ScaledArray.from_log(log_u, g.shape)
     trial = [fs[k] for fs, k in slots]
     lists = [getattr(engine, name) for name in ("fwd", "bwd") if hasattr(engine, name)]
     saved = [list(msgs) for msgs in lists]
@@ -494,9 +506,10 @@ def _ascend(spec, config, engine, pots, verifier, report):
         report.sweeps = sweep
         upd = _Updater(spec, pots, verifier, sweep)
         upd.sweep(engine)
-        res = residual_map(pots, spec, engine)
+        with _named("sweep %d" % sweep):
+            res = residual_map(pots, spec, engine)
+            dual = dual_objective(pots, spec, engine)
         max_res = max(res.values(), default=0.0)
-        dual = dual_objective(pots, spec, engine)
         report.dual_values.append(dual)
         report.max_residuals.append(max_res)
         if verifier is not None:
@@ -521,6 +534,7 @@ def _ascend(spec, config, engine, pots, verifier, report):
             mixer.changes = []
             proposal = mixer.proposal()
             if proposal is not None:
-                kept = _try_extrapolation(spec, pots, engine, upd.replaced, dual, proposal)
+                with _named("sweep %d, try" % sweep):
+                    kept = _try_extrapolation(spec, pots, engine, upd.replaced, dual, proposal)
                 report.extrapolations.append((sweep, rho, kept))
     return False, res

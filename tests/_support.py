@@ -10,7 +10,7 @@ import numpy as np
 from gtop import (Blockwise, Box, CompositeFunction, Congestion, DualPotentials, Equality,
                   GraphTopology, Linear, MFGSetup, ProblemSpec, QuadraticDistance, ScaledArray,
                   SeparableKernel, Zero, build_kernel, build_mfg_cost_matrix,
-                  build_mfg_problem, stack_rows)
+                  build_mfg_problem, builders, stack_rows)
 
 
 def load_workloads():
@@ -53,8 +53,7 @@ def masked_kernel(cost, epsilon):
 
 def masked_log_u_to_scaled(log_u, shape):
     """``exp(log_u)`` peaking at 1, with the non-finite entries masked to zero:
-    the reference ``functions._log_u_to_scaled`` must match on finite and
-    -inf entries."""
+    ``ScaledArray.from_log`` must match it on finite and -inf entries."""
     finite = np.isfinite(log_u)
     if not finite.any():
         return ScaledArray(np.zeros(shape), 0.0)
@@ -62,6 +61,16 @@ def masked_log_u_to_scaled(log_u, shape):
     m = np.exp(log_u - peak)
     m[~finite] = 0.0
     return ScaledArray(m.reshape(shape), peak)
+
+
+def mfg_chain_spec(setup):
+    """The single-population problem of ``setup`` on a plain path, with its
+    total costs and the summed initial densities: what a one-species hub
+    (``build_mfg_problem``) must reproduce."""
+    node_functions = builders._total_node_functions(setup)
+    node_functions[0] = Equality(np.sum(setup.initial_densities, axis=0))
+    return ProblemSpec(GraphTopology.chain(setup.n_steps + 1), builders._time_kernels(setup),
+                       node_functions, {}, setup.epsilon)
 
 
 def dense_tensor(spec, pots, exclude=None):

@@ -15,13 +15,14 @@ from gtop import (Box, CompositeFunction, Congestion, DualPotentials, Equality,
                   FlowEdge, FlowNetwork, GraphTopology, Linear, MFGSetup,
                   ProblemSpec, QuadraticDistance, SolverConfig, Zero,
                   build_flow_cost_matrix, build_flow_problem, build_kernel,
-                  build_mfg_chain_problem, build_mfg_problem, edge_utilization,
-                  embed_od_matrix, grid_points, make_engine, solve)
+                  build_mfg_problem, edge_utilization, embed_od_matrix, grid_points,
+                  make_engine, solve)
 from gtop.projections import DenseEngine
 from gtop.solver import _Updater
 
-from _support import (assert_maxnorm_close, dense_tensor, inclusion_residual, random_chain_spec,
-                      random_hub_spec, random_od_spec, random_potentials, solve_dense)
+from _support import (assert_maxnorm_close, dense_tensor, inclusion_residual, mfg_chain_spec,
+                      random_chain_spec, random_hub_spec, random_od_spec, random_potentials,
+                      solve_dense)
 
 
 @contextmanager
@@ -400,7 +401,7 @@ def test_criterion_7_desk_scale_mfg_experiment():
                           total_running=setup.total_running,
                           total_terminal=setup.total_terminal)
         hub_spec = build_mfg_problem(single)
-        chain_spec = build_mfg_chain_problem(single)
+        chain_spec = mfg_chain_spec(single)
         hp, hr = solve(hub_spec, SolverConfig(feasibility_tol=1e-10,
                                               potential_tol=1e-10))
         cp, cr = solve(chain_spec, SolverConfig(feasibility_tol=1e-10,

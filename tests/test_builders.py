@@ -12,13 +12,12 @@ from gtop import (Blockwise, Box, CompositeFunction, Congestion, DualPotentials,
                   Equality, FlowEdge, FlowNetwork, InvalidInput, Linear, MFGSetup,
                   QuadraticDistance, SeparableKernel, SolverConfig, Zero,
                   build_flow_cost_matrix, build_flow_problem, build_kernel,
-                  build_mfg_chain_problem, build_mfg_cost_matrix, build_mfg_problem,
-                  edge_utilization, embed_od_matrix, grid_points, make_engine, solve)
-from gtop.builders import build_mfg_chain_problem as _chain_builder  # noqa: F401
+                  build_mfg_cost_matrix, build_mfg_problem, edge_utilization,
+                  embed_od_matrix, grid_points, make_engine, solve)
 from gtop.cli import parse_config
 from gtop.projections import DenseEngine
 
-from _support import assert_maxnorm_close, grid_mfg_specs, row_major_grid
+from _support import assert_maxnorm_close, grid_mfg_specs, mfg_chain_spec, row_major_grid
 
 INF = math.inf
 
@@ -334,9 +333,8 @@ class TestMFGProblem:
         assert set(build_mfg_problem(setup).blocks) >= {("node", 1), ("node", 2)}
 
     @pytest.mark.parametrize("key", [3, 0, "x"], ids=repr)
-    @pytest.mark.parametrize("build", [build_mfg_problem, build_mfg_chain_problem])
-    def test_total_running_keys_added_after_construction_are_rejected(self, key, build):
-        # The builders check the keys they read, not only the constructor.
+    def test_total_running_keys_added_after_construction_are_rejected(self, key):
+        # The builder checks the keys it reads, not only the constructor.
         grid = grid_points((2, 2), (0.0, 1.0, 0.0, 1.0))
         box = Box(0.0, np.full(4, 0.5))
         setup = MFGSetup(grid=grid, n_steps=3, initial_densities=[np.full(4, 0.25)],
@@ -344,15 +342,14 @@ class TestMFGProblem:
         setup.total_running[key] = box
         with pytest.raises(InvalidInput, match=r"interior time indices 1 \.\. 2, got \[%r\]"
                            % (key,)):
-            build(setup)
+            build_mfg_problem(setup)
 
-    @pytest.mark.parametrize("build", [build_mfg_problem, build_mfg_chain_problem])
-    def test_cost_matrix_of_the_wrong_size_names_both_sizes(self, build):
+    def test_cost_matrix_of_the_wrong_size_names_both_sizes(self):
         setup = MFGSetup(grid=grid_points((3, 3), (0.0, 1.0, 0.0, 1.0)), n_steps=2,
                          initial_densities=[np.full(9, 1.0 / 9)], cost_matrix=np.zeros((8, 8)))
         with pytest.raises(InvalidInput, match=r"^cost matrix of shape \(8, 8\), but the grid "
                                                r"has 9 points$"):
-            build(setup)
+            build_mfg_problem(setup)
 
     def test_all_zero_species_table_puts_no_cost_on_its_hub_edge(self):
         setup = small_mfg_setup(np.random.default_rng(7), L=2)
@@ -404,7 +401,7 @@ class TestMFGProblem:
         rng = np.random.default_rng(1)
         setup = small_mfg_setup(rng, L=1)
         hub_spec = build_mfg_problem(setup)
-        chain_spec = build_mfg_chain_problem(setup)
+        chain_spec = mfg_chain_spec(setup)
         hub_pots, hub_rep = solve(hub_spec, SolverConfig(potential_tol=1e-11))
         chain_pots, chain_rep = solve(chain_spec, SolverConfig(potential_tol=1e-11))
         assert hub_rep.termination == chain_rep.termination == "converged"
@@ -563,7 +560,7 @@ class TestGridKernels:
             spec = build_mfg_problem(mfg_setup_on(points, rng))
             assert type(spec.kernels[(0, 1)]) is EdgeKernel
         matrix = build_mfg_cost_matrix(grid)
-        spec = build_mfg_chain_problem(mfg_setup_on(grid, rng, cost_matrix=matrix))
+        spec = build_mfg_problem(mfg_setup_on(grid, rng, cost_matrix=matrix))
         assert type(spec.kernels[(0, 1)]) is EdgeKernel
 
     @pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 2)])

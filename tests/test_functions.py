@@ -145,12 +145,12 @@ class TestBiconjugation:
 
 class TestLogUToScaled:
     def test_all_neg_inf_gives_zeros(self):
-        u = functions._log_u_to_scaled(np.full(6, -np.inf), (2, 3))
+        u = ScaledArray.from_log(np.full(6, -np.inf), (2, 3))
         assert u.shape == (2, 3) and u.log_scale == 0.0
         np.testing.assert_array_equal(u.m, np.zeros((2, 3)))
 
     def test_empty(self):
-        u = functions._log_u_to_scaled(np.zeros(0), (0,))
+        u = ScaledArray.from_log(np.zeros(0), (0,))
         assert u.shape == (0,) and u.log_scale == 0.0
 
     def test_matches_masked_formula(self):
@@ -158,14 +158,14 @@ class TestLogUToScaled:
         for _ in range(50):
             log_u = rng.uniform(-800.0, 800.0, int(rng.integers(1, 30)))
             log_u[rng.uniform(size=log_u.shape) < 0.4] = -np.inf
-            u = functions._log_u_to_scaled(log_u, log_u.shape)
+            u = ScaledArray.from_log(log_u, log_u.shape)
             ref = masked_log_u_to_scaled(log_u, log_u.shape)
             assert u.m.tobytes() == ref.m.tobytes() and u.log_scale == ref.log_scale
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nan_or_pos_inf_raises(self, bad):
         with pytest.raises(NumericalFailure, match="1 NaN or \\+inf"):
-            functions._log_u_to_scaled(np.array([0.0, -np.inf, bad]), (3,))
+            ScaledArray.from_log(np.array([0.0, -np.inf, bad]), (3,))
 
 
 class TestSolveInclusion:

@@ -904,6 +904,33 @@ class TestFailuresKeepTheirReport:
             solve(spec)
         self.check_report(exc, 2)
 
+    @staticmethod
+    def raise_numerical_failure(out):
+        raise NumericalFailure("forced")
+
+    @pytest.mark.parametrize("name", ["feasibility_residual", "conjugate"])
+    def test_numerical_failure_after_the_updates(self, monkeypatch, name):
+        # The third call, node 0's in sweep 2, fails: in ``residual_map`` or in
+        # ``dual_objective``, after the sweep's updates and closing rebuild.
+        spec = two_node_spec(np.random.default_rng(50))
+        self.failing_at(monkeypatch, Equality, name, 3, self.raise_numerical_failure)
+        with pytest.raises(NumericalFailure, match=r"^sweep 2: forced$") as exc:
+            solve(spec)
+        self.check_report(exc, 2)
+
+    def test_numerical_failure_of_a_try(self, monkeypatch):
+        # The try after sweep 4 proposes NaN log factors, which the conversion
+        # to factors rejects; the sweep's own dual is already recorded.
+        spec = two_node_spec(np.random.default_rng(50))
+        monkeypatch.setattr(_Mixer, "proposal", lambda mixer: [
+            np.full(g.shape, math.nan) for g in mixer.pairs[-1][1]])
+        with pytest.raises(NumericalFailure, match=r"^sweep 4, try: a coordinate update "
+                                                   r"produced 3 NaN") as exc:
+            solve(spec)
+        report = exc.value.report
+        assert (report.termination, report.sweeps, len(report.dual_values)) == ("error", 4, 4)
+        assert set(report.residuals) == {"node:0", "node:1"} and report.extrapolations == []
+
     def test_verification_failure(self, monkeypatch):
         spec = two_node_spec(np.random.default_rng(50))
         TestChecksThatFire._skewed_update(monkeypatch, at_call=3)  # sweep 2, node 0
@@ -1723,13 +1750,13 @@ class TestStoppedShortOfFeasibility:
     feasibility tolerance says so, naming the block with the largest one."""
 
     @staticmethod
-    def support_against_edge_box_chain():
+    def support_against_edge_box_chain(epsilon=0.05):
         # Node 2 keeps states 2 and 3 only, and the box on edge (2, 3) caps
         # each entry at 0.1, so those two rows carry at most 0.8 of the plan
         # mass 1.  Every block's own bounds allow a mass of 1: the presolve
         # passes, and node 0's equality stays short by 0.2.
         rng = np.random.default_rng(0)
-        n, epsilon = 4, 0.05
+        n = 4
         kernels = {(j, j + 1): build_kernel(rng.uniform(0.0, 1.0, (n, n)), epsilon)
                    for j in range(4)}
         nodes = {0: Equality(np.full(n, 0.25)), 2: Box(0.0, [0.0, 0.0, np.inf, np.inf])}
@@ -1762,6 +1789,20 @@ class TestStoppedShortOfFeasibility:
         assert report.termination == "max_sweeps"
         assert report.extrapolations and max(s for s, _, _ in report.extrapolations) < 15
         assert any(rho is not None for sweep, rho in due if sweep >= 15)
+
+    @pytest.mark.parametrize("epsilon,converged_at", [(0.05, 3260), (0.01, 2963)])
+    def test_projections_that_disagree_on_the_mass_raise(self, epsilon, converged_at):
+        # Along the dual ray the edge box's log factors drift toward the end
+        # of the float range, until node 0's and edge (2, 3)'s projections
+        # no longer carry one plan mass.  By sweep ``converged_at`` every
+        # residual and log change is within tolerance on a plan whose node
+        # masses differ, so the solve must raise before it.
+        with pytest.raises(NumericalFailure, match=r"^sweep \d+: projections disagree on the "
+                                                   r"plan mass: node 0 carries [^,]+, edge "
+                                                   r"\(2, 3\) carries ") as exc:
+            solve(self.support_against_edge_box_chain(epsilon), SolverConfig(max_sweeps=8000))
+        report = exc.value.report
+        assert report.termination == "error" and 300 < report.sweeps < converged_at
 
     def test_feasible_stops_do_not_warn(self):
         spec = three_node_steering(QuadraticDistance(1.0, np.full(5, 0.2)))

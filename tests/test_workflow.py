@@ -1,5 +1,6 @@
 """The CI workflow runs exactly the tier-1 command that ROADMAP.md states,
-on the Python and numpy versions that pyproject.toml declares as floors."""
+on the Python and numpy versions that pyproject.toml declares as floors,
+with every package the tests import or skip without."""
 
 import pathlib
 import re
@@ -27,6 +28,14 @@ def test_workflow_runs_the_tier_1_command():
     runs = [s["run"] for s in job["steps"] if "run" in s]
     assert any('"numpy>=2,<3"' in r for r in runs)
     assert runs[-1] == command
+
+
+def test_workflow_installs_what_the_tests_skip_without():
+    # yaml (this file) and hypothesis (tests/test_catalog_properties.py) are
+    # taken through pytest.importorskip: without them those tests would skip.
+    (install,) = [s["run"] for s in workflow_job()["steps"]
+                  if "run" in s and "pip install" in s["run"]]
+    assert {"pytest", "pyyaml", "hypothesis"} <= set(install.split())
 
 
 def test_declared_floors_are_the_tested_versions():
