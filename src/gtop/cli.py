@@ -260,14 +260,20 @@ def _edge_key(key, path):
 
 def _function_map(key_of, noun):
     """A reader of a map from node, edge or time index (``key_of`` reads each
-    key) to a function; two keys naming one index are an error."""
+    key) to a function; two keys naming one index are an error.  An entry
+    equal to an earlier one is that entry's function, which the spec then
+    resolves once."""
     def read(obj, path, base_dir):
-        found = {}
+        found, built = {}, []
         for key, cfg in _expect_map(obj, path).items():
             index = key_of(key, path)
             if index in found:
                 _fail("%s[%s]" % (path, key), "%s %s is given twice" % (noun, index))
-            found[index] = function_from_config(cfg, "%s[%s]" % (path, key), base_dir)
+            fn = next((f for c, f in built if c == cfg), None)
+            if fn is None:
+                fn = function_from_config(cfg, "%s[%s]" % (path, key), base_dir)
+                built.append((cfg, fn))
+            found[index] = fn
         return found
     return read
 

@@ -14,14 +14,16 @@ solver's mixed tries.
 
 Two updates serve four costs in closed form: an equality is the box [t, t]
 and a zero cost the linear cost with c = 0.  The quadratic distance with
-p = 2 solves in closed form too, through the Wright omega function.  The
-congestion update and the other distance exponents solve
-``exp(l + log w) = phi(l)`` in ``l = log u`` by a safeguarded Newton
-iteration: it starts at a closed-form point right of the root, keeps a
-closed-form bracket, and stops once no entry moves by more than a few ulps
-of ``max(|l|, 1)``.  For congestion the iteration descends monotonically and
-needs a handful of evaluations; the other distance exponents fall back to
-bisection inside the bracket whenever a Newton step would leave it.
+p = 2 goes through the Wright omega function in a fixed number of array
+passes: a closed-form start and three Newton steps (``_quadratic_log``).
+Congestion runs its own Newton loop on ``exp(l + log w) = phi(l)`` in
+``l = log u``, which is convex: from a closed-form start right of the root
+it descends monotonically, one Newton form per step, until no entry moves
+by more than a few ulps of ``max(|l|, 1)``.  Both evaluate ``w e^l`` with
+the rounding of ``l + log w`` carried to first order, so a large ``log w``
+costs no accuracy in ``l``.  The other distance exponents run a safeguarded
+Newton iteration that keeps a closed-form bracket and bisects inside it
+whenever a Newton step would leave it (``_newton_log``).
 
 Some updates ignore the weight: a linear cost gives ``exp(-c / epsilon)``
 (1 for a zero cost), and a box with lower bounds 0 and upper bounds 0 or
@@ -74,45 +76,48 @@ def _newton_log(phi, log_w, lo, hi, fn):
             x = new
             if done.all():
                 return x
-    raise NumericalFailure("%r: the update did not converge in %d Newton steps at %d of %d "
-                           "entries; log-weight range [%g, %g]"
-                           % (fn, _MAX_NEWTON_STEPS, int(np.count_nonzero(~done)), x.size,
-                              float(np.min(log_w)), float(np.max(log_w))))
+    raise _no_convergence(fn, done, log_w)
 
 
-def _wright_omega(x):
-    """Wright omega, the root ``w`` of ``w + log w = x`` (Lawrence, Corless and
-    Jeffrey, "Algorithm 917", ACM TOMS 38(3), 2012), entrywise.
+def _no_convergence(fn, done, log_w):
+    pos = log_w != -np.inf
+    return NumericalFailure("%r: the update did not converge in %d Newton steps at %d of %d "
+                            "entries; log-weight range [%g, %g]"
+                            % (fn, _MAX_NEWTON_STEPS, int(np.count_nonzero(~done & pos)),
+                               int(np.count_nonzero(pos)), float(np.min(log_w[pos])),
+                               float(np.max(log_w[pos]))))
 
-    The start is ``e^x (1 - e^x)`` below -1, the cubic about 1 up to 1, and
-    ``x - log x + log x / x`` above; two fourth-order Fritsch-Shafer-Crowley
-    steps follow.  ``x`` is clipped at -700, where ``w`` is below 1e-304 and
-    ``log w`` still finite.
+
+def _quadratic_log(y, log_w, a, epsilon):
+    """Root ``l`` of ``w e^l = y - c l``, ``c = epsilon / a``, entrywise: ``y / c``
+    where ``w = 0``, else ``l = z - log w + log c`` with ``z = log omega(x)``,
+    ``x = log w - log c + y/c`` and Wright's omega, ``omega + log omega = x``
+    (Lawrence, Corless and Jeffrey, "Algorithm 917", ACM TOMS 38(3), 2012).
+
+    Winitzki's ``omega ~ s (1 - log(1 + s) / (2 + s))``, ``s = log(1 + e^x)``
+    (ICCSA 2003, LNCS 2667), puts ``z`` within 0.02 of the root for every x
+    (checked on a dense grid; exact at both ends).  Each Newton step on the
+    convex ``e^z + z - x`` leaves at most about half the square of the error
+    before it: two leave below 3e-9, and one on ``w e^l - y + c l``, with the
+    rounding of ``log w + l`` carried to first order, leaves rounding.
     """
-    x = np.maximum(x, -700.0)
-    ex = np.exp(np.minimum(x, -1.0))
-    d = x - 1.0
-    lx = np.log(np.maximum(x, 1.0))
-    w = np.where(x < -1.0, ex * (1.0 - ex),
-                 np.where(x <= 1.0, 1.0 + d * (0.5 + d * (1.0 / 16.0 - d / 192.0)),
-                          x - lx + lx / np.maximum(x, 1.0)))
-    for _ in range(2):
-        r = x - w - np.log(w)
-        t = (1.0 + w) * (1.0 + w + 2.0 / 3.0 * r)
-        w = w + w * r / (1.0 + w) * (t - 0.5 * r) / (t - r)
-    return w
-
-
-def _quadratic_log(y, log_w, c):
-    # u*w = y - c*l is c * omega(x), x = log w - log c + y/c, so
-    # l = y/c - omega = log c + log omega - log w.  The first form is taken
-    # where omega < 1, the second elsewhere, as neither cancels there; one
-    # Newton step on u*w - y + c*l polishes the rounding.  Needs every w > 0.
-    yc = y / c
-    om = _wright_omega(log_w - math.log(c) + yc)
-    ell = np.where(om < 1.0, yc - om, math.log(c) + np.log(om) - log_w)
-    e = np.exp(ell + log_w)
-    return ell - (e - y + c * ell) / (e + c)
+    yc = a * y / epsilon
+    c = epsilon / a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = log_w - math.log(c)
+        x = v + yc
+        s = np.logaddexp(0.0, x)
+        # The floor keeps z finite below x = -690, where the first step is exact.
+        z = np.log(np.maximum(s * (1.0 - np.log1p(s) / (2.0 + s)), 1e-300))
+        for _ in range(2):
+            e = np.exp(z)
+            z = z - (e + z - x) / (e + 1.0)
+        ell = z - v
+        t = ell + log_w
+        e = np.exp(t)
+        e = e + e * ((log_w - t) + ell)
+        ell = ell - (e - y + c * ell) / (e + c)
+    return np.where(log_w == -np.inf, yc, ell)
 
 
 class MarginalFunction:
@@ -384,11 +389,16 @@ class QuadraticDistance(MarginalFunction):
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        if np.isinf(s).any():
+        if self.exponent == 2.0:
+            value = float(s.dot(self.anchor.ravel())) + float(s.dot(s)) / (4.0 * self.weight)
+        else:
+            q = self._dual_exponent()
+            a = (self.weight * self.exponent) ** (q - 1.0)
+            value = (float(np.dot(s, self.anchor.ravel()))
+                     + float(np.sum(np.abs(s) ** q)) / (q * a))
+        if not math.isfinite(value) and np.isinf(s).any():
             return math.inf
-        q = self._dual_exponent()
-        a = (self.weight * self.exponent) ** (q - 1.0)
-        return float(np.dot(s, self.anchor.ravel()) + np.sum(np.abs(s) ** q) / (q * a))
+        return value
 
     def conjugate_subgradient(self, s):
         # d/ds of <s, y> + ||s||_q^q / (q * (weight*p)^(q-1))
@@ -399,6 +409,8 @@ class QuadraticDistance(MarginalFunction):
         return g, g
 
     def _solve_log(self, log_w, epsilon):
+        if self.exponent == 2.0:
+            return _quadratic_log(self.anchor.ravel(), log_w, 2.0 * self.weight, epsilon)
         # u*w = y - sign(l) |eps*l|^r / a with r = q - 1; the right side
         # vanishes at l_a, which is therefore the root wherever w = 0.
         y = np.broadcast_to(self.anchor.ravel(), log_w.shape)
@@ -409,9 +421,6 @@ class QuadraticDistance(MarginalFunction):
         out = np.sign(y) * (a * np.abs(y)) ** (1.0 / r) / epsilon
         yp = y[pos]
         lwp = log_w[pos]
-        if self.exponent == 2.0:
-            out[pos] = _quadratic_log(yp, lwp, c)
-            return out
         # g(hi) >= 0: there u*w >= 0 >= the right side, or u*w = y while the
         # right side is at most y (l >= 0), or u*w >= y >= the right side
         # (l = 0 >= log y - log w).  g(lo) <= 0: u*w <= 1 <= the right side.
@@ -452,52 +461,58 @@ class Congestion(MarginalFunction):
         self.capacity = np.asarray(capacity, dtype=float)
         if not np.all(np.isfinite(self.capacity)) or np.any(self.capacity <= 0):
             raise InvalidInput("congestion capacities must be positive and finite")
+        # Read by every update, conjugate and subgradient; they broadcast.
+        self._b = self.capacity.ravel()
+        self._inv_b = 1.0 / self._b
+        self._log_b = np.log(self._b)
 
     def conjugate(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        b = np.broadcast_to(self.capacity.ravel(), s.shape)
-        kink = 1.0 / b
-        active = s > kink
+        active = s > self._inv_b
         if np.any(np.isinf(s) & active):
             return math.inf
-        sb = np.where(active, s * b, 1.0)
+        sb = np.where(active, s * self._b, 1.0)
         terms = np.where(active, sb - 2.0 * np.sqrt(sb) + 1.0, 0.0)
         return float(np.sum(terms))
 
     def conjugate_subgradient(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        b = np.broadcast_to(self.capacity.ravel(), s.shape)
-        active = s > 1.0 / b
+        b = self._b
+        active = s > self._inv_b
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(active, b - np.sqrt(np.where(active, b / s, 1.0)), 0.0)
         return slope, slope
 
     def _solve_log(self, log_w, epsilon):
-        # u*w = b - sqrt(b / (-eps*l)) on l < -1/(eps*b); slack (u = 1) where w = 0.
-        b = np.broadcast_to(self.capacity.ravel(), log_w.shape)
-        out = np.zeros(log_w.shape)
-        pos = ~np.isneginf(log_w)
-        bp = b[pos]
-        lwp = log_w[pos]
-        c = np.sqrt(bp / epsilon)
-        # g(hi) >= 0: the right side is at most 0 at -1/(eps*b) and below b
-        # everywhere.  g(lo) <= 0: u*w <= b/2 <= the right side.
-        hi = np.minimum(-1.0 / (epsilon * bp), np.log(bp) - lwp)
-        lo = np.minimum(-4.0 / (epsilon * bp), np.log(0.5 * bp) - lwp)
-
-        def phi(ell):
-            root = c / np.sqrt(-ell)
-            return bp - root, 0.5 * root / ell
-
-        out[pos] = _newton_log(phi, lwp, lo, hi, self)
-        return out
+        # In m = -l, u*w = w e^-m = b - r with r = sqrt(b / (eps*m)), on
+        # m > 1/(eps*b); slack (u = 1) where w = 0.  g = w e^-m + r - b is
+        # convex and increasing in l, and the start is right of the root
+        # (below it in m), so Newton descends to the root monotonically.
+        b, q = self._b, self._b / epsilon
+        lw = np.maximum(log_w, -1e300)  # w = 0 keeps e = 0 and no NaN
+        m = np.maximum(self._inv_b / epsilon, lw - self._log_b)
+        # A root below m + 2 has r >= r(m + 2), so w e^-m <= b - r(m + 2).
+        trial = m + 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.maximum(m, np.fmin(trial, lw - np.log(b - np.sqrt(q / trial))))
+        tol = _ULPS * np.maximum(m, 1.0)  # m only grows from here
+        for _ in range(_MAX_NEWTON_STEPS):
+            t = lw - m
+            e = np.exp(t)
+            r = np.sqrt(q / m)
+            # (lw - t) - m is what t rounded off; e carries it to first order.
+            step = (e * ((lw - t) - m) + e + r - b) / (e + 0.5 * r / m)
+            m = m + step
+            if (step <= tol).all():
+                return np.where(log_w == -np.inf, 0.0, -m)
+        raise _no_convergence(self, step <= tol, log_w)
 
     def log_factor_bounds(self, epsilon):
         # s = -eps * l must pass the kink 1 / b for u * w to be positive.
         return -math.inf, -1.0 / (epsilon * self.capacity.ravel())
 
     def entry_bounds(self, n):
-        return np.zeros(n), np.broadcast_to(self.capacity.ravel(), n)
+        return np.zeros(n), np.broadcast_to(self._b, n)
 
     def scaled(self, factor):
         if float(factor) == 1.0:

@@ -124,9 +124,10 @@ def residual_map(potentials, spec, engine):
     however many hard parts it stacks; stacked parts get keys ``key#k``.
     The constants of the spec hold exactly and are not listed.  Every
     projection carries the one plan mass: a total that differs from the
-    first one's beyond roundoff raises ``NumericalFailure`` naming both.
+    first one's beyond roundoff raises ``NumericalFailure`` naming both,
+    with the whole map as its ``residuals``.
     """
-    out, first = {}, None
+    out, first, off = {}, None, None
     for (kind, where), parts in spec.blocks.items():
         key = "node:%d" % where if kind == "node" else "edge:%d-%d" % where
         p = None
@@ -135,11 +136,15 @@ def residual_map(potentials, spec, engine):
                 p = engine.projection((kind, where), potentials).value()
                 mass = (kind, where, float(p.sum()))
                 first = first or mass
-                if abs(mass[2] - first[2]) > _MONOTONE_SLACK * max(1.0, first[2]):
-                    raise NumericalFailure("projections disagree on the plan mass: %s %r "
-                                           "carries %.12g, %s %r carries %.12g" % (*first, *mass))
+                if off is None and abs(mass[2] - first[2]) > _MONOTONE_SLACK * max(1.0, first[2]):
+                    off = mass
             name = key if len(parts) == 1 else "%s#%d" % (key, k)
             out[name] = part.feasibility_residual(p) if part.hard else 0.0
+    if off is not None:
+        exc = NumericalFailure("projections disagree on the plan mass: %s %r carries %.12g, "
+                               "%s %r carries %.12g" % (*first, *off))
+        exc.residuals = out
+        raise exc
     return out
 
 
@@ -479,8 +484,8 @@ def solve(spec, config=None, initial=None):
         try:
             engine.refresh(pots)
             report.residuals = residual_map(pots, spec, engine)
-        except GtopError:
-            pass
+        except GtopError as again:
+            report.residuals = getattr(again, "residuals", {})
         report.wall_time_s = time.perf_counter() - t0
         exc.report = report
         raise

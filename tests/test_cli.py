@@ -1024,6 +1024,35 @@ class TestRejectedValuesNamePaths:
             "error: problem.kernels[0].cost.csv: expected a string\n"
 
 
+class TestEqualEntriesBuiltOnce:
+    """Equal entries of one function map are one catalog object."""
+
+    def chain_of_three(self, out_dir, node_functions):
+        body = minimal_raw_config(out_dir)
+        flat = [[0.0, 0.0], [0.0, 0.0]]
+        _raw(body, topology={"class": "chain", "sizes": [2, 2, 2]},
+             kernels=[{"edge": [0, 1], "cost": flat}, {"edge": [1, 2], "cost": flat}],
+             node_functions=node_functions)
+        return body
+
+    def test_equal_entries_share_one_function(self, tmp_path):
+        same = {"type": "quadratic", "weight": 0.5, "anchor": [0.3, 0.7]}
+        body = self.chain_of_three(str(tmp_path / "out"), {
+            "0": {"type": "equality", "target": [0.3, 0.7]}, "1": same, "2": dict(same)})
+        blocks = parse_config(write_config(tmp_path, body)).spec.blocks
+        (first,), (second,) = blocks["node", 1], blocks["node", 2]
+        assert first is second and isinstance(first, QuadraticDistance)
+        assert blocks["node", 0][0] is not first
+
+    def test_an_entry_unlike_the_earlier_ones_fails_at_its_own_path(self, tmp_path, capsys):
+        same = {"type": "quadratic", "anchor": [0.3, 0.7]}
+        body = self.chain_of_three(str(tmp_path / "out"), {
+            "0": same, "1": dict(same), "2": dict(same, exponent=1)})
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "error: problem.node_functions[2]: distance " \
+            "exponent must be finite and exceed 1, got 1.0\n"
+
+
 class TestNothingSilentlyChanges:
     """Raw and mfg configs that once solved a problem other than the one
     written: two entries for one edge, node or time index, and node sizes

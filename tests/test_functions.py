@@ -481,6 +481,99 @@ class TestQuadraticClosedForm:
             QuadraticDistance(1.0, [0.0], exponent)
 
 
+def decimal_congestion_root(log_w, b, eps, start):
+    """l solving ``exp(l + log_w) = b - sqrt(b / (-eps*l))`` to 50 digits (0, the
+    slack factor, where ``log_w`` is -inf).  On l < 0 the left side minus the
+    right is convex and increasing, so Newton's method from a start near the
+    root converges to it."""
+    if log_w == -math.inf:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lw, b, eps, ell = Decimal(log_w), Decimal(b), Decimal(eps), Decimal(start)
+        for _ in range(200):
+            e = (ell + lw).exp()
+            r = (b / (-eps * ell)).sqrt()
+            step = (e - b + r) / (e - r / (2 * ell))
+            ell -= step
+            if abs(step) <= Decimal("1e-40") * max(abs(ell), 1):
+                return ell
+    raise AssertionError("decimal Newton did not converge at log_w=%r, b=%r" % (log_w, b))
+
+
+class TestWideRanges:
+    """The p = 2 distance and congestion updates against 50-digit roots over
+    ε in [1e-6, 1e3], log w in [-700, 700] with some -inf, capacities in
+    [1e-8, 1e8], and distance weights and anchor magnitudes in [1e-6, 1e6]:
+    every root within 4 ulps of max(|l|, 1) (README, numerical notes)."""
+
+    BLOCKS, N = 48, 8
+
+    def draws(self, rng):
+        for k in range(self.BLOCKS):
+            eps = math.exp(rng.uniform(math.log(1e-6), math.log(1e3)))
+            log_w = rng.uniform(-700.0, 700.0, self.N) if k % 2 else rng.uniform(-40, 40, self.N)
+            log_w[rng.uniform(size=self.N) < 0.1] = -np.inf
+            yield eps, log_w
+
+    @staticmethod
+    def assert_within_4_ulps(ell, ref, context):
+        bound = 4 * np.finfo(float).eps * max(abs(float(ref)), 1.0)
+        assert abs(float(Decimal(float(ell)) - ref)) <= bound, (context, ell, ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quadratic(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        for eps, log_w in self.draws(rng):
+            weight = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+            anchor = (np.exp(rng.uniform(math.log(1e-6), math.log(1e6), self.N))
+                      * rng.choice([-1.0, 0.0, 1.0], self.N))
+            ell = QuadraticDistance(weight, anchor)._solve_log(log_w, eps)
+            c = Decimal(eps) / (2 * Decimal(weight))
+            for i in range(self.N):
+                ref = decimal_quadratic_root(float(log_w[i]), float(anchor[i]), c, float(ell[i]))
+                self.assert_within_4_ulps(ell[i], ref, (eps, weight, anchor[i], log_w[i]))
+
+    def test_quadratic_roots_near_zero_under_large_log_weights(self):
+        # c = ε / (2 weight) up to 5e8 puts roots l in [-3, 3] at log w up
+        # to about 21, where rounding log w + l alone can cost 8 ulps of 1.
+        rng = np.random.default_rng(44)
+        for _ in range(self.BLOCKS):
+            weight = math.exp(rng.uniform(math.log(1e-6), math.log(1e-3)))
+            eps = math.exp(rng.uniform(0.0, math.log(1e3)))
+            c = eps / (2.0 * weight)
+            anchor = rng.uniform(-1e6, 1e6, self.N)
+            root = rng.uniform(-3.0, 3.0, self.N)
+            log_w = np.log(np.maximum(anchor - c * root, 1e-300)) - root
+            ell = QuadraticDistance(weight, anchor)._solve_log(log_w, eps)
+            c_dec = Decimal(eps) / (2 * Decimal(weight))
+            for i in range(self.N):
+                ref = decimal_quadratic_root(float(log_w[i]), float(anchor[i]), c_dec,
+                                             float(ell[i]))
+                self.assert_within_4_ulps(ell[i], ref, (eps, weight, anchor[i], log_w[i]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_congestion(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        for eps, log_w in self.draws(rng):
+            cap = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), self.N))
+            ell = Congestion(cap)._solve_log(log_w, eps)
+            for i in range(self.N):
+                ref = decimal_congestion_root(float(log_w[i]), float(cap[i]), eps, float(ell[i]))
+                self.assert_within_4_ulps(ell[i], ref, (eps, cap[i], log_w[i]))
+
+    def test_congestion_block_that_once_stalled(self):
+        # ROADMAP item 17's repro class: capacities from 2.5e-8 to 1e7 in one
+        # block.  The safeguarded iteration of `_newton_log` left one entry of
+        # this block unconverged after 100 steps.
+        cap = np.array([2.5e-8, 1e7, 0.2276, 1.375e-4, 2.877e-7])
+        log_w = np.array([16.88, 19.47, 17.68, 21.29, 17.29])
+        ell = Congestion(cap)._solve_log(log_w, 0.27)
+        for i in range(cap.size):
+            ref = decimal_congestion_root(float(log_w[i]), float(cap[i]), 0.27, float(ell[i]))
+            self.assert_within_4_ulps(ell[i], ref, (cap[i], log_w[i]))
+
+
 class TestSubgradients:
     def test_box_cases(self):
         fn = Box(0.0, np.array([2.0]))
@@ -1019,10 +1112,9 @@ class TestOneUpdatePerKind:
         n = 64
         fn = QuadraticDistance(rng.uniform(0.1, 5.0), rng.uniform(-1.0, 2.0, n))
         eps = rng.uniform(0.01, 1.0)
-        c = eps / (2.0 * fn.weight)
         log_w = rng.uniform(-40.0, 40.0, n)
         full = fn._solve_log(log_w, eps)
-        assert same_bits(full, functions._quadratic_log(fn.anchor, log_w, c))
+        assert same_bits(full, functions._quadratic_log(fn.anchor, log_w, 2.0 * fn.weight, eps))
         zero = rng.uniform(size=n) < 0.4
         part = fn._solve_log(np.where(zero, -np.inf, log_w), eps)
         assert same_bits(part[~zero], full[~zero])

@@ -1804,6 +1804,16 @@ class TestStoppedShortOfFeasibility:
         report = exc.value.report
         assert report.termination == "error" and 300 < report.sweeps < converged_at
 
+    def test_a_plan_mass_failure_keeps_every_hard_residual(self):
+        # The handler's own residual map meets the same disagreement; the
+        # report keeps the map that the failure computed in full.
+        with pytest.raises(NumericalFailure, match="plan mass") as exc:
+            solve(self.support_against_edge_box_chain(), SolverConfig(max_sweeps=8000))
+        report = exc.value.report
+        assert set(report.residuals) == {"node:0", "edge:2-3"}
+        assert report.residuals["node:0"] == pytest.approx(0.2, abs=1e-6)
+        assert report.residuals["edge:2-3"] == 0.0
+
     def test_feasible_stops_do_not_warn(self):
         spec = three_node_steering(QuadraticDistance(1.0, np.full(5, 0.2)))
         _, report = solve(spec)

@@ -30,12 +30,22 @@ def test_workflow_runs_the_tier_1_command():
     assert runs[-1] == command
 
 
+def requirement_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", r.strip('"')).group(0).lower() for r in requirements}
+
+
 def test_workflow_installs_what_the_tests_skip_without():
     # yaml (this file) and hypothesis (tests/test_catalog_properties.py) are
     # taken through pytest.importorskip: without them those tests would skip.
+    # The test extra declares them, and CI installs exactly it and numpy.
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = requirement_names(project["optional-dependencies"]["test"])
+    assert {"pytest", "pyyaml", "hypothesis"} <= extra
     (install,) = [s["run"] for s in workflow_job()["steps"]
                   if "run" in s and "pip install" in s["run"]]
-    assert {"pytest", "pyyaml", "hypothesis"} <= set(install.split())
+    words = install.split()
+    installed = requirement_names(words[words.index("install") + 1:])
+    assert installed == extra | requirement_names(project["dependencies"])
 
 
 def test_declared_floors_are_the_tested_versions():

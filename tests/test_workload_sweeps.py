@@ -54,7 +54,9 @@ def test_mfg_hub_keeps_one_fast_jump(workloads, tmp_path):
 
 def test_mfg_hub_solves_its_indicator_boxes_once(workloads, tmp_path, monkeypatch):
     # The obstacle box of each of the 8 running nodes ignores its weight:
-    # the spec computes its factor once, and no sweep updates it.
+    # the spec computes its factor once, and no sweep updates it.  The 7
+    # equal obstacle entries of the config are one Box; node 4's composite
+    # holds the other.
     calls = []
     methods = {name: getattr(Box, name) for name in ("solve_inclusion", "fixed_factor")}
 
@@ -69,7 +71,7 @@ def test_mfg_hub_solves_its_indicator_boxes_once(workloads, tmp_path, monkeypatc
         monkeypatch.setattr(Box, name, spy(name))
     report = solve_seed0(workloads, "mfg_hub", tmp_path)
     assert report.termination == "converged"
-    assert calls == ["fixed_factor"] * 8
+    assert calls == ["fixed_factor"] * 2
 
 
 def test_dense_cycle_is_extrapolated(workloads, tmp_path):
