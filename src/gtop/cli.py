@@ -260,20 +260,26 @@ def _edge_key(key, path):
 
 def _function_map(key_of, noun):
     """A reader of a map from node, edge or time index (``key_of`` reads each
-    key) to a function; two keys naming one index are an error.  An entry
-    equal to an earlier one is that entry's function, which the spec then
-    resolves once."""
+    key) to a function; two keys naming one index are an error.  An entry or
+    a composite's part equal to an earlier entry or part is that one's
+    function, which the spec then resolves once."""
     def read(obj, path, base_dir):
         found, built = {}, []
+
+        def function(cfg, at, base_dir):
+            fn = next((f for c, f in built if c == cfg), None)
+            if fn is None:
+                fn = _variant(cfg, at, base_dir, "type", catalog, "unknown function type %r")
+                built.append((cfg, fn))
+            return fn
+
+        catalog = dict(_FUNCTIONS, composite=(fx.CompositeFunction, {
+            "parts": (_list(function, _NONEMPTY, _NONEMPTY), None)}))
         for key, cfg in _expect_map(obj, path).items():
             index = key_of(key, path)
             if index in found:
                 _fail("%s[%s]" % (path, key), "%s %s is given twice" % (noun, index))
-            fn = next((f for c, f in built if c == cfg), None)
-            if fn is None:
-                fn = function_from_config(cfg, "%s[%s]" % (path, key), base_dir)
-                built.append((cfg, fn))
-            found[index] = fn
+            found[index] = function(cfg, "%s[%s]" % (path, key), base_dir)
         return found
     return read
 
@@ -449,10 +455,12 @@ def _fresh(path):
 
 
 def _write_csv(path, *blocks):
-    """Each block, a vector or a matrix, as "%.17g" CSV lines; widths may differ."""
-    with open(_fresh(path), "wb") as fh:
+    """Each block, a vector or a matrix, as "%.17g" CSV lines, the bytes of
+    ``np.savetxt``; widths may differ.  One ``%`` formats a whole block."""
+    with open(_fresh(path), "w", encoding="ascii") as fh:
         for block in blocks:
-            np.savetxt(fh, np.atleast_2d(block), delimiter=",", fmt="%.17g")
+            rows, cols = np.atleast_2d(block).shape
+            fh.write((",".join(["%.17g"] * cols) + "\n") * rows % tuple(np.ravel(block).tolist()))
 
 
 def _json_finite(obj):
@@ -520,10 +528,12 @@ def run(run_config):
         if run_config.emit["bimarginals"]:
             # The n_t x n_{t+1} time-step plans are the bulk of the output.
             # Binary .npy keeps every bit and skips the per-value text
-            # formatting that dominates writing them as CSV.
+            # formatting that dominates writing them as CSV.  Each plan is
+            # scaled in place, over the fresh mantissa the engine hands over.
             steps = set(zip(time_nodes, time_nodes[1:]))
             for e in topo.edges:
-                p = engine.bimarginal(e, pots).value()
+                p = engine.bimarginal(e, pots)
+                p = p.value(out=p.m)
                 name = os.path.join(run_config.out_dir, "bimarg_%d_%d" % e)
                 if e in steps:
                     np.save(_fresh(name + ".npy"), p)

@@ -35,7 +35,8 @@ class ScaledArray:
     leaves the represented value unchanged.  Entries may be exactly zero;
     those encode states that have been eliminated from the plan.
     :meth:`log_value` keeps its result, so ``m`` and ``log_scale`` are
-    written only by :meth:`renormalize`, which drops it.
+    written only by :meth:`renormalize`, which drops it, and by
+    ``value(out=m)``, which leaves no valid array behind.
     """
 
     __slots__ = ("m", "log_scale", "_log")
@@ -73,13 +74,15 @@ class ScaledArray:
     def shape(self):
         return self.m.shape
 
-    def renormalize(self):
+    def renormalize(self, in_place=False):
         """Rescale the mantissa peak to 1; returns the absolute log shift.
 
-        The mantissa is nonnegative, so its peak is its largest entry."""
-        return self._rescale(float(self.m.max()) if self.m.size else 0.0)
+        The mantissa is nonnegative, so its peak is its largest entry.  With
+        ``in_place`` the division writes the mantissa array itself, which
+        the caller must own; the bits are those of a fresh quotient."""
+        return self._rescale(float(self.m.max()) if self.m.size else 0.0, in_place)
 
-    def _rescale(self, peak):
+    def _rescale(self, peak, in_place=False):
         """Move ``peak``, the largest mantissa magnitude, into the log scale."""
         if not math.isfinite(peak):
             raise NumericalFailure("non-finite mantissa encountered during renormalization")
@@ -90,14 +93,16 @@ class ScaledArray:
         if peak == 1.0:
             return 0.0
         shift = math.log(peak)
-        self.m = self.m / peak
+        self.m = np.divide(self.m, peak, out=self.m if in_place else None)
         self.log_scale += shift
         self._log = None
         return abs(shift)
 
-    def value(self):
+    def value(self, out=None):
+        """``m * exp(log_scale)``, written into ``out`` if given; ``out=m``
+        scales a mantissa that the caller owns and then discards."""
         with np.errstate(over="ignore"):
-            return self.m * np.exp(self.log_scale)
+            return np.multiply(self.m, np.exp(self.log_scale), out=out)
 
     def log_value(self):
         """``log(m) + log_scale``, computed once and returned read-only."""
@@ -445,10 +450,11 @@ class ProblemSpec:
 
     Holds the graph, a kernel per edge, one convex cost per node and per
     edge, and the regularization strength.  Construction validates the
-    shapes and splits each distinct cost part once (:func:`_split`): fixed
-    factors multiply into the ``constants`` of a node or edge, an edge's
-    also into its kernel (exp(-C / epsilon) * K), and ``blocks`` holds the
-    parts left to update; any other node or edge is summed out.
+    shapes and splits each distinct cost once (:func:`_split`), resolving
+    each distinct part's fixed factor once per shape: fixed factors multiply
+    into the ``constants`` of a node or edge, an edge's also into its kernel
+    (exp(-C / epsilon) * K), and ``blocks`` holds the parts left to update;
+    any other node or edge is summed out.
     """
 
     def __init__(self, topology, kernels, node_functions=None, edge_functions=None,
@@ -488,7 +494,8 @@ class ProblemSpec:
         given = [(("node", j), node_functions.get(j)) for j in range(topology.node_count)]
         given += [(("edge", e), edge_functions.get(e)) for e in topology.edges]
         self.blocks, self.constants = {}, {}
-        split = functools.cache(functools.partial(_split, epsilon=self.epsilon))
+        fixed = functools.cache(lambda part, shape: part.fixed_factor(shape, self.epsilon))
+        split = functools.cache(functools.partial(_split, fixed_factor=fixed))
         for (kind, where), fn in given:
             if fn is None:
                 continue
@@ -526,16 +533,17 @@ class ProblemSpec:
         return [sizes[j] for j in range(topology.node_count)]
 
 
-def _split(fn, shape, epsilon):
+def _split(fn, shape, fixed_factor):
     """``(constant, parts)`` of a node's or edge's cost on ``shape``: the factors
-    its parts give whatever the weight, multiplied (None if all are ones, as a
-    zero cost's), and the parts left to update; a blockwise part splits by block."""
+    its parts give whatever the weight (``fixed_factor(part, shape)``),
+    multiplied (None if all are ones, as a zero cost's), and the parts left to
+    update; a blockwise part splits by block."""
     fixed, rest = [], []
     for part in getattr(fn, "parts", (fn,)):
         if part.ignores_weight:
-            fixed.append(part.fixed_factor(shape, epsilon))
+            fixed.append(fixed_factor(part, shape))
         elif any(f.ignores_weight for _, f in getattr(part, "blocks", ())):
-            fixed.append(part.restricted(lambda f: f.ignores_weight).fixed_factor(shape, epsilon))
+            fixed.append(fixed_factor(part.restricted(lambda f: f.ignores_weight), shape))
             rest.append(part.restricted(lambda f: not f.ignores_weight))
         else:
             rest.append(part)

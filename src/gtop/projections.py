@@ -45,7 +45,10 @@ _RESCALE_THRESHOLD = 200.0
 
 
 class _EngineBase:
-    """Projections from the engine's weights; all ends in ``_fin``, counting ``rescale_events``."""
+    """Projections from the engine's weights; all ends in ``_fin``, counting ``rescale_events``.
+
+    ``_fin`` renormalizes in place a fresh array that no input holds; the
+    caller of each projection then owns it."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -53,7 +56,7 @@ class _EngineBase:
 
     def _fin(self, mantissa, log_scale):
         arr = ScaledArray(mantissa, log_scale)
-        if arr.renormalize() > _RESCALE_THRESHOLD:
+        if arr.renormalize(in_place=True) > _RESCALE_THRESHOLD:
             self.rescale_events += 1
         return arr
 
@@ -130,6 +133,12 @@ class ChainEngine(_EngineBase):
         m, ls = self._times_carried(msg.m, msg.log_scale, i, pots)
         return self._times(m, ls, pots.value(("node", self.path[i])))
 
+    def _absorbed(self, msg, i, pots):
+        """``_absorb`` renormalized; a message with nothing to absorb comes back
+        as it is: it is renormalized already, and ``_fin`` must not write it."""
+        m, ls = self._absorb(msg, i, pots)
+        return msg if m is msg.m else self._fin(m, ls)
+
     def _step(self, e):
         i = self.steps.get(e)
         if i is None:
@@ -179,8 +188,8 @@ class ChainEngine(_EngineBase):
                                 pots.value(("node", e[1])))
             return self._fin(m * k.full(), ls + k.log_scale)
         i = self._step(e)
-        left = self._fin(*self._absorb(self.fwd[i], i, pots))
-        right = self._fin(*self._absorb(self.bwd[i + 1], i + 1, pots))
+        left = self._absorbed(self.fwd[i], i, pots)
+        right = self._absorbed(self.bwd[i + 1], i + 1, pots)
         k = self.spec.kernels[e]
         return self._fin(k.times(left.m.T @ right.m),
                          k.log_scale + left.log_scale + right.log_scale)
@@ -257,7 +266,9 @@ class DenseEngine(_EngineBase):
             ls += kls
         for pos, subscripts in self._plans[key]:
             ops.append(np.einsum(subscripts, *[ops.pop(p) for p in pos]))
-        return self._fin(ops[0], ls)
+        # A lone operand (one edge, no node factor) may come back as a view of
+        # its kernel: ``_fin`` gets a copy.
+        return self._fin(ops[0] if len(pos) > 1 else ops[0].copy(order="K"), ls)
 
     def w_node(self, j, pots):
         return self.project(pots, (j,), exclude=("node", j))

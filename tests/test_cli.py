@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from gtop import (ConfigError, DenseEngine, EdgeKernel, Equality, FlowEdge, FlowNetwork,
+from gtop import (Box, ConfigError, DenseEngine, EdgeKernel, Equality, FlowEdge, FlowNetwork,
                   GraphTopology, MFGSetup, ProblemSpec, QuadraticDistance, SolverConfig, Zero,
                   build_flow_problem, build_kernel, build_mfg_problem, grid_points)
 from gtop import cli
@@ -557,6 +557,42 @@ class TestStepPlans:
         assert "bimarg_0_1.npy" in written
 
 
+class TestCsvBytes:
+    """``_write_csv`` formats a block with one ``%``; its bytes are those of
+    ``np.savetxt(fmt="%.17g", delimiter=",")``, block after block."""
+
+    @staticmethod
+    def assert_savetxt_bytes(tmp_path, *blocks):
+        path = tmp_path / "out.csv"
+        cli._write_csv(str(path), *blocks)
+        with open(tmp_path / "ref.csv", "wb") as fh:
+            for block in blocks:
+                np.savetxt(fh, np.atleast_2d(block), fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_vectors_and_matrices(self, tmp_path):
+        rng = np.random.default_rng(90)
+        values = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
+        self.assert_savetxt_bytes(tmp_path, values)
+        self.assert_savetxt_bytes(tmp_path, values.reshape(4, 15))
+        self.assert_savetxt_bytes(tmp_path, values.reshape(15, 4).T)  # not C-ordered
+        self.assert_savetxt_bytes(tmp_path, values[:1], np.float64(2.5), [[1, 2], [3, 4]])
+
+    def test_blocks_of_different_widths(self, tmp_path):
+        rng = np.random.default_rng(91)
+        self.assert_savetxt_bytes(tmp_path, rng.uniform(size=5), rng.uniform(size=(3, 2)),
+                                  rng.uniform(size=(1, 7)), rng.uniform(size=(4, 400)))
+
+    def test_special_values(self, tmp_path):
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225e-308 / 3, 1e300, -1e300, 1e-300,
+                            -1e-300, 1.7976931348623157e308, -2.5, 0.1, np.inf, -np.inf, np.nan])
+        self.assert_savetxt_bytes(tmp_path, special, special[:12].reshape(3, 4), -special)
+
+    def test_empty_blocks(self, tmp_path):
+        self.assert_savetxt_bytes(tmp_path, np.zeros((3, 0)), [1.0, -0.0], np.zeros(0),
+                                  np.zeros((0, 4)), [[0.5]])
+
+
 def _blockwise_node_0(body, size=2, indices=(0, 1)):
     body["problem"]["node_functions"]["0"] = {
         "type": "blockwise", "size": size,
@@ -1043,6 +1079,32 @@ class TestEqualEntriesBuiltOnce:
         (first,), (second,) = blocks["node", 1], blocks["node", 2]
         assert first is second and isinstance(first, QuadraticDistance)
         assert blocks["node", 0][0] is not first
+
+    def test_equal_composite_parts_share_one_function_and_one_factor(self, tmp_path,
+                                                                       monkeypatch):
+        calls = []
+        fixed_factor = Box.fixed_factor
+        monkeypatch.setattr(Box, "fixed_factor",
+                            lambda self, *args: calls.append(self) or fixed_factor(self, *args))
+        support = {"type": "box", "upper": [0.0, math.inf]}
+        near = {"type": "quadratic", "anchor": [0.3, 0.7]}
+        body = self.chain_of_three(str(tmp_path / "out"), {
+            "0": support, "1": {"type": "composite", "parts": [dict(support), near]},
+            "2": {"type": "composite", "parts": [dict(near), {"type": "equality",
+                                                              "target": [0.3, 0.7]}]}})
+        spec = parse_config(write_config(tmp_path, body)).spec
+        assert len(calls) == 1
+        assert spec.constants["node", 0] is spec.constants["node", 1]
+        assert spec.blocks["node", 1][0] is spec.blocks["node", 2][0]
+        assert np.array_equal(spec.constants["node", 1].m, [0.0, 1.0])
+
+    def test_a_part_unlike_the_earlier_ones_fails_at_its_own_path(self, tmp_path, capsys):
+        same = {"type": "quadratic", "anchor": [0.3, 0.7]}
+        body = self.chain_of_three(str(tmp_path / "out"), {
+            "0": same, "1": {"type": "composite", "parts": [dict(same), dict(same, exponent=1)]}})
+        assert main(["solve", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "error: problem.node_functions[1].parts[1]: " \
+            "distance exponent must be finite and exceed 1, got 1.0\n"
 
     def test_an_entry_unlike_the_earlier_ones_fails_at_its_own_path(self, tmp_path, capsys):
         same = {"type": "quadratic", "anchor": [0.3, 0.7]}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gtop import (Box, ChainEngine, CompositeFunction, DenseEngine, DualPotentials,
-                  EdgeKernel, Equality, GraphTopology, InvalidInput, ProblemSpec,
+                  EdgeKernel, Equality, GraphTopology, InvalidInput, Linear, ProblemSpec,
                   QuadraticDistance, ScaledArray, SeparableKernel, SizeBoundExceeded,
                   TopologyMismatch, Zero, build_kernel, make_engine)
 
@@ -623,3 +623,96 @@ class TestSeparableProjections:
         assert isinstance(eng, ChainEngine)
         self.check_all(eng, DenseEngine(sep), pots, "oracle on separable kernels")
         self.check_all(eng, DenseEngine(dense), pots, "oracle on the dense kernel")
+
+
+class TestInputsNeverWritten:
+    """``_fin`` renormalizes the array it is handed in place.  No engine
+    method may therefore write a message, a kernel mantissa, a factor or a
+    constant, and no projection may share memory with one: ``cli.run``
+    scales each bimarginal over its mantissa."""
+
+    @staticmethod
+    def inputs(eng, pots):
+        """Every array an engine method reads, paired with a copy of it."""
+        arrays = []
+        for k in eng.spec.kernels.values():
+            arrays += [a.m for a in getattr(k, "axes", (k,))]
+        arrays += [c.m for c in eng.spec.constants.values()]
+        arrays += [f.m for fs in pots.factors.values() for f in fs]
+        arrays += [msg.m for msg in getattr(eng, "fwd", []) + getattr(eng, "bwd", [])
+                   if msg is not None]
+        return [(a, a.copy()) for a in arrays]
+
+    def check(self, eng, pots):
+        calls = [("refresh", ()), ("rebuild_backward", ())]
+        calls += [("push_forward", (v,)) for v in getattr(eng, "path", [])[:-1]]
+        for j in range(eng.spec.topology.node_count):
+            calls += [("w_node", (j,)), ("marginal", (j,))]
+        for e in eng.spec.topology.edges:
+            calls += [("w_edge", (e,)), ("bimarginal", (e,))]
+        for name, args in calls:
+            before = self.inputs(eng, pots)
+            out = getattr(eng, name)(*args, pots)
+            for a, copy in before:
+                assert a.tobytes() == copy.tobytes(), "%s%r wrote an input" % (name, args)
+                assert out is None or not np.shares_memory(out.m, a), (name, args)
+
+    @staticmethod
+    def with_constants(spec, rng, edge=None):
+        """``spec`` plus an indicator box on its last node and, on ``edge``, a
+        linear cost: costs that ignore their weight, constants of the spec."""
+        last = spec.topology.node_count - 1
+        upper = np.where(np.arange(spec.node_sizes[last]) % 2, 0.0, np.inf)
+        nodes = {**block_functions(spec, "node"), last: Box(0.0, upper)}
+        edges = block_functions(spec, "edge")
+        if edge is not None:
+            edges[edge] = Linear(rng.uniform(0.0, 1.0, spec.block_shape(("edge", edge))))
+        out = ProblemSpec(spec.topology, spec.kernels, nodes, edges, spec.epsilon)
+        assert ("node", last) in out.constants
+        return out
+
+    def test_chain(self):
+        rng = np.random.default_rng(80)
+        spec = random_chain_spec(rng, n_nodes=4, with_edge_fn=True, zero_cost_rate=0.2)
+        spec = self.with_constants(spec, rng, edge=(0, 1))
+        pots = random_potentials(spec, rng, zero_rate=0.2)
+        self.check(refreshed(spec, pots), pots)
+
+    def test_path_with_chords(self):
+        rng = np.random.default_rng(81)
+        spec = random_general_spec(rng, path_chord_edges(rng, 5), [2, 3, 4, 3, 2])
+        pots = random_potentials(spec, rng)
+        eng = refreshed(spec, pots)
+        assert type(eng) is ChainEngine
+        self.check(eng, pots)
+        self.check(DenseEngine(spec), pots)
+
+    def test_hub_with_constants_and_separable_kernels(self):
+        rng = np.random.default_rng(82)
+        for spec in grid_mfg_specs(rng, (2, 3), path_edge_cost=True):
+            spec = self.with_constants(spec, rng, edge=(spec.topology.hub, 1))
+            pots = random_potentials(spec, rng)
+            self.check(refreshed(spec, pots), pots)
+            self.check(DenseEngine(spec), pots)
+
+    def test_general_graph(self):
+        rng = np.random.default_rng(83)
+        spec = random_general_spec(rng, cycle_with_chord(5), [2, 3, 2, 3, 2])
+        spec = self.with_constants(spec, rng)
+        pots = random_potentials(spec, rng)
+        self.check(make_engine(spec), pots)
+
+    @pytest.mark.parametrize("peak", [0.5, 1.0])
+    def test_lone_kernel(self, peak):
+        # Two nodes and no cost: the dense contraction of w_edge has one
+        # operand, the user's kernel.  A renormalization moves a peak of 0.5;
+        # a peak of 1 it leaves, and the projection must still be a copy.
+        rng = np.random.default_rng(84)
+        kernel = EdgeKernel(rng.uniform(0.1, 1.0, (3, 4)))
+        kernel.m *= peak / kernel.m.max()
+        assert kernel.m.max() == peak
+        spec = ProblemSpec(GraphTopology.general(2, [(0, 1)]), {(0, 1): kernel}, {}, {}, 1.0)
+        pots = DualPotentials.ones_for(spec)
+        for eng in (DenseEngine(spec), refreshed(spec, pots)):
+            self.check(eng, pots)
+            np.testing.assert_array_equal(eng.bimarginal((0, 1), pots).value(), kernel.value())

@@ -3,13 +3,13 @@
 Spies count the kernel applies per kernel type, the message passes, the
 projection weights and projections, the coordinate updates and conjugates
 per catalog type, and the mixed tries.  The counts are exact: a change that
-adds or saves work shows here before it shows in any timing.  Only the
-solve is counted, not the output step.
+adds or saves work shows here before it shows in any timing.  The solves
+are counted, and apart from them mfg_hub's output step.
 """
 
 import pytest
 
-from gtop import functions, model, solver
+from gtop import cli, functions, model, solver
 from gtop.projections import ChainEngine
 
 from test_workload_sweeps import workloads  # noqa: F401  (the fixture)
@@ -57,10 +57,9 @@ COUNTS = {
 }
 
 
-def count_work(wl_module, name, work_dir, patch):
-    """Solve the seed-0 instance of ``name`` with every spy installed through
-    ``patch(owner, attr, value)``; returns the counts, every engine method
-    listed even at zero, and the solve report."""
+def install_spies(patch, engine_methods=ENGINE_METHODS):
+    """Every spy, installed through ``patch(owner, attr, value)``; returns the
+    dict they count into."""
     counts = {}
 
     def spy(owner, attr, key):
@@ -75,12 +74,20 @@ def count_work(wl_module, name, work_dir, patch):
 
     for kernel in (model.EdgeKernel, model.SeparableKernel):
         spy(kernel, "apply", "apply." + kernel.__name__)
-    for attr in ENGINE_METHODS:
+    for attr in engine_methods:
         spy(ChainEngine, attr, attr)
     spy(functions.MarginalFunction, "solve_inclusion",
         lambda fn: "solve_inclusion." + type(fn).__name__)
     for cls in CATALOG:
         spy(cls, "conjugate", "conjugate." + cls.__name__)
+    return counts
+
+
+def count_work(wl_module, name, work_dir, patch):
+    """Solve the seed-0 instance of ``name`` with every spy installed through
+    ``patch(owner, attr, value)``; returns the counts, every engine method
+    listed even at zero, and the solve report."""
+    counts = install_spies(patch)
     problem = wl_module.WORKLOADS[name](0, str(work_dir)).setup()
     spec = getattr(problem, "spec", problem)
     config = getattr(problem, "solver_config", None) or solver.SolverConfig(
@@ -97,3 +104,22 @@ def test_work_counts(workloads, tmp_path, monkeypatch, name):  # noqa: F811
     counts, report = count_work(workloads, name, tmp_path, monkeypatch.setattr)
     assert report.termination == "converged"
     assert counts == COUNTS[name]
+
+
+# mfg_hub's output step, seed 0: one refresh of the messages (the one
+# backward pass and the 10 pushes along its 11-node path), then the marginal
+# of each of the 10 time nodes and of the hub, and the bimarginal of each of
+# its 19 edges, with no further kernel apply.
+OUTPUT_COUNTS = {
+    "apply.SeparableKernel": 18, "refresh": 1, "rebuild_backward": 1, "push_forward": 10,
+    "w_node": 11, "w_edge": 19, "marginal": 11, "bimarginal": 19,
+}
+
+
+def test_mfg_hub_output_step(workloads, tmp_path, monkeypatch):  # noqa: F811
+    problem = workloads.WORKLOADS["mfg_hub"](0, str(tmp_path)).setup()
+    result = solver.solve(problem.spec, problem.solver_config)
+    monkeypatch.setattr(solver, "solve", lambda *args, **kwargs: result)
+    counts = install_spies(monkeypatch.setattr, ENGINE_METHODS + ("refresh",))
+    assert cli.run(problem) == 0
+    assert counts == OUTPUT_COUNTS
